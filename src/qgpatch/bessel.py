@@ -6,8 +6,9 @@ positive half line.  The evaluation strategy per function:
 
 * ``I_0``, ``I_1``: ascending power series for small argument, the
   exponentially scaled large-argument expansion beyond.
-* ``I_n`` (n >= 2): downward Miller recurrence normalized against ``I_0``
-  (the upward recurrence for I is violently unstable).
+* ``I_n`` (n >= 2): one downward Miller sweep gives every order <= N,
+  normalized against ``I_0`` (the upward recurrence for I is violently
+  unstable); ``log_bessel_i_orders`` returns the whole sweep.
 * ``K_0``, ``K_1``: the log-type ascending series
 
       K_0(z) = -log(z/2) I_0(z) + sum_m (z/2)^{2m}/(m!)^2 Phi(m+1)
@@ -15,8 +16,12 @@ positive half line.  The evaluation strategy per function:
   for small argument (``K_1`` by differentiating it term by term), and an
   exponentially scaled quadrature of ``int_0^inf exp(-z cosh t) dt`` for
   large argument.
-* ``K_n`` (n >= 2): upward recurrence K_{n+1} = K_{n-1} + (2n/z) K_n,
-  which is the stable direction for K.
+* ``K_n`` (n >= 2): one upward sweep K_{n+1} = K_{n-1} + (2n/z) K_n, the
+  stable direction for K, gives every order <= N
+  (``log_bessel_k_orders``).
+
+The scalar ``log_bessel_i(n, x)`` and ``log_bessel_k(n, x)`` are the last
+entry of a sweep of top order n.
 
 Products ``I_n(x) K_n(y)`` are assembled in log space so that orders up to
 several hundred neither overflow nor underflow; the spectral theory needs
@@ -372,74 +377,100 @@ def _miller_j(n: int, x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _miller_log_ratio(n: int, x: float) -> float:
-    """log(I_n(x) / I_0(x)) by the downward Miller recurrence."""
-    start = n + int(20 + 2.0 * np.sqrt(max(n, x)) + 0.5 * x)
+_LOG_RESCALE = 280.0 * np.log(10.0)  # log of the 1e280 rescale factor
+
+
+def _log_i1(x: float) -> float:
+    if x <= _I_SERIES_CUT:
+        return float(np.log(_i1_series(np.float64(x))))
+    return x - 0.5 * np.log(2.0 * np.pi * x) + float(
+        np.log(_i_asym_scaled(1, np.float64(x)) * np.sqrt(2.0 * np.pi * x))
+    )
+
+
+def _miller_log_ratios(n_max: int, x: float) -> FloatArray:
+    """log(I_n(x) / I_0(x)) for n = 0..n_max by one downward Miller sweep.
+
+    Each f_k is recorded with the number of 1e280 rescales made before it,
+    so log f_n - log f_0 is taken in the units both were stored in and the
+    low orders keep full accuracy however high the sweep starts.
+    """
+    start = n_max + int(20 + 2.0 * np.sqrt(max(n_max, x)) + 0.5 * x)
     if start % 2:
         start += 1
+    f = [0.0] * (n_max + 1)
+    rescales = [0] * (n_max + 1)
     fk1 = 0.0  # f_{k+1}
     fk = 1e-290  # f_k
-    log_shift_n = 0.0
-    log_shift_0 = 0.0
-    fn = None
+    count = 0
     two_over_x = 2.0 / x
     for k in range(start, 0, -1):
         fk1, fk = fk, fk1 + (two_over_x * k) * fk
-        if k - 1 == n:
-            fn = fk
-            log_shift_n = 0.0
+        if k <= n_max + 1:
+            f[k - 1] = fk
+            rescales[k - 1] = count
         if fk > 1e280:
             fk *= 1e-280
             fk1 *= 1e-280
-            if fn is not None:
-                log_shift_n += 280.0 * np.log(10.0)
-        if k - 1 == 0:
-            break
-    f0 = fk
-    assert fn is not None
-    return float(np.log(fn) - np.log(f0) - log_shift_n)
+            count += 1
+    log_f = np.log(f)
+    shift = np.array(rescales)
+    return log_f - log_f[0] - (shift[0] - shift) * _LOG_RESCALE
 
 
-def log_bessel_i(n: int, x: float) -> float:
-    """log I_n(x) for n >= 0, x > 0; safe far outside float range."""
-    if n < 0:
-        n = -n
+def log_bessel_i_orders(n_max: int, x: float) -> FloatArray:
+    """log I_n(x) for every order n = 0..n_max from one Miller sweep, x > 0."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if x <= 0.0:
         raise ValueError("log_bessel_i requires x > 0")
-    if n == 0:
-        return _log_i0(x)
-    if n == 1:
-        small = x <= _I_SERIES_CUT
-        if small:
-            return float(np.log(_i1_series(np.float64(x))))
-        return x - 0.5 * np.log(2.0 * np.pi * x) + float(
-            np.log(_i_asym_scaled(1, np.float64(x)) * np.sqrt(2.0 * np.pi * x))
-        )
-    return _log_i0(x) + _miller_log_ratio(n, x)
+    out = np.empty(n_max + 1)
+    out[0] = _log_i0(x)
+    if n_max >= 1:
+        out[1] = _log_i1(x)
+    if n_max >= 2:
+        out[2:] = out[0] + _miller_log_ratios(n_max, x)[2:]
+    return out
 
 
-def log_bessel_k(n: int, x: float) -> float:
-    """log K_n(x) for n >= 0, x > 0; safe far outside float range."""
-    if n < 0:
-        n = -n
+def log_bessel_k_orders(n_max: int, x: float) -> FloatArray:
+    """log K_n(x) for every order n = 0..n_max from one upward sweep, x > 0."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if x <= 0.0:
         raise ValueError("log_bessel_k requires x > 0")
     lk0, lk1 = _log_k01(x)
-    if n == 0:
-        return lk0
-    if n == 1:
-        return lk1
+    out = np.empty(n_max + 1)
+    out[0] = lk0
+    if n_max >= 1:
+        out[1] = lk1
     # upward recurrence on K scaled by exp(-shift)
     shift = lk1
-    km1 = np.exp(lk0 - shift)  # K_{k-1} * e^{-shift}
+    km1 = float(np.exp(lk0 - shift))  # K_{k-1} * e^{-shift}
     kk = 1.0  # K_k * e^{-shift}
-    for k in range(1, n):
+    scaled, shifts = [], []
+    for k in range(1, n_max):
         km1, kk = kk, km1 + (2.0 * k / x) * kk
         if kk > 1e280:
             km1 *= 1e-280
             kk *= 1e-280
-            shift += 280.0 * np.log(10.0)
-    return float(np.log(kk) + shift)
+            shift += _LOG_RESCALE
+        scaled.append(kk)
+        shifts.append(shift)
+    out[2:] = np.log(scaled) + np.array(shifts)
+    return out
+
+
+def log_bessel_i(n: int, x: float) -> float:
+    """log I_n(x) for n >= 0, x > 0; safe far outside float range."""
+    n = abs(n)
+    return float(log_bessel_i_orders(n, x)[n])
+
+
+def log_bessel_k(n: int, x: float) -> float:
+    """log K_n(x) for n >= 0, x > 0; safe far outside float range."""
+    n = abs(n)
+    return float(log_bessel_k_orders(n, x)[n])
 
 
 def bessel_i(n: int, x: float) -> float:

@@ -305,15 +305,17 @@ def check_simple_eigenvalue(
     requires Omega_m^sign != Omega_{km}^{-sign} for k >= 2 (same-branch
     equality is excluded by monotonicity).
     """
-    lo, hi = spectrum.omega_pm(params, m)
-    target = hi if sign == 1 else lo
+    spec = spectrum.spectrum_arrays(params, n_modes * m)
+    if sign == 1:
+        target, partners = spec.omega_plus[m - 1], spec.omega_minus
+    else:
+        target, partners = spec.omega_minus[m - 1], spec.omega_plus
     for k in range(2, n_modes + 1):
-        lo_k, hi_k = spectrum.omega_pm(params, k * m)
-        partner = lo_k if sign == 1 else hi_k
-        if abs(target - partner) < tol:
+        gap = abs(target - partners[k * m - 1])
+        if gap < tol:
             raise CollisionDetectedError(
                 f"Omega_{m}^{'+' if sign == 1 else '-'} collides with mode "
-                f"{k * m} (gap {abs(target - partner):.2e}); bifurcation not simple"
+                f"{k * m} (gap {gap:.2e}); bifurcation not simple"
             )
 
 
@@ -339,23 +341,27 @@ def _projected_residual(
 
 
 def _newton_matrix(
-    params: LayerParams, omega: float, coeffs: FloatArray, m: int
+    spec: spectrum.SpectrumArrays, omega: float, coeffs: FloatArray, m: int
 ) -> FloatArray:
-    """Jacobian of the projected system from the r = 0 multiplier blocks."""
+    """Jacobian of the projected system from the r = 0 multiplier blocks.
+
+    spec must hold the modes up to m * n_modes; the blocks -n M_n(omega)
+    are those of :func:`linearized_multiplier` at n = m, 2m, ...
+    """
     n_modes = coeffs.shape[1]
-    dim = 2 * n_modes
-    jac = np.zeros((dim, dim))
-    for j in range(1, n_modes + 1):
-        block = linearized_multiplier(params, omega, m * j)
-        r1, r2 = j - 1, n_modes + j - 1  # rows: layer-1 and layer-2 mode m*j
-        # column 0: d/d omega of the projected residual
-        jac[r1, 0] = -m * j * coeffs[0, j - 1]
-        jac[r2, 0] = -m * j * coeffs[1, j - 1]
-        if j >= 2:
-            jac[r1, j - 1] = block[0, 0]
-            jac[r2, j - 1] = block[1, 0]
-        jac[r1, n_modes + j - 1] = block[0, 1]
-        jac[r2, n_modes + j - 1] = block[1, 1]
+    orders = m * np.arange(1, n_modes + 1)
+    blocks = -orders[:, None, None] * spec.matrix_m(omega)[orders - 1]
+    rows1 = np.arange(n_modes)  # layer-1 rows, mode m*j at j - 1
+    rows2 = n_modes + rows1  # layer-2 rows
+    jac = np.zeros((2 * n_modes, 2 * n_modes))
+    # column 0: d/d omega of the projected residual
+    jac[rows1, 0] = -orders * coeffs[0]
+    jac[rows2, 0] = -orders * coeffs[1]
+    # layer-1 columns; the pinned mode m has none
+    jac[rows1[1:], rows1[1:]] = blocks[1:, 0, 0]
+    jac[rows2[1:], rows1[1:]] = blocks[1:, 1, 0]
+    jac[rows1, rows2] = blocks[:, 0, 1]
+    jac[rows2, rows2] = blocks[:, 1, 1]
     return jac
 
 
@@ -425,6 +431,7 @@ def vstate_solve(
         coeffs[1, 0] = s * vec[1]
         omega = omega0
 
+    spec = spectrum.spectrum_arrays(params, m * n_modes)
     u = _pack(omega, coeffs)
     defo = RadialDeformation(m, coeffs, n_nodes)
     res = _projected_residual(params, omega, defo)
@@ -441,7 +448,7 @@ def vstate_solve(
             jac = _fd_system_matrix(params, u, m, n_modes, n_nodes, pinned)
             used_fd = True
         else:
-            jac = _newton_matrix(params, omega, coeffs, m)
+            jac = _newton_matrix(spec, omega, coeffs, m)
         try:
             delta = np.linalg.solve(jac, res)
         except np.linalg.LinAlgError as exc:

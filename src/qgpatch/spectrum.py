@@ -22,6 +22,13 @@ which are the bifurcation points of the m-fold V-state branches.  This
 module computes all of these quantities, the kernel direction of the
 singular matrix, the trace form of the transversality condition, and scans
 for spectral collisions Omega_m^- = Omega_n^+ as b2 varies.
+
+The scalar functions (``coeffs_ab``, ``gamma_n``, ``omega_pm``, ...) take
+one mode and are the reference.  The array evaluator ``spectrum_arrays``
+returns A_n, B_n, gamma_n and Omega_n^+- for every n <= n_max from one
+Bessel sweep per function and argument, with the mean flow computed once;
+the spectrum table, the collision scan and the V-state Newton blocks are
+built on it.  Both go through the same formulas.
 """
 
 from __future__ import annotations
@@ -30,9 +37,12 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import NDArray
 
-from .bessel import bessel_ik_product
+from .bessel import bessel_ik_product, log_bessel_i_orders, log_bessel_k_orders
 from .kernels import LayerParams
+
+FloatArray = NDArray[np.float64]
 
 
 @dataclass(frozen=True)
@@ -60,15 +70,54 @@ class CollisionRecord:
     tangency: bool = False
 
 
+# Each formula below is written once; the scalar API and the array
+# evaluator both go through it, with n and the products scalar or arrays.
+
+
+def _mean_flow(d, b, i1k1_b1, i1k1_b2, i1b2_k1b1) -> MeanFlowCoeffs:
+    v = -(d + b * b) / (2.0 * (1.0 + d)) - (i1k1_b1 - b * i1b2_k1b1) / (1.0 + d)
+    w = -0.5 - d * (i1k1_b2 - i1b2_k1b1 / b) / (1.0 + d)
+    return MeanFlowCoeffs(float(v), float(w))
+
+
+def _ab(d, mf: MeanFlowCoeffs, n, ik_b1, ik_b2):
+    a_n = (d + 1.0) * mf.v + d / (2.0 * n) + ik_b1
+    b_n = (d + 1.0) * mf.w + 1.0 / (2.0 * n) + d * ik_b2
+    return a_n, b_n
+
+
+def _gamma(b, n, ik_cross):
+    return b ** n / (2.0 * n) - ik_cross
+
+
+def _omega_pair(d, a_n, b_n, g):
+    disc = np.sqrt((a_n - b_n) ** 2 + 4.0 * d * g * g)
+    lo = (-(a_n + b_n) - disc) / (2.0 * (d + 1.0))
+    hi = (-(a_n + b_n) + disc) / (2.0 * (d + 1.0))
+    return lo, hi
+
+
+def _multiplier(d, a_n, b_n, g, omega) -> np.ndarray:
+    """M_n(omega) with shape (..., 2, 2) over the shape of a_n, b_n, g."""
+    a_n, b_n, g = np.broadcast_arrays(a_n, b_n, g)
+    out = np.empty(a_n.shape + (2, 2))
+    out[..., 0, 0] = omega + a_n / (d + 1.0)
+    out[..., 0, 1] = g / (d + 1.0)
+    out[..., 1, 0] = d * g / (d + 1.0)
+    out[..., 1, 1] = omega + b_n / (d + 1.0)
+    return out
+
+
 def mean_flow_coeffs(params: LayerParams) -> MeanFlowCoeffs:
     """Angular mean-flow coefficients (V, W); both equal -1/2 at b1 = b2."""
     d, mu, b1, b2, b = params.delta, params.mu, params.b1, params.b2, params.b
-    i1k1_b1 = bessel_ik_product(1, b1 * mu, b1 * mu)
-    i1k1_b2 = bessel_ik_product(1, b2 * mu, b2 * mu)
-    i1b2_k1b1 = bessel_ik_product(1, b2 * mu, b1 * mu)
-    v = -(d + b * b) / (2.0 * (1.0 + d)) - (i1k1_b1 - b * i1b2_k1b1) / (1.0 + d)
-    w = -0.5 - d * (i1k1_b2 - i1b2_k1b1 / b) / (1.0 + d)
-    return MeanFlowCoeffs(v, w)
+    return _mean_flow(
+        d,
+        b,
+        bessel_ik_product(1, b1 * mu, b1 * mu),
+        bessel_ik_product(1, b2 * mu, b2 * mu),
+        bessel_ik_product(1, b2 * mu, b1 * mu),
+    )
 
 
 def coeffs_ab(params: LayerParams, n: int) -> tuple[float, float]:
@@ -76,10 +125,13 @@ def coeffs_ab(params: LayerParams, n: int) -> tuple[float, float]:
     if n < 1:
         raise ValueError("mode index must be >= 1")
     d, mu, b1, b2 = params.delta, params.mu, params.b1, params.b2
-    mf = mean_flow_coeffs(params)
-    a_n = (d + 1.0) * mf.v + d / (2.0 * n) + bessel_ik_product(n, b1 * mu, b1 * mu)
-    b_n = (d + 1.0) * mf.w + 1.0 / (2.0 * n) + d * bessel_ik_product(n, b2 * mu, b2 * mu)
-    return a_n, b_n
+    return _ab(
+        d,
+        mean_flow_coeffs(params),
+        n,
+        bessel_ik_product(n, b1 * mu, b1 * mu),
+        bessel_ik_product(n, b2 * mu, b2 * mu),
+    )
 
 
 def coeffs_ab_limits(params: LayerParams) -> tuple[float, float]:
@@ -112,33 +164,21 @@ def gamma_n(params: LayerParams, n: int) -> float:
     """Coupling coefficient gamma_n = b^n/(2n) - I_n(b2 mu) K_n(b1 mu)."""
     if n < 1:
         raise ValueError("mode index must be >= 1")
-    return params.b ** n / (2.0 * n) - bessel_ik_product(
-        n, params.b2 * params.mu, params.b1 * params.mu
+    return _gamma(
+        params.b, n, bessel_ik_product(n, params.b2 * params.mu, params.b1 * params.mu)
     )
 
 
 def matrix_m(params: LayerParams, n: int, omega: float) -> np.ndarray:
     """The 2x2 multiplier block M_n(omega) acting on mode-n coefficients."""
-    d = params.delta
     a_n, b_n = coeffs_ab(params, n)
-    g = gamma_n(params, n)
-    return np.array(
-        [
-            [omega + a_n / (d + 1.0), g / (d + 1.0)],
-            [d * g / (d + 1.0), omega + b_n / (d + 1.0)],
-        ]
-    )
+    return _multiplier(params.delta, a_n, b_n, gamma_n(params, n), omega)
 
 
 def omega_pm(params: LayerParams, n: int) -> tuple[float, float]:
     """Angular velocities (omega_minus, omega_plus) where M_n is singular."""
-    d = params.delta
     a_n, b_n = coeffs_ab(params, n)
-    g = gamma_n(params, n)
-    disc = np.sqrt((a_n - b_n) ** 2 + 4.0 * d * g * g)
-    lo = (-(a_n + b_n) - disc) / (2.0 * (d + 1.0))
-    hi = (-(a_n + b_n) + disc) / (2.0 * (d + 1.0))
-    return lo, hi
+    return _omega_pair(params.delta, a_n, b_n, gamma_n(params, n))
 
 
 def kernel_vector(params: LayerParams, m: int, sign: int) -> np.ndarray:
@@ -177,27 +217,60 @@ def trace_identity_residual(params: LayerParams, m: int) -> tuple[float, float]:
     return abs(tr_lo + gap), abs(tr_hi - gap)
 
 
-def spectrum_table(params: LayerParams, n_max: int) -> list[SpectrumRow]:
-    """Rows (n, A_n, B_n, gamma_n, Omega_n^-, Omega_n^+) for n = 1..n_max."""
+# ---------------------------------------------------------------------------
+# Array evaluator
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SpectrumArrays:
+    """A_n, B_n, gamma_n and Omega_n^-+ for n = 1..n_max; mode n at index n-1."""
+
+    params: LayerParams
+    a_n: FloatArray
+    b_n: FloatArray
+    gamma_n: FloatArray
+    omega_minus: FloatArray
+    omega_plus: FloatArray
+
+    def matrix_m(self, omega: float) -> np.ndarray:
+        """Every block M_n(omega), shape (n_max, 2, 2)."""
+        return _multiplier(self.params.delta, self.a_n, self.b_n, self.gamma_n, omega)
+
+
+def spectrum_arrays(params: LayerParams, n_max: int) -> SpectrumArrays:
+    """All spectral coefficients for n = 1..n_max from four Bessel sweeps.
+
+    One sweep per function and argument, I_n and K_n at b1 mu and b2 mu,
+    gives every product I_n K_n the coefficients need; the mean flow is
+    computed once from their n = 1 entries.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    rows = []
-    for n in range(1, n_max + 1):
-        a_n, b_n = coeffs_ab(params, n)
-        g = gamma_n(params, n)
-        lo, hi = omega_pm(params, n)
-        rows.append(SpectrumRow(n, a_n, b_n, g, lo, hi))
-    return rows
+    d, mu, b1, b2 = params.delta, params.mu, params.b1, params.b2
+    log_k1 = log_bessel_k_orders(n_max, b1 * mu)
+    log_i2 = log_bessel_i_orders(n_max, b2 * mu)
+    ik_b1 = np.exp(log_bessel_i_orders(n_max, b1 * mu) + log_k1)
+    ik_b2 = np.exp(log_i2 + log_bessel_k_orders(n_max, b2 * mu))
+    ik_cross = np.exp(log_i2 + log_k1)
+    mf = _mean_flow(d, params.b, ik_b1[1], ik_b2[1], ik_cross[1])
+    n = np.arange(1, n_max + 1)
+    a_n, b_n = _ab(d, mf, n, ik_b1[1:], ik_b2[1:])
+    g = _gamma(params.b, n, ik_cross[1:])
+    lo, hi = _omega_pair(d, a_n, b_n, g)
+    return SpectrumArrays(params, a_n, b_n, g, lo, hi)
+
+
+def spectrum_table(params: LayerParams, n_max: int) -> list[SpectrumRow]:
+    """Rows (n, A_n, B_n, gamma_n, Omega_n^-, Omega_n^+) for n = 1..n_max."""
+    spec = spectrum_arrays(params, n_max)
+    rows = zip(spec.a_n, spec.b_n, spec.gamma_n, spec.omega_minus, spec.omega_plus)
+    return [SpectrumRow(n, *map(float, row)) for n, row in enumerate(rows, start=1)]
 
 
 # ---------------------------------------------------------------------------
 # Collision scanning
 # ---------------------------------------------------------------------------
-
-
-def _omega_gap(params_base: LayerParams, m: int, n: int, b2: float) -> float:
-    p = LayerParams(params_base.delta, params_base.lam, params_base.b1, b2)
-    return omega_pm(p, m)[0] - omega_pm(p, n)[1]
 
 
 def collision_scan(
@@ -213,16 +286,27 @@ def collision_scan(
     to |Omega_m^- - Omega_n^+| <= 1e-12.  Roots of the same pair closer
     than dedup_tol*b1 are merged and flagged as tangencies.  The b2 value
     carried by params_base is ignored; an empty list is a valid result.
+    Each grid point is one evaluation of every mode up to max(m, n_max),
+    each bisection midpoint one up to max(m, n).
     """
     if m < 1 or grid < 16:
         raise ValueError("need m >= 1 and grid >= 16")
     b1 = params_base.b1
+
+    def spectrum_at(b2: float, top: int) -> SpectrumArrays:
+        return spectrum_arrays(
+            LayerParams(params_base.delta, params_base.lam, b1, b2), top
+        )
+
     records: list[CollisionRecord] = []
     ts = np.linspace(0.5 / grid, 1.0 - 0.5 / grid, grid) * b1
+    on_grid = [spectrum_at(t, max(m, n_max)) for t in ts]
+    minus_m = np.array([sp.omega_minus[m - 1] for sp in on_grid])
+    plus = np.array([sp.omega_plus for sp in on_grid])  # (grid, max(m, n_max))
     for n in range(1, n_max + 1):
         if n == m:
             continue
-        gaps = np.array([_omega_gap(params_base, m, n, t) for t in ts])
+        gaps = minus_m - plus[:, n - 1]
         roots: list[tuple[float, float]] = []
         for i in range(grid - 1):
             g0, g1 = gaps[i], gaps[i + 1]
@@ -235,7 +319,8 @@ def collision_scan(
                 root = lo_t if abs(g0) <= abs(g1) else hi_t
                 for _ in range(200):
                     mid = 0.5 * (lo_t + hi_t)
-                    gm = _omega_gap(params_base, m, n, mid)
+                    sp = spectrum_at(mid, max(m, n))
+                    gm = sp.omega_minus[m - 1] - sp.omega_plus[n - 1]
                     if abs(gm) < res:
                         res, root = abs(gm), mid
                     if res <= 1e-12 or hi_t - lo_t <= 1e-16 * b1:

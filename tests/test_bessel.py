@@ -152,6 +152,43 @@ class TestProduct:
             B.bessel_ik_product(3, 0.0, 1.0)
 
 
+class TestOrderSweeps:
+    """One sweep of top order 512 gives log I_n, log K_n for every n <= 512."""
+
+    XS = (0.05, 0.5, 3.0, 12.0, 60.0)
+    ORDERS = (*range(8), 63, 200, 399, 400, 511, 512)
+    TOP = 512
+
+    @staticmethod
+    def _assert_logs_match(got, ref_fn, x):
+        with mp.workdps(30):
+            for n in TestOrderSweeps.ORDERS:
+                ref = float(mplog(ref_fn(n, mpf(x))))
+                assert abs(got[n] - ref) <= 1e-13 * max(1.0, abs(ref)), (n, x)
+
+    @pytest.mark.parametrize("x", XS)
+    def test_log_i_against_mpmath(self, x):
+        # at x = 0.05 the sweep passes the 1e280 rescale many times
+        self._assert_logs_match(B.log_bessel_i_orders(self.TOP, x), mp.besseli, x)
+
+    @pytest.mark.parametrize("x", XS)
+    def test_log_k_against_mpmath(self, x):
+        self._assert_logs_match(B.log_bessel_k_orders(self.TOP, x), mp.besselk, x)
+
+    def test_scalar_is_the_top_entry(self):
+        for n in (0, 1, 2, 17, 400):
+            for x in (0.05, 3.0, 60.0):
+                assert B.log_bessel_i(n, x) == B.log_bessel_i_orders(n, x)[n]
+                assert B.log_bessel_k(n, x) == B.log_bessel_k_orders(n, x)[n]
+
+    def test_domain_errors(self):
+        for sweep in (B.log_bessel_i_orders, B.log_bessel_k_orders):
+            with pytest.raises(ValueError):
+                sweep(4, 0.0)
+            with pytest.raises(ValueError):
+                sweep(-1, 1.0)
+
+
 class TestOracleSeries:
     """The 40-digit I_0 / K_0 series behind criterion 2's oracle against mpmath."""
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from qgpatch import spectrum
 from qgpatch.cli import main
+from qgpatch.kernels import LayerParams
 
 
 def run(args):
@@ -38,6 +40,15 @@ class TestSpectrumCommand:
         assert run(["spectrum", "--config", cfg, "--nmax", 2, "--out", out]) == 0
         lines = (out / "spectrum.csv").read_text().strip().split("\n")
         assert len(lines) == 3  # flag wins over config
+
+    def test_find_free_m(self, tmp_path, capsys):
+        code = run(["spectrum", "--b2", 0.5, "--nmax", 8, "--find-free-m",
+                    "--out", tmp_path])
+        assert code == 0
+        last = capsys.readouterr().out.strip().split("\n")[-1]
+        assert last.startswith("first collision-free m: ")
+        free = spectrum.first_collision_free_m(LayerParams(1.0, 1.0, 1.0, 0.5), 1, 8)
+        assert last.split(": ")[1] == str(free)
 
 
 class TestCollideCommand:

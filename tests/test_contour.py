@@ -91,6 +91,26 @@ class TestLinearization:
         block = C.linearized_multiplier(BASE, S.omega_pm(BASE, 3)[1], 3)
         assert np.linalg.norm(block @ vec) <= 1e-11 * np.linalg.norm(block)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_newton_matrix_blocks(self, m):
+        n_modes, omega = 8, 0.27
+        coeffs = 1e-3 * np.random.default_rng(m).standard_normal((2, n_modes))
+        jac = C._newton_matrix(S.spectrum_arrays(BASE, m * n_modes), omega, coeffs, m)
+        for j in range(1, n_modes + 1):
+            r1, r2 = j - 1, n_modes + j - 1
+            assert jac[r1, 0] == -m * j * coeffs[0, j - 1]
+            assert jac[r2, 0] == -m * j * coeffs[1, j - 1]
+            n = m * j
+            want = C.linearized_multiplier(BASE, omega, n)
+            got = jac[[r1, r2]][:, [j - 1, n_modes + j - 1]]
+            if j == 1:  # the pinned coefficient has no column
+                got[:, 0] = want[:, 0]
+            # the entries omega + A_n/(d+1), omega + B_n/(d+1) and gamma_n
+            # cancel, so the error is measured against their summands
+            a_n, b_n = S.coeffs_ab(BASE, n)
+            scale = n * (abs(omega) + max(abs(a_n), abs(b_n)) / (BASE.delta + 1.0))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
 
 class TestJacobianFD:
     def test_matches_multiplier_coincident_discs(self):

@@ -189,6 +189,18 @@ class TestCollisions:
             for m in range(p0, 65, 7):
                 assert hi_p0 > S.omega_pm(p, m)[0]
 
+    @pytest.mark.parametrize("m,n_max", [(3, 8), (4, 8), (5, 3)])
+    def test_scan_roots_are_scalar_roots(self, m, n_max):
+        base = LayerParams(1.0, 1.0, 1.0, 0.5)
+        recs = S.collision_scan(base, m, n_max=n_max, grid=48)
+        assert recs
+        for r in recs:
+            p = LayerParams(1.0, 1.0, 1.0, r.b2_root)
+            assert abs(S.omega_pm(p, m)[0] - S.omega_pm(p, r.n)[1]) <= 2e-12
+        if m > n_max:
+            # partners below m only: the evaluations still reach order m
+            assert sorted(r.n for r in recs) == [2, 3]
+
     def test_monotone_exclusion(self):
         # partners with Omega_n^+ entirely above Omega_m^- produce no records
         recs = S.collision_scan(LayerParams(1.0, 1.0, 1.0, 0.5), 4, n_max=8, grid=48)
@@ -200,6 +212,41 @@ class TestCollisions:
             assert abs(bessel_ik_product(1, x0, x0) - 0.5 / n) <= 1e-12
             p = LayerParams(1.0, 1.0, x0 / np.sqrt(2.0), x0 / np.sqrt(2.0))
             assert S.omega_pm(p, 1)[1] == pytest.approx(S.omega_pm(p, n)[0], abs=1e-10)
+
+
+class TestSpectrumArrays:
+    """The array evaluator against the scalar API, mode by mode."""
+
+    POINTS = [
+        LayerParams(d, lam, 1.0, b2)
+        for d in (0.5, 1.0, 3.0)
+        for lam in (0.05, 1.0, 20.0)
+        for b2 in (0.1, 0.5, 0.95, 1.0)
+    ]
+    N_MAX = 64
+
+    @pytest.mark.parametrize("p", POINTS, ids=lambda p: f"{p.delta}-{p.lam}-{p.b2}")
+    def test_matches_scalar_api(self, p):
+        spec = S.spectrum_arrays(p, self.N_MAX)
+        for n in range(1, self.N_MAX + 1):
+            a_n, b_n = S.coeffs_ab(p, n)
+            lo, hi = S.omega_pm(p, n)
+            got = np.array([spec.a_n, spec.b_n, spec.omega_minus, spec.omega_plus])[:, n - 1]
+            np.testing.assert_allclose(got, [a_n, b_n, lo, hi], rtol=1e-12, atol=0.0)
+            # gamma_n cancels down from b^n/(2n); compare on that scale
+            scale = p.b ** n / (2 * n)
+            assert abs(spec.gamma_n[n - 1] - S.gamma_n(p, n)) <= 1e-12 * scale
+
+    def test_matrix_blocks(self):
+        spec = S.spectrum_arrays(BASE, 8)
+        blocks = spec.matrix_m(0.3)
+        assert blocks.shape == (8, 2, 2)
+        for n in range(1, 9):
+            np.testing.assert_allclose(blocks[n - 1], S.matrix_m(BASE, n, 0.3), rtol=1e-12)
+
+    def test_rejects_empty_range(self):
+        with pytest.raises(ValueError):
+            S.spectrum_arrays(BASE, 0)
 
 
 class TestTableAndSerialization:
