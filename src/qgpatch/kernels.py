@@ -124,12 +124,12 @@ def kernel_q(params: LayerParams, r: FloatArray) -> FloatArray:
     r"""Regular part Q(r) = -K_0(mu r) - log(r), continuously extended to 0.
 
     Near the origin the direct subtraction cancels catastrophically, so for
-    mu*r <= 2 the series form
+    mu*r <= 2 the form
 
-        Q(r) = log(mu/2) I_0(mu r) + log(r) (I_0(mu r) - 1)
-               - sum_m Phi(m+1) (mu r / 2)^{2m} / (m!)^2
+        Q(r) = log(mu) I_0(mu r) + log(r) (I_0(mu r) - 1) - S(mu r),
 
-    is used instead; Q(0) = log(mu/2) + gamma.
+    with S(w) = K_0(w) + log(w) I_0(w) the even entire regular part of K_0
+    (``bessel.i0_and_regular_part``), is used instead; Q(0) = log(mu/2) + gamma.
     """
     r = np.asarray(r, dtype=np.float64)
     if np.any(r < 0.0):
@@ -139,22 +139,13 @@ def kernel_q(params: LayerParams, r: FloatArray) -> FloatArray:
     out = np.empty_like(r)
     small = w <= 2.0
     if np.any(small):
-        ws = w[small]
         rs = r[small]
-        i0 = bessel.i0_array(ws)
+        i0, reg = bessel.i0_and_regular_part(w[small])
         # log(r)*(I_0-1) with the limit 0 at r = 0
         lead = np.zeros_like(rs)
         pos = rs > 0.0
         lead[pos] = np.log(rs[pos]) * (i0[pos] - 1.0)
-        q = 0.25 * ws * ws
-        term = np.ones_like(ws)
-        acc = np.full_like(ws, -bessel.EULER_GAMMA)
-        for m in range(1, 40):
-            term = term * q / (m * m)
-            acc += term * bessel.phi_harmonic(m)
-            if np.all(term <= 1e-18):
-                break
-        out[small] = np.log(0.5 * mu) * i0 + lead - acc
+        out[small] = np.log(mu) * i0 + lead - reg
     if np.any(~small):
         wl = w[~small]
         out[~small] = -bessel.k0_array(wl) - np.log(r[~small])

@@ -33,9 +33,11 @@ parameterwise close) cannot be integrated accurately on a uniform grid and
 raises ``TouchingBoundaryError``.
 
 Conditioning note: the split evaluates I_0(mu rho) on the full chord
-matrix, so entries with mu*rho >> 10 start to cancel against the smooth
-part; keep mu * diameter below ~15 for full accuracy (all shipped
-workloads are far below this).
+matrix, so entries with large mu*rho cancel against the smooth part.  The
+split therefore raises ``QuadratureFailure`` once mu * chord exceeds
+``SPLIT_MAX_MU_CHORD`` = 12, where the cosine moments of the unit circle
+still come out to 2e-11 relative (all shipped workloads are far below
+this).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .bessel import i0_and_regular_part, i0_array, k0_array, k0_regular_part
+from .bessel import i0_and_regular_part, k0_array
 
 FloatArray = NDArray[np.float64]
 ComplexArray = NDArray[np.complex128]
@@ -55,6 +57,10 @@ TWO_PI = 2.0 * np.pi
 NEAR_COINCIDENT_TOL = 1e-3
 # minimum curve separation for the plain trapezoidal path, relative scale
 SEPARATED_TOL = 0.1
+# largest mu * chord the self / near-coincident split accepts: I_0(mu rho)
+# cancels against the smooth part, and on the unit circle the error against
+# 2 pi I_n K_n grows from 3e-12 at mu * diameter = 10 to 8e-11 at 14
+SPLIT_MAX_MU_CHORD = 12.0
 
 
 class TouchingBoundaryError(RuntimeError):
@@ -177,9 +183,9 @@ def kernel_integral_grid(
     np.fill_diagonal(log_ratio, np.log(np.abs(dz_src) ** 2))
 
     w = mu * np.sqrt(rho2)
-    if float(np.max(w)) > 40.0:
+    if float(np.max(w)) > SPLIT_MAX_MU_CHORD:
         raise QuadratureFailure(
-            "mu * chord too large for the split evaluation (> 40)"
+            f"mu * chord too large for the split evaluation (> {SPLIT_MAX_MU_CHORD})"
         )
     i0, sreg = i0_and_regular_part(w)
     g1_coef = alpha - kappa * i0
@@ -260,9 +266,8 @@ def screened_moment_quadrature(
     rho = np.abs(x - y * np.exp(1j * theta))
     if x < y:
         return cosines @ k0_array(lam * rho) / n_nodes
-    w = lam * rho
-    i0 = i0_array(w)
-    smooth = k0_regular_part(w) - np.log(lam * y) * i0
+    i0, reg = i0_and_regular_part(lam * rho)
+    smooth = reg - np.log(lam * y) * i0
     w_row, _, _ = _grid_tables(n_nodes)
     # K_0 = smooth - I_0 * log(2|sin(theta/2)|) on this geometry
     return (cosines @ smooth) / n_nodes - (cosines * i0[None, :]) @ w_row / TWO_PI

@@ -14,6 +14,8 @@ tiny, so a pure relative test is not meaningful in this precision.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from . import bessel, kernels, quadrature, spectrum
@@ -231,32 +233,27 @@ def spectrum_suite(gamma_error: float = 0.0) -> list[Check]:
 
     worst_det, worst_defect, worst_trace = 0.0, 0.0, 0.0
     mono_ok, gamma_ok, gap_ok = True, True, True
+    modes = np.array([1, 2, 3, 5, 9, 17, 32])
     for p in grids[:: max(1, len(grids) // 24)]:
-        d = p.delta
-        for n in (1, 2, 3, 5, 9, 17, 32):
-            g = spectrum.gamma_n(p, n) * (1.0 + gamma_error)
-            a_n, b_n = spectrum.coeffs_ab(p, n)
-            lo, hi = spectrum.omega_pm(p, n)
-            for omega, sgn in ((lo, -1), (hi, 1)):
-                mat = np.array(
-                    [
-                        [omega + a_n / (d + 1), g / (d + 1)],
-                        [d * g / (d + 1), omega + b_n / (d + 1)],
-                    ]
-                )
-                scale = np.linalg.norm(mat)
-                worst_det = max(worst_det, abs(np.linalg.det(mat)) / scale**2)
-                vec = np.array([omega + b_n / (d + 1), -d * g / (d + 1)])
-                worst_defect = max(
-                    worst_defect, float(np.linalg.norm(mat @ vec)) / scale
-                )
-                worst_trace = max(worst_trace, abs(np.trace(mat) - sgn * (hi - lo)))
-            gamma_ok &= 0.0 < spectrum.gamma_n(p, n) <= 1.0 / (2 * n) + 1e-15
-        rows = spectrum.spectrum_table(p, 48)
-        om = [r.omega_minus for r in rows]
-        op = [r.omega_plus for r in rows]
-        mono_ok &= all(om[i + 1] > om[i] for i in range(47))
-        mono_ok &= all(op[i + 1] > op[i] for i in range(47))
+        spec = spectrum.spectrum_arrays(p, 48)
+        g = spec.gamma_n[modes - 1]
+        gamma_ok &= bool(np.all((g > 0.0) & (g <= 1.0 / (2 * modes) + 1e-15)))
+        faulty = dataclasses.replace(spec, gamma_n=spec.gamma_n * (1.0 + gamma_error))
+        lo, hi = spec.omega_minus, spec.omega_plus
+        for omega, sgn in ((lo, -1), (hi, 1)):
+            mats = faulty.matrix_m(omega)[modes - 1]
+            scale = np.linalg.norm(mats, axis=(1, 2))
+            det = np.abs(np.linalg.det(mats)) / scale**2
+            worst_det = max(worst_det, float(np.max(det)))
+            # kernel vector (Omega + B_n/(d+1), -d gamma_n/(d+1)), from row 2
+            vec = np.stack([mats[:, 1, 1], -mats[:, 1, 0]], axis=-1)
+            defect = np.linalg.norm(np.einsum("nij,nj->ni", mats, vec), axis=1)
+            worst_defect = max(worst_defect, float(np.max(defect / scale)))
+            trace = np.trace(mats, axis1=1, axis2=2)
+            worst_trace = max(
+                worst_trace, float(np.max(np.abs(trace - sgn * (hi - lo)[modes - 1])))
+            )
+        mono_ok &= bool(np.all(np.diff(lo) > 0.0) and np.all(np.diff(hi) > 0.0))
         gap = spectrum.a_inf_minus_b_inf(p)
         gap_ok &= gap > 0.0 if p.b2 < p.b1 else abs(gap) <= 1e-14
     checks.append(_check("spectrum.det_singular", worst_det <= 1e-12, f"{worst_det:.2e}"))

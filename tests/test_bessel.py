@@ -13,29 +13,6 @@ from oracles import (
 GAMMA = B.EULER_GAMMA
 
 
-class TestBesselJ:
-    def test_origin_values(self):
-        assert B.bessel_j(0, 0.0) == 1.0
-        assert B.bessel_j(1, 0.0) == 0.0
-
-    def test_integral_representation_oracle(self):
-        # J_n(x) = (1/pi) int_0^pi cos(n t - x sin t) dt, midpoint 1e4 nodes
-        for n, x in [(0, 2.0), (1, 2.0), (3, 5.0)]:
-            edges = np.linspace(0.0, np.pi, 10001)
-            tm = 0.5 * (edges[1:] + edges[:-1])
-            h = edges[1] - edges[0]
-            ref = h * np.sum(np.cos(n * tm - x * np.sin(tm))) / np.pi
-            assert B.bessel_j(n, x) == pytest.approx(ref, abs=1e-10)
-
-    def test_negative_argument_parity(self):
-        assert B.bessel_j(2, -3.0) == B.bessel_j(2, 3.0)
-        assert B.bessel_j(3, -3.0) == -B.bessel_j(3, 3.0)
-
-    def test_rejects_negative_order(self):
-        with pytest.raises(ValueError):
-            B.bessel_j(-1, 1.0)
-
-
 class TestBesselI:
     def test_origin_values(self):
         assert B.bessel_i(0, 0.0) == 1.0
@@ -150,6 +127,35 @@ class TestProduct:
             B.bessel_ik_product(3, 2.0, 1.0)
         with pytest.raises(ValueError):
             B.bessel_ik_product(3, 0.0, 1.0)
+
+
+class TestArrayEvaluators:
+    """Orders 0/1 over arrays and the regular-part series against mpmath."""
+
+    # both sides of the series / scipy.special.k0 switch at z = 3, and the
+    # K_0 arguments of the shipped workloads, [0.42, 2.43]
+    ZS = np.array([1e-6, 0.01, 0.42, 1.0, 2.43, 2.999, 3.0, 3.001, 6.0, 12.0, 40.0])
+
+    @staticmethod
+    def _assert_close(got, ref_fn):
+        with mp.workdps(40):
+            for z, value in zip(TestArrayEvaluators.ZS, got):
+                ref = float(ref_fn(mpf(float(z))))
+                assert abs(value - ref) <= 1e-13 * abs(ref), z
+
+    def test_k0_array(self):
+        self._assert_close(B.k0_array(self.ZS), lambda z: besselk(0, z))
+
+    def test_k1_array(self):
+        self._assert_close(B.k1_array(self.ZS), lambda z: besselk(1, z))
+
+    def test_i0_array(self):
+        self._assert_close(B.i0_array(self.ZS), lambda z: mp.besseli(0, z))
+
+    def test_i0_and_regular_part(self):
+        i0, reg = B.i0_and_regular_part(self.ZS)
+        self._assert_close(i0, lambda z: mp.besseli(0, z))
+        self._assert_close(reg, lambda z: besselk(0, z) + mplog(z) * mp.besseli(0, z))
 
 
 class TestOrderSweeps:

@@ -119,6 +119,14 @@ class TestVStateCommand:
         payload = json.loads((tmp_path / "branch.json").read_text())
         assert payload["error"] == "collision"
 
+    def test_strong_screening_refused(self, tmp_path):
+        # mu * diameter ~ 20 is past the split guard: a numeric failure,
+        # not a branch whose residual silently stalls near 1e-10
+        code = run(["vstate", "--lambda", 7, "--m", 2, "--sign", "-",
+                    "--nodes", 128, "--modes", 8, "--s-grid", "0.001,0.002",
+                    "--out", tmp_path])
+        assert code == 1
+
 
 class TestEvolveCommand:
     def test_disc_run_reports_small_drift(self, tmp_path):

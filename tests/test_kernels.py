@@ -134,6 +134,20 @@ class TestRegularPart:
         assert abs(a - b) <= 1e-8
         assert a == pytest.approx(np.log(0.5 * p.mu) + bessel.EULER_GAMMA, abs=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.3, 0.9, 2.0, 7.0])
+    def test_continuous_across_series_switch(self, lam):
+        # the last r with mu*r <= 2 takes the series form, the next float
+        # the direct subtraction -K_0(mu r) - log(r)
+        p = LayerParams(1.3, lam, 1.0, 0.5)
+        r0 = 2.0 / p.mu
+        while p.mu * r0 > 2.0:
+            r0 = np.nextafter(r0, 0.0)
+        r1 = np.nextafter(r0, np.inf)
+        while p.mu * r1 <= 2.0:
+            r1 = np.nextafter(r1, np.inf)
+        q0, q1 = kernel_q(p, np.array([r0, r1]))
+        assert abs(q1 - q0) <= 1e-13 * max(1.0, abs(q0))
+
     def test_difference_quotients_bounded(self):
         # Q is C^1 on (0, 1]: sampled difference quotients stay bounded
         p = LayerParams(2.0, 1.5, 1.0, 0.5)

@@ -114,6 +114,23 @@ class TestGridIntegral:
         scr_only = Q.kernel_integral_grid(0.0, self.KAPPA, self.MU, z, z, t)
         assert np.allclose(both, log_only + scr_only, atol=1e-13)
 
+    def test_strong_screening_accurate_below_guard(self):
+        # unit circle at mu * diameter = 10, below SPLIT_MAX_MU_CHORD = 12
+        theta = 2 * np.pi * np.arange(512) / 512
+        z = np.exp(1j * theta)
+        mu = 5.0
+        for n in (1, 4, 16):
+            got = Q.kernel_integral_grid(0.0, 1.0, mu, z, z, np.cos(n * theta))
+            want = 2 * np.pi * bessel_ik_product(n, mu, mu)
+            assert np.max(np.abs(got - want * np.cos(n * theta))) <= 1e-11 * want
+
+    def test_strong_screening_refused_above_guard(self):
+        # at mu * diameter = 14 the split would lose digits (8e-11): refuse
+        theta = 2 * np.pi * np.arange(512) / 512
+        z = np.exp(1j * theta)
+        with pytest.raises(Q.QuadratureFailure):
+            Q.kernel_integral_grid(0.0, 1.0, 7.0, z, z, np.cos(theta))
+
     def test_touching_raises(self):
         z = circle(1.0)
         with pytest.raises(Q.TouchingBoundaryError):
