@@ -5,14 +5,13 @@ z_k(t) = R_k(t) e^{it} with R_k = sqrt(b_k^2 + 2 r_k(t)).  A pair of
 patches rotating rigidly at angular velocity Omega solves F(Omega, r) = 0
 where
 
-    F_k(Omega, r)(t) = Omega r_k'(t)
-        + sum_j int G_{k,j}(z_k(t) - z_j(e))
-                    Im{ conj(z_k'(t)) z_j'(e) } de .
+    F_k(Omega, r)(t) = Omega r_k'(t) + Im{ conj(z_k'(t)) u_k(t) },
+    u_k(t) = sum_j int G_{k,j}(z_k(t) - z_j(e)) z_j'(e) de ,
 
-The integrand factor Im{conj(z_k') z_j'} equals
-d^2/(dt de) [R_k(t) R_j(e) sin(e - t)], vanishes on the diagonal for
-k = j, and keeps the singular quadrature of :mod:`qgpatch.quadrature`
-spectrally accurate.
+so F_k = 0 says that boundary k has no normal velocity in the frame
+rotating at Omega.  The integrals u_k are minus the layer velocities of
+:mod:`qgpatch.dynamics` and come from the same assembly,
+:func:`qgpatch.quadrature.layer_integrals`.
 
 At r = 0 the derivative of F acts diagonally on Fourier modes: cosine mode
 n maps to sine mode n through the block -n M_n(Omega) of
@@ -30,8 +29,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import spectrum
-from .kernels import LayerParams, gkj_coefficients
-from .quadrature import kernel_integral_grid
+from .kernels import LayerParams
+from .quadrature import layer_integrals
 
 FloatArray = NDArray[np.float64]
 
@@ -109,20 +108,12 @@ def radius_profile(b_k: float, r_nodal: FloatArray) -> FloatArray:
     return np.sqrt(squared)
 
 
-def _boundary_curves(
-    params: LayerParams, r_nodal: FloatArray, dr_nodal: FloatArray
-):
-    """Complex nodes z_k and derivatives z_k' for both layers."""
-    n = r_nodal.shape[1]
-    t = TWO_PI * np.arange(n) / n
-    phase = np.exp(1j * t)
-    zs, dzs = [], []
-    for k in (0, 1):
-        radius = radius_profile(params.radius(k + 1), r_nodal[k])
-        dradius = dr_nodal[k] / radius
-        zs.append(radius * phase)
-        dzs.append((dradius + 1j * radius) * phase)
-    return zs, dzs
+def _boundary_curves(params: LayerParams, r_nodal: FloatArray, dr_nodal: FloatArray):
+    """Complex nodes z_k and derivatives z_k', each shape (2, N)."""
+    phase = np.exp(1j * TWO_PI * np.arange(r_nodal.shape[1]) / r_nodal.shape[1])
+    radii = (params.b1, params.b2)
+    radius = np.vstack([radius_profile(radii[k], r_nodal[k]) for k in (0, 1)])
+    return radius * phase, (dr_nodal / radius + 1j * radius) * phase
 
 
 def functional_from_nodal(
@@ -134,20 +125,8 @@ def functional_from_nodal(
     """F(Omega, r) on the grid from nodal values of r and dr/dt, shape (2, N)."""
     r_nodal = np.asarray(r_nodal, dtype=np.float64)
     dr_nodal = np.asarray(dr_nodal, dtype=np.float64)
-    (z1, z2), (dz1, dz2) = _boundary_curves(params, r_nodal, dr_nodal)
-    zs = {1: z1, 2: z2}
-    dzs = {1: dz1, 2: dz2}
-    out = np.empty_like(r_nodal)
-    for k in (1, 2):
-        total = omega * dr_nodal[k - 1]
-        for j in (1, 2):
-            alpha, kappa = gkj_coefficients(params, k, j)
-            t_mat = np.imag(np.conj(dzs[k])[:, None] * dzs[j][None, :])
-            total = total + kernel_integral_grid(
-                alpha, kappa, params.mu, zs[k], zs[j], t_mat, dz_src=dzs[j]
-            )
-        out[k - 1] = total
-    return out
+    zs, dzs = _boundary_curves(params, r_nodal, dr_nodal)
+    return omega * dr_nodal + np.imag(np.conj(dzs) * layer_integrals(params, zs, dzs))
 
 
 def functional_f(
@@ -257,6 +236,7 @@ class VStateSolution:
             "coeffs_layer1": [float(c) for c in self.deformation.coeffs[0]],
             "coeffs_layer2": [float(c) for c in self.deformation.coeffs[1]],
             "residual": float(self.residual_norm),
+            "iterations": self.iterations,
         }
 
     @staticmethod
@@ -276,6 +256,7 @@ class VStateSolution:
             payload["omega"],
             deformation,
             payload["residual"],
+            payload.get("iterations", 0),
         )
 
     def boundary_csv(self) -> str:

@@ -6,9 +6,11 @@ Gauss-Green theorem turns the field at a point z into boundary integrals,
 
     v_k(z) = - sum_j int G_{k,j}(z - z_j(e)) dz_j(e)/de de ,
 
-interpreted as a complex number (vx + i vy).  On a boundary's own nodes
-the j = k term is log-singular and handled by the shared singular
-quadrature; cross-layer terms are regular unless the boundaries touch.
+interpreted as a complex number (vx + i vy).  On the boundary nodes these
+are minus the integrals u_k of :func:`qgpatch.quadrature.layer_integrals`,
+the assembly the contour functional uses too: the j = k term is
+log-singular and goes through the singular split, and the cross-layer
+terms are regular unless the boundaries touch.
 
 The change of unknowns (f_+, f_-) = (f_1 + f_2/delta, f_1 - f_2)
 diagonalizes the layer coupling into a pure Laplace problem and a pure
@@ -31,6 +33,7 @@ from .quadrature import (
     TouchingBoundaryError,
     kernel_integral_grid,
     kernel_integral_offgrid,
+    layer_integrals,
     spectral_derivative,
 )
 
@@ -146,18 +149,9 @@ def layer_node_velocities(
     params: LayerParams, z1: ComplexArray, z2: ComplexArray
 ) -> tuple[ComplexArray, ComplexArray]:
     """Velocity of each layer's field at that layer's own boundary nodes."""
-    zs = {1: np.asarray(z1, dtype=np.complex128), 2: np.asarray(z2, dtype=np.complex128)}
-    dzs = {k: spectral_derivative(zs[k]) for k in (1, 2)}
-    out = {}
-    for k in (1, 2):
-        total = np.zeros_like(zs[k])
-        for j in (1, 2):
-            alpha, kappa = gkj_coefficients(params, k, j)
-            total = total + kernel_integral_grid(
-                alpha, kappa, params.mu, zs[k], zs[j], dzs[j], dz_src=dzs[j]
-            )
-        out[k] = -total
-    return out[1], out[2]
+    zs = [np.asarray(z, dtype=np.complex128) for z in (z1, z2)]
+    u1, u2 = layer_integrals(params, zs, [spectral_derivative(z) for z in zs])
+    return -u1, -u2
 
 
 def layer_node_velocities_pm(

@@ -5,8 +5,10 @@ Every boundary integral in this package has the form
     (I f)(t_i) = int_0^{2pi} [alpha log|z_t(t_i) - z_s(e)|
                               + kappa K_0(mu |z_t(t_i) - z_s(e)|)] T(e) de
 
-with both curves sampled on the same uniform parameter grid t_j = 2 pi j/N.
-Three regimes are handled:
+with both curves sampled on the same uniform parameter grid t_j = 2 pi j/N
+and T a vector over the source nodes.  ``layer_integrals`` assembles the
+two-layer integrals that the velocities and the contour functional share
+from three weight matrices.  Three regimes are handled:
 
 * separated curves: the integrand is analytic, plain trapezoidal rule.
 * the same curve (self interaction): log-singular on the diagonal.  Using
@@ -46,6 +48,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .bessel import i0_and_regular_part, k0_array
+from .kernels import LayerParams, gkj_coefficients
 
 FloatArray = NDArray[np.float64]
 ComplexArray = NDArray[np.complex128]
@@ -105,12 +108,10 @@ def kress_log_weights(n: int) -> FloatArray:
 
 
 def _apply_kernel_matrix(kern: FloatArray, t_src: np.ndarray) -> np.ndarray:
-    """sum_j kern[i, j] T[j] for vector T, or sum_j kern[i, j] T[i, j]."""
-    if t_src.ndim == 1:
-        if np.iscomplexobj(t_src):
-            return kern @ t_src.real + 1j * (kern @ t_src.imag)
-        return kern @ t_src
-    return np.einsum("ij,ij->i", kern, t_src)
+    """sum_j kern[i, j] T[j] for a real or complex density vector T."""
+    if np.iscomplexobj(t_src):
+        return kern @ t_src.real + 1j * (kern @ t_src.imag)
+    return kern @ t_src
 
 
 def spectral_derivative(values: ComplexArray) -> ComplexArray:
@@ -129,26 +130,13 @@ def _curve_scale(z_src: ComplexArray) -> float:
     return float(np.mean(np.abs(z_src)))
 
 
-def kernel_integral_grid(
-    alpha: float,
-    kappa: float,
-    mu: float,
-    z_tgt: ComplexArray,
-    z_src: ComplexArray,
-    t_src,
-    *,
-    dz_src: ComplexArray | None = None,
-) -> np.ndarray:
-    """Boundary integral of (alpha log|.| + kappa K_0(mu |.|)) T over z_src.
+def _kernel_matrix(alpha, kappa, mu, z_tgt, z_src, dz_src) -> FloatArray:
+    """Weights W with (W @ T)[i] the integral at z_tgt[i]; regime and guards.
 
-    ``z_tgt`` and ``z_src`` are complex nodes on the same uniform parameter
-    grid; ``t_src`` is the density sampled at the source nodes, either a
-    vector T[j] or a matrix T[i, j] when the density depends on the target
-    as well.  Returns the integral at every target node.
+    The split takes z_src' on the diagonal from ``dz_src`` (None: spectral).
     """
     z_tgt = np.asarray(z_tgt, dtype=np.complex128)
     z_src = np.asarray(z_src, dtype=np.complex128)
-    t_src = np.asarray(t_src)
     n = z_src.shape[0]
     if z_tgt.shape[0] != n:
         raise ValueError("target and source grids must have equal node counts")
@@ -173,7 +161,7 @@ def kernel_integral_grid(
         kern = (0.5 * h * alpha) * np.log(rho2)
         if kappa != 0.0:
             kern += (h * kappa) * k0_array(mu * np.sqrt(rho2))
-        return _apply_kernel_matrix(kern, t_src)
+        return kern
 
     # self / near-coincident: Kussmaul-Martensen split
     _, w_mat, log_s2 = _grid_tables(n)
@@ -192,8 +180,50 @@ def kernel_integral_grid(
     g2_coef = 0.5 * g1_coef * log_ratio
     if kappa != 0.0:
         g2_coef += kappa * (sreg - np.log(mu) * i0)
-    kern = w_mat * g1_coef + h * g2_coef
+    return w_mat * g1_coef + h * g2_coef
+
+
+def kernel_integral_grid(
+    alpha: float,
+    kappa: float,
+    mu: float,
+    z_tgt: ComplexArray,
+    z_src: ComplexArray,
+    t_src,
+    *,
+    dz_src: ComplexArray | None = None,
+) -> np.ndarray:
+    """Boundary integral of (alpha log|.| + kappa K_0(mu |.|)) T over z_src.
+
+    ``z_tgt`` and ``z_src`` are complex nodes on the same uniform parameter
+    grid; ``t_src`` is the density vector T[j] sampled at the source nodes.
+    Returns the integral at every target node.
+    """
+    t_src = np.asarray(t_src)
+    if t_src.ndim != 1:
+        raise ValueError("density must be a vector over the source nodes")
+    kern = _kernel_matrix(alpha, kappa, mu, z_tgt, z_src, dz_src)
     return _apply_kernel_matrix(kern, t_src)
+
+
+def layer_integrals(params: LayerParams, zs, dzs) -> tuple[ComplexArray, ComplexArray]:
+    """u_k(t_i) = sum_j int G_{k,j}(z_k(t_i) - z_j(e)) z_j'(e) de for k = 1, 2.
+
+    Three builds serve the four pairs: the cross kernels have alpha == kappa
+    and depend on |x| only, so W_12 = (alpha_12 / alpha_21) W_21^T.  W_21
+    takes layer 1, the larger disc, as source, so the guards measure the
+    layers' separation against that curve's scale.
+    """
+    (z1, z2), (dz1, dz2) = zs, dzs
+    alpha12 = gkj_coefficients(params, 1, 2)[0]
+    alpha21, kappa21 = gkj_coefficients(params, 2, 1)
+    w11 = _kernel_matrix(*gkj_coefficients(params, 1, 1), params.mu, z1, z1, dz1)
+    w22 = _kernel_matrix(*gkj_coefficients(params, 2, 2), params.mu, z2, z2, dz2)
+    w21 = _kernel_matrix(alpha21, kappa21, params.mu, z2, z1, dz1)
+    u1 = _apply_kernel_matrix(w11, dz1)
+    u1 += (alpha12 / alpha21) * _apply_kernel_matrix(w21.T, dz2)
+    u2 = _apply_kernel_matrix(w21, dz1) + _apply_kernel_matrix(w22, dz2)
+    return u1, u2
 
 
 def kernel_integral_offgrid(

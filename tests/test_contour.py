@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from qgpatch import contour as C
+from qgpatch import quadrature as Q
 from qgpatch import spectrum as S
-from qgpatch.kernels import LayerParams
+from qgpatch.kernels import LayerParams, gkj_coefficients
 
 BASE = LayerParams(1.0, 1.0, 1.0, 0.7)
 N = 256
@@ -64,6 +65,23 @@ class TestFunctional:
         f = C.functional_f(BASE, 0.3, d)
         reversed_f = f[:, [0] + list(range(N - 1, 0, -1))]  # F(-t)
         assert np.max(np.abs(f + reversed_f)) <= 1e-12
+
+    def test_matches_matrix_density_sum(self):
+        # oracle: sum_j sum_e W_kj[i, e] Im(conj z_k'(t_i) z_j'(e)), with all
+        # four kernel matrices built directly
+        d = C.RadialDeformation(2, np.array([[0.02, 0.005], [-0.01, 0.003]]), N)
+        r, dr = d.nodal(), d.nodal_derivative()
+        omega = 0.3
+        got = C.functional_from_nodal(BASE, omega, r, dr)
+        zs, dzs = C._boundary_curves(BASE, r, dr)
+        for k in (0, 1):
+            want = omega * dr[k]
+            for j in (0, 1):
+                alpha, kappa = gkj_coefficients(BASE, k + 1, j + 1)
+                w = Q._kernel_matrix(alpha, kappa, BASE.mu, zs[k], zs[j], dzs[j])
+                density = np.imag(np.conj(dzs[k])[:, None] * dzs[j][None, :])
+                want = want + np.sum(w * density, axis=1)
+            assert np.max(np.abs(got[k] - want)) <= 1e-14
 
     def test_mfold_shift_invariance(self):
         m = 3
@@ -224,6 +242,7 @@ class TestSerialization:
         sol = C.vstate_solve(BASE, 2, -1, 1e-3, n_modes=8, n_nodes=128)
         back = C.VStateSolution.from_json_dict(sol.to_json_dict())
         assert back.omega == sol.omega
+        assert back.iterations == sol.iterations
         assert np.array_equal(back.deformation.coeffs, sol.deformation.coeffs)
 
     def test_boundary_csv_shape(self):

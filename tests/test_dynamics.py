@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qgpatch import dynamics as D
 from qgpatch.kernels import LayerParams
-from qgpatch.quadrature import QuadratureFailure
+from qgpatch.quadrature import QuadratureFailure, TouchingBoundaryError
 
 BASE = LayerParams(1.0, 1.0, 1.0, 0.7)
 N = 256
@@ -99,6 +99,14 @@ class TestVelocities:
         st0 = D.EvolutionState.discs(BASE, 1e-3)
         with pytest.raises(QuadratureFailure):
             D.boundary_velocity(BASE, st0, 2, st0.boundaries[0].nodes[5:7])
+
+    def test_layer_gap_measured_against_outer_layer(self):
+        # a gap of 0.095 is below 0.1 * b1 but above 0.1 * b2: the shared
+        # cross matrix must still refuse it, as the (2, 1) pair always did
+        p = LayerParams(1.0, 1.0, 1.0, 0.905)
+        st0 = D.EvolutionState.discs(p, 1e-3)
+        with pytest.raises(TouchingBoundaryError):
+            D.layer_node_velocities(p, *(b.nodes for b in st0.boundaries))
 
 
 class TestStepping:

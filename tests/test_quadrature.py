@@ -3,6 +3,7 @@ import pytest
 
 from qgpatch import quadrature as Q
 from qgpatch.bessel import bessel_ik_product
+from qgpatch.kernels import LayerParams, gkj_coefficients
 
 N = 256
 THETA = 2 * np.pi * np.arange(N) / N
@@ -86,18 +87,6 @@ class TestGridIntegral:
             want = self.exact(n, 0.7, 1.3, self.ALPHA, self.KAPPA) * np.cos(n * THETA)
             assert np.max(np.abs(got - want)) < 1e-12
 
-    def test_matrix_density(self):
-        # target-dependent density T[i, j] = cos(3 e) sin(t)
-        z = circle(1.0)
-        t_mat = np.sin(THETA)[:, None] * np.cos(3 * THETA)[None, :]
-        got = Q.kernel_integral_grid(self.ALPHA, self.KAPPA, self.MU, z, z, t_mat)
-        want = (
-            self.exact(3, 1.0, 1.0, self.ALPHA, self.KAPPA)
-            * np.cos(3 * THETA)
-            * np.sin(THETA)
-        )
-        assert np.max(np.abs(got - want)) < 1e-12
-
     def test_complex_density(self):
         z = circle(1.1)
         got = Q.kernel_integral_grid(
@@ -141,6 +130,53 @@ class TestGridIntegral:
         crossing = (1.0 + 0.02 * np.cos(THETA)) * np.exp(1j * THETA)
         with pytest.raises((Q.TouchingBoundaryError, Q.QuadratureFailure)):
             Q.kernel_integral_grid(1.0, 0.0, 1.0, crossing, z, np.cos(THETA))
+
+
+class TestLayerIntegrals:
+    """Three shared builds against four independent kernel_integral_grid calls."""
+
+    PARAMS = LayerParams(2.5, 1.0, 1.0, 1.0)
+
+    def four_calls(self, params, zs, dzs):
+        out = []
+        for k in (0, 1):
+            total = 0.0
+            for j in (0, 1):
+                alpha, kappa = gkj_coefficients(params, k + 1, j + 1)
+                total = total + Q.kernel_integral_grid(
+                    alpha, kappa, params.mu, zs[k], zs[j], dzs[j], dz_src=dzs[j]
+                )
+            out.append(total)
+        return out
+
+    def check(self, params, z1, z2):
+        zs = (z1, z2)
+        dzs = tuple(Q.spectral_derivative(z) for z in zs)
+        got = Q.layer_integrals(params, zs, dzs)
+        want = self.four_calls(params, zs, dzs)
+        # the transposed cross matrix differs from a direct build only on its
+        # diagonal in the near-coincident split, which takes z_1' for both
+        # directions; that error grows as offset^3 (1.1e-15 at 1e-4, 7.6e-13
+        # at 9e-4, the regime's edge), far below the O(offset) error that
+        # test_near_coincident_perturbation allows there
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-14
+
+    def test_separated_layers(self):
+        z1 = (1.0 + 0.03 * np.cos(2 * THETA)) * np.exp(1j * THETA)
+        z2 = (0.7 - 0.02 * np.cos(2 * THETA) + 0.01 * np.cos(4 * THETA)) * np.exp(
+            1j * THETA
+        )
+        self.check(LayerParams(2.5, 1.0, 1.0, 0.7), z1, z2)
+
+    def test_exact_twins(self):
+        z = (1.0 + 0.02 * np.cos(3 * THETA)) * np.exp(1j * THETA)
+        self.check(self.PARAMS, z, z.copy())
+
+    @pytest.mark.parametrize("offset", [1e-6, 1e-4])
+    def test_near_coincident_twins(self, offset):
+        z = (1.0 + 0.02 * np.cos(3 * THETA)) * np.exp(1j * THETA)
+        self.check(self.PARAMS, z, z * (1.0 + offset * np.cos(2 * THETA)))
 
 
 class TestOffgrid:
