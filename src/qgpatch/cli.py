@@ -19,6 +19,7 @@ import numpy as np
 
 from . import dynamics, spectrum
 from .contour import (
+    S_MAX,
     CollisionDetectedError,
     NoConvergenceError,
     RadiusCollapseError,
@@ -197,8 +198,8 @@ def cmd_vstate(settings: dict[str, str]) -> int:
         raise ConfigError(f"bad s_grid: {exc}") from exc
     if not s_grid:
         raise ConfigError("s_grid is empty")
-    if any(abs(s) > 0.1 for s in s_grid):
-        raise ConfigError("amplitudes beyond the configured cap s_max = 0.1")
+    if any(abs(s) > S_MAX for s in s_grid):
+        raise ConfigError(f"amplitudes beyond the cap S_MAX = {S_MAX}")
     out = _outdir(settings)
     try:
         result = branch_continue(

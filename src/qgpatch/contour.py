@@ -18,7 +18,12 @@ n maps to sine mode n through the block -n M_n(Omega) of
 :func:`qgpatch.spectrum.matrix_m`.  V-state branches are continued in the
 amplitude s of the kernel direction by a damped Newton iteration on the
 Galerkin system over the m-fold sine modes, with the first-layer mode-m
-coefficient pinned to s * (first kernel-vector component).
+coefficient pinned to s * (first kernel-vector component).  Every
+iteration takes its Jacobian from these r = 0 blocks.  The iteration has
+no options: it accepts a solve when the residual is at most NEWTON_TOL and
+the last step at most 1e-12, gives up after NEWTON_MAX_ITER iterations,
+and amplitudes beyond S_MAX are refused.  A solve that does not converge
+raises NoConvergenceError; it never returns an unconverged answer.
 """
 
 from __future__ import annotations
@@ -35,6 +40,10 @@ from .quadrature import layer_integrals
 FloatArray = NDArray[np.float64]
 
 TWO_PI = 2.0 * np.pi
+
+NEWTON_TOL = 1e-10  # max-norm of the projected residual
+NEWTON_MAX_ITER = 50
+S_MAX = 0.1  # largest amplitude a solve accepts
 
 
 class RadiusCollapseError(RuntimeError):
@@ -278,15 +287,15 @@ class VStateSolution:
 
 
 def check_simple_eigenvalue(
-    params: LayerParams, m: int, sign: int, n_modes: int, tol: float = 1e-9
+    spec: spectrum.SpectrumArrays, m: int, sign: int, n_modes: int, tol: float = 1e-9
 ) -> None:
     """Refuse parameters where Omega_m^sign collides with another m-multiple.
 
     Kernel simplicity of the linearized operator on the m-fold subspace
     requires Omega_m^sign != Omega_{km}^{-sign} for k >= 2 (same-branch
-    equality is excluded by monotonicity).
+    equality is excluded by monotonicity).  spec must hold the modes up
+    to m * n_modes.
     """
-    spec = spectrum.spectrum_arrays(params, n_modes * m)
     if sign == 1:
         target, partners = spec.omega_plus[m - 1], spec.omega_minus
     else:
@@ -346,24 +355,6 @@ def _newton_matrix(
     return jac
 
 
-def _fd_system_matrix(
-    params: LayerParams, u: FloatArray, m: int, n_modes: int, n_nodes: int,
-    pinned: float, h: float = 1e-7,
-) -> FloatArray:
-    dim = u.size
-    jac = np.empty((dim, dim))
-    for col in range(dim):
-        up, um = u.copy(), u.copy()
-        up[col] += h
-        um[col] -= h
-        om_p, c_p = _unpack(up, n_modes, pinned)
-        om_m, c_m = _unpack(um, n_modes, pinned)
-        fp = _projected_residual(params, om_p, RadialDeformation(m, c_p, n_nodes))
-        fm = _projected_residual(params, om_m, RadialDeformation(m, c_m, n_nodes))
-        jac[:, col] = (fp - fm) / (2.0 * h)
-    return jac
-
-
 def vstate_solve(
     params: LayerParams,
     m: int,
@@ -372,9 +363,6 @@ def vstate_solve(
     init: VStateSolution | None = None,
     n_modes: int = 32,
     n_nodes: int = 256,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-    s_max: float = 0.1,
 ) -> VStateSolution:
     """Solve F(Omega, r) = 0 on the m-fold sine modes at fixed amplitude s.
 
@@ -382,14 +370,20 @@ def vstate_solve(
     s * v1 with v = kernel_vector(params, m, sign); the remaining
     coefficients and Omega are the Newton unknowns.  With no warm start the
     iteration begins on the tangent r = s * v cos(m t), Omega = Omega_m^sign.
+    Each iteration solves with the r = 0 blocks of :func:`_newton_matrix`
+    and halves the step until the residual falls.  A solve is accepted once
+    the residual is at most NEWTON_TOL and the step at most 1e-12; one
+    that has not converged after NEWTON_MAX_ITER iterations, or whose
+    damping fails, raises NoConvergenceError.  |s| > S_MAX raises ValueError.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    if abs(s) > s_max:
-        raise ValueError(f"amplitude {s} beyond configured s_max={s_max}")
+    if abs(s) > S_MAX:
+        raise ValueError(f"amplitude {s} beyond S_MAX = {S_MAX}")
     if n_modes < 8:
         raise ValueError("need n_modes >= 8")
-    check_simple_eigenvalue(params, m, sign, n_modes)
+    spec = spectrum.spectrum_arrays(params, m * n_modes)
+    check_simple_eigenvalue(spec, m, sign, n_modes)
 
     vec = spectrum.kernel_vector(params, m, sign)
     lo, hi = spectrum.omega_pm(params, m)
@@ -412,26 +406,14 @@ def vstate_solve(
         coeffs[1, 0] = s * vec[1]
         omega = omega0
 
-    spec = spectrum.spectrum_arrays(params, m * n_modes)
     u = _pack(omega, coeffs)
     defo = RadialDeformation(m, coeffs, n_nodes)
     res = _projected_residual(params, omega, defo)
     res_norm = float(np.max(np.abs(res)))
-    step_norm = np.inf
-    used_fd = False
 
-    for iteration in range(1, max_iter + 1):
-        if res_norm <= tol and step_norm <= 1e-12:
-            return VStateSolution(
-                params, m, sign, s, omega, defo, res_norm, iteration - 1
-            )
-        if iteration > 25 and not used_fd:
-            jac = _fd_system_matrix(params, u, m, n_modes, n_nodes, pinned)
-            used_fd = True
-        else:
-            jac = _newton_matrix(spec, omega, coeffs, m)
+    for iteration in range(1, NEWTON_MAX_ITER + 1):
         try:
-            delta = np.linalg.solve(jac, res)
+            delta = np.linalg.solve(_newton_matrix(spec, omega, coeffs, m), res)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"singular Newton matrix: {exc}") from exc
         scale = 1.0
@@ -444,7 +426,7 @@ def vstate_solve(
             except RadiusCollapseError:
                 scale *= 0.5
                 continue
-            if float(np.max(np.abs(res_try))) < res_norm or res_norm <= tol:
+            if float(np.max(np.abs(res_try))) < res_norm or res_norm <= NEWTON_TOL:
                 break
             scale *= 0.5
         else:
@@ -454,11 +436,11 @@ def vstate_solve(
         step_norm = float(np.max(np.abs(scale * delta)))
         u, omega, coeffs, defo, res = u_try, omega_try, coeffs_try, defo_try, res_try
         res_norm = float(np.max(np.abs(res)))
+        if res_norm <= NEWTON_TOL and step_norm <= 1e-12:
+            return VStateSolution(params, m, sign, s, omega, defo, res_norm, iteration)
 
-    if res_norm <= tol:
-        return VStateSolution(params, m, sign, s, omega, defo, res_norm, max_iter)
     raise NoConvergenceError(
-        f"no convergence after {max_iter} iterations, residual {res_norm:.3e}"
+        f"no convergence after {NEWTON_MAX_ITER} iterations, residual {res_norm:.3e}"
     )
 
 
@@ -479,7 +461,6 @@ def branch_continue(
     s_grid,
     n_modes: int = 32,
     n_nodes: int = 256,
-    **solve_kwargs,
 ) -> BranchResult:
     """Warm-started amplitude continuation along a V-state branch.
 
@@ -491,8 +472,7 @@ def branch_continue(
     for s in s_grid:
         try:
             sol = vstate_solve(
-                params, m, sign, float(s), init=prev,
-                n_modes=n_modes, n_nodes=n_nodes, **solve_kwargs,
+                params, m, sign, float(s), init=prev, n_modes=n_modes, n_nodes=n_nodes
             )
         except (NoConvergenceError, RadiusCollapseError) as exc:
             result.failure = f"s={float(s):.6g}: {exc}"

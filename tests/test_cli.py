@@ -119,6 +119,17 @@ class TestVStateCommand:
         payload = json.loads((tmp_path / "branch.json").read_text())
         assert payload["error"] == "collision"
 
+    def test_amplitude_cap_is_config_error(self, tmp_path):
+        # the whole grid is checked against S_MAX before the first solve,
+        # so not even the output directory is created
+        out = tmp_path / "out"
+        code = run(["vstate", "--m", 2, "--sign", "-", "--b2", 0.7,
+                    "--s-grid", "0.001,0.2", "--modes", 8, "--nodes", 128,
+                    "--out", out])
+        assert code == 2
+        assert not (out / "branch.json").exists()
+        assert not out.exists()
+
     def test_strong_screening_refused(self, tmp_path):
         # mu * diameter ~ 20 is past the split guard: a numeric failure,
         # not a branch whose residual silently stalls near 1e-10

@@ -7,6 +7,9 @@ from qgpatch import spectrum as S
 from qgpatch.kernels import LayerParams, gkj_coefficients
 
 BASE = LayerParams(1.0, 1.0, 1.0, 0.7)
+# m = 5, sign +: the residual falls to ~1e-17 while omega keeps moving by
+# more than the 1e-12 step test, so Newton never converges here
+STALLED = LayerParams(1.268, 0.242, 1.0, 0.227)
 N = 256
 THETA = 2 * np.pi * np.arange(N) / N
 
@@ -205,6 +208,11 @@ class TestVStateSolve:
         with pytest.raises(ValueError):
             C.vstate_solve(BASE, 2, -1, 0.5)
 
+    def test_stalled_solve_refused(self):
+        # a tiny residual alone must not be returned as converged
+        with pytest.raises(C.NoConvergenceError):
+            C.vstate_solve(STALLED, 5, 1, 1e-3, n_modes=8, n_nodes=128)
+
 
 class TestBranchContinue:
     def test_first_point_matches_scratch(self):
@@ -227,14 +235,18 @@ class TestBranchContinue:
         off = coefs[:, (modes % 2) != 0]
         assert np.max(np.abs(off)) <= 1e-10
 
-    def test_partial_result_on_failure(self):
-        # impossible tolerance in zero iterations: fails at the first point
-        res = C.branch_continue(
-            BASE, 2, -1, [1e-3], n_modes=8, n_nodes=128, max_iter=1, tol=1e-30
-        )
+    def test_partial_result_on_failure(self, monkeypatch):
+        # one Newton iteration cannot pass the step test: fails at the first point
+        monkeypatch.setattr(C, "NEWTON_MAX_ITER", 1)
+        res = C.branch_continue(BASE, 2, -1, [1e-3], n_modes=8, n_nodes=128)
         assert res.failure is not None
         assert res.solutions == []
         assert res.last_amplitude is None
+
+    def test_stalled_solve_recorded_as_failure(self):
+        res = C.branch_continue(STALLED, 5, 1, [1e-3], n_modes=8, n_nodes=128)
+        assert res.failure is not None and "no convergence" in res.failure
+        assert res.solutions == []
 
 
 class TestSerialization:
