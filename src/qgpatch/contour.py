@@ -19,23 +19,32 @@ n maps to sine mode n through the block -n M_n(Omega) of
 amplitude s of the kernel direction by a damped Newton iteration on the
 Galerkin system over the m-fold sine modes, with the first-layer mode-m
 coefficient pinned to s * (first kernel-vector component).  Every
-iteration takes its Jacobian from these r = 0 blocks.  The iteration has
-no options: it accepts a solve when the residual is at most NEWTON_TOL and
-the last step at most 1e-12, gives up after NEWTON_MAX_ITER iterations,
-and amplitudes beyond S_MAX are refused.  A solve that does not converge
-raises NoConvergenceError; it never returns an unconverged answer.
+iteration takes its Jacobian from these r = 0 blocks; its residual is
+assembled on one fundamental domain only.  F of an even m-fold shape is
+odd and 2 pi/m periodic, and with g = gcd(m, N) the grid is invariant
+under t -> -t and rotation by 2 pi/g, so the sine coefficients on the
+modes m*j are 4g/N times sums over the target rows 0 <= t <= pi/g; the
+end rows, where the sines vanish, are built for the quadrature guards.
+The finite-difference oracle ``jacobian_fd`` stays on the full grid.
+
+The iteration has no options: it accepts a solve when the residual is at
+most NEWTON_TOL and the last step at most 1e-12, gives up after
+NEWTON_MAX_ITER iterations, and amplitudes beyond S_MAX are refused.  A
+solve that does not converge raises NoConvergenceError; it never returns
+an unconverged answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import gcd
 
 import numpy as np
 from numpy.typing import NDArray
 
 from . import spectrum
 from .kernels import LayerParams
-from .quadrature import layer_integrals
+from .quadrature import QuadratureFailure, TouchingBoundaryError, layer_integrals
 
 FloatArray = NDArray[np.float64]
 
@@ -130,20 +139,29 @@ def functional_from_nodal(
     omega: float,
     r_nodal: FloatArray,
     dr_nodal: FloatArray,
+    n_rows: int | None = None,
 ) -> FloatArray:
-    """F(Omega, r) on the grid from nodal values of r and dr/dt, shape (2, N)."""
+    """F(Omega, r) from nodal values of r and dr/dt, shape (2, N).
+
+    With ``n_rows`` only the leading nodes i < n_rows are targets and the
+    shape is (2, n_rows); every node is still a source.
+    """
     r_nodal = np.asarray(r_nodal, dtype=np.float64)
     dr_nodal = np.asarray(dr_nodal, dtype=np.float64)
     zs, dzs = _boundary_curves(params, r_nodal, dr_nodal)
-    return omega * dr_nodal + np.imag(np.conj(dzs) * layer_integrals(params, zs, dzs))
+    u = layer_integrals(params, zs, dzs, n_rows)
+    return omega * dr_nodal[:, :n_rows] + np.imag(np.conj(dzs[:, :n_rows]) * u)
 
 
 def functional_f(
-    params: LayerParams, omega: float, deformation: RadialDeformation
+    params: LayerParams,
+    omega: float,
+    deformation: RadialDeformation,
+    n_rows: int | None = None,
 ) -> FloatArray:
-    """Contour functional F(Omega, r) sampled on the deformation grid."""
+    """Contour functional F(Omega, r) on the deformation grid (first n_rows nodes)."""
     return functional_from_nodal(
-        params, omega, deformation.nodal(), deformation.nodal_derivative()
+        params, omega, deformation.nodal(), deformation.nodal_derivative(), n_rows
     )
 
 
@@ -325,9 +343,23 @@ def _unpack(u: FloatArray, n_modes: int, pinned: float) -> tuple[float, FloatArr
 def _projected_residual(
     params: LayerParams, omega: float, defo: RadialDeformation
 ) -> FloatArray:
+    """Sine coefficients of F on the modes m*j, from one fundamental domain.
+
+    F is odd and 2 pi/m periodic, and so is sin(m j t).  The grid is
+    invariant under t -> -t and under rotation by 2 pi/g, g = gcd(m, N),
+    so the full-grid sum (2/N) sum_i F(t_i) sin(m j t_i) equals (4g/N)
+    times the sum over the rows i = 0 .. N/(2g).  The end rows t = 0 and
+    t = pi/g (a node only when N/g is even) carry sin(m j t) = 0; they are
+    built anyway so that the quadrature guards see every node pair up to
+    symmetry.
+    """
+    n = defo.n_nodes
+    g = gcd(defo.m, n)
+    n_rows = n // (2 * g) + 1
     modes = defo.m * np.arange(1, defo.n_modes + 1)
-    f_vals = functional_f(params, omega, defo)
-    return sine_coefficients(f_vals, modes).ravel()
+    f_rows = functional_f(params, omega, defo, n_rows=n_rows)
+    basis = np.sin(np.outer(modes, defo.grid()[:n_rows]))
+    return ((4.0 * g / n) * f_rows @ basis.T).ravel()
 
 
 def _newton_matrix(
@@ -465,7 +497,9 @@ def branch_continue(
     """Warm-started amplitude continuation along a V-state branch.
 
     Solves at each amplitude in increasing order, seeding from the
-    previous solution; truncates at the first failure and records it.
+    previous solution; truncates at the first failure (no convergence,
+    radius collapse or a quadrature refusal) and records it, keeping the
+    solutions converged before it.
     """
     result = BranchResult()
     prev: VStateSolution | None = None
@@ -474,7 +508,12 @@ def branch_continue(
             sol = vstate_solve(
                 params, m, sign, float(s), init=prev, n_modes=n_modes, n_nodes=n_nodes
             )
-        except (NoConvergenceError, RadiusCollapseError) as exc:
+        except (
+            NoConvergenceError,
+            RadiusCollapseError,
+            TouchingBoundaryError,
+            QuadratureFailure,
+        ) as exc:
             result.failure = f"s={float(s):.6g}: {exc}"
             break
         result.solutions.append(sol)

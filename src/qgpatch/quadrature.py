@@ -8,7 +8,15 @@ Every boundary integral in this package has the form
 with both curves sampled on the same uniform parameter grid t_j = 2 pi j/N
 and T a vector over the source nodes.  ``layer_integrals`` assembles the
 two-layer integrals that the velocities and the contour functional share
-from three weight matrices.  Three regimes are handled:
+from three full weight matrices, or, given a row count, from four blocks
+holding only the targets i = 0 .. n_rows-1.  The contour functional of an
+m-fold even shape needs no more: with g = gcd(m, N) the grid is invariant
+under t -> -t and rotation by 2 pi/g, so the rows 0 <= t <= pi/g
+(n_rows = N/(2g) + 1) fix its sine coefficients on the modes m*j, with
+weight 4g/N.  The end rows t = 0 and t = pi/g are kept as targets: by the
+same symmetry every node pair then has an image among the rows built, so
+the guards below see the same minimum separation and maximum chord as a
+full build.  Three regimes are handled:
 
 * separated curves: the integrand is analytic, plain trapezoidal rule.
 * the same curve (self interaction): log-singular on the diagonal.  Using
@@ -130,10 +138,17 @@ def _curve_scale(z_src: ComplexArray) -> float:
     return float(np.mean(np.abs(z_src)))
 
 
-def _kernel_matrix(alpha, kappa, mu, z_tgt, z_src, dz_src) -> FloatArray:
+def _kernel_matrix(
+    alpha, kappa, mu, z_tgt, z_src, dz_src, *, scale: float, n_rows: int | None = None
+) -> FloatArray:
     """Weights W with (W @ T)[i] the integral at z_tgt[i]; regime and guards.
 
-    The split takes z_src' on the diagonal from ``dz_src`` (None: spectral).
+    Only the leading targets i = 0 .. n_rows-1 are built (None: all N), so
+    W is n_rows x N; the regime test still compares the full grids.  The
+    guards measure separations against ``scale``, which the caller picks:
+    a cross block must use the larger curve's scale whichever way round it
+    is built.  The split takes z_src' on the diagonal from ``dz_src``
+    (None: spectral).
     """
     z_tgt = np.asarray(z_tgt, dtype=np.complex128)
     z_src = np.asarray(z_src, dtype=np.complex128)
@@ -141,9 +156,9 @@ def _kernel_matrix(alpha, kappa, mu, z_tgt, z_src, dz_src) -> FloatArray:
     if z_tgt.shape[0] != n:
         raise ValueError("target and source grids must have equal node counts")
     h = TWO_PI / n
-    scale = _curve_scale(z_src)
 
-    diff = z_tgt[:, None] - z_src[None, :]
+    # basic slices: views of the inputs and of the cached grid tables
+    diff = z_tgt[:n_rows, None] - z_src[None, :]
     rho2 = diff.real**2 + diff.imag**2
 
     dmax = float(np.max(np.abs(z_tgt - z_src)))
@@ -167,8 +182,9 @@ def _kernel_matrix(alpha, kappa, mu, z_tgt, z_src, dz_src) -> FloatArray:
     _, w_mat, log_s2 = _grid_tables(n)
     if dz_src is None:
         dz_src = spectral_derivative(z_src)
-    log_ratio = np.log(np.where(rho2 > 0.0, rho2, 1.0)) - log_s2
-    np.fill_diagonal(log_ratio, np.log(np.abs(dz_src) ** 2))
+    log_ratio = np.log(np.where(rho2 > 0.0, rho2, 1.0)) - log_s2[:n_rows]
+    # the block's diagonal is entry (i, i), i < n_rows: rows start at node 0
+    np.fill_diagonal(log_ratio, np.log(np.abs(dz_src[:n_rows]) ** 2))
 
     w = mu * np.sqrt(rho2)
     if float(np.max(w)) > SPLIT_MAX_MU_CHORD:
@@ -180,7 +196,7 @@ def _kernel_matrix(alpha, kappa, mu, z_tgt, z_src, dz_src) -> FloatArray:
     g2_coef = 0.5 * g1_coef * log_ratio
     if kappa != 0.0:
         g2_coef += kappa * (sreg - np.log(mu) * i0)
-    return w_mat * g1_coef + h * g2_coef
+    return w_mat[:n_rows] * g1_coef + h * g2_coef
 
 
 def kernel_integral_grid(
@@ -202,26 +218,45 @@ def kernel_integral_grid(
     t_src = np.asarray(t_src)
     if t_src.ndim != 1:
         raise ValueError("density must be a vector over the source nodes")
-    kern = _kernel_matrix(alpha, kappa, mu, z_tgt, z_src, dz_src)
+    kern = _kernel_matrix(
+        alpha, kappa, mu, z_tgt, z_src, dz_src, scale=_curve_scale(z_src)
+    )
     return _apply_kernel_matrix(kern, t_src)
 
 
-def layer_integrals(params: LayerParams, zs, dzs) -> tuple[ComplexArray, ComplexArray]:
+def layer_integrals(
+    params: LayerParams, zs, dzs, n_rows: int | None = None
+) -> tuple[ComplexArray, ComplexArray]:
     """u_k(t_i) = sum_j int G_{k,j}(z_k(t_i) - z_j(e)) z_j'(e) de for k = 1, 2.
 
-    Three builds serve the four pairs: the cross kernels have alpha == kappa
-    and depend on |x| only, so W_12 = (alpha_12 / alpha_21) W_21^T.  W_21
-    takes layer 1, the larger disc, as source, so the guards measure the
-    layers' separation against that curve's scale.
+    On the full grid (``n_rows`` None) three builds serve the four pairs:
+    the cross kernels have alpha == kappa and depend on |x| only, so
+    W_12 = (alpha_12 / alpha_21) W_21^T.  With ``n_rows`` only the targets
+    i < n_rows are built, and the transpose needs full matrices, so W_12
+    gets its own n_rows x N block.  Every block measures its guards against
+    its source curve's scale, except that both cross blocks use layer 1's,
+    the larger disc's, whichever layer is the source.
     """
     (z1, z2), (dz1, dz2) = zs, dzs
-    alpha12 = gkj_coefficients(params, 1, 2)[0]
+    mu, scale1 = params.mu, _curve_scale(z1)
+    alpha12, kappa12 = gkj_coefficients(params, 1, 2)
     alpha21, kappa21 = gkj_coefficients(params, 2, 1)
-    w11 = _kernel_matrix(*gkj_coefficients(params, 1, 1), params.mu, z1, z1, dz1)
-    w22 = _kernel_matrix(*gkj_coefficients(params, 2, 2), params.mu, z2, z2, dz2)
-    w21 = _kernel_matrix(alpha21, kappa21, params.mu, z2, z1, dz1)
+    w11 = _kernel_matrix(
+        *gkj_coefficients(params, 1, 1), mu, z1, z1, dz1, scale=scale1, n_rows=n_rows
+    )
+    w22 = _kernel_matrix(
+        *gkj_coefficients(params, 2, 2), mu, z2, z2, dz2,
+        scale=_curve_scale(z2), n_rows=n_rows,
+    )
+    w21 = _kernel_matrix(alpha21, kappa21, mu, z2, z1, dz1, scale=scale1, n_rows=n_rows)
     u1 = _apply_kernel_matrix(w11, dz1)
-    u1 += (alpha12 / alpha21) * _apply_kernel_matrix(w21.T, dz2)
+    if n_rows is None:
+        u1 += (alpha12 / alpha21) * _apply_kernel_matrix(w21.T, dz2)
+    else:
+        w12 = _kernel_matrix(
+            alpha12, kappa12, mu, z1, z2, dz2, scale=scale1, n_rows=n_rows
+        )
+        u1 += _apply_kernel_matrix(w12, dz2)
     u2 = _apply_kernel_matrix(w21, dz1) + _apply_kernel_matrix(w22, dz2)
     return u1, u2
 

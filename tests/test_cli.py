@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from qgpatch import spectrum
@@ -137,6 +138,18 @@ class TestVStateCommand:
                     "--nodes", 128, "--modes", 8, "--s-grid", "0.001,0.002",
                     "--out", tmp_path])
         assert code == 1
+
+    def test_quadrature_refusal_keeps_branch(self, tmp_path):
+        # the boundaries come within 0.1 * b1 at the eighth amplitude
+        s_grid = ",".join(repr(float(s)) for s in np.geomspace(0.001, 0.1, 9))
+        code = run(["vstate", "--delta", 3.9484009878369566,
+                    "--lambda", 1.457370503756139, "--b2", 0.8807077673978791,
+                    "--m", 1, "--sign", "+", "--modes", 16, "--nodes", 256,
+                    "--s-grid", s_grid, "--out", tmp_path])
+        assert code == 0
+        payload = json.loads((tmp_path / "branch.json").read_text())
+        assert len(payload["solutions"]) == 7
+        assert "curve separation" in payload["failure"]
 
 
 class TestEvolveCommand:

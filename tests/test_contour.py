@@ -10,6 +10,9 @@ BASE = LayerParams(1.0, 1.0, 1.0, 0.7)
 # m = 5, sign +: the residual falls to ~1e-17 while omega keeps moving by
 # more than the 1e-12 step test, so Newton never converges here
 STALLED = LayerParams(1.268, 0.242, 1.0, 0.227)
+# m = 1, sign +: seven amplitudes of np.geomspace(0.001, 0.1, 9) converge,
+# then the boundaries come within 0.1 * b1 and the quadrature refuses
+NEAR_TOUCH = LayerParams(3.9484009878369566, 1.457370503756139, 1.0, 0.8807077673978791)
 N = 256
 THETA = 2 * np.pi * np.arange(N) / N
 
@@ -81,7 +84,10 @@ class TestFunctional:
             want = omega * dr[k]
             for j in (0, 1):
                 alpha, kappa = gkj_coefficients(BASE, k + 1, j + 1)
-                w = Q._kernel_matrix(alpha, kappa, BASE.mu, zs[k], zs[j], dzs[j])
+                w = Q._kernel_matrix(
+                    alpha, kappa, BASE.mu, zs[k], zs[j], dzs[j],
+                    scale=Q._curve_scale(zs[j]),
+                )
                 density = np.imag(np.conj(dzs[k])[:, None] * dzs[j][None, :])
                 want = want + np.sum(w * density, axis=1)
             assert np.max(np.abs(got[k] - want)) <= 1e-14
@@ -93,6 +99,41 @@ class TestFunctional:
         f = C.functional_f(BASE, 0.1, d)
         shift = 258 // m
         assert np.max(np.abs(f - np.roll(f, -shift, axis=1))) <= 1e-12
+
+
+class TestProjectedResidual:
+    """The fundamental-domain residual against the full-grid projection."""
+
+    @pytest.mark.parametrize(
+        "m,n_nodes", [(1, 256), (2, 256), (3, 256), (4, 256), (2, 66), (3, 66)]
+    )
+    def test_matches_full_grid_projection(self, m, n_nodes):
+        # g = gcd(m, N) = 1; N/g even; N/g odd (no node at t = pi/g)
+        n_modes = min(6, (n_nodes // 2 - 1) // m)
+        rng = np.random.default_rng(m * n_nodes)
+        coeffs = 0.01 * rng.standard_normal((2, n_modes)) / np.arange(1, n_modes + 1) ** 2
+        d = C.RadialDeformation(m, coeffs, n_nodes)
+        modes = m * np.arange(1, n_modes + 1)
+        want = C.sine_coefficients(C.functional_f(BASE, 0.3, d), modes).ravel()
+        got = C._projected_residual(BASE, 0.3, d)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    @pytest.mark.parametrize("peak", [0.0, np.pi / 2])
+    def test_end_row_pair_refused(self, peak):
+        # r_2 = a (cos^20(t - peak) - mean) brings layer 2 to radius 0.901
+        # at t = peak (mod pi) only, an end row of the m = 2 domain
+        n = 64
+        t = 2 * np.pi * np.arange(n) / n
+        f = np.cos(t - peak) ** 20
+        a = 0.5 * (0.901**2 - 0.85**2)
+        params = LayerParams(1.0, 1.0, 1.0, np.sqrt(0.85**2 + 2 * a * np.mean(f)))
+        modes = 2 * np.arange(1, 16)
+        c2 = (2.0 / n) * (a * f) @ np.cos(np.outer(modes, t)).T
+        d = C.RadialDeformation(2, np.vstack([np.zeros(15), c2]), n)
+        with pytest.raises(Q.TouchingBoundaryError, match="9.900e-02"):
+            C.functional_f(params, 0.3, d)
+        with pytest.raises(Q.TouchingBoundaryError, match="9.900e-02"):
+            C._projected_residual(params, 0.3, d)
 
 
 class TestLinearization:
@@ -247,6 +288,13 @@ class TestBranchContinue:
         res = C.branch_continue(STALLED, 5, 1, [1e-3], n_modes=8, n_nodes=128)
         assert res.failure is not None and "no convergence" in res.failure
         assert res.solutions == []
+
+    def test_quadrature_refusal_keeps_converged_part(self):
+        res = C.branch_continue(
+            NEAR_TOUCH, 1, 1, np.geomspace(0.001, 0.1, 9), n_modes=16, n_nodes=N
+        )
+        assert len(res.solutions) == 7
+        assert res.failure.startswith("s=0.0562341: curve separation 9.884e-02")
 
 
 class TestSerialization:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qgpatch import contour as C
 from qgpatch import quadrature as Q
 from qgpatch.bessel import bessel_ik_product
 from qgpatch.kernels import LayerParams, gkj_coefficients
@@ -177,6 +178,67 @@ class TestLayerIntegrals:
     def test_near_coincident_twins(self, offset):
         z = (1.0 + 0.02 * np.cos(3 * THETA)) * np.exp(1j * THETA)
         self.check(self.PARAMS, z, z * (1.0 + offset * np.cos(2 * THETA)))
+
+
+class TestRowBuilds:
+    """Leading-row blocks: the same entries and the same refusals as full builds."""
+
+    PARAMS = LayerParams(1.0, 1.0, 1.0, 0.85)
+    N_GRID = 64
+    ROWS = 64 // 4 + 1  # m = 2: the targets 0 <= t <= pi/2
+
+    def bumped_pair(self, peak):
+        # layer 2 reaches radius 0.901 at t = peak (mod pi) and nowhere else
+        # comes within 0.1 of the unit circle; the guard scale is layer 1's
+        t = 2 * np.pi * np.arange(self.N_GRID) / self.N_GRID
+        z1 = np.exp(1j * t)
+        z2 = (0.85 + 0.051 * np.cos(t - peak) ** 20) * np.exp(1j * t)
+        return (z1, z2), tuple(Q.spectral_derivative(z) for z in (z1, z2))
+
+    @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (1, 2)])
+    def test_rows_are_leading_rows_of_full_build(self, pair):
+        k, j = pair
+        zs = (
+            (1.0 + 0.03 * np.cos(2 * THETA)) * np.exp(1j * THETA),
+            (0.7 - 0.02 * np.cos(2 * THETA)) * np.exp(1j * THETA),
+        )
+        dzs = tuple(Q.spectral_derivative(z) for z in zs)
+        args = (*gkj_coefficients(self.PARAMS, k, j), self.PARAMS.mu)
+        args += (zs[k - 1], zs[j - 1], dzs[j - 1])
+        full = Q._kernel_matrix(*args, scale=1.0)
+        rows = Q._kernel_matrix(*args, scale=1.0, n_rows=N // 4 + 1)
+        assert np.array_equal(rows, full[: N // 4 + 1])
+
+    @pytest.mark.parametrize("peak", [0.0, np.pi / 2])
+    def test_end_row_pair_refused(self, peak):
+        # the one close node pair sits on an end row of the fundamental
+        # domain, where sin(m j t) = 0: the row build must still see it
+        (z1, z2), dzs = self.bumped_pair(peak)
+        close = np.argwhere(np.abs(z2[:, None] - z1[None, :]) < Q.SEPARATED_TOL)
+        peak_node = round(peak / (2 * np.pi) * self.N_GRID)
+        assert {tuple(ij) for ij in close} == {
+            (peak_node, peak_node),
+            (peak_node + self.N_GRID // 2, peak_node + self.N_GRID // 2),
+        }
+        for n_rows in (None, self.ROWS):
+            with pytest.raises(Q.TouchingBoundaryError, match="9.900e-02"):
+                Q.layer_integrals(self.PARAMS, (z1, z2), dzs, n_rows)
+
+    def test_cross_rows_guard_on_layer_one_scale(self):
+        # W_12 takes layer 2 as source; against its own scale (mean radius
+        # 0.86) a 0.099 gap would pass the 0.1 * scale guard
+        (z1, z2), (_, dz2) = self.bumped_pair(0.0)
+        args = (*gkj_coefficients(self.PARAMS, 1, 2), self.PARAMS.mu, z1, z2, dz2)
+        with pytest.raises(Q.TouchingBoundaryError):
+            Q._kernel_matrix(*args, scale=Q._curve_scale(z1), n_rows=self.ROWS)
+        Q._kernel_matrix(*args, scale=Q._curve_scale(z2), n_rows=self.ROWS)
+
+    def test_vstate_on_touching_discs_refused(self):
+        # the discs' 0.095 gap, narrowed by the s = 1e-3 tangent deformation,
+        # is below 0.1 * b1: the full build refuses at the same separation
+        params = LayerParams(1.0, 1.0, 1.0, 0.905)
+        with pytest.raises(Q.TouchingBoundaryError, match="9.499e-02"):
+            C.vstate_solve(params, 2, -1, 1e-3, n_modes=8, n_nodes=64)
 
 
 class TestOffgrid:
