@@ -53,6 +53,7 @@ TWO_PI = 2.0 * np.pi
 NEWTON_TOL = 1e-10  # max-norm of the projected residual
 NEWTON_MAX_ITER = 50
 S_MAX = 0.1  # largest amplitude a solve accepts
+SIMPLE_GAP_TOL = 1e-9  # smallest |Omega_m - Omega_km| check_simple_eigenvalue accepts
 
 
 class RadiusCollapseError(RuntimeError):
@@ -305,14 +306,14 @@ class VStateSolution:
 
 
 def check_simple_eigenvalue(
-    spec: spectrum.SpectrumArrays, m: int, sign: int, n_modes: int, tol: float = 1e-9
+    spec: spectrum.SpectrumArrays, m: int, sign: int, n_modes: int
 ) -> None:
     """Refuse parameters where Omega_m^sign collides with another m-multiple.
 
     Kernel simplicity of the linearized operator on the m-fold subspace
     requires Omega_m^sign != Omega_{km}^{-sign} for k >= 2 (same-branch
-    equality is excluded by monotonicity).  spec must hold the modes up
-    to m * n_modes.
+    equality is excluded by monotonicity); a gap below SIMPLE_GAP_TOL is a
+    collision.  spec must hold the modes up to m * n_modes.
     """
     if sign == 1:
         target, partners = spec.omega_plus[m - 1], spec.omega_minus
@@ -320,7 +321,7 @@ def check_simple_eigenvalue(
         target, partners = spec.omega_minus[m - 1], spec.omega_plus
     for k in range(2, n_modes + 1):
         gap = abs(target - partners[k * m - 1])
-        if gap < tol:
+        if gap < SIMPLE_GAP_TOL:
             raise CollisionDetectedError(
                 f"Omega_{m}^{'+' if sign == 1 else '-'} collides with mode "
                 f"{k * m} (gap {gap:.2e}); bifurcation not simple"

@@ -17,6 +17,13 @@ diagonalizes the layer coupling into a pure Laplace problem and a pure
 screened problem; ``layer_node_velocities_pm`` evaluates the velocity
 through that route and agrees with the direct kernel summation to
 rounding, which is exercised as an invariant.
+
+``rigid_rotation_residual`` measures rigid rotation, the time-periodicity
+of a V-state: the sup over each curve's nodes of the distance to the other
+curve's trigonometric interpolant.  Newton on the curve parameter, seeded
+at the nearest node, finds the closest point; a running ``fmin`` over the
+iterates, all curve points, keeps the reading an upper bound and ignores
+a NaN from a degenerate step.
 """
 
 from __future__ import annotations
@@ -41,6 +48,10 @@ FloatArray = NDArray[np.float64]
 ComplexArray = NDArray[np.complex128]
 
 TWO_PI = 2.0 * np.pi
+
+DT_CAP = 1e-3  # largest step suggested_dt returns
+REDISTRIBUTE_EVERY = 50  # RK4 steps between arclength redistributions
+NEWTON_STEPS = 4  # closest-point Newton steps of the rotation ruler
 
 
 class SimplicityError(RuntimeError):
@@ -225,15 +236,15 @@ def boundary_velocity(
     return -total
 
 
-def suggested_dt(params: LayerParams, state: EvolutionState, cap: float = 1e-3) -> float:
-    """CFL-like step: time to cross one node spacing, capped at ``cap``."""
+def suggested_dt(params: LayerParams, state: EvolutionState) -> float:
+    """CFL-like step: time to cross one node spacing, capped at DT_CAP."""
     v1, v2 = layer_node_velocities(
         params, state.boundaries[0].nodes, state.boundaries[1].nodes
     )
     vmax = float(max(np.max(np.abs(v1)), np.max(np.abs(v2)), 1e-12))
     n = state.boundaries[0].nodes.size
     spacing = TWO_PI * float(np.mean(np.abs(state.boundaries[0].nodes))) / n
-    return min(cap, spacing / vmax)
+    return min(DT_CAP, spacing / vmax)
 
 
 def step_rk4(params: LayerParams, state: EvolutionState) -> EvolutionState:
@@ -290,9 +301,10 @@ def evolve(
     t_end: float,
     dt: float | None = None,
     snapshot_every: int = 50,
-    redistribute_every: int = 50,
 ) -> EvolutionResult:
-    """March to t_end with RK4, periodic node redistribution and snapshots.
+    """March to t_end with RK4, node redistribution and snapshots.
+
+    The nodes are respaced by arclength every REDISTRIBUTE_EVERY steps.
 
     Snapshots include the initial and final states.  On simplicity
     violation or touching boundaries the partial trajectory is returned
@@ -311,7 +323,7 @@ def evolve(
     try:
         for step in range(1, n_steps + 1):
             state = step_rk4(params, state)
-            if redistribute_every and step % redistribute_every == 0:
+            if step % REDISTRIBUTE_EVERY == 0:
                 state = EvolutionState(
                     (
                         resample_by_arclength(state.boundaries[0]),
@@ -353,60 +365,47 @@ def _boundary_gap(state: EvolutionState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def fft_upsample(z: ComplexArray, factor: int) -> ComplexArray:
-    """Trigonometric interpolation of a closed curve onto factor*N nodes."""
-    z = np.asarray(z, dtype=np.complex128)
+def _distance_to_curve(points: ComplexArray, z: ComplexArray) -> FloatArray:
+    """Distance from each point to the interpolant of z, by Newton on |z(s) - p|^2."""
     n = z.size
-    spec = np.fft.fft(z)
-    out = np.zeros(n * factor, dtype=np.complex128)
-    half = n // 2
-    out[:half] = spec[:half]
-    out[-half + 1 :] = spec[half + 1 :]
-    out[half] = 0.5 * spec[half]
-    out[-half] += 0.5 * spec[half]
-    return np.fft.ifft(out) * factor
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    coeffs = np.fft.fft(z) / n
+    if n % 2 == 0:
+        coeffs[n // 2] = 0.0  # drop the unpaired Nyquist mode
+    basis = np.stack([coeffs, 1j * k * coeffs, -k * k * coeffs], axis=1)
+    s = TWO_PI / n * np.argmin(np.abs(points[:, None] - z[None, :]), axis=1)
+    best = np.full(points.shape, np.inf)
+    for _ in range(NEWTON_STEPS):
+        zs, dz, ddz = (np.exp(1j * np.outer(s, k)) @ basis).T
+        r = zs - points
+        best = np.fmin(best, np.abs(r))
+        s = s - (np.conj(r) * dz).real / (np.abs(dz) ** 2 + (np.conj(r) * ddz).real)
+    return np.fmin(best, np.abs(np.exp(1j * np.outer(s, k)) @ coeffs - points))
 
 
-def _point_to_polyline(points: ComplexArray, poly: ComplexArray) -> float:
-    """max over points of the distance to the closed polyline."""
-    a = poly
-    b = np.roll(poly, -1)
-    seg = b - a
-    seg2 = np.abs(seg) ** 2
-    worst = 0.0
-    for chunk in np.array_split(points, max(1, points.size // 512)):
-        w = chunk[:, None] - a[None, :]
-        t = np.clip((w * np.conj(seg[None, :])).real / seg2[None, :], 0.0, 1.0)
-        d = np.abs(w - t * seg[None, :])
-        worst = max(worst, float(np.max(np.min(d, axis=1))))
-    return worst
+def curve_hausdorff(za: ComplexArray, zb: ComplexArray) -> float:
+    """Symmetric Hausdorff distance between two closed trigonometric curves.
 
-
-def polyline_hausdorff(za: ComplexArray, zb: ComplexArray, factor: int = 16) -> float:
-    """Symmetric Hausdorff distance between two closed curves.
-
-    Both curves are upsampled by trigonometric interpolation before the
-    point-to-segment sweep; the polyline side gets the full factor (its
-    chord sagitta sets the floor), the point side a quarter of it (points
-    sit exactly on the curve, the density only locates the supremum).
+    Each direction takes the sup over one curve's nodes of the distance to
+    the other curve's trigonometric interpolant.  The closest point comes
+    from NEWTON_STEPS Newton steps on the curve parameter; a running
+    ``fmin`` over the iterates keeps each distance an upper bound and
+    ignores a NaN from a degenerate step.
     """
-    pf = max(1, factor // 4)
-    return max(
-        _point_to_polyline(fft_upsample(za, pf), fft_upsample(zb, factor)),
-        _point_to_polyline(fft_upsample(zb, pf), fft_upsample(za, factor)),
-    )
+    za = np.asarray(za, dtype=np.complex128)
+    zb = np.asarray(zb, dtype=np.complex128)
+    return float(max(_distance_to_curve(za, zb).max(), _distance_to_curve(zb, za).max()))
 
 
-def rigid_rotation_residual(
-    traj: list[EvolutionState], omega: float, factor: int = 16
-) -> float:
+def rigid_rotation_residual(traj: list[EvolutionState], omega: float) -> float:
     """Deviation of a trajectory from rigid rotation at angular velocity omega.
 
     Maximum over snapshots and layers of the symmetric Hausdorff distance
-    between boundary(t) and boundary(0) rotated by omega*t, normalized by
-    the initial layer-1 mean radius.  ``factor`` is the trigonometric
-    upsampling used in the Hausdorff sweep; its chord sagitta sets the
-    measurement floor (~ (2 pi / (factor N))^2 / 8).
+    (``curve_hausdorff``) between boundary(t) and boundary(0) rotated by
+    omega*t, normalized by the initial layer-1 mean radius.  The sup runs
+    over the nodes of each curve, each node's distance being to the
+    trigonometric interpolant of the other, found by Newton on the curve
+    parameter.
     """
     if not traj:
         raise ValueError("empty trajectory")
@@ -417,8 +416,6 @@ def rigid_rotation_residual(
     for snap in traj:
         rot = np.exp(1j * omega * (snap.time - t0))
         for i in (0, 1):
-            d = polyline_hausdorff(
-                snap.boundaries[i].nodes, rot * ref.boundaries[i].nodes, factor=factor
-            )
+            d = curve_hausdorff(snap.boundaries[i].nodes, rot * ref.boundaries[i].nodes)
             worst = max(worst, d)
     return worst / scale

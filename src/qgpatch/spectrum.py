@@ -44,6 +44,8 @@ from .kernels import LayerParams
 
 FloatArray = NDArray[np.float64]
 
+DEDUP_TOL = 1e-9  # collision_scan merges roots of one pair closer than this times b1
+
 
 @dataclass(frozen=True)
 class MeanFlowCoeffs:
@@ -278,13 +280,12 @@ def collision_scan(
     m: int,
     n_max: int,
     grid: int = 64,
-    dedup_tol: float = 1e-9,
 ) -> list[CollisionRecord]:
     """Locate b2 in (0, b1) where Omega_m^-(b2) = Omega_n^+(b2), n <= n_max.
 
     Sign changes of the gap on a uniform b2 grid are refined by bisection
     to |Omega_m^- - Omega_n^+| <= 1e-12.  Roots of the same pair closer
-    than dedup_tol*b1 are merged and flagged as tangencies.  The b2 value
+    than DEDUP_TOL*b1 are merged and flagged as tangencies.  The b2 value
     carried by params_base is ignored; an empty list is a valid result.
     Each grid point is one evaluation of every mode up to max(m, n_max),
     each bisection midpoint one up to max(m, n).
@@ -332,7 +333,7 @@ def collision_scan(
                 roots.append((root, res))
         merged: list[CollisionRecord] = []
         for root, res in sorted(roots):
-            if merged and abs(root - merged[-1].b2_root) <= dedup_tol * b1:
+            if merged and abs(root - merged[-1].b2_root) <= DEDUP_TOL * b1:
                 prev = merged[-1]
                 merged[-1] = CollisionRecord(
                     m, n, prev.b2_root, min(prev.residual, res), tangency=True

@@ -151,7 +151,7 @@ def test_criterion_08_stationary_discs():
         sup = max(sup, float(np.max(np.abs(f))))
     state0 = D.EvolutionState.discs(BASE, 1e-3, n_nodes=128)
     result = D.evolve(BASE, state0, t_end=1.0, dt=1e-3, snapshot_every=200)
-    drift = D.rigid_rotation_residual(result.snapshots, 0.0, factor=32)
+    drift = D.rigid_rotation_residual(result.snapshots, 0.0)
     _report(8, "stationary discs",
             sup <= 1e-10 and result.aborted is None and drift <= 1e-6 * BASE.b1,
             f"sup F {sup:.2e}, Hausdorff drift {drift:.2e}")
@@ -198,8 +198,8 @@ def test_criterion_10_rigid_rotation():
     )
     t_end = 2.0 * np.pi / (10.0 * abs(sol.omega))
     result = D.evolve(BASE, state0, t_end=t_end, dt=5e-3, snapshot_every=175)
-    matched = D.rigid_rotation_residual(result.snapshots, sol.omega, factor=32)
-    mismatched = D.rigid_rotation_residual(result.snapshots, sol.omega + 0.1, factor=32)
+    matched = D.rigid_rotation_residual(result.snapshots, sol.omega)
+    mismatched = D.rigid_rotation_residual(result.snapshots, sol.omega + 0.1)
     elapsed = time.perf_counter() - t0
     _report(10, "rigid rotation",
             result.aborted is None

@@ -142,7 +142,7 @@ class TestEvolve:
         res = D.evolve(BASE, st0, t_end=0.1, dt=1e-3, snapshot_every=50)
         assert res.aborted is None
         assert res.diagnostics["area_drift"] <= 1e-10
-        assert D.rigid_rotation_residual(res.snapshots, 0.0, factor=32) <= 1e-6
+        assert D.rigid_rotation_residual(res.snapshots, 0.0) <= 1e-6
 
     def test_twin_layers_never_separate(self):
         p = LayerParams(1.0, 1.0, 1.0, 1.0)
@@ -176,23 +176,34 @@ class TestEvolve:
 
 
 class TestGeometryHelpers:
-    def test_fft_upsample_exact_on_curves(self):
-        z = (1.0 + 0.1 * np.cos(3 * THETA)) * np.exp(1j * THETA)
-        up = D.fft_upsample(z, 4)
-        t4 = 2 * np.pi * np.arange(4 * N) / (4 * N)
-        exact = (1.0 + 0.1 * np.cos(3 * t4)) * np.exp(1j * t4)
-        assert np.max(np.abs(up - exact)) <= 1e-12
-
     def test_hausdorff_detects_shift(self):
         z = np.exp(1j * THETA)
-        assert D.polyline_hausdorff(z, z + 0.001) == pytest.approx(0.001, rel=1e-2)
-        assert D.polyline_hausdorff(z, np.exp(0.4j) * z) <= 1e-6
+        assert D.curve_hausdorff(z, z + 0.001) == pytest.approx(0.001, rel=1e-2)
+        assert D.curve_hausdorff(z, np.exp(0.4j) * z) <= 1e-6
+        # the same curve sampled at nodes shifted by 0.37 of a spacing
+        t = 2 * np.pi * np.arange(128) / 128
+        ts = t + 0.37 * 2 * np.pi / 128
+        wavy = np.sqrt(1.0 + 0.02 * np.cos(2 * t)) * np.exp(1j * t)
+        shifted = np.sqrt(1.0 + 0.02 * np.cos(2 * ts)) * np.exp(1j * ts)
+        assert D.curve_hausdorff(wavy, shifted) <= 1e-13
+        # a convex curve against its translate: the distance is the offset,
+        # above the 1e-16 rounding of the translated unit-size nodes
+        for d in (1e-9, 1e-3, 0.5):
+            h = D.curve_hausdorff(wavy, wavy + d)
+            assert h == pytest.approx(d, rel=1e-12, abs=1e-14)
+        # 3-fold curve with radii in [0.8, 1.2] against the disc of radius 0.9
+        three = (1.0 + 0.2 * np.cos(3 * THETA)) * np.exp(1j * THETA)
+        assert D.curve_hausdorff(three, 0.9 * z) == pytest.approx(0.3, abs=1e-12)
+
+    def test_rotation_residual_rejects_empty_trajectory(self):
+        with pytest.raises(ValueError):
+            D.rigid_rotation_residual([], 0.0)
 
     def test_rotation_residual_symmetric_for_discs(self):
         st0 = D.EvolutionState.discs(BASE, 1e-3, n_nodes=128)
         res = D.evolve(BASE, st0, t_end=0.02, dt=2e-3, snapshot_every=5)
         for omega in (0.0, 0.37):
-            assert D.rigid_rotation_residual(res.snapshots, omega, factor=32) <= 1e-6
+            assert D.rigid_rotation_residual(res.snapshots, omega) <= 1e-6
 
     def test_resample_preserves_circle(self):
         uneven = D.PatchBoundary(0.3 + np.exp(1j * (THETA + 0.02 * np.sin(THETA))), 1)
