@@ -246,7 +246,10 @@ def _initial_state(settings: dict[str, str], params: LayerParams, dt: float):
             if not payload["solutions"]:
                 raise ConfigError(f"{path} contains no solutions")
             payload = payload["solutions"][-1]
-        sol = VStateSolution.from_json_dict(payload)
+        try:
+            sol = VStateSolution.from_json_dict(payload)
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"malformed V-state file {path}: {exc!r}") from exc
         radii = sol.boundary_radii()
         t = sol.deformation.grid()
         phase = np.exp(1j * t)
@@ -259,9 +262,11 @@ def _initial_state(settings: dict[str, str], params: LayerParams, dt: float):
     if spec_text.startswith("csv:"):
         path = spec_text.split(":", 1)[1]
         try:
-            rows = np.loadtxt(path, delimiter=",", skiprows=1)
+            rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         except OSError as exc:
             raise ConfigError(f"cannot load boundary CSV {path}: {exc}") from exc
+        if rows.shape[1] != 4:
+            raise ConfigError(f"{path}: expected 4 columns layer,node_index,x,y")
         nodes = []
         for layer in (1, 2):
             sel = rows[rows[:, 0] == layer]
@@ -271,7 +276,7 @@ def _initial_state(settings: dict[str, str], params: LayerParams, dt: float):
             (PatchBoundary(nodes[0], 1), PatchBoundary(nodes[1], 2)), 0.0, dt
         )
         return state, None
-    raise ConfigError(f"initial must be discs, vstate:<path> or csv:<path>")
+    raise ConfigError("initial must be discs, vstate:<path> or csv:<path>")
 
 
 def cmd_evolve(settings: dict[str, str], check_rotation: bool) -> int:

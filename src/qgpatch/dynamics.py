@@ -12,12 +12,6 @@ the assembly the contour functional uses too: the j = k term is
 log-singular and goes through the singular split, and the cross-layer
 terms are regular unless the boundaries touch.
 
-The change of unknowns (f_+, f_-) = (f_1 + f_2/delta, f_1 - f_2)
-diagonalizes the layer coupling into a pure Laplace problem and a pure
-screened problem; ``layer_node_velocities_pm`` evaluates the velocity
-through that route and agrees with the direct kernel summation to
-rounding, which is exercised as an invariant.
-
 ``rigid_rotation_residual`` measures rigid rotation, the time-periodicity
 of a V-state: the sup over each curve's nodes of the distance to the other
 curve's trigonometric interpolant.  Newton on the curve parameter, seeded
@@ -34,12 +28,10 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.interpolate import CubicSpline
 
-from .kernels import LayerParams, gkj_coefficients
+from .kernels import LayerParams
 from .quadrature import (
     QuadratureFailure,
     TouchingBoundaryError,
-    kernel_integral_grid,
-    kernel_integral_offgrid,
     layer_integrals,
     spectral_derivative,
 )
@@ -78,9 +70,6 @@ class PatchBoundary:
         t = TWO_PI * np.arange(n_nodes) / n_nodes
         return PatchBoundary(radius * np.exp(1j * t), layer)
 
-    def xy(self) -> FloatArray:
-        return np.column_stack([self.nodes.real, self.nodes.imag])
-
     def area(self) -> float:
         return patch_area(self)
 
@@ -113,31 +102,6 @@ class EvolutionState:
         )
 
 
-@dataclass(frozen=True)
-class PlusMinusFields:
-    f_plus: np.ndarray
-    f_minus: np.ndarray
-
-
-def transform_pm(delta: float, f1, f2) -> PlusMinusFields:
-    """Diagonalizing change of unknowns: f_+ = f1 + f2/delta, f_- = f1 - f2."""
-    if not delta > 0.0:
-        raise ValueError("delta must be > 0")
-    f1 = np.asarray(f1)
-    f2 = np.asarray(f2)
-    return PlusMinusFields(f1 + f2 / delta, f1 - f2)
-
-
-def inverse_transform_pm(delta: float, fields: PlusMinusFields):
-    """Inverse of transform_pm: the same matrix scaled by (1 + 1/delta)^-1."""
-    if not delta > 0.0:
-        raise ValueError("delta must be > 0")
-    scale = 1.0 / (1.0 + 1.0 / delta)
-    f1 = scale * (fields.f_plus + fields.f_minus / delta)
-    f2 = scale * (fields.f_plus - fields.f_minus)
-    return f1, f2
-
-
 def patch_area(boundary: PatchBoundary) -> float:
     """Shoelace area of the closed polyline; positive when counterclockwise."""
     z = boundary.nodes
@@ -163,77 +127,6 @@ def layer_node_velocities(
     zs = [np.asarray(z, dtype=np.complex128) for z in (z1, z2)]
     u1, u2 = layer_integrals(params, zs, [spectral_derivative(z) for z in zs])
     return -u1, -u2
-
-
-def layer_node_velocities_pm(
-    params: LayerParams, z1: ComplexArray, z2: ComplexArray
-) -> tuple[ComplexArray, ComplexArray]:
-    """Velocities through the +/- decomposition; equals the direct route.
-
-    The log integrals of the two boundaries are combined by the + row of
-    the transform, the screened ones by the - row, and the layer fields
-    are recovered with the inverse transform.
-    """
-    d = params.delta
-    zs = {1: np.asarray(z1, dtype=np.complex128), 2: np.asarray(z2, dtype=np.complex128)}
-    dzs = {k: spectral_derivative(zs[k]) for k in (1, 2)}
-    a_log = 1.0 / TWO_PI
-    k_scr = 1.0 / TWO_PI
-    out = {}
-    for k in (1, 2):
-        log_parts = {
-            j: kernel_integral_grid(a_log, 0.0, params.mu, zs[k], zs[j], dzs[j],
-                                    dz_src=dzs[j])
-            for j in (1, 2)
-        }
-        scr_parts = {
-            j: kernel_integral_grid(0.0, k_scr, params.mu, zs[k], zs[j], dzs[j],
-                                    dz_src=dzs[j])
-            for j in (1, 2)
-        }
-        log_pm = transform_pm(d, log_parts[1], log_parts[2])
-        scr_pm = transform_pm(d, scr_parts[1], scr_parts[2])
-        # the + combination solves a pure Laplace problem and sees only the
-        # log integrals; the - combination a pure screened one
-        w = PlusMinusFields(-log_pm.f_plus, scr_pm.f_minus)
-        v1, v2 = inverse_transform_pm(d, w)
-        out[k] = v1 if k == 1 else v2
-    return out[1], out[2]
-
-
-def boundary_velocity(
-    params: LayerParams, state: EvolutionState, k: int, query
-) -> np.ndarray:
-    """Layer-k velocity at query points (complex, or (..., 2) coordinates).
-
-    Query points coinciding with layer k's own nodes use the singular
-    on-curve quadrature; other points use the plain rule and must keep
-    clear of both boundaries.
-    """
-    if k not in (1, 2):
-        raise ValueError("layer must be 1 or 2")
-    q = np.asarray(query)
-    if q.dtype != np.complex128 and q.ndim >= 1 and q.shape[-1] == 2:
-        q = np.asarray(query, dtype=np.float64) @ np.array([1.0, 1j])
-    q = np.atleast_1d(np.asarray(q, dtype=np.complex128))
-    z1 = state.boundaries[0].nodes
-    z2 = state.boundaries[1].nodes
-    zk = z1 if k == 1 else z2
-    scale = float(np.mean(np.abs(zk)))
-
-    on_nodes = q.size == zk.size and np.allclose(q, zk, rtol=0, atol=1e-13 * scale)
-    if on_nodes:
-        v1, v2 = layer_node_velocities(params, z1, z2)
-        return v1 if k == 1 else v2
-
-    total = np.zeros_like(q)
-    for j, zj in ((1, z1), (2, z2)):
-        alpha, kappa = gkj_coefficients(params, k, j)
-        total = total + kernel_integral_offgrid(
-            alpha, kappa, params.mu, q, zj, spectral_derivative(zj),
-            guard_scale=scale,
-        )
-    return -total
 
 
 def suggested_dt(params: LayerParams, state: EvolutionState) -> float:

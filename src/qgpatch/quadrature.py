@@ -110,11 +110,6 @@ def _grid_tables(n: int) -> tuple[FloatArray, FloatArray, FloatArray]:
     return _CACHE[n]
 
 
-def kress_log_weights(n: int) -> FloatArray:
-    """Row w[d] with sum_j w[(i-j)%n] f(t_j) ~= int log(2|sin((t_i-e)/2)|) f(e) de."""
-    return _grid_tables(n)[0].copy()
-
-
 def _apply_kernel_matrix(kern: FloatArray, t_src: np.ndarray) -> np.ndarray:
     """sum_j kern[i, j] T[j] for a real or complex density vector T."""
     if np.iscomplexobj(t_src):
@@ -127,7 +122,8 @@ def spectral_derivative(values: ComplexArray) -> ComplexArray:
     values = np.asarray(values)
     n = values.shape[-1]
     k = np.fft.fftfreq(n, d=1.0 / n)
-    k = np.where(np.abs(k) == n // 2, 0.0, k)  # drop the unpaired Nyquist mode
+    if n % 2 == 0:
+        k[n // 2] = 0.0  # drop the unpaired Nyquist mode
     out = np.fft.ifft(1j * k * np.fft.fft(values, axis=-1), axis=-1)
     if np.isrealobj(values):
         return out.real
@@ -261,34 +257,6 @@ def layer_integrals(
     return u1, u2
 
 
-def kernel_integral_offgrid(
-    alpha: float,
-    kappa: float,
-    mu: float,
-    queries: ComplexArray,
-    z_src: ComplexArray,
-    t_src: ComplexArray,
-    *,
-    guard_scale: float | None = None,
-) -> np.ndarray:
-    """Same integral at arbitrary query points away from the source curve.
-
-    Plain trapezoidal rule; raises QuadratureFailure if a query comes
-    within 1e-8 of the source curve (relative to guard_scale).
-    """
-    queries = np.atleast_1d(np.asarray(queries, dtype=np.complex128))
-    z_src = np.asarray(z_src, dtype=np.complex128)
-    t_src = np.asarray(t_src)
-    n = z_src.shape[0]
-    h = TWO_PI / n
-    scale = guard_scale if guard_scale is not None else _curve_scale(z_src)
-    rho = np.abs(queries[:, None] - z_src[None, :])
-    if np.min(rho) < 1e-8 * scale:
-        raise QuadratureFailure("query point touches the source boundary")
-    kern = alpha * np.log(rho) + kappa * k0_array(mu * rho)
-    return h * np.sum(kern * t_src[None, :], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # Closed-form moment checks (the identities behind the multiplier theory)
 # ---------------------------------------------------------------------------
@@ -320,19 +288,16 @@ def screened_moment_quadrature(
     r"""(1/2pi) int K_0(lam |x - y e^{i theta}|) cos(n theta) dtheta, n = 1..n_modes.
 
     Exact value is I_n(lam x) K_n(lam y) for 0 < x <= y.  At x = y the
-    kernel is log-singular at theta = 0 and the integral is computed with
-    the same split as the production boundary quadrature.
+    kernel is log-singular at theta = 0, and the integral is one row of the
+    production split, ``_kernel_matrix`` on the circle z = y e^{i theta}.
     """
     if not 0.0 < x <= y:
         raise ValueError("requires 0 < x <= y")
     theta = TWO_PI * np.arange(n_nodes) / n_nodes
     modes = np.arange(1, n_modes + 1)
     cosines = np.cos(np.outer(modes, theta))
-    rho = np.abs(x - y * np.exp(1j * theta))
+    z = y * np.exp(1j * theta)
     if x < y:
-        return cosines @ k0_array(lam * rho) / n_nodes
-    i0, reg = i0_and_regular_part(lam * rho)
-    smooth = reg - np.log(lam * y) * i0
-    w_row, _, _ = _grid_tables(n_nodes)
-    # K_0 = smooth - I_0 * log(2|sin(theta/2)|) on this geometry
-    return (cosines @ smooth) / n_nodes - (cosines * i0[None, :]) @ w_row / TWO_PI
+        return cosines @ k0_array(lam * np.abs(x - z)) / n_nodes
+    row = _kernel_matrix(0.0, 1.0, lam, z, z, 1j * z, scale=y, n_rows=1)[0]
+    return cosines @ row / TWO_PI

@@ -1,7 +1,9 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the code paths they check: quadrature of integral
-representations, extended-precision series, finite differences.
+representations, extended-precision series, finite differences, and a
+second route to the layer velocities that never builds the shared
+kernel-pair matrices of ``quadrature.layer_integrals``.
 """
 
 from __future__ import annotations
@@ -9,6 +11,9 @@ from __future__ import annotations
 import numpy as np
 from mpmath import mp, mpf, cos as mpcos, euler
 from mpmath import log as mplog, pi as mppi, sqrt as mpsqrt
+from scipy.special import k0
+
+from qgpatch import quadrature
 
 
 def j0_oracle(a):
@@ -149,3 +154,53 @@ def screened_moments_mp(x: float, y: float, lam: float, n_max: int,
                 add += ghat[k] * (log_moment(abs(n - k)) + log_moment(n + k)) / 2
             out.append(float(coeff(smooth, n) - add))
         return out
+
+
+def transform_pm(delta, f1, f2):
+    """Diagonalizing change of unknowns: (f_+, f_-) = (f1 + f2/delta, f1 - f2)."""
+    return f1 + f2 / delta, f1 - f2
+
+
+def inverse_transform_pm(delta, f_plus, f_minus):
+    """Inverse of transform_pm: the same matrix scaled by (1 + 1/delta)^-1."""
+    scale = 1.0 / (1.0 + 1.0 / delta)
+    return scale * (f_plus + f_minus / delta), scale * (f_plus - f_minus)
+
+
+def layer_node_velocities_pm(params, z1, z2):
+    """Layer velocities at their own nodes through the +/- change of unknowns.
+
+    The + combination of the layer fields solves a pure Laplace problem and
+    sees only the log integrals, the - combination a pure screened one; the
+    inverse transform recovers the layer fields.  Each of the eight one-pair
+    integrals is its own ``kernel_integral_grid`` call.
+    """
+    zs = (np.asarray(z1, dtype=np.complex128), np.asarray(z2, dtype=np.complex128))
+    dzs = tuple(quadrature.spectral_derivative(z) for z in zs)
+    coef = 1.0 / (2 * np.pi)
+
+    def integrals(k, alpha, kappa):
+        return [
+            quadrature.kernel_integral_grid(
+                alpha, kappa, params.mu, zs[k], zs[j], dzs[j], dz_src=dzs[j]
+            )
+            for j in (0, 1)
+        ]
+
+    out = []
+    for k in (0, 1):
+        log_plus, _ = transform_pm(params.delta, *integrals(k, coef, 0.0))
+        _, scr_minus = transform_pm(params.delta, *integrals(k, 0.0, coef))
+        out.append(inverse_transform_pm(params.delta, -log_plus, scr_minus)[k])
+    return out[0], out[1]
+
+
+def trapezoid_integral(alpha, kappa, mu, queries, z_src, t_src):
+    """int (alpha log|q - z| + kappa K_0(mu |q - z|)) T de by the plain trapezoid.
+
+    Spectrally accurate for queries well away from the source curve.
+    """
+    rho = np.abs(np.asarray(queries)[:, None] - np.asarray(z_src)[None, :])
+    kern = alpha * np.log(rho) + kappa * k0(mu * rho)
+    return 2 * np.pi / rho.shape[1] * (kern @ np.asarray(t_src))
+

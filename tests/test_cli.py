@@ -196,6 +196,32 @@ class TestEvolveCommand:
     def test_bad_initial(self, tmp_path):
         assert run(["evolve", "--initial", "nonsense", "--out", tmp_path]) == 2
 
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    @pytest.mark.parametrize(
+        "body", ["", "1,0,1.0,0.0\n", "1,0,1.0\n1,1,0.5\n"],
+        ids=["no_rows", "one_row", "three_columns"],
+    )
+    def test_malformed_csv_initial(self, tmp_path, capsys, body):
+        # no data rows, one row, three columns: a config error, not a traceback
+        path = tmp_path / "initial.csv"
+        path.write_text("layer,node_index,x,y\n" + body)
+        out = tmp_path / "out"
+        assert run(["evolve", "--initial", f"csv:{path}", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "payload", [{"m": 2}, {"solutions": [{"params": {}}]}, [1, 2]],
+        ids=["no_params", "no_delta", "not_an_object"],
+    )
+    def test_malformed_vstate_initial(self, tmp_path, capsys, payload):
+        path = tmp_path / "branch.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert run(["evolve", "--initial", f"vstate:{path}", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_filtered_suite_passes(self, capsys):
