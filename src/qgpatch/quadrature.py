@@ -8,15 +8,16 @@ Every boundary integral in this package has the form
 with both curves sampled on the same uniform parameter grid t_j = 2 pi j/N
 and T a vector over the source nodes.  ``layer_integrals`` assembles the
 two-layer integrals that the velocities and the contour functional share
-from three full weight matrices, or, given a row count, from four blocks
-holding only the targets i = 0 .. n_rows-1.  The contour functional of an
-m-fold even shape needs no more: with g = gcd(m, N) the grid is invariant
-under t -> -t and rotation by 2 pi/g, so the rows 0 <= t <= pi/g
-(n_rows = N/(2g) + 1) fix its sine coefficients on the modes m*j, with
-weight 4g/N.  The end rows t = 0 and t = pi/g are kept as targets: by the
-same symmetry every node pair then has an image among the rows built, so
-the guards below see the same minimum separation and maximum chord as a
-full build.  Three regimes are handled:
+from three N x N weight matrices (W_11, W_22 and W_21; the self pairs are
+symmetric and evaluated on half of their entries), or, given a row count,
+from four blocks holding only the targets i = 0 .. n_rows-1.  The contour
+functional of an m-fold even shape needs no more: with g = gcd(m, N) the
+grid is invariant under t -> -t and rotation by 2 pi/g, so the rows
+0 <= t <= pi/g (n_rows = N/(2g) + 1) fix its sine coefficients on the
+modes m*j, with weight 4g/N.  The end rows t = 0 and t = pi/g are kept as
+targets: by the same symmetry every node pair then has an image among the
+rows built, so the guards below see the same minimum separation and
+maximum chord as a full build.  Three regimes are handled:
 
 * separated curves: the integrand is analytic, plain trapezoidal rule.
 * the same curve (self interaction): log-singular on the diagonal.  Using
@@ -29,6 +30,14 @@ full build.  Three regimes are handled:
   where rho = |z(t) - z(e)|.  The smooth part goes through the trapezoidal
   rule (spectrally accurate), the log part through quadrature weights that
   integrate log(2|sin|) against trigonometric polynomials exactly.
+
+  The split is evaluated on a cyclic layout: entry [i, d] pairs target i
+  with source (i + d) mod N, so the weights and log(4 sin^2) depend on the
+  column d only and are kept as two rows over d, mirror-symmetric bit for
+  bit.  A full build whose targets equal its sources (W_11, W_22, and W_21
+  of twin layers) is symmetric: it evaluates the offsets d <= N/2 only and
+  one cached gather expands them, so W == W.T exactly.  Row builds and
+  near-coincident pairs evaluate every offset.
 * nearly coincident curves (parameterwise distance << node spacing): same
   split.  The ratio rho^2/(4 sin^2) is no longer smooth across the
   diagonal, but the defect is a spike of width ~|z_t(t)-z_s(t)| around the
@@ -40,7 +49,8 @@ full build.  Three regimes are handled:
 
 The in-between regime (curves closer than a few node spacings but not
 parameterwise close) cannot be integrated accurately on a uniform grid and
-raises ``TouchingBoundaryError``.
+raises ``TouchingBoundaryError``.  A non-finite node or derivative raises
+``QuadratureFailure`` before any regime is chosen.
 
 Conditioning note: the split evaluates I_0(mu rho) on the full chord
 matrix, so entries with large mu*rho cancel against the smooth part.  The
@@ -82,32 +92,60 @@ class QuadratureFailure(RuntimeError):
     """Non-finite integrand or unusable geometry in a boundary integral."""
 
 
-_CACHE: dict[int, tuple[FloatArray, FloatArray, FloatArray]] = {}
+_TABLES: dict[int, tuple[FloatArray, FloatArray]] = {}
+_GATHERS: dict[tuple[int, int, bool], np.ndarray] = {}
 
 
-def _grid_tables(n: int) -> tuple[FloatArray, FloatArray, FloatArray]:
-    """(kress_row, weight_matrix, log_s2_matrix) for an n-point grid.
+def _grid_tables(n: int) -> tuple[FloatArray, FloatArray]:
+    """(kress_row, log_s2_row) over the offset d = (j - i) mod n of an n-point grid.
 
     kress_row[d] are the weights for the kernel log(2|sin((t-e)/2)|),
-    exact against trigonometric polynomials through mode n/2; the matrix
-    forms are indexed by (i - j) mod n, with the log of 4 sin^2 patched to
-    0.0 on the diagonal (callers never use that entry).
+    exact against trigonometric polynomials through mode n/2;
+    log_s2_row[d] is log(4 sin^2(pi d/n)), patched to 0.0 at d = 0.  Both
+    are computed for d <= n/2 and mirrored, so row[d] == row[n - d] holds
+    bit for bit.
     """
-    if n in _CACHE:
-        return _CACHE[n]
+    if n in _TABLES:
+        return _TABLES[n]
     if n < 4 or n % 2:
         raise ValueError("node count must be even and >= 4")
-    d = np.arange(n)
-    m = np.arange(1, n // 2)
-    w = -(TWO_PI / n) * (
-        np.cos(TWO_PI * np.outer(d, m) / n) @ (1.0 / m) + ((-1.0) ** d) / n
-    )
-    s2 = 4.0 * np.sin(np.pi * d / n) ** 2
+    half = n // 2
+    d = np.arange(half + 1)
+    inv_m = np.zeros(half + 1)
+    inv_m[1:half] = 1.0 / np.arange(1, half)
+    # sum_{m=1}^{n/2-1} cos(2 pi d m/n)/m, by one real inverse FFT
+    cos_sum = 0.5 * n * np.fft.irfft(inv_m, n)[: half + 1]
+    w = np.empty(n)
+    w[: half + 1] = -(TWO_PI / n) * (cos_sum + ((-1.0) ** d) / n)
     log_s2 = np.zeros(n)
-    log_s2[1:] = np.log(s2[1:])
-    idx = (d[:, None] - d[None, :]) % n
-    _CACHE[n] = (w, w[idx], log_s2[idx])
-    return _CACHE[n]
+    log_s2[1 : half + 1] = np.log(4.0 * np.sin(np.pi * d[1:] / n) ** 2)
+    for row in (w, log_s2):
+        row[half + 1 :] = row[half - 1 : 0 : -1]
+    _TABLES[n] = (w, log_s2)
+    return _TABLES[n]
+
+
+def _gather_index(n: int, n_rows: int, half_band: bool) -> np.ndarray:
+    """Flat indices that take a cyclic block to the n_rows x n grid layout.
+
+    Entry [i, d] of a cyclic block pairs target i with source (i + d) mod n.
+    An all-offsets block (n_rows x n) moves entry [i, (j - i) mod n] to
+    [i, j].  A half band (n x (n/2 + 1), offsets d <= n/2) fills [i, j] and
+    [j, i] from the one entry of the pair it holds, so the expanded matrix
+    is exactly symmetric.  Built on first use and kept per key.
+    """
+    key = (n, n_rows, half_band)
+    if key not in _GATHERS:
+        i = np.arange(n_rows)[:, None]
+        j = np.arange(n)[None, :]
+        d = (j - i) % n
+        if half_band:
+            cols = n // 2 + 1
+            own = (d < n // 2) | ((d == n // 2) & (i < j))
+            _GATHERS[key] = np.where(own, i * cols + d, j * cols + (n - d) % n)
+        else:
+            _GATHERS[key] = i * n + d
+    return _GATHERS[key]
 
 
 def _apply_kernel_matrix(kern: FloatArray, t_src: np.ndarray) -> np.ndarray:
@@ -134,6 +172,25 @@ def _curve_scale(z_src: ComplexArray) -> float:
     return float(np.mean(np.abs(z_src)))
 
 
+def _squared_chords(x_tgt, y_tgt, x_src, y_src) -> tuple[FloatArray, FloatArray]:
+    """(|z_t - z_s|^2, a scratch array of its shape), broadcast over the block."""
+    rho2 = np.subtract(x_tgt, x_src)
+    np.square(rho2, out=rho2)
+    scratch = np.subtract(y_tgt, y_src)
+    np.square(scratch, out=scratch)
+    rho2 += scratch
+    return rho2, scratch
+
+
+def _cyclic_view(values: FloatArray, n_rows: int, n_cols: int) -> FloatArray:
+    """Read-only view v[i, d] = values[(i + d) mod n] over a doubled copy."""
+    doubled = np.concatenate((values, values))
+    step = doubled.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        doubled, shape=(n_rows, n_cols), strides=(step, step), writeable=False
+    )
+
+
 def _kernel_matrix(
     alpha, kappa, mu, z_tgt, z_src, dz_src, *, scale: float, n_rows: int | None = None
 ) -> FloatArray:
@@ -145,20 +202,31 @@ def _kernel_matrix(
     a cross block must use the larger curve's scale whichever way round it
     is built.  The split takes z_src' on the diagonal from ``dz_src``
     (None: spectral).
+
+    The split is evaluated on the cyclic layout of ``_gather_index``, where
+    the offset rows of ``_grid_tables`` broadcast and the diagonal is
+    column 0.  A full build with z_tgt equal to z_src is symmetric, so it
+    evaluates only the offsets d <= N/2 and expands them; row builds and
+    near-coincident pairs evaluate all offsets.  Every block is built in a
+    fixed handful of arrays, in place.  Non-finite nodes or derivatives
+    raise ``QuadratureFailure``.
     """
     z_tgt = np.asarray(z_tgt, dtype=np.complex128)
     z_src = np.asarray(z_src, dtype=np.complex128)
     n = z_src.shape[0]
     if z_tgt.shape[0] != n:
         raise ValueError("target and source grids must have equal node counts")
+    given = (z_tgt, z_src) if dz_src is None else (z_tgt, z_src, dz_src)
+    if not all(np.all(np.isfinite(a)) for a in given):
+        raise QuadratureFailure("non-finite boundary node or derivative")
+    rows = n if n_rows is None else n_rows
     h = TWO_PI / n
-
-    # basic slices: views of the inputs and of the cached grid tables
-    diff = z_tgt[:n_rows, None] - z_src[None, :]
-    rho2 = diff.real**2 + diff.imag**2
 
     dmax = float(np.max(np.abs(z_tgt - z_src)))
     if dmax > NEAR_COINCIDENT_TOL * scale:
+        rho2, kern = _squared_chords(
+            z_tgt.real[:rows, None], z_tgt.imag[:rows, None], z_src.real, z_src.imag
+        )
         rho_min = float(np.sqrt(np.min(rho2)))
         if rho_min < SEPARATED_TOL * scale:
             if rho_min < 1e-8 * scale:
@@ -169,30 +237,56 @@ def _kernel_matrix(
                 f"curve separation {rho_min:.3e} below {SEPARATED_TOL} * scale; "
                 "uniform-grid quadrature would lose accuracy"
             )
-        kern = (0.5 * h * alpha) * np.log(rho2)
+        np.log(rho2, out=kern)
+        kern *= 0.5 * h * alpha
         if kappa != 0.0:
-            kern += (h * kappa) * k0_array(mu * np.sqrt(rho2))
+            np.sqrt(rho2, out=rho2)
+            rho2 *= mu
+            k0 = k0_array(rho2)
+            k0 *= h * kappa
+            kern += k0
         return kern
 
-    # self / near-coincident: Kussmaul-Martensen split
-    _, w_mat, log_s2 = _grid_tables(n)
+    # self / near-coincident: Kussmaul-Martensen split on the cyclic layout
+    half_band = n_rows is None and dmax == 0.0
+    cols = n // 2 + 1 if half_band else n
+    w_row, log_s2_row = _grid_tables(n)
     if dz_src is None:
         dz_src = spectral_derivative(z_src)
-    log_ratio = np.log(np.where(rho2 > 0.0, rho2, 1.0)) - log_s2[:n_rows]
-    # the block's diagonal is entry (i, i), i < n_rows: rows start at node 0
-    np.fill_diagonal(log_ratio, np.log(np.abs(dz_src[:n_rows]) ** 2))
-
-    w = mu * np.sqrt(rho2)
+    log_ratio, w = _squared_chords(
+        z_tgt.real[:rows, None],
+        z_tgt.imag[:rows, None],
+        _cyclic_view(z_src.real, rows, cols),
+        _cyclic_view(z_src.imag, rows, cols),
+    )
+    np.sqrt(log_ratio, out=w)
+    w *= mu
     if float(np.max(w)) > SPLIT_MAX_MU_CHORD:
         raise QuadratureFailure(
             f"mu * chord too large for the split evaluation (> {SPLIT_MAX_MU_CHORD})"
         )
-    i0, sreg = i0_and_regular_part(w)
-    g1_coef = alpha - kappa * i0
-    g2_coef = 0.5 * g1_coef * log_ratio
-    if kappa != 0.0:
-        g2_coef += kappa * (sreg - np.log(mu) * i0)
-    return w_mat[:n_rows] * g1_coef + h * g2_coef
+    if float(np.min(log_ratio[:, 1:])) == 0.0:
+        raise QuadratureFailure("boundaries touch: singular integrand off the diagonal")
+    # column 0 pairs node i with itself: its log ratio is log|z_src'(t_i)|^2
+    log_ratio[:, 0] = np.abs(dz_src[:rows]) ** 2
+    np.log(log_ratio, out=log_ratio)
+    log_ratio -= log_s2_row[:cols]
+    # kress_row g1 + h (g1 log_ratio / 2 + kappa (S(mu rho) - log(mu) I_0)),
+    # g1 = alpha - kappa I_0(mu rho)
+    g1, smooth = i0_and_regular_part(w)
+    np.multiply(g1, np.log(mu), out=w)
+    smooth -= w
+    smooth *= kappa
+    g1 *= -kappa
+    g1 += alpha
+    kern = log_ratio
+    kern *= 0.5
+    kern *= g1
+    kern += smooth
+    np.multiply(g1, w_row[:cols], out=w)
+    kern *= h
+    kern += w
+    return np.take(kern, _gather_index(n, rows, half_band))
 
 
 def kernel_integral_grid(
@@ -278,7 +372,7 @@ def log_moment_quadrature(x: float, n_modes: int, n_nodes: int = 1024) -> FloatA
         f = np.log(np.abs(1.0 - x * np.exp(1j * theta)))
         return cosines @ f / n_nodes
     # |1 - e^{i theta}| = 2|sin(theta/2)|: pure log kernel, exact weights
-    w_row, _, _ = _grid_tables(n_nodes)
+    w_row, _ = _grid_tables(n_nodes)
     return cosines @ w_row / TWO_PI
 
 

@@ -78,6 +78,32 @@ def bessel_i_series_mp(n: int, x: float, terms: int = 40, dps: int = 50) -> floa
         return float(acc)
 
 
+def i0_and_regular_part_termwise(z):
+    """I_0(z) and K_0(z) + log(z) I_0(z) by the ascending series, term by term.
+
+    The loop ``qgpatch.bessel`` ran before it summed the series by Horner's
+    rule: each term q^m/(m!)^2, q = z^2/4, comes from the previous one, and
+    the regular part is log(2) I_0 + sum Phi(m+1) q^m/(m!)^2.  Terms are
+    summed until one falls below 1e-18 at the largest q.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    q = 0.25 * z * z
+    qmax = float(np.max(q)) if q.size else 0.0
+    term = np.ones_like(z)
+    acc = np.full_like(z, -float(euler))
+    i0 = np.ones_like(z)
+    size, harmonic = 1.0, 0.0
+    for m in range(1, 160):
+        term = term * (q / (m * m))
+        harmonic += 1.0 / m
+        i0 += term
+        acc += term * (harmonic - float(euler))
+        size *= qmax / (m * m)
+        if size <= 1e-18:
+            break
+    return i0, np.log(2.0) * i0 + acc
+
+
 # Largest argument the I_0 / K_0 series is checked at against mpmath; beyond
 # it the K_0 series cancels (log(w) I_0 grows while K_0 decays) and loses digits.
 I0_K0_SERIES_MAX_ARG = 4.5

@@ -6,6 +6,7 @@ from qgpatch import bessel as B
 from oracles import (
     I0_K0_SERIES_MAX_ARG,
     bessel_i_series_mp,
+    i0_and_regular_part_termwise,
     i0_k0reg_series_mp,
     ik_product_oracle,
 )
@@ -156,6 +157,13 @@ class TestArrayEvaluators:
         i0, reg = B.i0_and_regular_part(self.ZS)
         self._assert_close(i0, lambda z: mp.besseli(0, z))
         self._assert_close(reg, lambda z: besselk(0, z) + mplog(z) * mp.besseli(0, z))
+
+
+    def test_horner_series_matches_termwise_sum(self):
+        # the in-place Horner evaluation against the term-by-term reference
+        z = np.linspace(0.0, 12.0, 1201)
+        for got, want in zip(B.i0_and_regular_part(z), i0_and_regular_part_termwise(z)):
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
 
 class TestOrderSweeps:

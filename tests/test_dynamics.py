@@ -185,6 +185,18 @@ class TestEvolve:
         assert res.aborted is None
         assert res.diagnostics["area_drift"] <= 1e-4
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("layer,bad", [(0, np.nan), (1, np.inf)])
+    def test_non_finite_node_recorded_as_aborted(self, layer, bad):
+        nodes = [b.nodes.copy() for b in D.EvolutionState.discs(BASE, 1e-3).boundaries]
+        nodes[layer][7] = bad
+        st0 = D.EvolutionState(
+            (D.PatchBoundary(nodes[0], 1), D.PatchBoundary(nodes[1], 2)), 0.0, 1e-3
+        )
+        res = D.evolve(BASE, st0, t_end=2e-3, dt=1e-3)
+        assert res.aborted is not None and "non-finite" in res.aborted
+        assert len(res.snapshots) == 1
+
     def test_snapshots_include_endpoints(self):
         st0 = D.EvolutionState.discs(BASE, 1e-3, n_nodes=128)
         res = D.evolve(BASE, st0, t_end=0.01, dt=1e-3, snapshot_every=4)

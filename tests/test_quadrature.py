@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,13 +21,20 @@ class TestLogWeights:
     @pytest.mark.parametrize("n", [1, 2, 7, 63, 127, 128])
     def test_exact_on_cosines(self, n):
         # int log(2|sin((t-e)/2)|) cos(ne) de = -(pi/n) cos(nt)
-        w, w_mat, _ = Q._grid_tables(N)
-        got = w_mat @ np.cos(n * THETA)
+        w, _ = Q._grid_tables(N)
+        i, j = np.indices((N, N))
+        got = w[(j - i) % N] @ np.cos(n * THETA)
         assert np.allclose(got, -(np.pi / n) * np.cos(n * THETA), atol=3e-13)
 
     def test_zero_mean(self):
-        w, _, _ = Q._grid_tables(N)
+        w, _ = Q._grid_tables(N)
         assert abs(np.sum(w)) < 1e-13
+
+    @pytest.mark.parametrize("n", [4, 6, 64, N, 2048])
+    def test_rows_mirror_symmetric(self, n):
+        # row[d] == row[n - d] bit for bit: the half-band build relies on it
+        for row in Q._grid_tables(n):
+            assert np.array_equal(row[1:], row[:0:-1])
 
 
 class TestSpectralDerivative:
@@ -132,6 +141,14 @@ class TestGridIntegral:
         z = circle(1.0)
         with pytest.raises(Q.TouchingBoundaryError):
             Q.kernel_integral_grid(1.0, 0.0, 1.0, circle(1.02), z, np.cos(THETA))
+
+    def test_coincident_nodes_refused(self):
+        # two nodes of one curve at the same point: the split's log ratio
+        # would be log(0) off the diagonal
+        z = circle(1.0)
+        z[11] = z[10]
+        with pytest.raises(Q.QuadratureFailure, match="touch"):
+            Q.kernel_integral_grid(1.0, 0.5, 1.0, z, z, np.cos(THETA))
 
     def test_overlapping_raises(self):
         z = circle(1.0)
@@ -246,6 +263,129 @@ class TestRowBuilds:
         params = LayerParams(1.0, 1.0, 1.0, 0.905)
         with pytest.raises(Q.TouchingBoundaryError, match="9.499e-02"):
             C.vstate_solve(params, 2, -1, 1e-3, n_modes=8, n_nodes=64)
+
+
+class TestSymmetricBuilds:
+    """Half-band full self builds: exact symmetry, and the paths that avoid it."""
+
+    PARAMS = LayerParams(1.0, 1.0, 1.0, 0.7)
+
+    def curves(self):
+        z1 = (1.0 + 0.03 * np.cos(2 * THETA) + 0.01 * np.sin(3 * THETA)) * np.exp(
+            1j * THETA
+        )
+        z2 = (0.7 - 0.02 * np.cos(2 * THETA)) * np.exp(1j * THETA)
+        return (z1, z2), tuple(Q.spectral_derivative(z) for z in (z1, z2))
+
+    def build(self, k, j, z_tgt, z_src, dz_src, **kwargs):
+        args = (*gkj_coefficients(self.PARAMS, k, j), self.PARAMS.mu)
+        return Q._kernel_matrix(*args, z_tgt, z_src, dz_src, scale=1.0, **kwargs)
+
+    def test_full_self_builds_equal_their_transpose(self):
+        (z1, z2), (dz1, dz2) = self.curves()
+        w11 = self.build(1, 1, z1, z1, dz1)
+        w22 = self.build(2, 2, z2, z2, dz2)
+        # twin layers: distinct arrays holding the same nodes
+        w21 = self.build(2, 1, z1.copy(), z1, dz1)
+        for w in (w11, w22, w21):
+            assert np.array_equal(w, w.T)
+
+    @pytest.mark.parametrize("n_rows", [1, N // 4 + 1, N // 2 + 1])
+    def test_self_rows_are_leading_rows_of_half_band_build(self, n_rows):
+        (z1, _), (dz1, _) = self.curves()
+        full = self.build(1, 1, z1, z1, dz1)
+        rows = self.build(1, 1, z1, z1, dz1, n_rows=n_rows)
+        assert np.array_equal(rows, full[:n_rows])
+
+    @pytest.mark.parametrize("offset,symmetric", [(0.0, True), (1e-6, False)])
+    def test_half_band_only_for_equal_nodes(self, monkeypatch, offset, symmetric):
+        # twin layers (offset 0, distinct arrays) build W_21 on the half band;
+        # a finite-difference probe moves layer 2 by ~1e-6 off layer 1, so its
+        # cross block is near-coincident, not symmetric, and takes every offset
+        (z1, _), _ = self.curves()
+        z2 = z1 * (1.0 + offset * np.cos(2 * THETA))
+        zs = (z1, z2)
+        dzs = tuple(Q.spectral_derivative(z) for z in zs)
+        params = LayerParams(2.0, 1.0, 1.0, 1.0)
+        half_bands = []
+        gather = Q._gather_index
+
+        def spy(n, n_rows, half_band):
+            half_bands.append(half_band)
+            return gather(n, n_rows, half_band)
+
+        monkeypatch.setattr(Q, "_gather_index", spy)
+        u1, u2 = Q.layer_integrals(params, zs, dzs)
+        monkeypatch.setattr(Q, "_gather_index", gather)
+        assert half_bands == [True, True, symmetric]  # W_11, W_22, W_21
+        w1, w2 = O.layer_node_velocities_pm(params, z1, z2)
+        assert np.max(np.abs(-u1 - w1)) <= 1e-12
+        assert np.max(np.abs(-u2 - w2)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestNonFiniteNodes:
+    """A NaN or inf node or derivative is refused, not turned into NaN velocities."""
+
+    PARAMS = LayerParams(1.0, 1.0, 1.0, 0.7)
+
+    @pytest.mark.parametrize("n_rows", [None, N // 4 + 1])
+    @pytest.mark.parametrize("layer,bad", [(0, np.nan), (1, np.inf)])
+    def test_layer_integrals_refuse(self, layer, bad, n_rows):
+        zs = [circle(1.0), circle(0.7)]
+        zs[layer][5] = bad
+        dzs = [Q.spectral_derivative(z) for z in zs]
+        with pytest.raises(Q.QuadratureFailure, match="non-finite"):
+            Q.layer_integrals(self.PARAMS, zs, dzs, n_rows)
+
+    def test_non_finite_derivative_refused(self):
+        z = circle(1.0)
+        dz = Q.spectral_derivative(z)
+        dz[3] = np.nan
+        alpha, kappa = gkj_coefficients(self.PARAMS, 1, 1)
+        with pytest.raises(Q.QuadratureFailure, match="non-finite"):
+            Q._kernel_matrix(alpha, kappa, self.PARAMS.mu, z, z, dz, scale=1.0)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated while fn runs, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocations:
+    """Allocation guards: a temporary that creeps back into a build shows here."""
+
+    PARAMS = LayerParams(1.0, 1.0, 1.0, 0.7)
+    UNIT = N * N * 8  # bytes of one N x N float matrix
+
+    def test_one_row_build_makes_no_square_table(self, monkeypatch):
+        # fresh caches: a single-row moment check at N = 2048 must not build
+        # the N x N half-band index or any other N^2 table (32 MB each)
+        monkeypatch.setattr(Q, "_TABLES", {})
+        monkeypatch.setattr(Q, "_GATHERS", {})
+        peak = traced_peak(lambda: Q.screened_moment_quadrature(0.7, 0.7, 2.0, 32, 2048))
+        assert peak < 8e6
+
+    def test_full_self_build_peak(self):
+        z = (1.0 + 0.03 * np.cos(2 * THETA)) * np.exp(1j * THETA)
+        dz = Q.spectral_derivative(z)
+        args = (*gkj_coefficients(self.PARAMS, 1, 1), self.PARAMS.mu, z, z, dz)
+        Q._kernel_matrix(*args, scale=1.0)  # builds the cached gather index
+        peak = traced_peak(lambda: Q._kernel_matrix(*args, scale=1.0))
+        assert peak <= 5 * self.UNIT
+
+    def test_cross_build_peak(self):
+        z1 = (1.0 + 0.03 * np.cos(2 * THETA)) * np.exp(1j * THETA)
+        z2 = (0.7 - 0.02 * np.cos(2 * THETA)) * np.exp(1j * THETA)
+        dz1 = Q.spectral_derivative(z1)
+        args = (*gkj_coefficients(self.PARAMS, 2, 1), self.PARAMS.mu, z2, z1, dz1)
+        peak = traced_peak(lambda: Q._kernel_matrix(*args, scale=1.0))
+        assert peak <= 9 * self.UNIT
 
 
 class TestOffgrid:
