@@ -17,20 +17,22 @@ positive half line.  The evaluation strategy per function:
   inf, so their product is NaN.
 * The regular part of K_0: the ascending series
 
-      K_0(z) + log(z) I_0(z) = log(2) I_0(z)
-                               + sum_m Phi(m+1) (z/2)^{2m}/(m!)^2
+      S(z) = K_0(z) + log(z) I_0(z) = log(2) I_0(z)
+                                     + sum_m Phi(m+1) (z/2)^{2m}/(m!)^2
 
-  is even and entire; one pass gives it together with I_0
-  (``i0_and_regular_part``).  Both series in q = z^2/4 are summed by
-  Horner's rule, in place, over coefficient tables built at import; the
-  number of terms is set by the largest q.  The singular quadrature and
-  the kernel Q need the regular part to split off the log singularity.
-  ``k0_array`` evaluates K_0 from the series for z <= 3, which holds every
-  K_0 argument of the benchmark workloads (0.35 to 2.64 over their 16
-  parameter points), and takes ``scipy.special.k0`` above.  Sending those
-  arguments to ``scipy.special.k0`` as well makes the ``evolve`` op take
-  about 1.7 times as long (2.51 s against 1.50 s, median of six ops at
-  seed 0 on 2 vCPUs).
+  is even and entire.  S and I_0 are polynomials in q = z^2/4, kept as one
+  stacked (2, M) coefficient table (``series_coefficients``) and summed
+  together by one in-place Horner pass over a (2, ...) array
+  (``horner_pair``); ``i0_and_regular_part`` and ``k0_array`` use that one
+  evaluator.  The tables are Chebyshev-economized: on [0, Q] the top
+  Taylor terms are traded for shifted Chebyshev polynomials while the
+  summed change stays below 2^-53 relative, which takes 16 terms down to
+  11 at Q = 2 and 34 to 22 at Q = 45.25.  Q runs over a sqrt(2) ladder,
+  Q = 2^(k/2) up to 45.25 (z = 13.45), each level built on first use; a
+  larger q takes the plain Taylor table.  The singular quadrature folds
+  its kernel constants into these tables and so calls the evaluator
+  directly.  ``k0_array`` evaluates K_0 from the series for z <= 3 and
+  takes ``scipy.special.k0`` above, where the series cancels.
 
 The scalar ``log_bessel_i(n, x)`` and ``log_bessel_k(n, x)`` are the last
 entry of a sweep of top order n.
@@ -81,8 +83,14 @@ def phi_harmonic(m: int) -> float:
 # ---------------------------------------------------------------------------
 
 # K_0 from the regular-part series up to here, scipy.special.k0 beyond
-_K_SERIES_CUT = 3.0
+K0_SERIES_CUT = 3.0
 _SERIES_MAX_TERMS = 160
+# economized tables serve q in [0, 2^(k/2)] for k = _LADDER_MIN.._LADDER_MAX,
+# up to q = 45.25 (z = 13.45); larger q take the plain Taylor tables
+_LADDER_MIN, _LADDER_MAX = -8, 11
+# a top term is dropped while the summed drops stay below this, relative to
+# min I_0 = 1 and min S = log(2) - gamma on [0, Q]
+_ECONOMIZE_TOL = 2.0**-53
 
 
 def _series_terms_needed(qmax: float) -> int:
@@ -95,36 +103,103 @@ def _series_terms_needed(qmax: float) -> int:
     return _SERIES_MAX_TERMS
 
 
-def _series_tables() -> tuple[FloatArray, FloatArray, FloatArray]:
-    # coefficients of q^m, m = 0.._SERIES_MAX_TERMS: 1/(m!)^2 (I_0),
-    # Phi(m+1)/(m!)^2 and (log 2 + Phi(m+1))/(m!)^2 (regular part of K_0)
+def _series_tables() -> FloatArray:
+    # Taylor coefficients of q^m, m = 0.._SERIES_MAX_TERMS, stacked: 1/(m!)^2
+    # (I_0) and (log 2 + Phi(m+1))/(m!)^2 (regular part of K_0)
     inv_fact2 = np.ones(_SERIES_MAX_TERMS + 1)
     for m in range(1, _SERIES_MAX_TERMS + 1):
         inv_fact2[m] = inv_fact2[m - 1] / (m * m)
     phi = np.array([phi_harmonic(m) for m in range(_SERIES_MAX_TERMS + 1)])
-    return inv_fact2, phi * inv_fact2, (_LOG2 + phi) * inv_fact2
+    return np.stack((inv_fact2, (_LOG2 + phi) * inv_fact2))
 
 
-_I0_COEFFS, _PHI_COEFFS, _REGULAR_COEFFS = _series_tables()
+_TAYLOR = _series_tables()
+_TAYLOR.flags.writeable = False
+_SERIES_FLOOR = np.array([1.0, _LOG2 - EULER_GAMMA])  # I_0(0), S(0)
+_ECONOMIZED: dict[int, FloatArray] = {}
 
 
-def _i0_and_phi_sum(
-    z: FloatArray, coeffs: FloatArray = _PHI_COEFFS
-) -> tuple[FloatArray, FloatArray]:
-    # I_0 = sum q^m/(m!)^2 and sum coeffs[m] q^m, q = z^2/4, both by Horner's
-    # rule in place; with _PHI_COEFFS the second sum plus log(2) I_0 is the
-    # regular part K_0 + log(z) I_0, with _REGULAR_COEFFS it is that part
+def _shifted_chebyshev(m: int) -> list[int]:
+    """Integer coefficients of T_m(2x - 1), m >= 1, lowest power first."""
+    prev, cur = [1], [-1, 2]
+    for _ in range(m - 1):
+        nxt = [0] * (len(cur) + 1)
+        for j, c in enumerate(cur):
+            nxt[j] -= 2 * c
+            nxt[j + 1] += 4 * c
+        for j, c in enumerate(prev):
+            nxt[j] -= c
+        prev, cur = cur, nxt
+    return cur
+
+
+def _economize(q_top: float) -> FloatArray:
+    """Taylor tables on [0, q_top] with top terms traded for Chebyshev ones.
+
+    Dropping c_M q^M after subtracting c_M (q_top^M / 2^(2M-1)) T_M(2q/q_top - 1)
+    moves the polynomial by at most that multiple of q_top^M on [0, q_top];
+    terms go while the summed moves, plus the Taylor tail, stay below
+    _ECONOMIZE_TOL relative to each function's minimum.
+    """
+    top = _series_terms_needed(q_top)
+    c = _TAYLOR[:, : top + 2].copy()
+    moved = np.abs(c[:, top + 1]) * q_top ** (top + 1) / _SERIES_FLOOR
+    c = c[:, : top + 1]
+    while top > 1:
+        cheb = _shifted_chebyshev(top)
+        step = c[:, top] * q_top**top / cheb[-1]
+        if np.any(moved + np.abs(step) / _SERIES_FLOOR > _ECONOMIZE_TOL):
+            break
+        moved += np.abs(step) / _SERIES_FLOOR
+        for j in range(top):
+            c[:, j] -= step * (cheb[j] / q_top**j)
+        top -= 1
+        c = c[:, : top + 1]
+    c.flags.writeable = False
+    return c
+
+
+def series_coefficients(qmax: float) -> FloatArray:
+    """(2, M) monomial coefficients in q = z^2/4 of I_0 and S on [0, qmax].
+
+    Row 0 is I_0(z), row 1 the regular part S(z) = K_0(z) + log(z) I_0(z).
+    Up to q = 2^(_LADDER_MAX/2) the rows are Chebyshev-economized on the
+    smallest ladder interval [0, 2^(k/2)] holding qmax, built on first use
+    and cached per level; beyond it they are the Taylor tables cut where
+    the terms fall below 1e-18.
+    """
+    if not qmax <= 2.0 ** (_LADDER_MAX / 2):
+        return _TAYLOR[:, : _series_terms_needed(qmax) + 1]
+    level = _LADDER_MIN
+    while 2.0 ** (level / 2) < qmax:
+        level += 1
+    if level not in _ECONOMIZED:
+        _ECONOMIZED[level] = _economize(2.0 ** (level / 2))
+    return _ECONOMIZED[level]
+
+
+def horner_pair(q: FloatArray, coeffs: FloatArray) -> FloatArray:
+    """Both rows of a (2, M) table, M >= 2, as polynomials in q: shape (2, *q.shape).
+
+    One Horner pass over the stacked array, in place.
+    """
+    c = coeffs.reshape(coeffs.shape + (1,) * q.ndim)
+    acc = np.multiply(c[:, -1], q)
+    for m in range(coeffs.shape[1] - 2, 0, -1):
+        acc += c[:, m]
+        acc *= q
+    acc += c[:, 0]
+    return acc
+
+
+def _series_pair(z: FloatArray, shift: float = 0.0) -> FloatArray:
+    # (I_0, S - shift I_0) at z, the shift folded into the coefficients
     q = np.square(z)
     q *= 0.25
-    top = _series_terms_needed(float(np.max(q)) if q.size else 0.0)
-    i0 = np.full_like(z, _I0_COEFFS[top])
-    acc = np.full_like(z, coeffs[top])
-    for m in range(top - 1, -1, -1):
-        i0 *= q
-        i0 += _I0_COEFFS[m]
-        acc *= q
-        acc += coeffs[m]
-    return i0, acc
+    coeffs = series_coefficients(float(np.max(q)) if q.size else 0.0)
+    if shift:
+        coeffs = np.stack((coeffs[0], coeffs[1] - shift * coeffs[0]))
+    return horner_pair(q, coeffs)
 
 
 def i0_and_regular_part(z: FloatArray) -> tuple[FloatArray, FloatArray]:
@@ -136,7 +211,8 @@ def i0_and_regular_part(z: FloatArray) -> tuple[FloatArray, FloatArray]:
     and the singular quadrature integrates it with the plain trapezoidal
     rule.
     """
-    return _i0_and_phi_sum(np.asarray(z, dtype=np.float64), _REGULAR_COEFFS)
+    i0, regular = _series_pair(np.asarray(z, dtype=np.float64))
+    return i0, regular
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +376,9 @@ def bessel_ik_product(n: int, x: float, y: float) -> float:
 def k0_array(z: FloatArray) -> FloatArray:
     """Elementwise K_0 over an array with z > 0."""
     z = np.asarray(z, dtype=np.float64)
-    if z.size and float(np.max(z)) <= _K_SERIES_CUT:
+    if z.size and float(np.max(z)) <= K0_SERIES_CUT:
         return _k0_series(z)
-    small = z <= _K_SERIES_CUT
+    small = z <= K0_SERIES_CUT
     out = np.empty_like(z)
     if np.any(small):
         out[small] = _k0_series(z[small])
@@ -312,8 +388,8 @@ def k0_array(z: FloatArray) -> FloatArray:
 
 
 def _k0_series(z: FloatArray) -> FloatArray:
-    # K_0 = sum Phi(m+1) q^m/(m!)^2 - log(z/2) I_0, the tail in place
-    i0, out = _i0_and_phi_sum(z)
+    # K_0 = (S - log(2) I_0) - log(z/2) I_0, the tail in place
+    i0, out = _series_pair(z, _LOG2)
     log_half_z = np.multiply(z, 0.5, out=np.empty_like(z))
     np.log(log_half_z, out=log_half_z)
     log_half_z *= i0

@@ -91,15 +91,8 @@ def _merge_settings(args: argparse.Namespace) -> dict[str, str]:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         settings.update(cfg)
-    flag_map = {
-        "b1": args.b1, "b2": args.b2, "delta": args.delta, "lambda": args.lam,
-        "nmax": args.nmax, "m": args.m, "sign": args.sign, "s_grid": args.s_grid,
-        "t_end": args.t_end, "dt": args.dt, "nodes": args.nodes,
-        "modes": args.modes, "grid": args.grid,
-        "snapshot_every": args.snapshot_every, "initial": args.initial,
-        "out": args.out, "suite": args.suite,
-    }
-    for key, val in flag_map.items():
+    for key in _DEFAULTS:
+        val = getattr(args, key, None)
         if val is not None:
             settings[key] = str(val)
     return settings
@@ -352,6 +345,47 @@ def cmd_verify(settings: dict[str, str], gamma_error: float) -> int:
     return EXIT_OK if failed == 0 else EXIT_NUMERIC
 
 
+# argparse options of every flag; its dest is the settings key
+_FLAGS = {
+    "b1": {"type": float},
+    "b2": {"type": float},
+    "delta": {"type": float},
+    "lambda": {"type": float},
+    "nmax": {"type": int},
+    "m": {"type": int},
+    "sign": {"choices": ["+", "-"]},
+    "s_grid": {},
+    "t_end": {"type": float},
+    "dt": {"type": float},
+    "nodes": {"type": int},
+    "modes": {"type": int},
+    "grid": {"type": int},
+    "snapshot_every": {"type": int},
+    "initial": {},
+    "out": {},
+    "suite": {"choices": ["all", "bessel", "kernels", "quadrature", "spectrum"]},
+    "find_free_m": {"action": "store_true"},
+    "equal_radii": {"action": "store_true"},
+    "check_rotation": {"action": "store_true"},
+    "inject_gamma_error": {
+        "type": float,
+        "default": 0.0,
+        "help": "test hook: perturb the coupling coefficient in the "
+        "spectral checks to confirm the suite detects it",
+    },
+}
+_PARAM_FLAGS = ("b1", "b2", "delta", "lambda")
+# the flags each command reads, beyond --config; argparse rejects the others
+_COMMAND_FLAGS = {
+    "spectrum": (*_PARAM_FLAGS, "nmax", "out", "find_free_m"),
+    "collide": (*_PARAM_FLAGS, "nmax", "m", "grid", "out", "equal_radii"),
+    "vstate": (*_PARAM_FLAGS, "m", "sign", "s_grid", "nodes", "modes", "out"),
+    "evolve": (*_PARAM_FLAGS, "t_end", "dt", "nodes", "snapshot_every", "initial",
+               "out", "check_rotation"),
+    "verify": ("suite", "inject_gamma_error"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgpatch",
@@ -368,35 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="key=value settings file")
-        p.add_argument("--b1", type=float)
-        p.add_argument("--b2", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--nmax", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--sign", choices=["+", "-"])
-        p.add_argument("--s-grid", dest="s_grid")
-        p.add_argument("--t-end", dest="t_end", type=float)
-        p.add_argument("--dt", type=float)
-        p.add_argument("--nodes", type=int)
-        p.add_argument("--modes", type=int)
-        p.add_argument("--grid", type=int)
-        p.add_argument("--snapshot-every", dest="snapshot_every", type=int)
-        p.add_argument("--initial")
-        p.add_argument("--out")
-        p.add_argument("--suite", choices=["all", "bessel", "kernels", "quadrature", "spectrum"])
-        if name == "spectrum":
-            p.add_argument("--find-free-m", action="store_true")
-        if name == "collide":
-            p.add_argument("--equal-radii", action="store_true")
-        if name == "evolve":
-            p.add_argument("--check-rotation", action="store_true")
-        if name == "verify":
-            p.add_argument(
-                "--inject-gamma-error", type=float, default=0.0,
-                help="test hook: perturb the coupling coefficient in the "
-                "spectral checks to confirm the suite detects it",
-            )
+        for key in _COMMAND_FLAGS[name]:
+            p.add_argument("--" + key.replace("_", "-"), **{"dest": key, **_FLAGS[key]})
     return parser
 
 

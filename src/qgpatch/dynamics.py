@@ -44,6 +44,7 @@ TWO_PI = 2.0 * np.pi
 DT_CAP = 1e-3  # largest step suggested_dt returns
 REDISTRIBUTE_EVERY = 50  # RK4 steps between arclength redistributions
 NEWTON_STEPS = 4  # closest-point Newton steps of the rotation ruler
+RULER_BLOCK = 16  # the ruler sums modes k = lo + RULER_BLOCK * hi in two levels
 
 
 class SimplicityError(RuntimeError):
@@ -259,21 +260,38 @@ def _boundary_gap(state: EvolutionState) -> float:
 
 
 def _distance_to_curve(points: ComplexArray, z: ComplexArray) -> FloatArray:
-    """Distance from each point to the interpolant of z, by Newton on |z(s) - p|^2."""
+    """Distance from each point to the interpolant of z, by Newton on |z(s) - p|^2.
+
+    The interpolant and its first two derivatives are summed in two levels:
+    each mode k = lo + RULER_BLOCK * hi, so e^{isk} = e^{is lo} e^{is RULER_BLOCK hi}
+    and two tables of RULER_BLOCK and about N / RULER_BLOCK exponentials per
+    point replace one of N.
+    """
     n = z.size
-    k = np.fft.fftfreq(n, d=1.0 / n)
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
     coeffs = np.fft.fft(z) / n
     if n % 2 == 0:
         coeffs[n // 2] = 0.0  # drop the unpaired Nyquist mode
-    basis = np.stack([coeffs, 1j * k * coeffs, -k * k * coeffs], axis=1)
+    lo, hi = k % RULER_BLOCK, k // RULER_BLOCK
+    hi_modes = RULER_BLOCK * np.arange(hi.min(), hi.max() + 1)
+    blocks = np.zeros((RULER_BLOCK, hi_modes.size, 3), dtype=np.complex128)
+    blocks[lo, hi - hi.min()] = np.stack([coeffs, 1j * k * coeffs, -k * k * coeffs], axis=1)
+    blocks = blocks.reshape(RULER_BLOCK, -1)
+    lo_modes = np.arange(RULER_BLOCK)
+
+    def interpolant(s: FloatArray) -> ComplexArray:
+        # rows z(s), z'(s), z''(s)
+        inner = (np.exp(1j * np.outer(s, lo_modes)) @ blocks).reshape(s.size, -1, 3)
+        return np.einsum("ph,phc->cp", np.exp(1j * np.outer(s, hi_modes)), inner)
+
     s = TWO_PI / n * np.argmin(np.abs(points[:, None] - z[None, :]), axis=1)
     best = np.full(points.shape, np.inf)
     for _ in range(NEWTON_STEPS):
-        zs, dz, ddz = (np.exp(1j * np.outer(s, k)) @ basis).T
+        zs, dz, ddz = interpolant(s)
         r = zs - points
         best = np.fmin(best, np.abs(r))
         s = s - (np.conj(r) * dz).real / (np.abs(dz) ** 2 + (np.conj(r) * ddz).real)
-    return np.fmin(best, np.abs(np.exp(1j * np.outer(s, k)) @ coeffs - points))
+    return np.fmin(best, np.abs(interpolant(s)[0] - points))
 
 
 def curve_hausdorff(za: ComplexArray, zb: ComplexArray) -> float:

@@ -31,6 +31,19 @@ maximum chord as a full build.  Three regimes are handled:
   rule (spectrally accurate), the log part through quadrature weights that
   integrate log(2|sin|) against trigonometric polynomials exactly.
 
+  Both regimes are assembled by one formula,
+
+      W = L * (h/2) [alpha - kappa I_0] + h kappa [S - log(mu) I_0],
+
+  with the two brackets polynomials in q = mu^2 rho^2 / 4 whose
+  coefficients are the ``bessel`` series tables with alpha, kappa, h and
+  log(mu) folded in, summed in one Horner pass.  L is log(rho^2) for
+  separated curves and log(rho^2) - log(4 sin^2) + (2/h) kress_row for
+  the split.  A separated block with mu * rho_max > 3, where the series
+  cancels, takes h (alpha log rho + kappa K_0(mu rho)) from ``k0_array``
+  instead.  The guards compare squared distances, so the folded paths take
+  no square root of the chord matrix.
+
   The split is evaluated on a cyclic layout: entry [i, d] pairs target i
   with source (i + d) mod N, so the weights and log(4 sin^2) depend on the
   column d only and are kept as two rows over d, mirror-symmetric bit for
@@ -65,7 +78,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import NDArray
 
-from .bessel import i0_and_regular_part, k0_array
+from .bessel import K0_SERIES_CUT, horner_pair, k0_array, series_coefficients
 from .kernels import LayerParams, gkj_coefficients
 
 FloatArray = NDArray[np.float64]
@@ -227,8 +240,9 @@ def _kernel_matrix(
         rho2, kern = _squared_chords(
             z_tgt.real[:rows, None], z_tgt.imag[:rows, None], z_src.real, z_src.imag
         )
-        rho_min = float(np.sqrt(np.min(rho2)))
-        if rho_min < SEPARATED_TOL * scale:
+        rho2_min = float(np.min(rho2))
+        if rho2_min < (SEPARATED_TOL * scale) ** 2:
+            rho_min = float(np.sqrt(rho2_min))
             if rho_min < 1e-8 * scale:
                 raise QuadratureFailure(
                     "boundaries touch: singular integrand off the diagonal"
@@ -238,8 +252,13 @@ def _kernel_matrix(
                 "uniform-grid quadrature would lose accuracy"
             )
         np.log(rho2, out=kern)
+        qmax = 0.25 * mu * mu * float(np.max(rho2))
+        if kappa != 0.0 and qmax <= 0.25 * K0_SERIES_CUT**2:
+            rho2 *= 0.25 * mu * mu
+            return _fold(kern, rho2, qmax, alpha, kappa, mu, h)
         kern *= 0.5 * h * alpha
         if kappa != 0.0:
+            # mu * rho_max > 3, where the folded series cancels
             np.sqrt(rho2, out=rho2)
             rho2 *= mu
             k0 = k0_array(rho2)
@@ -253,40 +272,45 @@ def _kernel_matrix(
     w_row, log_s2_row = _grid_tables(n)
     if dz_src is None:
         dz_src = spectral_derivative(z_src)
-    log_ratio, w = _squared_chords(
+    kern, q = _squared_chords(
         z_tgt.real[:rows, None],
         z_tgt.imag[:rows, None],
         _cyclic_view(z_src.real, rows, cols),
         _cyclic_view(z_src.imag, rows, cols),
     )
-    np.sqrt(log_ratio, out=w)
-    w *= mu
-    if float(np.max(w)) > SPLIT_MAX_MU_CHORD:
+    mu2_rho2_max = mu * mu * float(np.max(kern))
+    if mu2_rho2_max > SPLIT_MAX_MU_CHORD**2:
         raise QuadratureFailure(
             f"mu * chord too large for the split evaluation (> {SPLIT_MAX_MU_CHORD})"
         )
-    if float(np.min(log_ratio[:, 1:])) == 0.0:
+    if float(np.min(kern[:, 1:])) == 0.0:
         raise QuadratureFailure("boundaries touch: singular integrand off the diagonal")
+    np.multiply(kern, 0.25 * mu * mu, out=q)
     # column 0 pairs node i with itself: its log ratio is log|z_src'(t_i)|^2
-    log_ratio[:, 0] = np.abs(dz_src[:rows]) ** 2
-    np.log(log_ratio, out=log_ratio)
-    log_ratio -= log_s2_row[:cols]
-    # kress_row g1 + h (g1 log_ratio / 2 + kappa (S(mu rho) - log(mu) I_0)),
-    # g1 = alpha - kappa I_0(mu rho)
-    g1, smooth = i0_and_regular_part(w)
-    np.multiply(g1, np.log(mu), out=w)
-    smooth -= w
-    smooth *= kappa
-    g1 *= -kappa
-    g1 += alpha
-    kern = log_ratio
-    kern *= 0.5
-    kern *= g1
-    kern += smooth
-    np.multiply(g1, w_row[:cols], out=w)
-    kern *= h
-    kern += w
-    return np.take(kern, _gather_index(n, rows, half_band))
+    kern[:, 0] = np.abs(dz_src[:rows]) ** 2
+    np.log(kern, out=kern)
+    # log(rho^2) + 2 kress_row / h - log(4 sin^2): the weighted log ratio
+    kern += (2.0 / h) * w_row[:cols] - log_s2_row[:cols]
+    return np.take(
+        _fold(kern, q, 0.25 * mu2_rho2_max, alpha, kappa, mu, h),
+        _gather_index(n, rows, half_band),
+    )
+
+
+def _fold(log_part, q, qmax, alpha, kappa, mu, h) -> FloatArray:
+    """log_part * (h/2) (alpha - kappa I_0) + h kappa (S - log(mu) I_0), in log_part.
+
+    Both factors are polynomials in q = mu^2 rho^2 / 4 over the series
+    tables with alpha, kappa, h and log(mu) folded in, summed in one Horner
+    pass; S is the regular part K_0(w) + log(w) I_0(w).
+    """
+    i0, regular = series_coefficients(qmax)
+    folded = np.stack((-0.5 * h * kappa * i0, h * kappa * (regular - np.log(mu) * i0)))
+    folded[0, 0] += 0.5 * h * alpha
+    g, smooth = horner_pair(q, folded)
+    log_part *= g
+    log_part += smooth
+    return log_part
 
 
 def kernel_integral_grid(

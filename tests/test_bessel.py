@@ -166,6 +166,30 @@ class TestArrayEvaluators:
             assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-14
 
 
+class TestEconomizedTables:
+    """Each ladder level's economized I_0 and regular-part tables against mpmath."""
+
+    @pytest.mark.parametrize("level", range(B._LADDER_MIN, B._LADDER_MAX + 1))
+    def test_level_against_mpmath(self, level):
+        q_top = 2.0 ** (level / 2)
+        q = np.linspace(0.0, q_top, 33)
+        i0, regular = B.horner_pair(q, B.series_coefficients(q_top))
+        with mp.workdps(40):
+            for qi, got_i0, got_reg in zip(q, i0, regular):
+                z = 2 * mp.sqrt(mpf(float(qi)))
+                ref_i0 = mp.besseli(0, z)
+                ref_reg = besselk(0, z) + mplog(z) * ref_i0 if qi else mplog(2) - euler
+                assert abs(got_i0 - float(ref_i0)) <= 1e-15 * float(ref_i0), qi
+                assert abs(got_reg - float(ref_reg)) <= 1e-15 * float(ref_reg), qi
+
+    def test_top_level_covers_split_guard(self):
+        # the split refuses mu * chord > 12, that is q > 36
+        assert 2.0 ** (B._LADDER_MAX / 2) >= 36.0
+
+    def test_qmax_2_table_has_at_most_12_terms(self):
+        assert B.series_coefficients(2.0).shape[1] <= 12
+
+
 class TestOrderSweeps:
     """One sweep of top order 512 gives log I_n, log K_n for every n <= 512."""
 

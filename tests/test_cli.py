@@ -233,3 +233,29 @@ class TestVerifyCommand:
     def test_gamma_injection_fails_suite(self):
         assert run(["verify", "--suite", "spectrum",
                     "--inject-gamma-error", "0.001"]) == 1
+
+
+class TestForeignFlags:
+    """Each command accepts only the flags it reads; config files stay shared."""
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--sign", "+"],
+        ["collide", "--dt", "0.1"],
+        ["vstate", "--t-end", "-3"],
+        ["evolve", "--modes", "8"],
+        ["verify", "--nodes", "64"],
+    ])
+    def test_foreign_flag_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        tail = [] if argv[0] == "verify" else ["--out", out]
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, *tail])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_keys_shared_across_commands(self, tmp_path):
+        # dt and suite are not spectrum flags, but a config file may hold them
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nmax = 2\ndt = 0.1\nsuite = bessel\n")
+        assert run(["spectrum", "--config", cfg, "--out", tmp_path / "out"]) == 0

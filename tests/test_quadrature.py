@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 import oracles as O
 from qgpatch import contour as C
 from qgpatch import quadrature as Q
-from qgpatch.bessel import bessel_ik_product
+from qgpatch.bessel import bessel_ik_product, k0_array
 from qgpatch.kernels import LayerParams, gkj_coefficients
 
 N = 256
@@ -15,6 +17,19 @@ THETA = 2 * np.pi * np.arange(N) / N
 
 def circle(radius):
     return radius * np.exp(1j * THETA)
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "reference.json"
+
+
+def evolve_reference_inputs():
+    """(params, z1, z2) of the 16 V-states the evolve benchmark starts from."""
+    for point in json.loads(REFERENCE.read_text())["points"]:
+        sol = C.VStateSolution.from_json_dict(point["vstate_input"])
+        radii = sol.boundary_radii()
+        phase = np.exp(1j * sol.deformation.grid())
+        params = LayerParams(point["delta"], point["lambda"], point["b1"], point["b2"])
+        yield params, radii[0] * phase, radii[1] * phase
 
 
 class TestLogWeights:
@@ -155,6 +170,64 @@ class TestGridIntegral:
         crossing = (1.0 + 0.02 * np.cos(THETA)) * np.exp(1j * THETA)
         with pytest.raises((Q.TouchingBoundaryError, Q.QuadratureFailure)):
             Q.kernel_integral_grid(1.0, 0.0, 1.0, crossing, z, np.cos(THETA))
+
+
+class TestSeparatedPath:
+    """Folded separated blocks against h (alpha log rho + kappa K_0(mu rho))."""
+
+    @staticmethod
+    def log_k0_form(alpha, kappa, mu, z_tgt, z_src):
+        # the unfolded evaluation, from the same squared chords
+        rho2 = (z_tgt.real[:, None] - z_src.real) ** 2 + (z_tgt.imag[:, None] - z_src.imag) ** 2
+        h = 2 * np.pi / z_src.size
+        return 0.5 * h * alpha * np.log(rho2) + h * kappa * k0_array(mu * np.sqrt(rho2))
+
+    @staticmethod
+    def spy_k0(monkeypatch):
+        calls = []
+        monkeypatch.setattr(Q, "k0_array", lambda z: calls.append(z) or k0_array(z))
+        return calls
+
+    def cross_blocks(self, params, z1, z2):
+        """(alpha, kappa, z_tgt, z_src, W, unfolded W) for W_21 and W_12."""
+        scale = Q._curve_scale(z1)
+        for k, j, z_tgt, z_src in ((2, 1, z2, z1), (1, 2, z1, z2)):
+            alpha, kappa = gkj_coefficients(params, k, j)
+            got = Q._kernel_matrix(alpha, kappa, params.mu, z_tgt, z_src, None, scale=scale)
+            unfolded = self.log_k0_form(alpha, kappa, params.mu, z_tgt, z_src)
+            yield alpha, kappa, z_tgt, z_src, got, unfolded
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="no extended precision")
+    def test_folded_as_accurate_as_log_k0_form_on_evolve_inputs(self, monkeypatch):
+        # both forms against a long-double reference, on every other target
+        # row.  The folded form scales the rounding of log(rho^2) by I_0 - 1,
+        # so it reads up to 2.1e-15 of max|W| where the log + K_0 form reads
+        # 1.5e-15
+        calls = self.spy_k0(monkeypatch)
+        ext = np.longdouble
+        for params, z1, z2 in evolve_reference_inputs():
+            for alpha, kappa, z_tgt, z_src, got, unfolded in self.cross_blocks(params, z1, z2):
+                got, unfolded, z_tgt = got[::2], unfolded[::2], z_tgt[::2]
+                dx = z_tgt.real.astype(ext)[:, None] - z_src.real.astype(ext)
+                dy = z_tgt.imag.astype(ext)[:, None] - z_src.imag.astype(ext)
+                rho = np.sqrt(dx * dx + dy * dy)
+                want = ext(2 * np.pi / N) * (
+                    ext(alpha) * np.log(rho) + ext(kappa) * O.k0_extended(ext(params.mu) * rho)
+                )
+                bound = 3e-15 * float(np.max(np.abs(want)))
+                assert float(np.max(np.abs(got - want))) <= bound
+                assert float(np.max(np.abs(unfolded - want))) <= bound
+        assert not calls  # every block has mu * rho_max <= 3: folded
+
+    def test_strong_screening_keeps_k0_path(self, monkeypatch):
+        # lam = 3: mu * rho_max = 7.2 > 3, where the folded series cancels
+        calls = self.spy_k0(monkeypatch)
+        params = LayerParams(1.0, 3.0, 1.0, 0.7)
+        z1 = (1.0 + 0.03 * np.cos(2 * THETA)) * np.exp(1j * THETA)
+        z2 = (0.7 - 0.02 * np.cos(2 * THETA)) * np.exp(1j * THETA)
+        for *_, got, unfolded in self.cross_blocks(params, z1, z2):
+            assert np.max(np.abs(got - unfolded)) <= 1e-15 * np.max(np.abs(unfolded))
+        assert len(calls) == 2 and max(np.max(z) for z in calls) > 3.0
 
 
 class TestLayerIntegrals:
