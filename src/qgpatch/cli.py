@@ -286,6 +286,8 @@ def cmd_evolve(settings: dict[str, str], check_rotation: bool) -> int:
         raise ConfigError("dt must be > 0")
     snapshot_every = _int_setting(settings, "snapshot_every", 1)
     state0, vstate = _initial_state(settings, params, dt or 1e-3)
+    if check_rotation and vstate is None:
+        raise ConfigError("--check-rotation requires initial=vstate:<path>")
     out = _outdir(settings)
 
     result = dynamics.evolve(
@@ -311,8 +313,6 @@ def cmd_evolve(settings: dict[str, str], check_rotation: bool) -> int:
             for s in result.snapshots
         )
     if check_rotation:
-        if vstate is None:
-            raise ConfigError("--check-rotation requires initial=vstate:<path>")
         diagnostics["rotation_omega"] = vstate.omega
         diagnostics["rotation_residual"] = dynamics.rigid_rotation_residual(
             result.snapshots, vstate.omega

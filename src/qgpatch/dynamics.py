@@ -12,12 +12,23 @@ the assembly the contour functional uses too: the j = k term is
 log-singular and goes through the singular split, and the cross-layer
 terms are regular unless the boundaries touch.
 
+Every geometric reading uses the one curve the quadrature integrates: the
+trigonometric interpolant of the nodes, without the unpaired Nyquist mode
+of an even grid.  ``patch_area`` is its area pi * mean(Im(conj z z')),
+exact for the interpolant, so sliding nodes along the curve leaves it
+unchanged.  ``resample_by_arclength`` respaces the nodes equally in the
+interpolant's arclength, the spectral equal-arclength reparametrisation of
+Hou, Lowengrub & Shelley (J. Comput. Phys. 114, 1994), and the new nodes
+lie on the old curve.
+
 ``rigid_rotation_residual`` measures rigid rotation, the time-periodicity
 of a V-state: the sup over each curve's nodes of the distance to the other
 curve's trigonometric interpolant.  Newton on the curve parameter, seeded
 at the nearest node, finds the closest point; a running ``fmin`` over the
 iterates, all curve points, keeps the reading an upper bound and ignores
-a NaN from a degenerate step.
+a NaN from a degenerate step.  The ruler and the respacing take
+NEWTON_STEPS Newton steps each and evaluate the interpolant through one
+two-level trigonometric sum.
 """
 
 from __future__ import annotations
@@ -26,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import CubicSpline
 
 from .kernels import LayerParams
 from .quadrature import (
@@ -43,8 +53,8 @@ TWO_PI = 2.0 * np.pi
 
 DT_CAP = 1e-3  # largest step suggested_dt returns
 REDISTRIBUTE_EVERY = 50  # RK4 steps between arclength redistributions
-NEWTON_STEPS = 4  # closest-point Newton steps of the rotation ruler
-RULER_BLOCK = 16  # the ruler sums modes k = lo + RULER_BLOCK * hi in two levels
+NEWTON_STEPS = 4  # Newton steps on the curve parameter: ruler and respacing
+RULER_BLOCK = 16  # the interpolant sums modes k = lo + RULER_BLOCK * hi in two levels
 
 
 class SimplicityError(RuntimeError):
@@ -53,7 +63,10 @@ class SimplicityError(RuntimeError):
 
 @dataclass(frozen=True)
 class PatchBoundary:
-    """Closed positively oriented boundary polyline of one layer's patch."""
+    """Nodes of one layer's closed positively oriented patch boundary.
+
+    The boundary is the trigonometric interpolant of the nodes.
+    """
 
     nodes: ComplexArray
     layer: int
@@ -72,10 +85,12 @@ class PatchBoundary:
         return PatchBoundary(radius * np.exp(1j * t), layer)
 
     def area(self) -> float:
-        return patch_area(self)
+        """Area of the trigonometric interpolant; positive when counterclockwise."""
+        z = self.nodes
+        return float(np.pi * np.mean(np.imag(np.conj(z) * spectral_derivative(z))))
 
     def validate(self) -> None:
-        if patch_area(self) <= 0.0:
+        if self.area() <= 0.0:
             raise SimplicityError("boundary orientation flipped or degenerate")
         if not _coarsely_simple(self.nodes):
             raise SimplicityError("boundary self-intersects at coarse scale")
@@ -93,20 +108,12 @@ class EvolutionState:
 
     @staticmethod
     def discs(params: LayerParams, dt: float, n_nodes: int = 256) -> "EvolutionState":
-        return EvolutionState(
-            (
-                PatchBoundary.disc(params.b1, 1, n_nodes),
-                PatchBoundary.disc(params.b2, 2, n_nodes),
-            ),
-            0.0,
-            dt,
-        )
+        disc = PatchBoundary.disc
+        boundaries = (disc(params.b1, 1, n_nodes), disc(params.b2, 2, n_nodes))
+        return EvolutionState(boundaries, 0.0, dt)
 
 
-def patch_area(boundary: PatchBoundary) -> float:
-    """Shoelace area of the closed polyline; positive when counterclockwise."""
-    z = boundary.nodes
-    return float(0.5 * np.sum(np.imag(np.conj(z) * np.roll(z, -1))))
+patch_area = PatchBoundary.area  # patch_area(boundary), the same reading
 
 
 def _coarsely_simple(z: ComplexArray, samples: int = 64) -> bool:
@@ -131,7 +138,11 @@ def layer_node_velocities(
 
 
 def suggested_dt(params: LayerParams, state: EvolutionState) -> float:
-    """CFL-like step: time to cross one node spacing, capped at DT_CAP."""
+    """Time for the fastest node to cross one mean node spacing, capped at DT_CAP.
+
+    A heuristic step size, not a CFL or stability limit: RK4 on this
+    system has been run stable and accurate at steps far above it.
+    """
     v1, v2 = layer_node_velocities(
         params, state.boundaries[0].nodes, state.boundaries[1].nodes
     )
@@ -169,17 +180,32 @@ def step_rk4(params: LayerParams, state: EvolutionState) -> EvolutionState:
 
 
 def resample_by_arclength(boundary: PatchBoundary) -> PatchBoundary:
-    """Respace the nodes equally in (chordal) arclength via periodic splines."""
+    """Respace the nodes equally in arclength along the trigonometric interpolant.
+
+    The arclength s(t) = mean_speed * t + P(t), with P(0) = 0, is the FFT
+    antiderivative of the interpolated speed |z'|; the length is
+    L = 2 pi mean_speed.  Linear interpolation of s sampled at the nodes
+    seeds the parameters t_j of s(t_j) = j L / N;
+    NEWTON_STEPS Newton steps refine them, and the new nodes are the
+    interpolant at t_j.
+    """
     z = boundary.nodes
     n = z.size
-    closed = np.concatenate([z, z[:1]])
-    chord = np.abs(np.diff(closed))
-    s = np.concatenate([[0.0], np.cumsum(chord)])
-    total = s[-1]
-    spline_x = CubicSpline(s, closed.real, bc_type="periodic")
-    spline_y = CubicSpline(s, closed.imag, bc_type="periodic")
-    targets = total * np.arange(n) / n
-    return PatchBoundary(spline_x(targets) + 1j * spline_y(targets), boundary.layer)
+    t = TWO_PI * np.arange(n) / n
+    k, coeffs = _fourier(z)
+    _, speed = _fourier(np.abs(spectral_derivative(z)))
+    periodic = np.zeros_like(speed)
+    periodic[1:] = speed[1:] / (1j * k[1:])
+    periodic[0] = -periodic.sum()  # P(0) = 0
+    curve = _trig_sum(k, [coeffs, periodic, speed])  # rows z(t), P(t), s'(t)
+    mean_speed = speed[0].real
+    targets = mean_speed * t
+    s_nodes = targets + n * np.fft.ifft(periodic).real
+    tj = np.interp(targets, np.append(s_nodes, mean_speed * TWO_PI), np.append(t, TWO_PI))
+    for _ in range(NEWTON_STEPS):
+        _, p, ds = curve(tj)
+        tj = tj - (mean_speed * tj + p.real - targets) / ds.real
+    return PatchBoundary(curve(tj)[0], boundary.layer)
 
 
 @dataclass
@@ -218,19 +244,12 @@ def evolve(
         for step in range(1, n_steps + 1):
             state = step_rk4(params, state)
             if step % REDISTRIBUTE_EVERY == 0:
-                state = EvolutionState(
-                    (
-                        resample_by_arclength(state.boundaries[0]),
-                        resample_by_arclength(state.boundaries[1]),
-                    ),
-                    state.time,
-                    state.dt,
-                )
+                boundaries = tuple(map(resample_by_arclength, state.boundaries))
+                state = EvolutionState(boundaries, state.time, state.dt)
             if step % snapshot_every == 0 or step == n_steps:
                 result.snapshots.append(state)
                 drift = max(
-                    abs(patch_area(state.boundaries[i]) - area0[i]) / abs(area0[i])
-                    for i in (0, 1)
+                    abs(patch_area(b) - a) / abs(a) for b, a in zip(state.boundaries, area0)
                 )
                 max_drift = max(max_drift, drift)
                 min_gap = min(min_gap, _boundary_gap(state))
@@ -259,32 +278,42 @@ def _boundary_gap(state: EvolutionState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _distance_to_curve(points: ComplexArray, z: ComplexArray) -> FloatArray:
-    """Distance from each point to the interpolant of z, by Newton on |z(s) - p|^2.
-
-    The interpolant and its first two derivatives are summed in two levels:
-    each mode k = lo + RULER_BLOCK * hi, so e^{isk} = e^{is lo} e^{is RULER_BLOCK hi}
-    and two tables of RULER_BLOCK and about N / RULER_BLOCK exponentials per
-    point replace one of N.
-    """
-    n = z.size
+def _fourier(values: ComplexArray) -> tuple[NDArray[np.int64], ComplexArray]:
+    """Mode numbers and coefficients of the interpolant, Nyquist mode dropped."""
+    n = values.size
     k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-    coeffs = np.fft.fft(z) / n
+    coeffs = np.fft.fft(values) / n
     if n % 2 == 0:
         coeffs[n // 2] = 0.0  # drop the unpaired Nyquist mode
+    return k, coeffs
+
+
+def _trig_sum(k: NDArray[np.int64], rows: list[ComplexArray]):
+    """Evaluator of the sums sum_k row[k] e^{isk}, one per coefficient row.
+
+    The sums run in two levels: each mode k = lo + RULER_BLOCK * hi, so
+    e^{isk} = e^{is lo} e^{is RULER_BLOCK hi} and two tables of RULER_BLOCK
+    and about N / RULER_BLOCK exponentials per point replace one of N.
+    """
     lo, hi = k % RULER_BLOCK, k // RULER_BLOCK
     hi_modes = RULER_BLOCK * np.arange(hi.min(), hi.max() + 1)
-    blocks = np.zeros((RULER_BLOCK, hi_modes.size, 3), dtype=np.complex128)
-    blocks[lo, hi - hi.min()] = np.stack([coeffs, 1j * k * coeffs, -k * k * coeffs], axis=1)
+    blocks = np.zeros((RULER_BLOCK, hi_modes.size, len(rows)), dtype=np.complex128)
+    blocks[lo, hi - hi.min()] = np.stack(rows, axis=1)
     blocks = blocks.reshape(RULER_BLOCK, -1)
-    lo_modes = np.arange(RULER_BLOCK)
 
-    def interpolant(s: FloatArray) -> ComplexArray:
-        # rows z(s), z'(s), z''(s)
-        inner = (np.exp(1j * np.outer(s, lo_modes)) @ blocks).reshape(s.size, -1, 3)
+    def evaluate(s: FloatArray) -> ComplexArray:
+        lo_table = np.exp(1j * np.outer(s, np.arange(RULER_BLOCK)))
+        inner = (lo_table @ blocks).reshape(s.size, -1, len(rows))
         return np.einsum("ph,phc->cp", np.exp(1j * np.outer(s, hi_modes)), inner)
 
-    s = TWO_PI / n * np.argmin(np.abs(points[:, None] - z[None, :]), axis=1)
+    return evaluate
+
+
+def _distance_to_curve(points: ComplexArray, z: ComplexArray) -> FloatArray:
+    """Distance from each point to the interpolant of z, by Newton on |z(s) - p|^2."""
+    k, coeffs = _fourier(z)
+    interpolant = _trig_sum(k, [coeffs, 1j * k * coeffs, -k * k * coeffs])  # z, z', z''
+    s = TWO_PI / z.size * np.argmin(np.abs(points[:, None] - z[None, :]), axis=1)
     best = np.full(points.shape, np.inf)
     for _ in range(NEWTON_STEPS):
         zs, dz, ddz = interpolant(s)

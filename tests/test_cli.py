@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qgpatch import spectrum
+import qgpatch
+from qgpatch import cli, spectrum
 from qgpatch.cli import main
 from qgpatch.kernels import LayerParams
 
@@ -184,6 +189,18 @@ class TestEvolveCommand:
         assert "rotation_residual" in manifest["diagnostics"]
         assert manifest["diagnostics"]["rotation_residual"] <= 1e-4
 
+    def test_rotation_check_needs_vstate_before_evolving(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("evolve ran")
+
+        monkeypatch.setattr(cli.dynamics, "evolve", refuse)
+        out = tmp_path / "out"
+        code = run(["evolve", "--b2", 0.7, "--t-end", 0.004, "--dt", 0.002,
+                    "--nodes", 128, "--check-rotation", "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
     def test_csv_roundtrip_initial(self, tmp_path):
         first = tmp_path / "first"
         assert run(["evolve", "--b2", 0.7, "--t-end", 0.004, "--dt", 0.002,
@@ -259,3 +276,13 @@ class TestForeignFlags:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nmax = 2\ndt = 0.1\nsuite = bessel\n")
         assert run(["spectrum", "--config", cfg, "--out", tmp_path / "out"]) == 0
+
+
+def test_cli_import_skips_scipy_interpolate():
+    src = str(Path(qgpatch.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, qgpatch.cli; print('scipy.interpolate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
