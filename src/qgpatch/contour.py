@@ -25,7 +25,14 @@ odd and 2 pi/m periodic, and with g = gcd(m, N) the grid is invariant
 under t -> -t and rotation by 2 pi/g, so the sine coefficients on the
 modes m*j are 4g/N times sums over the target rows 0 <= t <= pi/g; the
 end rows, where the sines vanish, are built for the quadrature guards.
-The finite-difference oracle ``jacobian_fd`` stays on the full grid.
+The residual passes the fold g to ``layer_integrals``, which builds those
+rows and gathers the second cross block from the first.  The
+finite-difference oracle ``jacobian_fd`` stays on the full grid.
+
+A branch is followed by a secant predictor: each solve after the first
+starts from the Lagrange extrapolation in s of (Omega, coefficients)
+through the bifurcation point (0, zero deformation, Omega_m^sign) and the
+last one or two converged solutions, a line or a quadratic in s.
 
 The iteration has no options: it accepts a solve when the residual is at
 most NEWTON_TOL and the last step at most 1e-12, gives up after
@@ -44,7 +51,12 @@ from numpy.typing import NDArray
 
 from . import spectrum
 from .kernels import LayerParams
-from .quadrature import QuadratureFailure, TouchingBoundaryError, layer_integrals
+from .quadrature import (
+    QuadratureFailure,
+    TouchingBoundaryError,
+    fold_rows,
+    layer_integrals,
+)
 
 FloatArray = NDArray[np.float64]
 
@@ -140,29 +152,31 @@ def functional_from_nodal(
     omega: float,
     r_nodal: FloatArray,
     dr_nodal: FloatArray,
-    n_rows: int | None = None,
+    fold: int | None = None,
 ) -> FloatArray:
     """F(Omega, r) from nodal values of r and dr/dt, shape (2, N).
 
-    With ``n_rows`` only the leading nodes i < n_rows are targets and the
-    shape is (2, n_rows); every node is still a source.
+    With a fold g (r even and 2 pi/g periodic) only the nodes
+    0 <= t <= pi/g are targets and the shape is (2, N/(2g) + 1); every
+    node is still a source.
     """
     r_nodal = np.asarray(r_nodal, dtype=np.float64)
     dr_nodal = np.asarray(dr_nodal, dtype=np.float64)
     zs, dzs = _boundary_curves(params, r_nodal, dr_nodal)
-    u = layer_integrals(params, zs, dzs, n_rows)
-    return omega * dr_nodal[:, :n_rows] + np.imag(np.conj(dzs[:, :n_rows]) * u)
+    u = layer_integrals(params, zs, dzs, fold)
+    rows = fold_rows(r_nodal.shape[1], fold)
+    return omega * dr_nodal[:, :rows] + np.imag(np.conj(dzs[:, :rows]) * u)
 
 
 def functional_f(
     params: LayerParams,
     omega: float,
     deformation: RadialDeformation,
-    n_rows: int | None = None,
+    fold: int | None = None,
 ) -> FloatArray:
-    """Contour functional F(Omega, r) on the deformation grid (first n_rows nodes)."""
+    """Contour functional F(Omega, r) on the deformation grid (0 <= t <= pi/fold)."""
     return functional_from_nodal(
-        params, omega, deformation.nodal(), deformation.nodal_derivative(), n_rows
+        params, omega, deformation.nodal(), deformation.nodal_derivative(), fold
     )
 
 
@@ -288,21 +302,15 @@ class VStateSolution:
         )
 
     def boundary_csv(self) -> str:
-        radii = self.boundary_radii()
+        """theta, R1, R2, x1, y1, x2, y2 per node, each value as %.17g."""
+        r1, r2 = self.boundary_radii()
         t = self.deformation.grid()
-        lines = ["theta,R1,R2,x1,y1,x2,y2"]
-        for i in range(t.size):
-            row = [
-                t[i],
-                radii[0, i],
-                radii[1, i],
-                radii[0, i] * np.cos(t[i]),
-                radii[0, i] * np.sin(t[i]),
-                radii[1, i] * np.cos(t[i]),
-                radii[1, i] * np.sin(t[i]),
-            ]
-            lines.append(",".join(format(float(v), ".17g") for v in row))
-        return "\n".join(lines) + "\n"
+        cos_t, sin_t = np.cos(t), np.sin(t)
+        table = np.column_stack(
+            (t, r1, r2, r1 * cos_t, r1 * sin_t, r2 * cos_t, r2 * sin_t)
+        )
+        rows = (",".join(["%.17g"] * 7) + "\n") * t.size
+        return "theta,R1,R2,x1,y1,x2,y2\n" + rows % tuple(table.ravel().tolist())
 
 
 def check_simple_eigenvalue(
@@ -356,10 +364,9 @@ def _projected_residual(
     """
     n = defo.n_nodes
     g = gcd(defo.m, n)
-    n_rows = n // (2 * g) + 1
     modes = defo.m * np.arange(1, defo.n_modes + 1)
-    f_rows = functional_f(params, omega, defo, n_rows=n_rows)
-    basis = np.sin(np.outer(modes, defo.grid()[:n_rows]))
+    f_rows = functional_f(params, omega, defo, fold=g)
+    basis = np.sin(np.outer(modes, defo.grid()[: fold_rows(n, g)]))
     return ((4.0 * g / n) * f_rows @ basis.T).ravel()
 
 
@@ -495,19 +502,26 @@ def branch_continue(
     n_modes: int = 32,
     n_nodes: int = 256,
 ) -> BranchResult:
-    """Warm-started amplitude continuation along a V-state branch.
+    """Predictor-corrector continuation along a V-state branch.
 
-    Solves at each amplitude in increasing order, seeding from the
-    previous solution; truncates at the first failure (no convergence,
-    radius collapse or a quadrature refusal) and records it, keeping the
-    solutions converged before it.
+    Solves at each amplitude in grid order.  The first solve starts on the
+    tangent; each later one starts from ``_secant_start``, the Lagrange
+    extrapolation in s of (Omega, coefficients) through the bifurcation
+    point and the last one or two converged solutions.  Truncates at the
+    first failure (no convergence, radius collapse or a quadrature
+    refusal) and records it, keeping the solutions converged before it.
     """
     result = BranchResult()
-    prev: VStateSolution | None = None
+    lo, hi = spectrum.omega_pm(params, m)
+    origin = VStateSolution(
+        params, m, sign, 0.0, hi if sign == 1 else lo,
+        RadialDeformation.zero(m, n_modes, n_nodes), 0.0,
+    )
     for s in s_grid:
+        start = _secant_start(origin, result.solutions, float(s))
         try:
             sol = vstate_solve(
-                params, m, sign, float(s), init=prev, n_modes=n_modes, n_nodes=n_nodes
+                params, m, sign, float(s), init=start, n_modes=n_modes, n_nodes=n_nodes
             )
         except (
             NoConvergenceError,
@@ -518,5 +532,33 @@ def branch_continue(
             result.failure = f"s={float(s):.6g}: {exc}"
             break
         result.solutions.append(sol)
-        prev = sol
     return result
+
+
+def _secant_start(
+    origin: VStateSolution, solved: list[VStateSolution], s: float
+) -> VStateSolution | None:
+    """Lagrange extrapolation to amplitude s through origin and the last solves.
+
+    The nodes are the bifurcation point ``origin`` and the last one or two
+    solutions whose amplitudes are nonzero and distinct, so the start is
+    a line through the origin or a quadratic in s.  None with no solution.
+    """
+    nodes = [origin]
+    for sol in reversed(solved):
+        if all(sol.amplitude != node.amplitude for node in nodes):
+            nodes.append(sol)
+            if len(nodes) == 3:
+                break
+    if len(nodes) == 1:
+        return None
+    amps = [node.amplitude for node in nodes]
+    omega, coeffs = 0.0, np.zeros_like(origin.deformation.coeffs)
+    for k, node in enumerate(nodes):
+        weight = np.prod([(s - a) / (amps[k] - a) for a in amps if a != amps[k]])
+        omega += weight * node.omega
+        coeffs += weight * node.deformation.coeffs
+    return replace(
+        origin, amplitude=s, omega=omega,
+        deformation=replace(origin.deformation, coeffs=coeffs),
+    )

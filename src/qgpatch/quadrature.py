@@ -8,16 +8,19 @@ Every boundary integral in this package has the form
 with both curves sampled on the same uniform parameter grid t_j = 2 pi j/N
 and T a vector over the source nodes.  ``layer_integrals`` assembles the
 two-layer integrals that the velocities and the contour functional share
-from three N x N weight matrices (W_11, W_22 and W_21; the self pairs are
-symmetric and evaluated on half of their entries), or, given a row count,
-from four blocks holding only the targets i = 0 .. n_rows-1.  The contour
+from three weight builds (W_11, W_22 and W_21) and one reuse of W_21 for
+W_12.  On the full grid the three are N x N (the self pairs are symmetric
+and evaluated on half of their entries) and W_12 is a multiple of W_21^T.
+Given a fold g, they hold only the targets i = 0 .. n_rows-1 with
+n_rows = N/(2g) + 1, and W_12 is gathered from the W_21 rows.  The contour
 functional of an m-fold even shape needs no more: with g = gcd(m, N) the
-grid is invariant under t -> -t and rotation by 2 pi/g, so the rows
-0 <= t <= pi/g (n_rows = N/(2g) + 1) fix its sine coefficients on the
-modes m*j, with weight 4g/N.  The end rows t = 0 and t = pi/g are kept as
-targets: by the same symmetry every node pair then has an image among the
-rows built, so the guards below see the same minimum separation and
-maximum chord as a full build.  Three regimes are handled:
+curves and the grid are invariant under t -> -t and rotation by 2 pi/g,
+so the rows 0 <= t <= pi/g fix its sine coefficients on the modes m*j,
+with weight 4g/N, and every entry of W_21 outside them equals one inside.
+The end rows t = 0 and t = pi/g are kept as targets: by the same symmetry
+every node pair then has an image among the rows built, so the guards
+below see the same minimum separation and maximum chord as a full build.
+Three regimes are handled:
 
 * separated curves: the integrand is analytic, plain trapezoidal rule.
 * the same curve (self interaction): log-singular on the diagonal.  Using
@@ -107,6 +110,7 @@ class QuadratureFailure(RuntimeError):
 
 _TABLES: dict[int, tuple[FloatArray, FloatArray]] = {}
 _GATHERS: dict[tuple[int, int, bool], np.ndarray] = {}
+_MIRRORS: dict[tuple[int, int], np.ndarray] = {}
 
 
 def _grid_tables(n: int) -> tuple[FloatArray, FloatArray]:
@@ -159,6 +163,37 @@ def _gather_index(n: int, n_rows: int, half_band: bool) -> np.ndarray:
         else:
             _GATHERS[key] = i * n + d
     return _GATHERS[key]
+
+
+def fold_rows(n: int, fold: int | None) -> int:
+    """Target rows 0 <= t <= pi/fold of an n-point grid (None: all n)."""
+    if fold is None:
+        return n
+    if fold < 1 or n % fold:
+        raise ValueError(f"fold {fold} does not divide the node count {n}")
+    return n // (2 * fold) + 1
+
+
+def _mirror_index(n: int, fold: int) -> np.ndarray:
+    """Flat indices into the W_21 rows that give W_21^T on the same rows.
+
+    Entry [i, j] of the result is the position in the fold_rows x n block
+    of W_21[j, i].  With period P = n/fold, node j maps to j' = j mod P,
+    or reflects to P - (j mod P) when that is above P/2; node i moves by
+    the same rotation and reflection, so the pair keeps its chord.  Built
+    on first use and kept per key.
+    """
+    key = (n, fold)
+    if key not in _MIRRORS:
+        period = n // fold
+        i = np.arange(fold_rows(n, fold))[:, None]
+        j = np.arange(n)[None, :]
+        shift, r = np.divmod(j, period)
+        reflect = 2 * r > period
+        j_row = np.where(reflect, period - r, r)
+        i_col = np.where(reflect, (shift + 1) * period - i, i - shift * period) % n
+        _MIRRORS[key] = j_row * n + i_col
+    return _MIRRORS[key]
 
 
 def _apply_kernel_matrix(kern: FloatArray, t_src: np.ndarray) -> np.ndarray:
@@ -339,21 +374,24 @@ def kernel_integral_grid(
 
 
 def layer_integrals(
-    params: LayerParams, zs, dzs, n_rows: int | None = None
+    params: LayerParams, zs, dzs, fold: int | None = None
 ) -> tuple[ComplexArray, ComplexArray]:
     """u_k(t_i) = sum_j int G_{k,j}(z_k(t_i) - z_j(e)) z_j'(e) de for k = 1, 2.
 
-    On the full grid (``n_rows`` None) three builds serve the four pairs:
-    the cross kernels have alpha == kappa and depend on |x| only, so
-    W_12 = (alpha_12 / alpha_21) W_21^T.  With ``n_rows`` only the targets
-    i < n_rows are built, and the transpose needs full matrices, so W_12
-    gets its own n_rows x N block.  Every block measures its guards against
-    its source curve's scale, except that both cross blocks use layer 1's,
-    the larger disc's, whichever layer is the source.
+    Three builds and one reuse serve the four pairs: the cross kernels have
+    alpha == kappa and depend on |x| only, so W_12 = (alpha_12 / alpha_21)
+    W_21^T.  On the full grid (``fold`` None) that is the transpose.  With
+    a fold g the curves must be even and invariant under rotation by
+    2 pi/g; only the targets 0 <= t <= pi/g (``fold_rows``) are built, and
+    the W_12 rows are one gather from the W_21 rows, whose entries cover
+    every node pair up to that symmetry.  Every block measures its guards
+    against its source curve's scale, except that the cross block uses
+    layer 1's, the larger disc's.
     """
     (z1, z2), (dz1, dz2) = zs, dzs
+    n_rows = None if fold is None else fold_rows(len(z1), fold)
     mu, scale1 = params.mu, _curve_scale(z1)
-    alpha12, kappa12 = gkj_coefficients(params, 1, 2)
+    alpha12, _ = gkj_coefficients(params, 1, 2)
     alpha21, kappa21 = gkj_coefficients(params, 2, 1)
     w11 = _kernel_matrix(
         *gkj_coefficients(params, 1, 1), mu, z1, z1, dz1, scale=scale1, n_rows=n_rows
@@ -363,14 +401,9 @@ def layer_integrals(
         scale=_curve_scale(z2), n_rows=n_rows,
     )
     w21 = _kernel_matrix(alpha21, kappa21, mu, z2, z1, dz1, scale=scale1, n_rows=n_rows)
+    w21_t = w21.T if fold is None else np.take(w21, _mirror_index(len(z1), fold))
     u1 = _apply_kernel_matrix(w11, dz1)
-    if n_rows is None:
-        u1 += (alpha12 / alpha21) * _apply_kernel_matrix(w21.T, dz2)
-    else:
-        w12 = _kernel_matrix(
-            alpha12, kappa12, mu, z1, z2, dz2, scale=scale1, n_rows=n_rows
-        )
-        u1 += _apply_kernel_matrix(w12, dz2)
+    u1 += (alpha12 / alpha21) * _apply_kernel_matrix(w21_t, dz2)
     u2 = _apply_kernel_matrix(w21, dz1) + _apply_kernel_matrix(w22, dz2)
     return u1, u2
 

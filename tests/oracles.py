@@ -252,3 +252,22 @@ def trapezoid_integral(alpha, kappa, mu, queries, z_src, t_src):
     kern = alpha * np.log(rho) + kappa * k0(mu * rho)
     return 2 * np.pi / rho.shape[1] * (kern @ np.asarray(t_src))
 
+
+
+def boundary_csv_per_value(sol):
+    """``VStateSolution.boundary_csv`` written one scalar at a time."""
+    radii = sol.boundary_radii()
+    t = sol.deformation.grid()
+    lines = ["theta,R1,R2,x1,y1,x2,y2"]
+    for i in range(t.size):
+        row = [
+            t[i],
+            radii[0, i],
+            radii[1, i],
+            radii[0, i] * np.cos(t[i]),
+            radii[0, i] * np.sin(t[i]),
+            radii[1, i] * np.cos(t[i]),
+            radii[1, i] * np.sin(t[i]),
+        ]
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"

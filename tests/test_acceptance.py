@@ -203,7 +203,7 @@ def test_criterion_10_rigid_rotation():
     elapsed = time.perf_counter() - t0
     _report(10, "rigid rotation",
             result.aborted is None
-            and matched <= 5e-4
+            and matched <= 1e-12
             and mismatched >= 10 * matched
             and elapsed < 120.0,
             f"residual {matched:.2e}, mismatched {mismatched:.2e}, {elapsed:.0f} s")
@@ -223,7 +223,7 @@ def test_criterion_11_euler_reduction():
     )
     drift = result.diagnostics["area_drift"]
     _report(11, "Euler reduction at delta=1",
-            result.aborted is None and gap <= 1e-10 and drift <= 1e-4,
+            result.aborted is None and gap <= 1e-10 and drift <= 1e-13,
             f"layer gap {gap:.2e}, area drift {drift:.2e}")
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles as O
 from qgpatch import contour as C
 from qgpatch import quadrature as Q
 from qgpatch import spectrum as S
@@ -294,7 +295,71 @@ class TestBranchContinue:
             NEAR_TOUCH, 1, 1, np.geomspace(0.001, 0.1, 9), n_modes=16, n_nodes=N
         )
         assert len(res.solutions) == 7
-        assert res.failure.startswith("s=0.0562341: curve separation 9.884e-02")
+        assert res.failure.startswith("s=0.0562341: curve separation 9.827e-02")
+
+
+class TestSecantPredictor:
+    """Predicted starts: cold-solve answers with fewer functional evaluations."""
+
+    GRID = (0.001, 0.002, 0.004, 0.008, 0.016, 0.032)
+
+    def test_solutions_match_cold_solves(self):
+        res = C.branch_continue(BASE, 2, -1, self.GRID, n_modes=16, n_nodes=N)
+        assert res.failure is None and len(res.solutions) == len(self.GRID)
+        for sol in res.solutions:
+            cold = C.vstate_solve(BASE, 2, -1, sol.amplitude, n_modes=16, n_nodes=N)
+            assert abs(sol.omega - cold.omega) <= 1e-12
+            coeffs = sol.deformation.coeffs
+            assert np.max(np.abs(coeffs - cold.deformation.coeffs)) <= 1e-12
+
+    def test_functional_evaluations(self, monkeypatch):
+        calls = []
+        residual = C._projected_residual
+
+        def counted(*args):
+            calls.append(args)
+            return residual(*args)
+
+        monkeypatch.setattr(C, "_projected_residual", counted)
+        res = C.branch_continue(BASE, 2, -1, self.GRID, n_modes=16, n_nodes=N)
+        assert res.failure is None
+        assert len(calls) <= 24
+
+    @pytest.mark.parametrize(
+        "grid", [(0.0, 0.002, 0.004, 0.008), (0.002, 0.0, 0.002, 0.004, 0.008)]
+    )
+    def test_zero_and_repeated_amplitudes_continue(self, grid):
+        res = C.branch_continue(BASE, 2, -1, grid, n_modes=12, n_nodes=N)
+        assert res.failure is None
+        assert [sol.amplitude for sol in res.solutions] == list(grid)
+        want = C.branch_continue(BASE, 2, -1, (0.002, 0.004, 0.008), n_modes=12, n_nodes=N)
+        assert abs(res.solutions[-1].omega - want.solutions[-1].omega) <= 1e-12
+
+    def test_start_interpolates_its_nodes(self):
+        # a quadratic in s through the origin and two solutions is reproduced
+        n_modes = 8
+        origin = C.VStateSolution(
+            BASE, 2, -1, 0.0, 0.3, C.RadialDeformation.zero(2, n_modes, 64), 0.0
+        )
+        a = np.linspace(1.0, 2.0, 2 * n_modes).reshape(2, n_modes)
+
+        def at(s):
+            coeffs = s * a + s * s * a[::-1]
+            return C.VStateSolution(
+                BASE, 2, -1, s, 0.3 + 0.5 * s - 2.0 * s * s,
+                C.RadialDeformation(2, coeffs, 64), 0.0,
+            )
+
+        solved = [at(0.001), at(0.002), at(0.004)]
+        start = C._secant_start(origin, solved, 0.008)
+        want = at(0.008)
+        assert start.amplitude == 0.008
+        assert start.omega == pytest.approx(want.omega, rel=0, abs=1e-15)
+        coeffs, want_coeffs = start.deformation.coeffs, want.deformation.coeffs
+        assert np.max(np.abs(coeffs - want_coeffs)) <= 1e-15
+        # one solution: the line through the origin
+        line = C._secant_start(origin, solved[:1], 0.002)
+        assert line.omega == pytest.approx(0.3 + 2 * (0.5 * 0.001 - 2e-6), abs=1e-15)
 
 
 class TestSerialization:
@@ -310,3 +375,15 @@ class TestSerialization:
         lines = sol.boundary_csv().strip().split("\n")
         assert lines[0] == "theta,R1,R2,x1,y1,x2,y2"
         assert len(lines) == 1 + 128
+
+    @pytest.mark.parametrize("n_nodes", [64, 256])
+    def test_boundary_csv_bytes_match_per_value_writer(self, n_nodes):
+        sol = C.vstate_solve(BASE, 2, -1, 1e-3, n_modes=8, n_nodes=n_nodes)
+        assert sol.boundary_csv() == O.boundary_csv_per_value(sol)
+
+    def test_boundary_csv_bytes_negative_and_tiny_coefficients(self):
+        coeffs = np.array([[-3e-3, 1e-300, -5e-17], [2e-3, -7e-320, 0.0]])
+        sol = C.VStateSolution(
+            BASE, 3, 1, -3e-3, -0.25, C.RadialDeformation(3, coeffs, 128), 0.0
+        )
+        assert sol.boundary_csv() == O.boundary_csv_per_value(sol)

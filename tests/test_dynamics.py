@@ -37,9 +37,9 @@ class TestTransform:
 
 
 class TestArea:
-    def test_polygon_approximates_disc(self):
+    def test_disc_area_exact(self):
         disc = D.PatchBoundary.disc(1.0, 1, 256)
-        assert disc.area() == pytest.approx(np.pi, abs=1e-3)
+        assert disc.area() == pytest.approx(np.pi, rel=0, abs=1e-14)
 
     def test_orientation_flip(self):
         disc = D.PatchBoundary.disc(1.0, 1, 128)

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -317,9 +318,9 @@ class TestRowBuilds:
             (peak_node, peak_node),
             (peak_node + self.N_GRID // 2, peak_node + self.N_GRID // 2),
         }
-        for n_rows in (None, self.ROWS):
+        for fold in (None, 2):
             with pytest.raises(Q.TouchingBoundaryError, match="9.900e-02"):
-                Q.layer_integrals(self.PARAMS, (z1, z2), dzs, n_rows)
+                Q.layer_integrals(self.PARAMS, (z1, z2), dzs, fold)
 
     def test_cross_rows_guard_on_layer_one_scale(self):
         # W_12 takes layer 2 as source; against its own scale (mean radius
@@ -336,6 +337,62 @@ class TestRowBuilds:
         params = LayerParams(1.0, 1.0, 1.0, 0.905)
         with pytest.raises(Q.TouchingBoundaryError, match="9.499e-02"):
             C.vstate_solve(params, 2, -1, 1e-3, n_modes=8, n_nodes=64)
+
+
+class TestMirroredCrossRows:
+    """Fold path: W_12 rows gathered from the W_21 rows, against direct builds."""
+
+    PARAMS = LayerParams(1.0, 1.0, 1.0, 0.7)
+    TWINS = LayerParams(2.0, 1.0, 1.0, 1.0)
+    CASES = [(1, 256), (2, 256), (3, 256), (2, 66), (3, 66)]
+
+    def curves(self, params, m, n, twins):
+        # a random even m-fold pair; twin layers share layer 1's shape
+        n_modes = min(6, (n // 2 - 1) // m)
+        rng = np.random.default_rng(10 * m + n)
+        coeffs = 0.01 * rng.standard_normal((2, n_modes)) / np.arange(1, n_modes + 1) ** 2
+        if twins:
+            coeffs[1] = coeffs[0]
+        d = C.RadialDeformation(m, coeffs, n)
+        return C._boundary_curves(params, d.nodal(), d.nodal_derivative())
+
+    @pytest.mark.parametrize("twins", [False, True])
+    @pytest.mark.parametrize("m,n", CASES)
+    def test_rows_match_full_grid(self, m, n, twins):
+        params = self.TWINS if twins else self.PARAMS
+        zs, dzs = self.curves(params, m, n, twins)
+        g = gcd(m, n)
+        rows = Q.fold_rows(n, g)
+        full = Q.layer_integrals(params, zs, dzs)
+        folded = Q.layer_integrals(params, zs, dzs, g)
+        for u_full, u_rows in zip(full, folded):
+            assert u_rows.shape == (rows,)
+            err = np.max(np.abs(u_rows - u_full[:rows]))
+            assert err <= 1e-14 * np.max(np.abs(u_full))
+
+    # the mirror pairs nodes whose symmetry holds to rounding only: 1.1e-15
+    # to 1.6e-15 of max|W| on the random pairs.  Twin cross blocks take the
+    # split, whose far entries (mu * rho near 3.5) sum I_0 and S series
+    # terms several times larger than themselves; they read up to 4.7e-15
+    @pytest.mark.parametrize("twins,bound", [(False, 3e-15), (True, 1e-14)])
+    @pytest.mark.parametrize("m,n", CASES)
+    def test_mirrored_block_matches_direct_build(self, m, n, twins, bound):
+        params = self.TWINS if twins else self.PARAMS
+        (z1, z2), (dz1, dz2) = self.curves(params, m, n, twins)
+        g = gcd(m, n)
+        rows = Q.fold_rows(n, g)
+        scale = Q._curve_scale(z1)
+        alpha12, kappa12 = gkj_coefficients(params, 1, 2)
+        alpha21, kappa21 = gkj_coefficients(params, 2, 1)
+        mu = params.mu
+        w21 = Q._kernel_matrix(alpha21, kappa21, mu, z2, z1, dz1, scale=scale, n_rows=rows)
+        direct = Q._kernel_matrix(alpha12, kappa12, mu, z1, z2, dz2, scale=scale, n_rows=rows)
+        mirrored = (alpha12 / alpha21) * np.take(w21, Q._mirror_index(n, g))
+        assert np.max(np.abs(mirrored - direct)) <= bound * np.max(np.abs(direct))
+
+    def test_fold_must_divide_node_count(self):
+        with pytest.raises(ValueError, match="does not divide"):
+            Q.fold_rows(66, 4)
 
 
 class TestSymmetricBuilds:
@@ -402,14 +459,14 @@ class TestNonFiniteNodes:
 
     PARAMS = LayerParams(1.0, 1.0, 1.0, 0.7)
 
-    @pytest.mark.parametrize("n_rows", [None, N // 4 + 1])
+    @pytest.mark.parametrize("fold", [None, 2])
     @pytest.mark.parametrize("layer,bad", [(0, np.nan), (1, np.inf)])
-    def test_layer_integrals_refuse(self, layer, bad, n_rows):
+    def test_layer_integrals_refuse(self, layer, bad, fold):
         zs = [circle(1.0), circle(0.7)]
         zs[layer][5] = bad
         dzs = [Q.spectral_derivative(z) for z in zs]
         with pytest.raises(Q.QuadratureFailure, match="non-finite"):
-            Q.layer_integrals(self.PARAMS, zs, dzs, n_rows)
+            Q.layer_integrals(self.PARAMS, zs, dzs, fold)
 
     def test_non_finite_derivative_refused(self):
         z = circle(1.0)
