@@ -68,6 +68,28 @@ S_MAX = 0.1  # largest amplitude a solve accepts
 SIMPLE_GAP_TOL = 1e-9  # smallest |Omega_m - Omega_km| check_simple_eigenvalue accepts
 
 
+_TRIG: dict[tuple[int, int, int], tuple[np.ndarray, FloatArray, FloatArray]] = {}
+
+
+def _trig_tables(
+    m: int, n_modes: int, n_nodes: int
+) -> tuple[np.ndarray, FloatArray, FloatArray]:
+    """(modes, cos, sin): the mode numbers m*j, j = 1..n_modes, and
+    cos(m j t_i), sin(m j t_i) on the n_nodes grid, shape (n_modes, n_nodes).
+
+    Built on first use and kept read-only per (m, n_modes, n_nodes).
+    """
+    key = (m, n_modes, n_nodes)
+    if key not in _TRIG:
+        modes = m * np.arange(1, n_modes + 1)
+        phase = np.outer(modes, TWO_PI * np.arange(n_nodes) / n_nodes)
+        tables = (modes, np.cos(phase), np.sin(phase))
+        for table in tables:
+            table.flags.writeable = False
+        _TRIG[key] = tables
+    return _TRIG[key]
+
+
 class RadiusCollapseError(RuntimeError):
     """A deformation drove b_k^2 + 2 r_k below zero somewhere."""
 
@@ -113,15 +135,13 @@ class RadialDeformation:
 
     def nodal(self) -> FloatArray:
         """r_k sampled on the grid, shape (2, n_nodes)."""
-        t = self.grid()
-        modes = self.m * np.arange(1, self.n_modes + 1)
-        return self.coeffs @ np.cos(np.outer(modes, t))
+        _, cos, _ = _trig_tables(self.m, self.n_modes, self.n_nodes)
+        return self.coeffs @ cos
 
     def nodal_derivative(self) -> FloatArray:
         """dr_k/dt on the grid, computed in coefficient space."""
-        t = self.grid()
-        modes = self.m * np.arange(1, self.n_modes + 1)
-        return -(self.coeffs * modes) @ np.sin(np.outer(modes, t))
+        modes, _, sin = _trig_tables(self.m, self.n_modes, self.n_nodes)
+        return -(self.coeffs * modes) @ sin
 
     @staticmethod
     def zero(m: int, n_modes: int, n_nodes: int = 256) -> "RadialDeformation":
@@ -364,9 +384,8 @@ def _projected_residual(
     """
     n = defo.n_nodes
     g = gcd(defo.m, n)
-    modes = defo.m * np.arange(1, defo.n_modes + 1)
     f_rows = functional_f(params, omega, defo, fold=g)
-    basis = np.sin(np.outer(modes, defo.grid()[: fold_rows(n, g)]))
+    basis = _trig_tables(defo.m, defo.n_modes, n)[2][:, : fold_rows(n, g)]
     return ((4.0 * g / n) * f_rows @ basis.T).ravel()
 
 

@@ -24,11 +24,13 @@ singular matrix, the trace form of the transversality condition, and scans
 for spectral collisions Omega_m^- = Omega_n^+ as b2 varies.
 
 The scalar functions (``coeffs_ab``, ``gamma_n``, ``omega_pm``, ...) take
-one mode and are the reference.  The array evaluator ``spectrum_arrays``
-returns A_n, B_n, gamma_n and Omega_n^+- for every n <= n_max from one
-Bessel sweep per function and argument, with the mean flow computed once;
+one mode and are the reference.  The array evaluator ``spectrum_over_b2``
+returns A_n, B_n, gamma_n and Omega_n^+- over arrays of n and of b2: every
+n <= n_max at every radius of a b2 vector, from one Bessel sweep per
+function and argument, with the b1 sweeps shared by all radii and the mean
+flow computed once per radius.  ``spectrum_arrays`` is its one-radius case;
 the spectrum table, the collision scan and the V-state Newton blocks are
-built on it.  Both go through the same formulas.
+built on it.  Scalar and array paths go through the same formulas.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.typing import ArrayLike, NDArray
 
 from .bessel import bessel_ik_product, log_bessel_i_orders, log_bessel_k_orders
 from .kernels import LayerParams
@@ -45,6 +47,7 @@ from .kernels import LayerParams
 FloatArray = NDArray[np.float64]
 
 DEDUP_TOL = 1e-9  # collision_scan merges roots of one pair closer than this times b1
+MAX_REFINE = 200  # cap on the evaluations of one root refinement
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ class CollisionRecord:
 def _mean_flow(d, b, i1k1_b1, i1k1_b2, i1b2_k1b1) -> MeanFlowCoeffs:
     v = -(d + b * b) / (2.0 * (1.0 + d)) - (i1k1_b1 - b * i1b2_k1b1) / (1.0 + d)
     w = -0.5 - d * (i1k1_b2 - i1b2_k1b1 / b) / (1.0 + d)
-    return MeanFlowCoeffs(float(v), float(w))
+    return MeanFlowCoeffs(v, w)
 
 
 def _ab(d, mf: MeanFlowCoeffs, n, ik_b1, ik_b2):
@@ -240,27 +243,43 @@ class SpectrumArrays:
         return _multiplier(self.params.delta, self.a_n, self.b_n, self.gamma_n, omega)
 
 
-def spectrum_arrays(params: LayerParams, n_max: int) -> SpectrumArrays:
-    """All spectral coefficients for n = 1..n_max from four Bessel sweeps.
+def spectrum_over_b2(
+    params_base: LayerParams, b2: ArrayLike, n_max: int
+) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray, FloatArray]:
+    """(A_n, B_n, gamma_n, Omega_n^-, Omega_n^+) at every radius in b2.
 
-    One sweep per function and argument, I_n and K_n at b1 mu and b2 mu,
-    gives every product I_n K_n the coefficients need; the mean flow is
-    computed once from their n = 1 entries.
+    Each array has shape (len(b2), n_max): row p is the disc pair
+    (b1, b2[p]), mode n at column n-1.  The b2 value carried by
+    params_base is ignored.  The two sweeps at b1 mu serve every row; each
+    radius adds one I_n and one K_n sweep at b2 mu, and the formulas then
+    run once over the whole (len(b2), n_max) block.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    d, mu, b1, b2 = params.delta, params.mu, params.b1, params.b2
+    d, mu, b1 = params_base.delta, params_base.mu, params_base.b1
+    b2 = np.asarray(b2, dtype=np.float64).reshape(-1)
+    if b2.size == 0 or not np.all((b2 > 0.0) & (b2 <= b1)):
+        raise ValueError("need at least one radius, each with 0 < b2 <= b1")
     log_k1 = log_bessel_k_orders(n_max, b1 * mu)
-    log_i2 = log_bessel_i_orders(n_max, b2 * mu)
     ik_b1 = np.exp(log_bessel_i_orders(n_max, b1 * mu) + log_k1)
-    ik_b2 = np.exp(log_i2 + log_bessel_k_orders(n_max, b2 * mu))
+    log_i2 = np.array([log_bessel_i_orders(n_max, x) for x in b2 * mu])
+    log_k2 = np.array([log_bessel_k_orders(n_max, x) for x in b2 * mu])
+    ik_b2 = np.exp(log_i2 + log_k2)
     ik_cross = np.exp(log_i2 + log_k1)
-    mf = _mean_flow(d, params.b, ik_b1[1], ik_b2[1], ik_cross[1])
+    b = (b2 / b1)[:, None]
+    mf = _mean_flow(d, b, ik_b1[1], ik_b2[:, 1:2], ik_cross[:, 1:2])
     n = np.arange(1, n_max + 1)
-    a_n, b_n = _ab(d, mf, n, ik_b1[1:], ik_b2[1:])
-    g = _gamma(params.b, n, ik_cross[1:])
+    a_n, b_n = _ab(d, mf, n, ik_b1[1:], ik_b2[:, 1:])
+    g = _gamma(b, n, ik_cross[:, 1:])
     lo, hi = _omega_pair(d, a_n, b_n, g)
-    return SpectrumArrays(params, a_n, b_n, g, lo, hi)
+    return a_n, b_n, g, lo, hi
+
+
+def spectrum_arrays(params: LayerParams, n_max: int) -> SpectrumArrays:
+    """All spectral coefficients for n = 1..n_max: the one-radius case of
+    ``spectrum_over_b2``, from four Bessel sweeps."""
+    rows = spectrum_over_b2(params, [params.b2], n_max)
+    return SpectrumArrays(params, *(row[0] for row in rows))
 
 
 def spectrum_table(params: LayerParams, n_max: int) -> list[SpectrumRow]:
@@ -275,6 +294,43 @@ def spectrum_table(params: LayerParams, n_max: int) -> list[SpectrumRow]:
 # ---------------------------------------------------------------------------
 
 
+def _illinois(f, lo: float, hi: float, f_lo: float, f_hi: float, tol: float,
+              x_tol: float) -> tuple[float, float]:
+    """Refine a sign change of f on [lo, hi] by Illinois false position.
+
+    The bracketing secant of Dowell & Jarratt (1971): the secant point
+    replaces the endpoint of its sign, and an endpoint kept twice in a row
+    has its value halved, so both ends move and convergence is superlinear.
+    Stops once |f| <= tol or the bracket is <= x_tol, after at most
+    MAX_REFINE evaluations; returns the best (x, |f(x)|) seen, endpoints
+    included.
+    """
+    best = (lo, abs(f_lo)) if abs(f_lo) <= abs(f_hi) else (hi, abs(f_hi))
+    side = 0
+    for _ in range(MAX_REFINE):
+        if best[1] <= tol or hi - lo <= x_tol:
+            break
+        x = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        fx = f(x)
+        if abs(fx) < best[1]:
+            best = (x, abs(fx))
+        if fx == 0.0:
+            break
+        if (fx < 0.0) == (f_hi < 0.0):
+            hi, f_hi = x, fx
+            if side == -1:
+                f_lo *= 0.5
+            side = -1
+        else:
+            lo, f_lo = x, fx
+            if side == 1:
+                f_hi *= 0.5
+            side = 1
+    return best
+
+
 def collision_scan(
     params_base: LayerParams,
     m: int,
@@ -283,27 +339,28 @@ def collision_scan(
 ) -> list[CollisionRecord]:
     """Locate b2 in (0, b1) where Omega_m^-(b2) = Omega_n^+(b2), n <= n_max.
 
-    Sign changes of the gap on a uniform b2 grid are refined by bisection
-    to |Omega_m^- - Omega_n^+| <= 1e-12.  Roots of the same pair closer
-    than DEDUP_TOL*b1 are merged and flagged as tangencies.  The b2 value
-    carried by params_base is ignored; an empty list is a valid result.
-    Each grid point is one evaluation of every mode up to max(m, n_max),
-    each bisection midpoint one up to max(m, n).
+    The gap is evaluated on a uniform b2 grid by one ``spectrum_over_b2``
+    call over every grid radius and every mode up to max(m, n_max).  Each
+    sign change is refined by Illinois false position (``_illinois``) to
+    |Omega_m^- - Omega_n^+| <= 1e-12 or a bracket <= 1e-16*b1; each
+    refinement step is one single-radius evaluation up to max(m, n), and
+    a root typically takes about 4 of them (at most MAX_REFINE).  Roots of
+    the same pair closer than DEDUP_TOL*b1 are merged and flagged as
+    tangencies.  The b2 value carried by params_base is ignored; an empty
+    list is a valid result.
     """
     if m < 1 or grid < 16:
         raise ValueError("need m >= 1 and grid >= 16")
     b1 = params_base.b1
-
-    def spectrum_at(b2: float, top: int) -> SpectrumArrays:
-        return spectrum_arrays(
-            LayerParams(params_base.delta, params_base.lam, b1, b2), top
-        )
-
     records: list[CollisionRecord] = []
     ts = np.linspace(0.5 / grid, 1.0 - 0.5 / grid, grid) * b1
-    on_grid = [spectrum_at(t, max(m, n_max)) for t in ts]
-    minus_m = np.array([sp.omega_minus[m - 1] for sp in on_grid])
-    plus = np.array([sp.omega_plus for sp in on_grid])  # (grid, max(m, n_max))
+    _, _, _, minus, plus = spectrum_over_b2(params_base, ts, max(m, n_max))
+    minus_m = minus[:, m - 1]
+
+    def gap(b2: float, n: int) -> float:
+        _, _, _, lo, hi = spectrum_over_b2(params_base, [b2], max(m, n))
+        return float(lo[0, m - 1] - hi[0, n - 1])
+
     for n in range(1, n_max + 1):
         if n == m:
             continue
@@ -313,24 +370,9 @@ def collision_scan(
             g0, g1 = gaps[i], gaps[i + 1]
             if g0 == 0.0:
                 roots.append((ts[i], 0.0))
-                continue
-            if g0 * g1 < 0.0:
-                lo_t, hi_t, lo_g = ts[i], ts[i + 1], g0
-                res = min(abs(g0), abs(g1))
-                root = lo_t if abs(g0) <= abs(g1) else hi_t
-                for _ in range(200):
-                    mid = 0.5 * (lo_t + hi_t)
-                    sp = spectrum_at(mid, max(m, n))
-                    gm = sp.omega_minus[m - 1] - sp.omega_plus[n - 1]
-                    if abs(gm) < res:
-                        res, root = abs(gm), mid
-                    if res <= 1e-12 or hi_t - lo_t <= 1e-16 * b1:
-                        break
-                    if lo_g * gm <= 0.0:
-                        hi_t = mid
-                    else:
-                        lo_t, lo_g = mid, gm
-                roots.append((root, res))
+            elif g0 * g1 < 0.0:
+                roots.append(_illinois(lambda x: gap(x, n), ts[i], ts[i + 1], g0, g1,
+                                       1e-12, 1e-16 * b1))
         merged: list[CollisionRecord] = []
         for root, res in sorted(roots):
             if merged and abs(root - merged[-1].b2_root) <= DEDUP_TOL * b1:
@@ -361,29 +403,25 @@ def first_collision_free_m(
 
 
 def equal_radius_collision_argument(n: int, tol: float = 1e-12) -> float:
-    """Root x0 of I_1(x) K_1(x) = 1/(2n), n >= 2.
+    """Root x0 of I_1(x) K_1(x) = 1/(2n), n >= 2, to |I_1 K_1 - 1/(2n)| <= tol.
 
     At equal radii b1 = b2 = x0/mu the branches collide: Omega_1^+ equals
-    Omega_n^-.  I_1 K_1 decreases from 1/2 to 0, so the root is unique.
+    Omega_n^-.  I_1 K_1 decreases from 1/2 to 0, so the root is unique; it
+    is refined by the same Illinois false position as the collision scan.
     """
     if n < 2:
         raise ValueError("need n >= 2 (I_1 K_1 never exceeds 1/2)")
     target = 1.0 / (2.0 * n)
+
+    def excess(x: float) -> float:
+        return bessel_ik_product(1, x, x) - target
+
     lo, hi = 1e-8, 1.0
-    while bessel_ik_product(1, hi, hi) > target:
+    while (f_hi := excess(hi)) > 0.0:
         hi *= 2.0
         if hi > 1e8:
             raise ArithmeticError("failed to bracket the collision argument")
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        val = bessel_ik_product(1, mid, mid) - target
-        if abs(val) <= tol:
-            return mid
-        if val > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _illinois(excess, lo, hi, excess(lo), f_hi, tol, 0.0)[0]
 
 
 # ---------------------------------------------------------------------------

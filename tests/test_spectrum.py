@@ -8,6 +8,8 @@ from qgpatch import spectrum as S
 from qgpatch.bessel import bessel_ik_product
 from qgpatch.kernels import LayerParams
 
+from oracles import collision_root_mp
+
 BASE = LayerParams(1.0, 1.0, 1.0, 0.7)
 
 # (delta, lambda, b2) grid with b1 = 1 and delta >= (b2/b1)^2
@@ -167,7 +169,8 @@ class TestCollisions:
         assert len(recs) == 1
         assert recs[0].n == 2
         assert recs[0].residual <= 1e-12
-        assert recs[0].b2_root == pytest.approx(0.77775469, abs=1e-6)
+        root = collision_root_mp(1.0, 1.0, 1.0, 3, 2, 0.7777)
+        assert abs(recs[0].b2_root - root) <= 1e-11  # 1e-11 * b1, b1 = 1
 
     def test_empty_scan_for_collision_free_m(self):
         base = LayerParams(1.0, 1.0, 1.0, 0.5)
@@ -247,6 +250,37 @@ class TestSpectrumArrays:
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
             S.spectrum_arrays(BASE, 0)
+
+    @pytest.mark.parametrize("n_max", [1, N_MAX])
+    def test_b2_vector_matches_per_point_rows(self, n_max):
+        for d, lam in {(p.delta, p.lam) for p in self.POINTS}:
+            points = [p for p in self.POINTS if (p.delta, p.lam) == (d, lam)]
+            rows = S.spectrum_over_b2(points[0], [p.b2 for p in points], n_max)
+            for i, p in enumerate(points):
+                spec = S.spectrum_arrays(p, n_max)
+                for got, want in zip(rows, (spec.a_n, spec.b_n, spec.gamma_n,
+                                            spec.omega_minus, spec.omega_plus)):
+                    assert np.array_equal(got[i], want)
+
+    def test_rejects_radius_outside_disc(self):
+        for b2 in ([0.5, 0.0], [1.5], []):
+            with pytest.raises(ValueError):
+                S.spectrum_over_b2(BASE, b2, 4)
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_scan_evaluation_count(self, m, monkeypatch):
+        sizes = []
+        evaluate = S.spectrum_over_b2
+
+        def counted(params_base, b2, n_max):
+            sizes.append(len(b2))
+            return evaluate(params_base, b2, n_max)
+
+        monkeypatch.setattr(S, "spectrum_over_b2", counted)
+        recs = S.collision_scan(LayerParams(1.0, 1.0, 1.0, 0.5), m, n_max=16, grid=48)
+        assert recs
+        assert sizes[0] == 48 and sizes[1:] == [1] * (len(sizes) - 1)
+        assert len(sizes) - 1 <= 6 * len(recs)
 
 
 class TestTableAndSerialization:
