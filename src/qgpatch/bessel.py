@@ -4,9 +4,9 @@ Everything downstream (interaction kernels, spectral theory, singular
 quadrature) reduces to modified Bessel functions of integer order on the
 positive half line.  The evaluation strategy per function:
 
-* Orders 0 and 1 come from ``scipy.special`` (``i0``, ``i1``, ``k0``,
-  ``k1`` and, for the logs, the exponentially scaled ``i0e``, ``i1e``,
-  ``k0e``, ``k1e``).
+* Orders 0 and 1 come from ``scipy.special``: the sweeps below start
+  from the exponentially scaled ``i0e``, ``i1e``, ``k0e``, ``k1e``, and
+  ``i0_array``, ``k1_array`` are ``i0``, ``k1``.
 * ``I_n`` (n >= 2): one downward Miller sweep gives every order <= N,
   normalized against ``I_0`` (the upward recurrence for I is violently
   unstable); ``log_bessel_i_orders`` returns the whole sweep.
@@ -34,13 +34,11 @@ positive half line.  The evaluation strategy per function:
   directly.  ``k0_array`` evaluates K_0 from the series for z <= 3 and
   takes ``scipy.special.k0`` above, where the series cancels.
 
-The scalar ``log_bessel_i(n, x)`` and ``log_bessel_k(n, x)`` are the last
-entry of a sweep of top order n.
-
-Products ``I_n(x) K_n(y)`` are assembled in log space so that orders up to
-several hundred neither overflow nor underflow; the spectral theory needs
-differences like b^n/(2n) - I_n K_n at relative accuracy and therefore the
-product itself must keep relative accuracy even when it is ~1e-300.
+Products ``I_n(x) K_n(y)`` are assembled in log space, from the sweeps,
+so that orders up to several hundred neither overflow nor underflow; the
+spectral theory needs differences like b^n/(2n) - I_n K_n at relative
+accuracy and therefore the product itself must keep relative accuracy
+even when it is ~1e-300.
 
 All functions are elementwise over numpy arrays and pure; there is no
 shared mutable state.
@@ -58,7 +56,6 @@ FloatArray = NDArray[np.float64]
 EULER_GAMMA = 0.57721566490153286
 
 _LOG2 = 0.69314718055994531
-_MAX_EXP = 709.0  # exp() overflows just above this
 
 # Harmonic numbers H_0..H_m, extended on demand.
 _HARMONIC = [0.0]
@@ -216,7 +213,7 @@ def i0_and_regular_part(z: FloatArray) -> tuple[FloatArray, FloatArray]:
 
 
 # ---------------------------------------------------------------------------
-# I_n, K_n and log-scaled variants
+# Order sweeps of log I_n, log K_n
 # ---------------------------------------------------------------------------
 
 
@@ -258,7 +255,7 @@ def log_bessel_i_orders(n_max: int, x: float) -> FloatArray:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if x <= 0.0:
-        raise ValueError("log_bessel_i requires x > 0")
+        raise ValueError("log_bessel_i_orders requires x > 0")
     out = np.empty(n_max + 1)
     out[0] = x + np.log(special.i0e(x))
     if n_max >= 1:
@@ -273,7 +270,7 @@ def log_bessel_k_orders(n_max: int, x: float) -> FloatArray:
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if x <= 0.0:
-        raise ValueError("log_bessel_k requires x > 0")
+        raise ValueError("log_bessel_k_orders requires x > 0")
     lk0 = float(np.log(special.k0e(x)) - x)
     lk1 = float(np.log(special.k1e(x)) - x)
     out = np.empty(n_max + 1)
@@ -297,76 +294,18 @@ def log_bessel_k_orders(n_max: int, x: float) -> FloatArray:
     return out
 
 
-def log_bessel_i(n: int, x: float) -> float:
-    """log I_n(x) for n >= 0, x > 0; safe far outside float range."""
-    n = abs(n)
-    return float(log_bessel_i_orders(n, x)[n])
-
-
-def log_bessel_k(n: int, x: float) -> float:
-    """log K_n(x) for n >= 0, x > 0; safe far outside float range."""
-    n = abs(n)
-    return float(log_bessel_k_orders(n, x)[n])
-
-
-def bessel_i(n: int, x: float) -> float:
-    r"""Modified Bessel function I_n(x), n >= 0 (I_{-n} = I_n), x >= 0.
-
-    Raises OverflowError once e^x leaves double range instead of silently
-    returning inf.
-    """
-    if n < 0:
-        n = -n
-    x = float(x)
-    if x < 0.0:
-        raise ValueError("bessel_i requires x >= 0")
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if x > _MAX_EXP:
-        raise OverflowError(f"I_n({x}) exceeds double precision range")
-    if n == 0:
-        return float(special.i0(x))
-    if n == 1:
-        return float(special.i1(x))
-    lv = log_bessel_i(n, x)
-    if lv < -745.0:
-        return 0.0
-    return float(np.exp(lv))
-
-
-def bessel_k(n: int, x: float) -> float:
-    r"""Modified Bessel function K_n(x), n >= 0 (K_{-n} = K_n), x > 0.
-
-    Returns inf when the true value overflows double precision (small x
-    with large n); use log_bessel_k in that regime.
-    """
-    if n < 0:
-        n = -n
-    x = float(x)
-    if x <= 0.0:
-        raise ValueError("bessel_k requires x > 0")
-    if n == 0:
-        return float(special.k0(x))
-    if n == 1:
-        return float(special.k1(x))
-    lv = log_bessel_k(n, x)
-    if lv > _MAX_EXP:
-        return np.inf
-    return float(np.exp(lv))
-
-
 def bessel_ik_product(n: int, x: float, y: float) -> float:
     r"""I_n(x) K_n(y) for 0 < x <= y, stable for orders up to several hundred.
 
-    Computed as exp(log I_n(x) + log K_n(y)); the two logs are O(n log n)
+    Computed as exp(log I_n(x) + log K_n(y)) from the top entries of two
+    sweeps of top order n; the two logs are O(n log n)
     with opposite signs, so the product keeps relative accuracy where the
     naive evaluation would underflow to zero.
     """
     if x <= 0.0 or x > y:
         raise ValueError("bessel_ik_product requires 0 < x <= y")
-    if n < 0:
-        n = -n
-    lv = log_bessel_i(n, x) + log_bessel_k(n, y)
+    n = abs(n)
+    lv = log_bessel_i_orders(n, x)[n] + log_bessel_k_orders(n, y)[n]
     return float(np.exp(lv))
 
 

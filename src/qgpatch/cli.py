@@ -152,7 +152,8 @@ def cmd_collide(settings: dict[str, str], equal_radii: bool) -> int:
             x0 = spectrum.equal_radius_collision_argument(n)
             b = x0 / params.mu
             pc = LayerParams(params.delta, params.lam, b, b)
-            gap = abs(spectrum.omega_pm(pc, 1)[1] - spectrum.omega_pm(pc, n)[0])
+            spec = spectrum.spectrum_arrays(pc, n)
+            gap = abs(spec.omega(1, 1) - spec.omega(n, -1))
             report["roots"].append(
                 {"n": n, "x0": float(x0), "b_equal": float(b), "omega_gap": float(gap)}
             )

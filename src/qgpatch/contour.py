@@ -15,7 +15,7 @@ rotating at Omega.  The integrals u_k are minus the layer velocities of
 
 At r = 0 the derivative of F acts diagonally on Fourier modes: cosine mode
 n maps to sine mode n through the block -n M_n(Omega) of
-:func:`qgpatch.spectrum.matrix_m`.  V-state branches are continued in the
+:meth:`.SpectrumArrays.matrix_m`.  V-state branches are continued in the
 amplitude s of the kernel direction by a damped Newton iteration on the
 Galerkin system over the m-fold sine modes, with the first-layer mode-m
 coefficient pinned to s * (first kernel-vector component).  Every
@@ -202,7 +202,7 @@ def functional_f(
 
 def linearized_multiplier(params: LayerParams, omega: float, n: int) -> np.ndarray:
     """Block -n M_n(Omega): cosine mode n of r maps to sine mode n of F."""
-    return -n * spectrum.matrix_m(params, n, omega)
+    return -n * spectrum.spectrum_arrays(params, n).matrix_m(omega)[n - 1]
 
 
 def sine_coefficients(values: FloatArray, modes) -> FloatArray:
@@ -426,9 +426,11 @@ def vstate_solve(
     """Solve F(Omega, r) = 0 on the m-fold sine modes at fixed amplitude s.
 
     The amplitude chart pins the first-layer mode-m cosine coefficient to
-    s * v1 with v = kernel_vector(params, m, sign); the remaining
-    coefficients and Omega are the Newton unknowns.  With no warm start the
-    iteration begins on the tangent r = s * v cos(m t), Omega = Omega_m^sign.
+    s * v1, with v the kernel vector and Omega_m^sign read from the same
+    ``spectrum_arrays`` rows up to m * n_modes as the Newton blocks; the
+    remaining coefficients and Omega are the Newton unknowns.  With no warm
+    start the iteration begins on the tangent r = s * v cos(m t),
+    Omega = Omega_m^sign.
     Each iteration solves with the r = 0 blocks of :func:`_newton_matrix`
     and halves the step until the residual falls.  A solve is accepted once
     the residual is at most NEWTON_TOL and the step at most 1e-12; one
@@ -444,9 +446,8 @@ def vstate_solve(
     spec = spectrum.spectrum_arrays(params, m * n_modes)
     check_simple_eigenvalue(spec, m, sign, n_modes)
 
-    vec = spectrum.kernel_vector(params, m, sign)
-    lo, hi = spectrum.omega_pm(params, m)
-    omega0 = hi if sign == 1 else lo
+    vec = spec.kernel_vector(m, sign)
+    omega0 = spec.omega(m, sign)
     pinned = s * vec[0]
 
     if s == 0.0:
@@ -531,10 +532,10 @@ def branch_continue(
     refusal) and records it, keeping the solutions converged before it.
     """
     result = BranchResult()
-    lo, hi = spectrum.omega_pm(params, m)
+    # Omega_m^sign from the same rows as vstate_solve reads
+    omega0 = spectrum.spectrum_arrays(params, m * n_modes).omega(m, sign)
     origin = VStateSolution(
-        params, m, sign, 0.0, hi if sign == 1 else lo,
-        RadialDeformation.zero(m, n_modes, n_nodes), 0.0,
+        params, m, sign, 0.0, omega0, RadialDeformation.zero(m, n_modes, n_nodes), 0.0
     )
     for s in s_grid:
         start = _secant_start(origin, result.solutions, float(s))

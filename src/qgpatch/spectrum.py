@@ -19,18 +19,21 @@ exactly at the two angular velocities
                  / (2 (d+1)),
 
 which are the bifurcation points of the m-fold V-state branches.  This
-module computes all of these quantities, the kernel direction of the
-singular matrix, the trace form of the transversality condition, and scans
-for spectral collisions Omega_m^- = Omega_n^+ as b2 varies.
+module computes all of these quantities and the kernel direction of the
+singular matrix, and scans for spectral collisions Omega_m^- = Omega_n^+
+as b2 varies.
 
-The scalar functions (``coeffs_ab``, ``gamma_n``, ``omega_pm``, ...) take
-one mode and are the reference.  The array evaluator ``spectrum_over_b2``
-returns A_n, B_n, gamma_n and Omega_n^+- over arrays of n and of b2: every
-n <= n_max at every radius of a b2 vector, from one Bessel sweep per
-function and argument, with the b1 sweeps shared by all radii and the mean
-flow computed once per radius.  ``spectrum_arrays`` is its one-radius case;
-the spectrum table, the collision scan and the V-state Newton blocks are
-built on it.  Scalar and array paths go through the same formulas.
+The array evaluator ``spectrum_over_b2`` returns A_n, B_n, gamma_n and
+Omega_n^+- over arrays of n and of b2: every n <= n_max at every radius of
+a b2 vector, from one Bessel sweep per function and argument, with the b1
+sweeps shared by all radii and the mean flow computed once per radius.
+``spectrum_arrays`` is its one-radius case, and its ``omega`` and
+``kernel_vector`` read single modes.  The library calls only these arrays:
+the spectrum table, the collision scan, the V-state pin and Newton blocks
+and the linearized multiplier are built on them.  The per-n functions
+``mean_flow_coeffs``, ``omega_pm`` and ``matrix_m`` take one mode from
+scalar I_n K_n products (``bessel_ik_product``); they are the reference
+the arrays are checked against.  Both routes go through the same formulas.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
+from scipy import special
 
 from .bessel import bessel_ik_product, log_bessel_i_orders, log_bessel_k_orders
 from .kernels import LayerParams
@@ -48,6 +52,7 @@ FloatArray = NDArray[np.float64]
 
 DEDUP_TOL = 1e-9  # collision_scan merges roots of one pair closer than this times b1
 MAX_REFINE = 200  # cap on the evaluations of one root refinement
+EQUAL_RADIUS_TOL = 1e-12  # |I_1 K_1 - 1/(2n)| at an equal-radius collision argument
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,7 @@ class CollisionRecord:
     tangency: bool = False
 
 
-# Each formula below is written once; the scalar API and the array
+# Each formula below is written once; the per-n reference and the array
 # evaluator both go through it, with n and the products scalar or arrays.
 
 
@@ -125,27 +130,6 @@ def mean_flow_coeffs(params: LayerParams) -> MeanFlowCoeffs:
     )
 
 
-def coeffs_ab(params: LayerParams, n: int) -> tuple[float, float]:
-    """(A_n, B_n); both sequences are non-positive and non-increasing."""
-    if n < 1:
-        raise ValueError("mode index must be >= 1")
-    d, mu, b1, b2 = params.delta, params.mu, params.b1, params.b2
-    return _ab(
-        d,
-        mean_flow_coeffs(params),
-        n,
-        bessel_ik_product(n, b1 * mu, b1 * mu),
-        bessel_ik_product(n, b2 * mu, b2 * mu),
-    )
-
-
-def coeffs_ab_limits(params: LayerParams) -> tuple[float, float]:
-    """(A_inf, B_inf) = (d+1) (V, W), the large-n limits of A_n, B_n."""
-    d = params.delta
-    mf = mean_flow_coeffs(params)
-    return (d + 1.0) * mf.v, (d + 1.0) * mf.w
-
-
 def a_inf_minus_b_inf(params: LayerParams) -> float:
     """Branch-limit gap A_inf - B_inf in closed form.
 
@@ -165,61 +149,30 @@ def a_inf_minus_b_inf(params: LayerParams) -> float:
     )
 
 
-def gamma_n(params: LayerParams, n: int) -> float:
-    """Coupling coefficient gamma_n = b^n/(2n) - I_n(b2 mu) K_n(b1 mu)."""
+def _scalar_row(params: LayerParams, n: int) -> tuple[float, float, float]:
+    # (A_n, B_n, gamma_n) of one mode from six scalar I K products
     if n < 1:
         raise ValueError("mode index must be >= 1")
-    return _gamma(
-        params.b, n, bessel_ik_product(n, params.b2 * params.mu, params.b1 * params.mu)
-    )
+    d, mu, b1, b2 = params.delta, params.mu, params.b1, params.b2
+    mf = mean_flow_coeffs(params)
+    ik_b1 = bessel_ik_product(n, b1 * mu, b1 * mu)
+    a_n, b_n = _ab(d, mf, n, ik_b1, bessel_ik_product(n, b2 * mu, b2 * mu))
+    return a_n, b_n, _gamma(params.b, n, bessel_ik_product(n, b2 * mu, b1 * mu))
 
 
 def matrix_m(params: LayerParams, n: int, omega: float) -> np.ndarray:
     """The 2x2 multiplier block M_n(omega) acting on mode-n coefficients."""
-    a_n, b_n = coeffs_ab(params, n)
-    return _multiplier(params.delta, a_n, b_n, gamma_n(params, n), omega)
+    return _multiplier(params.delta, *_scalar_row(params, n), omega)
 
 
 def omega_pm(params: LayerParams, n: int) -> tuple[float, float]:
     """Angular velocities (omega_minus, omega_plus) where M_n is singular."""
-    a_n, b_n = coeffs_ab(params, n)
-    return _omega_pair(params.delta, a_n, b_n, gamma_n(params, n))
+    return _omega_pair(params.delta, *_scalar_row(params, n))
 
 
 def kernel_vector(params: LayerParams, m: int, sign: int) -> np.ndarray:
-    """Generator of ker M_m(Omega_m^sign), sign in {+1, -1}.
-
-    Components (Omega_m^sign + B_m/(d+1), -d*gamma_m/(d+1)), with the
-    overall sign flipped if needed so the first component is positive.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    d = params.delta
-    _, b_m = coeffs_ab(params, m)
-    g = gamma_n(params, m)
-    lo, hi = omega_pm(params, m)
-    omega = hi if sign == 1 else lo
-    vec = np.array([omega + b_m / (d + 1.0), -d * g / (d + 1.0)])
-    if vec[0] == 0.0 and vec[1] == 0.0:
-        raise ArithmeticError(
-            "kernel direction degenerate (gamma_m = 0 and Omega = -B_m/(d+1))"
-        )
-    if vec[0] < 0.0 or (vec[0] == 0.0 and vec[1] < 0.0):
-        vec = -vec
-    return vec
-
-
-def trace_identity_residual(params: LayerParams, m: int) -> tuple[float, float]:
-    """Residuals of Tr M_m(Omega_m^pm) = pm (Omega_m^+ - Omega_m^-).
-
-    The nonvanishing of that trace is the computable transversality
-    condition for the bifurcation; returns (res_minus, res_plus).
-    """
-    lo, hi = omega_pm(params, m)
-    gap = hi - lo
-    tr_lo = float(np.trace(matrix_m(params, m, lo)))
-    tr_hi = float(np.trace(matrix_m(params, m, hi)))
-    return abs(tr_lo + gap), abs(tr_hi - gap)
+    """Generator of ker M_m(Omega_m^sign), read from ``spectrum_arrays(params, m)``."""
+    return spectrum_arrays(params, m).kernel_vector(m, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +194,32 @@ class SpectrumArrays:
     def matrix_m(self, omega: float) -> np.ndarray:
         """Every block M_n(omega), shape (n_max, 2, 2)."""
         return _multiplier(self.params.delta, self.a_n, self.b_n, self.gamma_n, omega)
+
+    def omega(self, m: int, sign: int) -> float:
+        """Omega_m^sign, sign in {+1, -1}, for 1 <= m <= n_max."""
+        if not 1 <= m <= self.a_n.size:
+            raise ValueError(f"mode {m} outside 1..{self.a_n.size}")
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        return float((self.omega_plus if sign == 1 else self.omega_minus)[m - 1])
+
+    def kernel_vector(self, m: int, sign: int) -> np.ndarray:
+        """Generator of ker M_m(Omega_m^sign), sign in {+1, -1}.
+
+        Components (Omega_m^sign + B_m/(d+1), -d*gamma_m/(d+1)), with the
+        overall sign flipped if needed so the first component is positive.
+        """
+        omega = self.omega(m, sign)
+        d = self.params.delta
+        b_m, g = self.b_n[m - 1], self.gamma_n[m - 1]
+        vec = np.array([omega + b_m / (d + 1.0), -d * g / (d + 1.0)])
+        if vec[0] == 0.0 and vec[1] == 0.0:
+            raise ArithmeticError(
+                "kernel direction degenerate (gamma_m = 0 and Omega = -B_m/(d+1))"
+            )
+        if vec[0] < 0.0 or (vec[0] == 0.0 and vec[1] < 0.0):
+            vec = -vec
+        return vec
 
 
 def spectrum_over_b2(
@@ -402,26 +381,28 @@ def first_collision_free_m(
     return None
 
 
-def equal_radius_collision_argument(n: int, tol: float = 1e-12) -> float:
-    """Root x0 of I_1(x) K_1(x) = 1/(2n), n >= 2, to |I_1 K_1 - 1/(2n)| <= tol.
+def equal_radius_collision_argument(n: int) -> float:
+    """Root x0 of I_1(x) K_1(x) = 1/(2n), n >= 2.
 
     At equal radii b1 = b2 = x0/mu the branches collide: Omega_1^+ equals
     Omega_n^-.  I_1 K_1 decreases from 1/2 to 0, so the root is unique; it
-    is refined by the same Illinois false position as the collision scan.
+    is refined by the same Illinois false position as the collision scan,
+    on the product of the scaled ``scipy.special.i1e`` and ``k1e``, to
+    |I_1 K_1 - 1/(2n)| <= EQUAL_RADIUS_TOL.
     """
     if n < 2:
         raise ValueError("need n >= 2 (I_1 K_1 never exceeds 1/2)")
     target = 1.0 / (2.0 * n)
 
     def excess(x: float) -> float:
-        return bessel_ik_product(1, x, x) - target
+        return float(special.i1e(x) * special.k1e(x)) - target
 
     lo, hi = 1e-8, 1.0
     while (f_hi := excess(hi)) > 0.0:
         hi *= 2.0
         if hi > 1e8:
             raise ArithmeticError("failed to bracket the collision argument")
-    return _illinois(excess, lo, hi, excess(lo), f_hi, tol, 0.0)[0]
+    return _illinois(excess, lo, hi, excess(lo), f_hi, EQUAL_RADIUS_TOL, 0.0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,14 +31,13 @@ def _check(name: str, passed: bool, detail: str = "") -> Check:
 
 def bessel_suite() -> list[Check]:
     checks = []
-    # Wronskian I_n K_{n+1} + I_{n+1} K_n = 1/x
+    # Wronskian I_n K_{n+1} + I_{n+1} K_n = 1/x, n = 0..32, on the sweeps
     worst = 0.0
     for x in (0.5, 2.0, 10.0):
-        for n in range(0, 33):
-            w = bessel.bessel_i(n, x) * bessel.bessel_k(n + 1, x) + bessel.bessel_i(
-                n + 1, x
-            ) * bessel.bessel_k(n, x)
-            worst = max(worst, abs(w - 1.0 / x) * x)
+        log_i = bessel.log_bessel_i_orders(33, x)
+        log_k = bessel.log_bessel_k_orders(33, x)
+        w = np.exp(log_i[:-1] + log_k[1:]) + np.exp(log_i[1:] + log_k[:-1])
+        worst = max(worst, float(np.max(np.abs(w - 1.0 / x))) * x)
     checks.append(_check("bessel.wronskian", worst <= 1e-10, f"rel {worst:.2e}"))
 
     # I_n K_n strictly decreasing in n, positive products
@@ -70,7 +69,7 @@ def bessel_suite() -> list[Check]:
 
     # I_1(x)/x strictly increasing
     xs = np.linspace(0.05, 20.0, 100)
-    vals = [bessel.bessel_i(1, x) / x for x in xs]
+    vals = [np.exp(bessel.log_bessel_i_orders(1, x)[1]) / x for x in xs]
     ok = all(vals[i + 1] > vals[i] for i in range(len(xs) - 1))
     checks.append(_check("bessel.i1_over_x_increasing", ok))
 
@@ -265,17 +264,20 @@ def spectrum_suite(gamma_error: float = 0.0) -> list[Check]:
     checks.append(_check("spectrum.gamma_bounds", gamma_ok))
     checks.append(_check("spectrum.branch_gap_sign", gap_ok))
 
-    # equal-radii closed form
+    # equal-radii closed form, I_n K_n from the sweeps the rows are built on
     worst = 0.0
+    n = np.arange(1, 17)
     for d in (0.5, 1.0, 2.0, 10.0):
         p = LayerParams(d, 1.0, 1.0, 1.0)
-        for n in range(1, 17):
-            lo, hi = spectrum.omega_pm(p, n)
-            worst = max(
-                worst,
-                abs(hi - (0.5 - bessel.bessel_ik_product(n, p.mu, p.mu))),
-                abs(lo - (0.5 - 0.5 / n)),
-            )
+        spec = spectrum.spectrum_arrays(p, 16)
+        ik = np.exp(
+            bessel.log_bessel_i_orders(16, p.mu) + bessel.log_bessel_k_orders(16, p.mu)
+        )
+        worst = max(
+            worst,
+            float(np.max(np.abs(spec.omega_plus - (0.5 - ik[1:])))),
+            float(np.max(np.abs(spec.omega_minus - (0.5 - 0.5 / n)))),
+        )
     checks.append(_check("spectrum.equal_radii_form", worst <= 1e-12, f"{worst:.2e}"))
     return checks
 

@@ -204,33 +204,43 @@ def screened_moments_mp(x: float, y: float, lam: float, n_max: int,
         return out
 
 
+def spectrum_row_mp(delta, lam, b1, b2, k: int, dps: int = 40):
+    """(A_k, B_k, gamma_k, Omega_k^-, Omega_k^+) at the disc pair (b1, b2), as mpf.
+
+    The mean flow, A_k, B_k, gamma_k and the two branches are written out
+    again from the module formulas over mpmath's besseli / besselk, so no
+    Bessel sweep, product or recurrence of qgpatch is used.  Float
+    parameters enter exactly; b2 may also be an mpf (for root finding).
+    """
+    with mp.workdps(dps):
+        d, b1s, b2s = mpf(delta), mpf(b1), mpf(b2)
+        mu = mpf(lam) * mpsqrt(1 + d)
+
+        def ik(n, x, y):
+            return mp.besseli(n, x) * mp.besselk(n, y)
+
+        x1, x2, b = b1s * mu, b2s * mu, b2s / b1s
+        v = -(d + b * b) / (2 * (1 + d)) - (ik(1, x1, x1) - b * ik(1, x2, x1)) / (1 + d)
+        w = mpf(-0.5) - d * (ik(1, x2, x2) - ik(1, x2, x1) / b) / (1 + d)
+        a_k = (d + 1) * v + d / (2 * k) + ik(k, x1, x1)
+        b_k = (d + 1) * w + mpf(1) / (2 * k) + d * ik(k, x2, x2)
+        g = b ** k / (2 * k) - ik(k, x2, x1)
+        disc = mpsqrt((a_k - b_k) ** 2 + 4 * d * g * g)
+        lo = (-(a_k + b_k) - disc) / (2 * (d + 1))
+        hi = (-(a_k + b_k) + disc) / (2 * (d + 1))
+        return a_k, b_k, g, lo, hi
+
+
 def collision_root_mp(delta: float, lam: float, b1: float, m: int, n: int,
                       b2_guess: float, dps: int = 30) -> float:
     """b2 with Omega_m^-(b2) = Omega_n^+(b2), by mp.findroot at dps digits.
 
-    The mean flow, A_k, B_k, gamma_k and the two branches are written out
-    again from the module formulas over mpmath's besseli / besselk, so no
-    Bessel sweep, product or recurrence of qgpatch is used.
+    The branches come from ``spectrum_row_mp``, independent of qgpatch.
     """
     with mp.workdps(dps):
-        d, b1s = mpf(repr(delta)), mpf(repr(b1))
-        mu = mpf(repr(lam)) * mpsqrt(1 + d)
-
-        def ik(k, x, y):
-            return mp.besseli(k, x) * mp.besselk(k, y)
-
-        def branches(b2, k):
-            x1, x2, b = b1s * mu, b2 * mu, b2 / b1s
-            v = -(d + b * b) / (2 * (1 + d)) - (ik(1, x1, x1) - b * ik(1, x2, x1)) / (1 + d)
-            w = mpf(-0.5) - d * (ik(1, x2, x2) - ik(1, x2, x1) / b) / (1 + d)
-            a_k = (d + 1) * v + d / (2 * k) + ik(k, x1, x1)
-            b_k = (d + 1) * w + mpf(1) / (2 * k) + d * ik(k, x2, x2)
-            g = b ** k / (2 * k) - ik(k, x2, x1)
-            disc = mpsqrt((a_k - b_k) ** 2 + 4 * d * g * g)
-            return (-(a_k + b_k) - disc) / (2 * (d + 1)), (-(a_k + b_k) + disc) / (2 * (d + 1))
-
         def gap(b2):
-            return branches(b2, m)[0] - branches(b2, n)[1]
+            return (spectrum_row_mp(delta, lam, b1, b2, m, dps)[3]
+                    - spectrum_row_mp(delta, lam, b1, b2, n, dps)[4])
 
         return float(mp.findroot(gap, mpf(repr(b2_guess))))
 

@@ -100,11 +100,14 @@ def test_criterion_04_spectral_defect():
 
 
 def test_criterion_05_transversality_trace():
+    # Tr M_m(Omega_m^pm) = pm (Omega_m^+ - Omega_m^-), m = 1..32
     worst = 0.0
     for p in SPECTRAL_GRID:
-        for m in range(1, 33):
-            res_lo, res_hi = S.trace_identity_residual(p, m)
-            worst = max(worst, res_lo, res_hi)
+        spec = S.spectrum_arrays(p, 32)
+        lo, hi = spec.omega_minus, spec.omega_plus
+        for omega, sign in ((lo, -1), (hi, 1)):
+            trace = np.trace(spec.matrix_m(omega), axis1=1, axis2=2)
+            worst = max(worst, float(np.max(np.abs(trace - sign * (hi - lo)))))
     _report(5, "transversality trace", worst <= 1e-12, f"abs err {worst:.2e}")
 
 

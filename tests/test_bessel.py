@@ -14,16 +14,20 @@ from oracles import (
 GAMMA = B.EULER_GAMMA
 
 
+def _i(n, x):
+    return float(np.exp(B.log_bessel_i_orders(n, x)[n]))
+
+
+def _k(n, x):
+    return float(np.exp(B.log_bessel_k_orders(n, x)[n]))
+
+
 class TestBesselI:
-    def test_origin_values(self):
-        assert B.bessel_i(0, 0.0) == 1.0
-        assert B.bessel_i(1, 0.0) == 0.0
+    """I_n as the top entry of a Miller sweep."""
 
     def test_series_oracle(self):
         # 40-term ascending series in extended precision
-        assert B.bessel_i(5, 2.5) == pytest.approx(
-            bessel_i_series_mp(5, 2.5, terms=40), rel=1e-13
-        )
+        assert _i(5, 2.5) == pytest.approx(bessel_i_series_mp(5, 2.5, terms=40), rel=1e-13)
 
     def test_accuracy_across_range(self):
         with mp.workdps(40):
@@ -32,55 +36,47 @@ class TestBesselI:
                     ref = float(mp.besseli(n, x))
                     if ref == 0.0:
                         continue
-                    assert B.bessel_i(n, x) == pytest.approx(ref, rel=1e-12)
-
-    def test_overflow_is_an_error(self):
-        with pytest.raises(OverflowError):
-            B.bessel_i(0, 800.0)
-
-    def test_negative_order_reduces(self):
-        assert B.bessel_i(-3, 2.0) == B.bessel_i(3, 2.0)
+                    assert _i(n, x) == pytest.approx(ref, rel=1e-12)
 
     def test_rejects_negative_argument(self):
         with pytest.raises(ValueError):
-            B.bessel_i(0, -1.0)
+            B.log_bessel_i_orders(3, -1.0)
 
 
 class TestBesselK:
+    """K_n as the top entry of an upward sweep."""
+
     def test_small_argument_log_limit(self):
         # K_0(x) + log(x/2) I_0(x) -> Phi(1) = -gamma as x -> 0, at rate x^2
-        devs = [
-            abs(B.bessel_k(0, x) + np.log(0.5 * x) * B.bessel_i(0, x) + GAMMA)
-            for x in (1e-3, 1e-5, 1e-7)
-        ]
+        devs = [abs(_k(0, x) + np.log(0.5 * x) * _i(0, x) + GAMMA) for x in (1e-3, 1e-5, 1e-7)]
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] <= 1e-12
 
     def test_k1_matches_derivative_of_k0(self):
         # K_1 = -K_0', central difference at 1.0
         h = 1e-6
-        fd = -(B.bessel_k(0, 1.0 + h) - B.bessel_k(0, 1.0 - h)) / (2 * h)
-        assert B.bessel_k(1, 1.0) == pytest.approx(fd, abs=1e-8)
+        fd = -(_k(0, 1.0 + h) - _k(0, 1.0 - h)) / (2 * h)
+        assert _k(1, 1.0) == pytest.approx(fd, abs=1e-8)
 
     @pytest.mark.parametrize("x", [0.5, 2.0, 10.0])
     def test_wronskian_gate(self, x):
-        # I_n K_{n+1} + I_{n+1} K_n = 1/x
-        for n in range(0, 33):
-            w = B.bessel_i(n, x) * B.bessel_k(n + 1, x) + B.bessel_i(n + 1, x) * B.bessel_k(n, x)
-            assert w * x == pytest.approx(1.0, abs=1e-10)
+        # I_n K_{n+1} + I_{n+1} K_n = 1/x for n = 0..32, from one sweep each
+        log_i, log_k = B.log_bessel_i_orders(33, x), B.log_bessel_k_orders(33, x)
+        w = np.exp(log_i[:-1] + log_k[1:]) + np.exp(log_i[1:] + log_k[:-1])
+        np.testing.assert_allclose(w * x, 1.0, rtol=0.0, atol=1e-10)
 
     def test_accuracy_across_range(self):
         with mp.workdps(40):
             for n in (0, 1, 2, 9, 31):
                 for x in (0.01, 0.8, 2.9, 3.1, 20.0, 120.0):
                     ref = float(besselk(n, x))
-                    assert B.bessel_k(n, x) == pytest.approx(ref, rel=2e-12)
+                    assert _k(n, x) == pytest.approx(ref, rel=2e-12)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            B.bessel_k(0, 0.0)
+            B.log_bessel_k_orders(0, 0.0)
         with pytest.raises(ValueError):
-            B.bessel_k(2, -1.0)
+            B.log_bessel_k_orders(2, -1.0)
 
 
 class TestProduct:
@@ -122,6 +118,15 @@ class TestProduct:
         with mp.workdps(60):
             ref = float(mp.besseli(512, 0.5) * mp.besselk(512, 0.5))
         assert v == pytest.approx(ref, rel=1e-11)
+
+    def test_is_the_sweeps_top_entries(self):
+        for n in (0, 1, 2, 17, 400):
+            for x, y in ((0.05, 0.05), (3.0, 60.0), (60.0, 60.0)):
+                want = np.exp(B.log_bessel_i_orders(n, x)[n] + B.log_bessel_k_orders(n, y)[n])
+                assert B.bessel_ik_product(n, x, y) == want
+
+    def test_negative_order_reduces(self):
+        assert B.bessel_ik_product(-3, 0.8, 1.7) == B.bessel_ik_product(3, 0.8, 1.7)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -213,12 +218,6 @@ class TestOrderSweeps:
     def test_log_k_against_mpmath(self, x):
         self._assert_logs_match(B.log_bessel_k_orders(self.TOP, x), mp.besselk, x)
 
-    def test_scalar_is_the_top_entry(self):
-        for n in (0, 1, 2, 17, 400):
-            for x in (0.05, 3.0, 60.0):
-                assert B.log_bessel_i(n, x) == B.log_bessel_i_orders(n, x)[n]
-                assert B.log_bessel_k(n, x) == B.log_bessel_k_orders(n, x)[n]
-
     def test_domain_errors(self):
         for sweep in (B.log_bessel_i_orders, B.log_bessel_k_orders):
             with pytest.raises(ValueError):
@@ -274,5 +273,5 @@ class TestPhi:
 
 def test_i1_over_x_strictly_increasing():
     xs = np.linspace(0.05, 20.0, 120)
-    vals = [B.bessel_i(1, x) / x for x in xs]
+    vals = [_i(1, x) / x for x in xs]
     assert all(b > a for a, b in zip(vals, vals[1:]))

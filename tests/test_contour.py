@@ -158,7 +158,8 @@ class TestLinearization:
     def test_newton_matrix_blocks(self, m):
         n_modes, omega = 8, 0.27
         coeffs = 1e-3 * np.random.default_rng(m).standard_normal((2, n_modes))
-        jac = C._newton_matrix(S.spectrum_arrays(BASE, m * n_modes), omega, coeffs, m)
+        spec = S.spectrum_arrays(BASE, m * n_modes)
+        jac = C._newton_matrix(spec, omega, coeffs, m)
         for j in range(1, n_modes + 1):
             r1, r2 = j - 1, n_modes + j - 1
             assert jac[r1, 0] == -m * j * coeffs[0, j - 1]
@@ -170,7 +171,7 @@ class TestLinearization:
                 got[:, 0] = want[:, 0]
             # the entries omega + A_n/(d+1), omega + B_n/(d+1) and gamma_n
             # cancel, so the error is measured against their summands
-            a_n, b_n = S.coeffs_ab(BASE, n)
+            a_n, b_n = spec.a_n[n - 1], spec.b_n[n - 1]
             scale = n * (abs(omega) + max(abs(a_n), abs(b_n)) / (BASE.delta + 1.0))
             assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
@@ -212,7 +213,8 @@ class TestJacobianFD:
 class TestVStateSolve:
     def test_zero_amplitude_exact(self):
         sol = C.vstate_solve(BASE, 2, -1, 0.0, n_modes=8, n_nodes=128)
-        assert sol.omega == S.omega_pm(BASE, 2)[0]
+        # Omega_2^- from the rows the solve reads, the modes up to m * n_modes
+        assert sol.omega == S.spectrum_arrays(BASE, 2 * 8).omega(2, -1)
         assert np.all(sol.deformation.coeffs == 0.0)
         assert sol.residual_norm == 0.0
 
@@ -221,12 +223,11 @@ class TestVStateSolve:
         s = 1e-3
         sol = C.vstate_solve(BASE, m, sign, s, n_modes=16, n_nodes=N)
         assert sol.residual_norm <= 1e-10
-        lo, hi = S.omega_pm(BASE, m)
-        omega0 = hi if sign == 1 else lo
+        spec = S.spectrum_arrays(BASE, m * 16)
         # branch continuity: |Omega - Omega_0| <= C s (regression constant)
-        assert abs(sol.omega - omega0) <= 1e-2 * s
+        assert abs(sol.omega - spec.omega(m, sign)) <= 1e-2 * s
         # tangency: deformation - s * kernel_vector cos(m t) is O(s^2)
-        vec = S.kernel_vector(BASE, m, sign)
+        vec = spec.kernel_vector(m, sign)
         tangent = np.zeros_like(sol.deformation.coeffs)
         tangent[:, 0] = s * vec
         assert np.max(np.abs(sol.deformation.coeffs - tangent)) <= 10 * s * s

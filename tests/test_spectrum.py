@@ -8,7 +8,7 @@ from qgpatch import spectrum as S
 from qgpatch.bessel import bessel_ik_product
 from qgpatch.kernels import LayerParams
 
-from oracles import collision_root_mp
+from oracles import collision_root_mp, spectrum_row_mp
 
 BASE = LayerParams(1.0, 1.0, 1.0, 0.7)
 
@@ -48,23 +48,23 @@ class TestMeanFlow:
 class TestCoefficients:
     def test_nonpositive_and_nonincreasing(self):
         for p in (BASE, LayerParams(2.0, 0.5, 1.0, 0.4)):
-            pairs = [S.coeffs_ab(p, n) for n in range(1, 65)]
-            a = [x for x, _ in pairs]
-            b = [y for _, y in pairs]
-            assert all(v <= 0.0 for v in a) and all(v <= 0.0 for v in b)
-            assert all(x >= y - 1e-15 for x, y in zip(a, a[1:]))
-            assert all(x >= y - 1e-15 for x, y in zip(b, b[1:]))
+            spec = S.spectrum_arrays(p, 64)
+            for row in (spec.a_n, spec.b_n):
+                assert np.all(row <= 0.0)
+                assert np.all(row[:-1] >= row[1:] - 1e-15)
 
     def test_symmetric_case(self):
-        p = LayerParams(1.0, 1.0, 1.3, 1.3)
+        spec = S.spectrum_arrays(LayerParams(1.0, 1.0, 1.3, 1.3), 17)
         for n in (1, 2, 5, 17):
-            a, b = S.coeffs_ab(p, n)
-            assert a == pytest.approx(b, abs=1e-16)
+            assert spec.a_n[n - 1] == pytest.approx(spec.b_n[n - 1], abs=1e-16)
 
     def test_tail_approach_to_limits(self):
+        # (A_inf, B_inf) = (d+1) (V, W)
         p = BASE
-        a64, b64 = S.coeffs_ab(p, 64)
-        a_inf, b_inf = S.coeffs_ab_limits(p)
+        spec = S.spectrum_arrays(p, 64)
+        a64, b64 = spec.a_n[63], spec.b_n[63]
+        mf = S.mean_flow_coeffs(p)
+        a_inf, b_inf = (p.delta + 1.0) * mf.v, (p.delta + 1.0) * mf.w
         tail_a = p.delta / 128.0 + bessel_ik_product(64, p.b1 * p.mu, p.b1 * p.mu)
         tail_b = 1.0 / 128.0 + p.delta * bessel_ik_product(64, p.b2 * p.mu, p.b2 * p.mu)
         assert a64 - a_inf == pytest.approx(tail_a, rel=1e-12)
@@ -73,7 +73,8 @@ class TestCoefficients:
 
     def test_branch_gap_closed_form(self):
         for p in GRID:
-            direct = sum(S.coeffs_ab_limits(p)[i] * (1, -1)[i] for i in (0, 1))
+            mf = S.mean_flow_coeffs(p)
+            direct = (p.delta + 1.0) * mf.v - (p.delta + 1.0) * mf.w
             assert S.a_inf_minus_b_inf(p) == pytest.approx(direct, abs=1e-13)
             if p.b2 < p.b1:
                 assert S.a_inf_minus_b_inf(p) > 0.0
@@ -82,12 +83,12 @@ class TestCoefficients:
 
 class TestGamma:
     def test_bounds_and_monotone(self):
+        n = np.arange(1, 65)
         for p in (BASE, LayerParams(4.0, 2.0, 1.0, 0.3)):
-            vals = [S.gamma_n(p, n) for n in range(1, 65)]
-            for n, g in enumerate(vals, start=1):
-                assert 0.0 < g <= 1.0 / (2 * n) + 1e-16
-            assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert S.gamma_n(BASE, 64) <= 1.0 / 128
+            vals = S.spectrum_arrays(p, 64).gamma_n
+            assert np.all((vals > 0.0) & (vals <= 1.0 / (2 * n) + 1e-16))
+            assert np.all(vals[:-1] > vals[1:])
+        assert S.spectrum_arrays(BASE, 64).gamma_n[63] <= 1.0 / 128
 
 
 class TestMatrixAndBranches:
@@ -100,10 +101,14 @@ class TestMatrixAndBranches:
                     assert abs(np.linalg.det(mat)) <= 1e-12 * np.linalg.norm(mat) ** 2
 
     def test_trace_identity(self):
+        # Tr M_m(Omega_m^pm) = pm (Omega_m^+ - Omega_m^-): transversality
+        modes = np.array([1, 2, 5, 17])
         for p in GRID:
-            for m in (1, 2, 5, 17):
-                res_lo, res_hi = S.trace_identity_residual(p, m)
-                assert res_lo <= 1e-12 and res_hi <= 1e-12
+            spec = S.spectrum_arrays(p, 17)
+            lo, hi = spec.omega_minus, spec.omega_plus
+            for omega, sign in ((lo, -1), (hi, 1)):
+                trace = np.trace(spec.matrix_m(omega), axis1=1, axis2=2)
+                assert np.all(np.abs(trace - sign * (hi - lo))[modes - 1] <= 1e-12)
 
     def test_symmetric_matrix_when_layers_match(self):
         p = LayerParams(1.0, 1.0, 1.1, 1.1)
@@ -183,7 +188,8 @@ class TestCollisions:
         base = LayerParams(1.0, 1.0, 1.0, 0.5)
         for b2 in np.linspace(0.05, 0.95, 7):
             p = LayerParams(1.0, 1.0, 1.0, b2)
-            lim_minus = -S.coeffs_ab_limits(p)[0] / (p.delta + 1.0)
+            a_inf = (p.delta + 1.0) * S.mean_flow_coeffs(p).v
+            lim_minus = -a_inf / (p.delta + 1.0)
             p0 = next(
                 n for n in range(1, 65) if S.omega_pm(p, n)[1] > lim_minus
             )
@@ -230,15 +236,52 @@ class TestSpectrumArrays:
 
     @pytest.mark.parametrize("p", POINTS, ids=lambda p: f"{p.delta}-{p.lam}-{p.b2}")
     def test_matches_scalar_api(self, p):
+        # M_n(0) = [[A_n, gamma_n], [d gamma_n, B_n]] / (d+1), entry by entry
         spec = S.spectrum_arrays(p, self.N_MAX)
+        blocks = spec.matrix_m(0.0)
         for n in range(1, self.N_MAX + 1):
-            a_n, b_n = S.coeffs_ab(p, n)
-            lo, hi = S.omega_pm(p, n)
-            got = np.array([spec.a_n, spec.b_n, spec.omega_minus, spec.omega_plus])[:, n - 1]
-            np.testing.assert_allclose(got, [a_n, b_n, lo, hi], rtol=1e-12, atol=0.0)
+            want = S.matrix_m(p, n, 0.0)
+            got = blocks[n - 1]
+            np.testing.assert_allclose(np.diag(got), np.diag(want), rtol=1e-12, atol=0.0)
             # gamma_n cancels down from b^n/(2n); compare on that scale
             scale = p.b ** n / (2 * n)
-            assert abs(spec.gamma_n[n - 1] - S.gamma_n(p, n)) <= 1e-12 * scale
+            assert np.all(np.abs(got[[0, 1], [1, 0]] - want[[0, 1], [1, 0]]) <= 1e-12 * scale)
+            lo, hi = S.omega_pm(p, n)
+            np.testing.assert_allclose(
+                [spec.omega_minus[n - 1], spec.omega_plus[n - 1]], [lo, hi], rtol=1e-12, atol=0.0
+            )
+
+    @pytest.mark.parametrize("p", [
+        LayerParams(1.0, 1.0, 1.0, 1.0),
+        LayerParams(0.5, 20.0, 1.0, 0.95),
+        LayerParams(3.0, 20.0, 1.0, 0.1),
+        LayerParams(3.0, 0.05, 1.0, 0.1),
+        LayerParams(1.0, 1.0, 1.0, 0.7),
+    ], ids=lambda p: f"{p.delta}-{p.lam}-{p.b2}")
+    def test_rows_match_mpmath(self, p):
+        spec = S.spectrum_arrays(p, 48)
+        rows = (spec.a_n, spec.b_n, spec.gamma_n, spec.omega_minus, spec.omega_plus)
+        for n in (1, 2, 3, 16, 48):
+            want = spectrum_row_mp(p.delta, p.lam, p.b1, p.b2, n)
+            for got, ref in zip(rows, want):
+                assert abs(got[n - 1] - float(ref)) <= 1e-13, n
+
+    def test_accessors_refuse_modes_outside_rows(self):
+        spec = S.spectrum_arrays(BASE, 4)
+        for accessor in (spec.omega, spec.kernel_vector):
+            for m, sign in ((0, 1), (5, -1), (2, 0)):
+                with pytest.raises(ValueError):
+                    accessor(m, sign)
+
+    def test_accessors_read_the_rows(self):
+        spec = S.spectrum_arrays(BASE, 4)
+        assert spec.omega(3, 1) == spec.omega_plus[2]
+        assert spec.omega(3, -1) == spec.omega_minus[2]
+        for m in (1, 2, 3):
+            for sign in (1, -1):
+                assert np.array_equal(
+                    S.kernel_vector(BASE, m, sign), S.spectrum_arrays(BASE, m).kernel_vector(m, sign)
+                )
 
     def test_matrix_blocks(self):
         spec = S.spectrum_arrays(BASE, 8)
