@@ -46,6 +46,8 @@ shared mutable state.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.typing import NDArray
 from scipy import special
@@ -113,7 +115,6 @@ def _series_tables() -> FloatArray:
 _TAYLOR = _series_tables()
 _TAYLOR.flags.writeable = False
 _SERIES_FLOOR = np.array([1.0, _LOG2 - EULER_GAMMA])  # I_0(0), S(0)
-_ECONOMIZED: dict[int, FloatArray] = {}
 
 
 def _shifted_chebyshev(m: int) -> list[int]:
@@ -130,6 +131,7 @@ def _shifted_chebyshev(m: int) -> list[int]:
     return cur
 
 
+@functools.cache
 def _economize(q_top: float) -> FloatArray:
     """Taylor tables on [0, q_top] with top terms traded for Chebyshev ones.
 
@@ -170,9 +172,7 @@ def series_coefficients(qmax: float) -> FloatArray:
     level = _LADDER_MIN
     while 2.0 ** (level / 2) < qmax:
         level += 1
-    if level not in _ECONOMIZED:
-        _ECONOMIZED[level] = _economize(2.0 ** (level / 2))
-    return _ECONOMIZED[level]
+    return _economize(2.0 ** (level / 2))
 
 
 def horner_pair(q: FloatArray, coeffs: FloatArray) -> FloatArray:

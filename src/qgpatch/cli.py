@@ -225,11 +225,11 @@ def cmd_vstate(settings: dict[str, str]) -> int:
     return EXIT_OK
 
 
-def _initial_state(settings: dict[str, str], params: LayerParams, dt: float):
+def _initial_state(settings: dict[str, str], params: LayerParams):
     spec_text = settings["initial"]
     n_nodes = _int_setting(settings, "nodes", 64)
     if spec_text == "discs":
-        return EvolutionState.discs(params, dt, n_nodes), None
+        return EvolutionState.discs(params, n_nodes), None
     if spec_text.startswith("vstate:"):
         path = spec_text.split(":", 1)[1]
         try:
@@ -245,12 +245,9 @@ def _initial_state(settings: dict[str, str], params: LayerParams, dt: float):
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed V-state file {path}: {exc!r}") from exc
         radii = sol.boundary_radii()
-        t = sol.deformation.grid()
-        phase = np.exp(1j * t)
+        phase = np.exp(1j * sol.deformation.grid())
         state = EvolutionState(
-            (PatchBoundary(radii[0] * phase, 1), PatchBoundary(radii[1] * phase, 2)),
-            0.0,
-            dt,
+            (PatchBoundary(radii[0] * phase, 1), PatchBoundary(radii[1] * phase, 2)), 0.0
         )
         return state, sol
     if spec_text.startswith("csv:"):
@@ -266,9 +263,7 @@ def _initial_state(settings: dict[str, str], params: LayerParams, dt: float):
             sel = rows[rows[:, 0] == layer]
             sel = sel[np.argsort(sel[:, 1])]
             nodes.append(sel[:, 2] + 1j * sel[:, 3])
-        state = EvolutionState(
-            (PatchBoundary(nodes[0], 1), PatchBoundary(nodes[1], 2)), 0.0, dt
-        )
+        state = EvolutionState((PatchBoundary(nodes[0], 1), PatchBoundary(nodes[1], 2)), 0.0)
         return state, None
     raise ConfigError("initial must be discs, vstate:<path> or csv:<path>")
 
@@ -286,7 +281,7 @@ def cmd_evolve(settings: dict[str, str], check_rotation: bool) -> int:
     if dt is not None and dt <= 0:
         raise ConfigError("dt must be > 0")
     snapshot_every = _int_setting(settings, "snapshot_every", 1)
-    state0, vstate = _initial_state(settings, params, dt or 1e-3)
+    state0, vstate = _initial_state(settings, params)
     if check_rotation and vstate is None:
         raise ConfigError("--check-rotation requires initial=vstate:<path>")
     out = _outdir(settings)

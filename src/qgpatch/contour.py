@@ -17,17 +17,18 @@ At r = 0 the derivative of F acts diagonally on Fourier modes: cosine mode
 n maps to sine mode n through the block -n M_n(Omega) of
 :meth:`.SpectrumArrays.matrix_m`.  V-state branches are continued in the
 amplitude s of the kernel direction by a damped Newton iteration on the
-Galerkin system over the m-fold sine modes, with the first-layer mode-m
-coefficient pinned to s * (first kernel-vector component).  Every
-iteration takes its Jacobian from these r = 0 blocks; its residual is
-assembled on one fundamental domain only.  F of an even m-fold shape is
-odd and 2 pi/m periodic, and with g = gcd(m, N) the grid is invariant
-under t -> -t and rotation by 2 pi/g, so the sine coefficients on the
-modes m*j are 4g/N times sums over the target rows 0 <= t <= pi/g; the
-end rows, where the sines vanish, are built for the quadrature guards.
-The residual passes the fold g to ``layer_integrals``, which builds those
-rows and gathers the second cross block from the first.  The
-finite-difference oracle ``jacobian_fd`` stays on the full grid.
+Galerkin system over the m-fold sine modes (``quadrature.mode_tables``),
+with the first-layer mode-m coefficient pinned to s * (first kernel-vector
+component).  Every iteration takes its Jacobian from these r = 0 blocks;
+its residual is assembled on one fundamental domain only.  F of an even
+m-fold shape is odd and 2 pi/m periodic, and with g = gcd(m, N) the grid
+is invariant under t -> -t and rotation by 2 pi/g, so the sine
+coefficients on the modes m*j are 4g/N times sums over the target rows
+0 <= t <= pi/g; the end rows, where the sines vanish, are built for the
+quadrature guards.  The residual passes the fold g to ``layer_integrals``,
+which builds those rows and gathers the second cross block from the
+first.  The finite-difference oracle ``jacobian_fd`` stays on the full
+grid.
 
 A branch is followed by a secant predictor: each solve after the first
 starts from the Lagrange extrapolation in s of (Omega, coefficients)
@@ -55,39 +56,17 @@ from .quadrature import (
     QuadratureFailure,
     TouchingBoundaryError,
     fold_rows,
+    grid,
     layer_integrals,
+    mode_tables,
 )
 
 FloatArray = NDArray[np.float64]
-
-TWO_PI = 2.0 * np.pi
 
 NEWTON_TOL = 1e-10  # max-norm of the projected residual
 NEWTON_MAX_ITER = 50
 S_MAX = 0.1  # largest amplitude a solve accepts
 SIMPLE_GAP_TOL = 1e-9  # smallest |Omega_m - Omega_km| check_simple_eigenvalue accepts
-
-
-_TRIG: dict[tuple[int, int, int], tuple[np.ndarray, FloatArray, FloatArray]] = {}
-
-
-def _trig_tables(
-    m: int, n_modes: int, n_nodes: int
-) -> tuple[np.ndarray, FloatArray, FloatArray]:
-    """(modes, cos, sin): the mode numbers m*j, j = 1..n_modes, and
-    cos(m j t_i), sin(m j t_i) on the n_nodes grid, shape (n_modes, n_nodes).
-
-    Built on first use and kept read-only per (m, n_modes, n_nodes).
-    """
-    key = (m, n_modes, n_nodes)
-    if key not in _TRIG:
-        modes = m * np.arange(1, n_modes + 1)
-        phase = np.outer(modes, TWO_PI * np.arange(n_nodes) / n_nodes)
-        tables = (modes, np.cos(phase), np.sin(phase))
-        for table in tables:
-            table.flags.writeable = False
-        _TRIG[key] = tables
-    return _TRIG[key]
 
 
 class RadiusCollapseError(RuntimeError):
@@ -131,16 +110,16 @@ class RadialDeformation:
         return self.coeffs.shape[1]
 
     def grid(self) -> FloatArray:
-        return TWO_PI * np.arange(self.n_nodes) / self.n_nodes
+        return grid(self.n_nodes)
 
     def nodal(self) -> FloatArray:
         """r_k sampled on the grid, shape (2, n_nodes)."""
-        _, cos, _ = _trig_tables(self.m, self.n_modes, self.n_nodes)
+        _, cos, _ = mode_tables(self.m, self.n_modes, self.n_nodes)
         return self.coeffs @ cos
 
     def nodal_derivative(self) -> FloatArray:
         """dr_k/dt on the grid, computed in coefficient space."""
-        modes, _, sin = _trig_tables(self.m, self.n_modes, self.n_nodes)
+        modes, _, sin = mode_tables(self.m, self.n_modes, self.n_nodes)
         return -(self.coeffs * modes) @ sin
 
     @staticmethod
@@ -161,7 +140,7 @@ def radius_profile(b_k: float, r_nodal: FloatArray) -> FloatArray:
 
 def _boundary_curves(params: LayerParams, r_nodal: FloatArray, dr_nodal: FloatArray):
     """Complex nodes z_k and derivatives z_k', each shape (2, N)."""
-    phase = np.exp(1j * TWO_PI * np.arange(r_nodal.shape[1]) / r_nodal.shape[1])
+    phase = np.exp(1j * grid(r_nodal.shape[1]))
     radii = (params.b1, params.b2)
     radius = np.vstack([radius_profile(radii[k], r_nodal[k]) for k in (0, 1)])
     return radius * phase, (dr_nodal / radius + 1j * radius) * phase
@@ -205,14 +184,11 @@ def linearized_multiplier(params: LayerParams, omega: float, n: int) -> np.ndarr
     return -n * spectrum.spectrum_arrays(params, n).matrix_m(omega)[n - 1]
 
 
-def sine_coefficients(values: FloatArray, modes) -> FloatArray:
-    """Coefficients of sin(mode * t) on the uniform grid, for each row."""
+def sine_coefficients(values: FloatArray, m: int, n_modes: int) -> FloatArray:
+    """Coefficients of sin(m j t), j = 1..n_modes, on the uniform grid, per row."""
     values = np.atleast_2d(values)
     n = values.shape[-1]
-    t = TWO_PI * np.arange(n) / n
-    modes = np.asarray(modes, dtype=np.int64)
-    basis = np.sin(np.outer(modes, t))
-    return (2.0 / n) * values @ basis.T
+    return (2.0 / n) * values @ mode_tables(m, n_modes, n)[2].T
 
 
 def jacobian_fd(
@@ -232,7 +208,6 @@ def jacobian_fd(
     """
     if not 1e-8 <= h <= 1e-4:
         raise ValueError("finite-difference step outside [1e-8, 1e-4]")
-    t = TWO_PI * np.arange(n_nodes) / n_nodes
     if r0 is None:
         base = np.zeros((2, n_nodes))
         dbase = np.zeros((2, n_nodes))
@@ -241,12 +216,12 @@ def jacobian_fd(
             r0 = replace(r0, n_nodes=n_nodes)
         base = r0.nodal()
         dbase = r0.nodal_derivative()
-    modes = np.arange(1, n_probe + 1)
+    modes, cos, sin = mode_tables(1, n_probe, n_nodes)
     jac = np.empty((n_probe, n_probe, 2, 2))
     for j_layer in (0, 1):
         for n in modes:
-            bump = np.cos(n * t)
-            dbump = -n * np.sin(n * t)
+            bump = cos[n - 1]
+            dbump = -n * sin[n - 1]
             rp, rm = base.copy(), base.copy()
             drp, drm = dbase.copy(), dbase.copy()
             rp[j_layer] += h * bump
@@ -256,7 +231,7 @@ def jacobian_fd(
             fp = functional_from_nodal(params, omega, rp, drp)
             fm = functional_from_nodal(params, omega, rm, drm)
             resp = (fp - fm) / (2.0 * h)
-            jac[:, n - 1, :, j_layer] = sine_coefficients(resp, modes).T
+            jac[:, n - 1, :, j_layer] = sine_coefficients(resp, 1, n_probe).T
     return jac
 
 
@@ -385,7 +360,7 @@ def _projected_residual(
     n = defo.n_nodes
     g = gcd(defo.m, n)
     f_rows = functional_f(params, omega, defo, fold=g)
-    basis = _trig_tables(defo.m, defo.n_modes, n)[2][:, : fold_rows(n, g)]
+    basis = mode_tables(defo.m, defo.n_modes, n)[2][:, : fold_rows(n, g)]
     return ((4.0 * g / n) * f_rows @ basis.T).ravel()
 
 

@@ -13,13 +13,13 @@ log-singular and goes through the singular split, and the cross-layer
 terms are regular unless the boundaries touch.
 
 Every geometric reading uses the one curve the quadrature integrates: the
-trigonometric interpolant of the nodes, without the unpaired Nyquist mode
-of an even grid.  ``patch_area`` is its area pi * mean(Im(conj z z')),
-exact for the interpolant, so sliding nodes along the curve leaves it
-unchanged.  ``resample_by_arclength`` respaces the nodes equally in the
-interpolant's arclength, the spectral equal-arclength reparametrisation of
-Hou, Lowengrub & Shelley (J. Comput. Phys. 114, 1994), and the new nodes
-lie on the old curve.
+trigonometric interpolant of the nodes, ``quadrature.fourier``, summed off
+the grid by ``quadrature.trig_sum``.  ``PatchBoundary.area`` is its area
+pi * mean(Im(conj z z')), exact for the interpolant, so sliding nodes
+along the curve leaves it unchanged.  ``resample_by_arclength`` respaces
+the nodes equally in the interpolant's arclength, the spectral
+equal-arclength reparametrisation of Hou, Lowengrub & Shelley
+(J. Comput. Phys. 114, 1994), and the new nodes lie on the old curve.
 
 ``rigid_rotation_residual`` measures rigid rotation, the time-periodicity
 of a V-state: the sup over each curve's nodes of the distance to the other
@@ -27,8 +27,7 @@ curve's trigonometric interpolant.  Newton on the curve parameter, seeded
 at the nearest node, finds the closest point; a running ``fmin`` over the
 iterates, all curve points, keeps the reading an upper bound and ignores
 a NaN from a degenerate step.  The ruler and the respacing take
-NEWTON_STEPS Newton steps each and evaluate the interpolant through one
-two-level trigonometric sum.
+NEWTON_STEPS Newton steps each.
 """
 
 from __future__ import annotations
@@ -40,21 +39,22 @@ from numpy.typing import NDArray
 
 from .kernels import LayerParams
 from .quadrature import (
+    TWO_PI,
     QuadratureFailure,
     TouchingBoundaryError,
+    fourier,
+    grid,
     layer_integrals,
     spectral_derivative,
+    trig_sum,
 )
 
 FloatArray = NDArray[np.float64]
 ComplexArray = NDArray[np.complex128]
 
-TWO_PI = 2.0 * np.pi
-
 DT_CAP = 1e-3  # largest step suggested_dt returns
 REDISTRIBUTE_EVERY = 50  # RK4 steps between arclength redistributions
 NEWTON_STEPS = 4  # Newton steps on the curve parameter: ruler and respacing
-RULER_BLOCK = 16  # the interpolant sums modes k = lo + RULER_BLOCK * hi in two levels
 
 
 class SimplicityError(RuntimeError):
@@ -81,8 +81,7 @@ class PatchBoundary:
 
     @staticmethod
     def disc(radius: float, layer: int, n_nodes: int = 256) -> "PatchBoundary":
-        t = TWO_PI * np.arange(n_nodes) / n_nodes
-        return PatchBoundary(radius * np.exp(1j * t), layer)
+        return PatchBoundary(radius * np.exp(1j * grid(n_nodes)), layer)
 
     def area(self) -> float:
         """Area of the trigonometric interpolant; positive when counterclockwise."""
@@ -100,20 +99,16 @@ class PatchBoundary:
 class EvolutionState:
     boundaries: tuple[PatchBoundary, PatchBoundary]
     time: float
-    dt: float
 
     def __post_init__(self) -> None:
         if self.boundaries[0].layer != 1 or self.boundaries[1].layer != 2:
             raise ValueError("boundaries must be ordered (layer 1, layer 2)")
 
     @staticmethod
-    def discs(params: LayerParams, dt: float, n_nodes: int = 256) -> "EvolutionState":
+    def discs(params: LayerParams, n_nodes: int = 256) -> "EvolutionState":
         disc = PatchBoundary.disc
         boundaries = (disc(params.b1, 1, n_nodes), disc(params.b2, 2, n_nodes))
-        return EvolutionState(boundaries, 0.0, dt)
-
-
-patch_area = PatchBoundary.area  # patch_area(boundary), the same reading
+        return EvolutionState(boundaries, 0.0)
 
 
 def _coarsely_simple(z: ComplexArray, samples: int = 64) -> bool:
@@ -152,12 +147,11 @@ def suggested_dt(params: LayerParams, state: EvolutionState) -> float:
     return min(DT_CAP, spacing / vmax)
 
 
-def step_rk4(params: LayerParams, state: EvolutionState) -> EvolutionState:
+def step_rk4(params: LayerParams, state: EvolutionState, dt: float) -> EvolutionState:
     """One classical RK4 step of all boundary nodes; checks simplicity after.
 
     A negative dt steps backward (used for reversibility checks).
     """
-    dt = state.dt
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
     z1 = state.boundaries[0].nodes
@@ -176,7 +170,7 @@ def step_rk4(params: LayerParams, state: EvolutionState) -> EvolutionState:
     b2 = PatchBoundary(new2, 2)
     b1.validate()
     b2.validate()
-    return EvolutionState((b1, b2), state.time + dt, dt)
+    return EvolutionState((b1, b2), state.time + dt)
 
 
 def resample_by_arclength(boundary: PatchBoundary) -> PatchBoundary:
@@ -191,13 +185,13 @@ def resample_by_arclength(boundary: PatchBoundary) -> PatchBoundary:
     """
     z = boundary.nodes
     n = z.size
-    t = TWO_PI * np.arange(n) / n
-    k, coeffs = _fourier(z)
-    _, speed = _fourier(np.abs(spectral_derivative(z)))
+    t = grid(n)
+    k, coeffs = fourier(z)
+    _, speed = fourier(np.abs(spectral_derivative(z)))
     periodic = np.zeros_like(speed)
     periodic[1:] = speed[1:] / (1j * k[1:])
     periodic[0] = -periodic.sum()  # P(0) = 0
-    curve = _trig_sum(k, [coeffs, periodic, speed])  # rows z(t), P(t), s'(t)
+    curve = trig_sum(k, [coeffs, periodic, speed])  # rows z(t), P(t), s'(t)
     mean_speed = speed[0].real
     targets = mean_speed * t
     s_nodes = targets + n * np.fft.ifft(periodic).real
@@ -234,22 +228,22 @@ def evolve(
         raise ValueError("t_end must be > 0")
     if dt is None:
         dt = suggested_dt(params, state0)
-    state = EvolutionState(state0.boundaries, state0.time, dt)
+    state = state0
     n_steps = max(1, int(round(t_end / dt)))
     result = EvolutionResult(snapshots=[state])
-    area0 = [patch_area(b) for b in state.boundaries]
+    area0 = [b.area() for b in state.boundaries]
     max_drift = 0.0
     min_gap = _boundary_gap(state)
     try:
         for step in range(1, n_steps + 1):
-            state = step_rk4(params, state)
+            state = step_rk4(params, state, dt)
             if step % REDISTRIBUTE_EVERY == 0:
                 boundaries = tuple(map(resample_by_arclength, state.boundaries))
-                state = EvolutionState(boundaries, state.time, state.dt)
+                state = EvolutionState(boundaries, state.time)
             if step % snapshot_every == 0 or step == n_steps:
                 result.snapshots.append(state)
                 drift = max(
-                    abs(patch_area(b) - a) / abs(a) for b, a in zip(state.boundaries, area0)
+                    abs(b.area() - a) / abs(a) for b, a in zip(state.boundaries, area0)
                 )
                 max_drift = max(max_drift, drift)
                 min_gap = min(min_gap, _boundary_gap(state))
@@ -278,42 +272,11 @@ def _boundary_gap(state: EvolutionState) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _fourier(values: ComplexArray) -> tuple[NDArray[np.int64], ComplexArray]:
-    """Mode numbers and coefficients of the interpolant, Nyquist mode dropped."""
-    n = values.size
-    k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
-    coeffs = np.fft.fft(values) / n
-    if n % 2 == 0:
-        coeffs[n // 2] = 0.0  # drop the unpaired Nyquist mode
-    return k, coeffs
-
-
-def _trig_sum(k: NDArray[np.int64], rows: list[ComplexArray]):
-    """Evaluator of the sums sum_k row[k] e^{isk}, one per coefficient row.
-
-    The sums run in two levels: each mode k = lo + RULER_BLOCK * hi, so
-    e^{isk} = e^{is lo} e^{is RULER_BLOCK hi} and two tables of RULER_BLOCK
-    and about N / RULER_BLOCK exponentials per point replace one of N.
-    """
-    lo, hi = k % RULER_BLOCK, k // RULER_BLOCK
-    hi_modes = RULER_BLOCK * np.arange(hi.min(), hi.max() + 1)
-    blocks = np.zeros((RULER_BLOCK, hi_modes.size, len(rows)), dtype=np.complex128)
-    blocks[lo, hi - hi.min()] = np.stack(rows, axis=1)
-    blocks = blocks.reshape(RULER_BLOCK, -1)
-
-    def evaluate(s: FloatArray) -> ComplexArray:
-        lo_table = np.exp(1j * np.outer(s, np.arange(RULER_BLOCK)))
-        inner = (lo_table @ blocks).reshape(s.size, -1, len(rows))
-        return np.einsum("ph,phc->cp", np.exp(1j * np.outer(s, hi_modes)), inner)
-
-    return evaluate
-
-
 def _distance_to_curve(points: ComplexArray, z: ComplexArray) -> FloatArray:
     """Distance from each point to the interpolant of z, by Newton on |z(s) - p|^2."""
-    k, coeffs = _fourier(z)
-    interpolant = _trig_sum(k, [coeffs, 1j * k * coeffs, -k * k * coeffs])  # z, z', z''
-    s = TWO_PI / z.size * np.argmin(np.abs(points[:, None] - z[None, :]), axis=1)
+    k, coeffs = fourier(z)
+    interpolant = trig_sum(k, [coeffs, 1j * k * coeffs, -k * k * coeffs])  # z, z', z''
+    s = grid(z.size)[np.argmin(np.abs(points[:, None] - z[None, :]), axis=1)]
     best = np.full(points.shape, np.inf)
     for _ in range(NEWTON_STEPS):
         zs, dz, ddz = interpolant(s)
@@ -351,7 +314,7 @@ def rigid_rotation_residual(traj: list[EvolutionState], omega: float) -> float:
         raise ValueError("empty trajectory")
     ref = traj[0]
     t0 = ref.time
-    scale = float(np.sqrt(abs(patch_area(ref.boundaries[0])) / np.pi))
+    scale = float(np.sqrt(abs(ref.boundaries[0].area()) / np.pi))
     worst = 0.0
     for snap in traj:
         rot = np.exp(1j * omega * (snap.time - t0))

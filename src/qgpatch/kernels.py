@@ -76,24 +76,6 @@ def _norm(p: FloatArray) -> FloatArray:
     return np.hypot(p[..., 0], p[..., 1])
 
 
-def green_log(p: FloatArray) -> FloatArray:
-    """Laplace Green function -log|p| / (2 pi); p is (..., 2), p != 0."""
-    r = _norm(p)
-    if np.any(r == 0.0):
-        raise ValueError("green_log is singular at the origin")
-    return -np.log(r) / TWO_PI
-
-
-def green_screened(eps: float, p: FloatArray) -> FloatArray:
-    """Screened Green function K_0(eps|p|) / (2 pi); eps > 0, p != 0."""
-    if not eps > 0.0:
-        raise ValueError("eps must be > 0")
-    r = _norm(p)
-    if np.any(r == 0.0):
-        raise ValueError("green_screened is singular at the origin")
-    return bessel.k0_array(eps * r) / TWO_PI
-
-
 def gkj_coefficients(params: LayerParams, k: int, j: int) -> tuple[float, float]:
     """(alpha, kappa) with G_{k,j}(p) = alpha*log|p| + kappa*K_0(mu|p|)."""
     if k not in (1, 2) or j not in (1, 2):

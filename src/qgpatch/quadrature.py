@@ -6,7 +6,11 @@ Every boundary integral in this package has the form
                               + kappa K_0(mu |z_t(t_i) - z_s(e)|)] T(e) de
 
 with both curves sampled on the same uniform parameter grid t_j = 2 pi j/N
-and T a vector over the source nodes.  ``layer_integrals`` assembles the
+and T a vector over the source nodes.  The grid and the curve through the
+nodes, their trigonometric interpolant without the unpaired Nyquist mode,
+are defined here once for the package: ``grid``, ``fourier``,
+``spectral_derivative``, ``trig_sum`` (off-grid sums) and ``mode_tables``
+(cos/sin of the modes m*j).  ``layer_integrals`` assembles the
 two-layer integrals that the velocities and the contour functional share
 from three weight builds (W_11, W_22 and W_21) and one reuse of W_21 for
 W_12.  On the full grid the three are N x N (the self pairs are symmetric
@@ -78,6 +82,8 @@ this).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.typing import NDArray
 
@@ -98,6 +104,8 @@ SEPARATED_TOL = 0.1
 # cancels against the smooth part, and on the unit circle the error against
 # 2 pi I_n K_n grows from 3e-12 at mu * diameter = 10 to 8e-11 at 14
 SPLIT_MAX_MU_CHORD = 12.0
+# the interpolant sums modes k = lo + RULER_BLOCK * hi in two levels
+RULER_BLOCK = 16
 
 
 class TouchingBoundaryError(RuntimeError):
@@ -108,11 +116,74 @@ class QuadratureFailure(RuntimeError):
     """Non-finite integrand or unusable geometry in a boundary integral."""
 
 
-_TABLES: dict[int, tuple[FloatArray, FloatArray]] = {}
-_GATHERS: dict[tuple[int, int, bool], np.ndarray] = {}
-_MIRRORS: dict[tuple[int, int], np.ndarray] = {}
+def grid(n: int) -> FloatArray:
+    """The uniform parameter grid t_j = 2 pi j / n, j = 0 .. n-1."""
+    return TWO_PI * np.arange(n) / n
 
 
+def _dft(values: np.ndarray) -> tuple[NDArray[np.int64], ComplexArray]:
+    """Mode numbers k and the DFT over the last axis.  The unpaired Nyquist mode
+    of an even n keeps its number -n/2 and gets coefficient 0."""
+    n = values.shape[-1]
+    coeffs = np.fft.fft(values, axis=-1)
+    if n % 2 == 0:
+        coeffs[..., n // 2] = 0.0
+    return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64), coeffs
+
+
+def fourier(values) -> tuple[NDArray[np.int64], ComplexArray]:
+    """(k, c): the trigonometric interpolant sum_k c_k e^{ikt} of values on ``grid``,
+    the one curve that the quadrature and every boundary reading use."""
+    k, coeffs = _dft(np.asarray(values))
+    return k, coeffs / k.size
+
+
+def spectral_derivative(values: ComplexArray) -> ComplexArray:
+    """d/dt of the trigonometric interpolant (``fourier``) at the grid nodes."""
+    values = np.asarray(values)
+    k, coeffs = _dft(values)
+    out = np.fft.ifft(1j * k * coeffs, axis=-1)
+    return out.real if np.isrealobj(values) else out
+
+
+def trig_sum(k: NDArray[np.int64], rows: list[ComplexArray]):
+    """Evaluator of the sums sum_k row[k] e^{isk}, one per coefficient row.
+
+    The sums run in two levels: each mode k = lo + RULER_BLOCK * hi, so
+    e^{isk} = e^{is lo} e^{is RULER_BLOCK hi} and two tables of RULER_BLOCK
+    and about N / RULER_BLOCK exponentials per point replace one of N.
+    The mode numbers must be distinct, as ``fourier`` returns them.
+    """
+    lo, hi = k % RULER_BLOCK, k // RULER_BLOCK
+    hi_modes = RULER_BLOCK * np.arange(hi.min(), hi.max() + 1)
+    blocks = np.zeros((RULER_BLOCK, hi_modes.size, len(rows)), dtype=np.complex128)
+    blocks[lo, hi - hi.min()] = np.stack(rows, axis=1)
+    blocks = blocks.reshape(RULER_BLOCK, -1)
+
+    def evaluate(s: FloatArray) -> ComplexArray:
+        lo_table = np.exp(1j * np.outer(s, np.arange(RULER_BLOCK)))
+        inner = (lo_table @ blocks).reshape(s.size, -1, len(rows))
+        return np.einsum("ph,phc->cp", np.exp(1j * np.outer(s, hi_modes)), inner)
+
+    return evaluate
+
+
+@functools.cache
+def mode_tables(m: int, n_modes: int, n_nodes: int) -> tuple[np.ndarray, ...]:
+    """(modes, cos, sin): the mode numbers m*j, j = 1..n_modes, and
+    cos(m j t_i), sin(m j t_i) on ``grid(n_nodes)``, shape (n_modes, n_nodes).
+
+    Cached and read-only, like the quadrature tables below.
+    """
+    modes = m * np.arange(1, n_modes + 1)
+    phase = np.outer(modes, grid(n_nodes))
+    tables = (modes, np.cos(phase), np.sin(phase))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+@functools.cache
 def _grid_tables(n: int) -> tuple[FloatArray, FloatArray]:
     """(kress_row, log_s2_row) over the offset d = (j - i) mod n of an n-point grid.
 
@@ -122,8 +193,6 @@ def _grid_tables(n: int) -> tuple[FloatArray, FloatArray]:
     are computed for d <= n/2 and mirrored, so row[d] == row[n - d] holds
     bit for bit.
     """
-    if n in _TABLES:
-        return _TABLES[n]
     if n < 4 or n % 2:
         raise ValueError("node count must be even and >= 4")
     half = n // 2
@@ -138,10 +207,11 @@ def _grid_tables(n: int) -> tuple[FloatArray, FloatArray]:
     log_s2[1 : half + 1] = np.log(4.0 * np.sin(np.pi * d[1:] / n) ** 2)
     for row in (w, log_s2):
         row[half + 1 :] = row[half - 1 : 0 : -1]
-    _TABLES[n] = (w, log_s2)
-    return _TABLES[n]
+        row.setflags(write=False)
+    return w, log_s2
 
 
+@functools.cache
 def _gather_index(n: int, n_rows: int, half_band: bool) -> np.ndarray:
     """Flat indices that take a cyclic block to the n_rows x n grid layout.
 
@@ -149,20 +219,19 @@ def _gather_index(n: int, n_rows: int, half_band: bool) -> np.ndarray:
     An all-offsets block (n_rows x n) moves entry [i, (j - i) mod n] to
     [i, j].  A half band (n x (n/2 + 1), offsets d <= n/2) fills [i, j] and
     [j, i] from the one entry of the pair it holds, so the expanded matrix
-    is exactly symmetric.  Built on first use and kept per key.
+    is exactly symmetric.
     """
-    key = (n, n_rows, half_band)
-    if key not in _GATHERS:
-        i = np.arange(n_rows)[:, None]
-        j = np.arange(n)[None, :]
-        d = (j - i) % n
-        if half_band:
-            cols = n // 2 + 1
-            own = (d < n // 2) | ((d == n // 2) & (i < j))
-            _GATHERS[key] = np.where(own, i * cols + d, j * cols + (n - d) % n)
-        else:
-            _GATHERS[key] = i * n + d
-    return _GATHERS[key]
+    i = np.arange(n_rows)[:, None]
+    j = np.arange(n)[None, :]
+    d = (j - i) % n
+    if half_band:
+        cols = n // 2 + 1
+        own = (d < n // 2) | ((d == n // 2) & (i < j))
+        index = np.where(own, i * cols + d, j * cols + (n - d) % n)
+    else:
+        index = i * n + d
+    index.setflags(write=False)
+    return index
 
 
 def fold_rows(n: int, fold: int | None) -> int:
@@ -174,26 +243,25 @@ def fold_rows(n: int, fold: int | None) -> int:
     return n // (2 * fold) + 1
 
 
+@functools.cache
 def _mirror_index(n: int, fold: int) -> np.ndarray:
     """Flat indices into the W_21 rows that give W_21^T on the same rows.
 
     Entry [i, j] of the result is the position in the fold_rows x n block
     of W_21[j, i].  With period P = n/fold, node j maps to j' = j mod P,
     or reflects to P - (j mod P) when that is above P/2; node i moves by
-    the same rotation and reflection, so the pair keeps its chord.  Built
-    on first use and kept per key.
+    the same rotation and reflection, so the pair keeps its chord.
     """
-    key = (n, fold)
-    if key not in _MIRRORS:
-        period = n // fold
-        i = np.arange(fold_rows(n, fold))[:, None]
-        j = np.arange(n)[None, :]
-        shift, r = np.divmod(j, period)
-        reflect = 2 * r > period
-        j_row = np.where(reflect, period - r, r)
-        i_col = np.where(reflect, (shift + 1) * period - i, i - shift * period) % n
-        _MIRRORS[key] = j_row * n + i_col
-    return _MIRRORS[key]
+    period = n // fold
+    i = np.arange(fold_rows(n, fold))[:, None]
+    j = np.arange(n)[None, :]
+    shift, r = np.divmod(j, period)
+    reflect = 2 * r > period
+    j_row = np.where(reflect, period - r, r)
+    i_col = np.where(reflect, (shift + 1) * period - i, i - shift * period) % n
+    index = j_row * n + i_col
+    index.setflags(write=False)
+    return index
 
 
 def _apply_kernel_matrix(kern: FloatArray, t_src: np.ndarray) -> np.ndarray:
@@ -201,19 +269,6 @@ def _apply_kernel_matrix(kern: FloatArray, t_src: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(t_src):
         return kern @ t_src.real + 1j * (kern @ t_src.imag)
     return kern @ t_src
-
-
-def spectral_derivative(values: ComplexArray) -> ComplexArray:
-    """d/dt of a periodic function sampled on the uniform grid, via FFT."""
-    values = np.asarray(values)
-    n = values.shape[-1]
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    if n % 2 == 0:
-        k[n // 2] = 0.0  # drop the unpaired Nyquist mode
-    out = np.fft.ifft(1j * k * np.fft.fft(values, axis=-1), axis=-1)
-    if np.isrealobj(values):
-        return out.real
-    return out
 
 
 def _curve_scale(z_src: ComplexArray) -> float:
@@ -422,9 +477,8 @@ def log_moment_quadrature(x: float, n_modes: int, n_nodes: int = 1024) -> FloatA
     """
     if not 0.0 < x <= 1.0:
         raise ValueError("requires 0 < x <= 1")
-    theta = TWO_PI * np.arange(n_nodes) / n_nodes
-    modes = np.arange(1, n_modes + 1)
-    cosines = np.cos(np.outer(modes, theta))
+    theta = grid(n_nodes)
+    cosines = mode_tables(1, n_modes, n_nodes)[1]
     if x < 1.0:
         f = np.log(np.abs(1.0 - x * np.exp(1j * theta)))
         return cosines @ f / n_nodes
@@ -444,9 +498,8 @@ def screened_moment_quadrature(
     """
     if not 0.0 < x <= y:
         raise ValueError("requires 0 < x <= y")
-    theta = TWO_PI * np.arange(n_nodes) / n_nodes
-    modes = np.arange(1, n_modes + 1)
-    cosines = np.cos(np.outer(modes, theta))
+    theta = grid(n_nodes)
+    cosines = mode_tables(1, n_modes, n_nodes)[1]
     z = y * np.exp(1j * theta)
     if x < y:
         return cosines @ k0_array(lam * np.abs(x - z)) / n_nodes

@@ -152,7 +152,7 @@ def test_criterion_08_stationary_discs():
     for omega in (-1.0, 0.0, 0.5):
         f = C.functional_f(BASE, omega, C.RadialDeformation.zero(2, 8, 256))
         sup = max(sup, float(np.max(np.abs(f))))
-    state0 = D.EvolutionState.discs(BASE, 1e-3, n_nodes=128)
+    state0 = D.EvolutionState.discs(BASE, n_nodes=128)
     result = D.evolve(BASE, state0, t_end=1.0, dt=1e-3, snapshot_every=200)
     drift = D.rigid_rotation_residual(result.snapshots, 0.0)
     _report(8, "stationary discs",
@@ -197,7 +197,6 @@ def test_criterion_10_rigid_rotation():
     state0 = D.EvolutionState(
         (D.PatchBoundary(radii[0] * phase, 1), D.PatchBoundary(radii[1] * phase, 2)),
         0.0,
-        5e-3,
     )
     t_end = 2.0 * np.pi / (10.0 * abs(sol.omega))
     result = D.evolve(BASE, state0, t_end=t_end, dt=5e-3, snapshot_every=175)
@@ -217,7 +216,7 @@ def test_criterion_11_euler_reduction():
     theta = 2 * np.pi * np.arange(256) / 256
     z = np.sqrt(1.0 + 2 * 0.01 * np.cos(3 * theta)) * np.exp(1j * theta)
     state0 = D.EvolutionState(
-        (D.PatchBoundary(z, 1), D.PatchBoundary(z.copy(), 2)), 0.0, 2e-3
+        (D.PatchBoundary(z, 1), D.PatchBoundary(z.copy(), 2)), 0.0
     )
     result = D.evolve(params, state0, t_end=0.5, dt=2e-3, snapshot_every=50)
     gap = max(

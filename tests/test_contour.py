@@ -114,8 +114,7 @@ class TestProjectedResidual:
         rng = np.random.default_rng(m * n_nodes)
         coeffs = 0.01 * rng.standard_normal((2, n_modes)) / np.arange(1, n_modes + 1) ** 2
         d = C.RadialDeformation(m, coeffs, n_nodes)
-        modes = m * np.arange(1, n_modes + 1)
-        want = C.sine_coefficients(C.functional_f(BASE, 0.3, d), modes).ravel()
+        want = C.sine_coefficients(C.functional_f(BASE, 0.3, d), m, n_modes).ravel()
         got = C._projected_residual(BASE, 0.3, d)
         assert np.max(np.abs(got - want)) <= 1e-14
 
@@ -274,7 +273,7 @@ class TestBranchContinue:
         last = res.solutions[-1]
         f = C.functional_f(BASE, last.omega, last.deformation)
         modes = np.arange(1, 60)
-        coefs = C.sine_coefficients(f, modes)
+        coefs = C.sine_coefficients(f, 1, modes.size)
         off = coefs[:, (modes % 2) != 0]
         assert np.max(np.abs(off)) <= 1e-10
 

@@ -56,12 +56,25 @@ class TestArea:
         # misses that by about 1e-3 at 64 nodes
         t = 2 * np.pi * np.arange(64) / 64
         curve = D.PatchBoundary((1.0 + 0.2 * np.cos(3 * t)) * np.exp(1j * t), 1)
-        assert D.patch_area(curve) == pytest.approx(1.02 * np.pi, rel=0, abs=1e-14)
+        assert curve.area() == pytest.approx(1.02 * np.pi, rel=0, abs=1e-14)
+
+
+class TestNyquistAgreement:
+    def test_sawtooth_on_a_circle(self):
+        # z = 0.8 e^{it} + 1e-3 (-1)^j: the sawtooth is the unpaired Nyquist
+        # mode, which area, derivative and respacing all drop alike
+        n = 256
+        saw = (-1.0) ** np.arange(n)
+        boundary = D.PatchBoundary(0.8 * np.exp(1j * Q.grid(n)) + 1e-3 * saw, 1)
+        assert abs(boundary.area() - np.pi * 0.64) <= 1e-15
+        assert np.max(np.abs(Q.spectral_derivative(saw))) <= 1e-15
+        respaced = D.resample_by_arclength(boundary)
+        assert np.max(np.abs(np.abs(respaced.nodes) - 0.8)) <= 1e-15
 
 
 class TestVelocities:
     def test_disc_velocity_tangential(self):
-        st0 = D.EvolutionState.discs(BASE, 1e-3)
+        st0 = D.EvolutionState.discs(BASE)
         v1, v2 = D.layer_node_velocities(
             BASE, st0.boundaries[0].nodes, st0.boundaries[1].nodes
         )
@@ -76,7 +89,7 @@ class TestVelocities:
         assert np.max(np.abs(v1 - v2)) <= 1e-12
 
     def test_pm_route_matches_direct(self):
-        st0 = D.EvolutionState.discs(BASE, 1e-3)
+        st0 = D.EvolutionState.discs(BASE)
         z1, z2 = st0.boundaries[0].nodes, st0.boundaries[1].nodes
         v1, v2 = D.layer_node_velocities(BASE, z1, z2)
         w1, w2 = O.layer_node_velocities_pm(BASE, z1, z2)
@@ -110,7 +123,7 @@ class TestVelocities:
         assert np.max(np.abs(v2 - w2)) <= 1e-12
 
     def test_far_field_point_vortex(self):
-        st0 = D.EvolutionState.discs(BASE, 1e-3)
+        st0 = D.EvolutionState.discs(BASE)
         q = np.array([100.0 + 0.0j])
         v = -sum(
             O.trapezoid_integral(
@@ -128,15 +141,15 @@ class TestVelocities:
         # a gap of 0.095 is below 0.1 * b1 but above 0.1 * b2: the shared
         # cross matrix must still refuse it, as the (2, 1) pair always did
         p = LayerParams(1.0, 1.0, 1.0, 0.905)
-        st0 = D.EvolutionState.discs(p, 1e-3)
+        st0 = D.EvolutionState.discs(p)
         with pytest.raises(TouchingBoundaryError):
             D.layer_node_velocities(p, *(b.nodes for b in st0.boundaries))
 
 
 class TestStepping:
     def test_disc_stationarity_per_step(self):
-        st0 = D.EvolutionState.discs(BASE, 1e-3)
-        st1 = D.step_rk4(BASE, st0)
+        st0 = D.EvolutionState.discs(BASE)
+        st1 = D.step_rk4(BASE, st0, 1e-3)
         drift = np.abs(np.abs(st1.boundaries[0].nodes) - BASE.b1)
         assert np.max(drift) <= 1e-10 * BASE.b1
 
@@ -144,10 +157,10 @@ class TestStepping:
         z = (1.0 + 0.02 * np.cos(3 * THETA)) * np.exp(1j * THETA)
         zz = 0.7 * np.exp(1j * THETA)
         st0 = D.EvolutionState(
-            (D.PatchBoundary(z, 1), D.PatchBoundary(zz, 2)), 0.0, 5e-3
+            (D.PatchBoundary(z, 1), D.PatchBoundary(zz, 2)), 0.0
         )
-        fwd = D.step_rk4(BASE, st0)
-        back = D.step_rk4(BASE, D.EvolutionState(fwd.boundaries, fwd.time, -5e-3))
+        fwd = D.step_rk4(BASE, st0, 5e-3)
+        back = D.step_rk4(BASE, fwd, -5e-3)
         err = max(
             np.max(np.abs(back.boundaries[i].nodes - st0.boundaries[i].nodes))
             for i in (0, 1)
@@ -155,14 +168,14 @@ class TestStepping:
         assert err <= 10 * 5e-3**5
 
     def test_suggested_dt_capped(self):
-        st0 = D.EvolutionState.discs(BASE, 1e-3)
+        st0 = D.EvolutionState.discs(BASE)
         dt = D.suggested_dt(BASE, st0)
         assert 0.0 < dt <= 1e-3
 
 
 class TestEvolve:
     def test_discs_stay_put(self):
-        st0 = D.EvolutionState.discs(BASE, 1e-3, n_nodes=128)
+        st0 = D.EvolutionState.discs(BASE, n_nodes=128)
         res = D.evolve(BASE, st0, t_end=0.1, dt=1e-3, snapshot_every=50)
         assert res.aborted is None
         assert res.diagnostics["area_drift"] <= 1e-10
@@ -172,7 +185,7 @@ class TestEvolve:
         p = LayerParams(1.0, 1.0, 1.0, 1.0)
         z = np.sqrt(1.0 + 2 * 0.01 * np.cos(3 * THETA)) * np.exp(1j * THETA)
         st0 = D.EvolutionState(
-            (D.PatchBoundary(z, 1), D.PatchBoundary(z.copy(), 2)), 0.0, 2e-3
+            (D.PatchBoundary(z, 1), D.PatchBoundary(z.copy(), 2)), 0.0
         )
         res = D.evolve(p, st0, t_end=0.05, dt=2e-3, snapshot_every=5)
         assert res.aborted is None
@@ -186,7 +199,7 @@ class TestEvolve:
         z = np.sqrt(1.0 + 2 * 0.02 * np.cos(2 * THETA)) * np.exp(1j * THETA)
         zz = 0.7 * np.exp(1j * THETA)
         st0 = D.EvolutionState(
-            (D.PatchBoundary(z, 1), D.PatchBoundary(zz, 2)), 0.0, 2e-3
+            (D.PatchBoundary(z, 1), D.PatchBoundary(zz, 2)), 0.0
         )
         res = D.evolve(BASE, st0, t_end=0.2, dt=2e-3, snapshot_every=20)
         assert res.aborted is None
@@ -195,17 +208,17 @@ class TestEvolve:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("layer,bad", [(0, np.nan), (1, np.inf)])
     def test_non_finite_node_recorded_as_aborted(self, layer, bad):
-        nodes = [b.nodes.copy() for b in D.EvolutionState.discs(BASE, 1e-3).boundaries]
+        nodes = [b.nodes.copy() for b in D.EvolutionState.discs(BASE).boundaries]
         nodes[layer][7] = bad
         st0 = D.EvolutionState(
-            (D.PatchBoundary(nodes[0], 1), D.PatchBoundary(nodes[1], 2)), 0.0, 1e-3
+            (D.PatchBoundary(nodes[0], 1), D.PatchBoundary(nodes[1], 2)), 0.0
         )
         res = D.evolve(BASE, st0, t_end=2e-3, dt=1e-3)
         assert res.aborted is not None and "non-finite" in res.aborted
         assert len(res.snapshots) == 1
 
     def test_snapshots_include_endpoints(self):
-        st0 = D.EvolutionState.discs(BASE, 1e-3, n_nodes=128)
+        st0 = D.EvolutionState.discs(BASE, n_nodes=128)
         res = D.evolve(BASE, st0, t_end=0.01, dt=1e-3, snapshot_every=4)
         assert res.snapshots[0].time == 0.0
         assert res.snapshots[-1].time == pytest.approx(0.01)
@@ -236,7 +249,7 @@ class TestGeometryHelpers:
             D.rigid_rotation_residual([], 0.0)
 
     def test_rotation_residual_symmetric_for_discs(self):
-        st0 = D.EvolutionState.discs(BASE, 1e-3, n_nodes=128)
+        st0 = D.EvolutionState.discs(BASE, n_nodes=128)
         res = D.evolve(BASE, st0, t_end=0.02, dt=2e-3, snapshot_every=5)
         for omega in (0.0, 0.37):
             assert D.rigid_rotation_residual(res.snapshots, omega) <= 1e-6
@@ -258,7 +271,7 @@ class TestGeometryHelpers:
         before = D.PatchBoundary(z, 1)
         after = D.resample_by_arclength(before)
         assert np.max(D._distance_to_curve(after.nodes, z)) <= 1e-14
-        assert D.patch_area(after) == pytest.approx(D.patch_area(before), rel=1e-14)
+        assert after.area() == pytest.approx(before.area(), rel=1e-14)
         speed = np.abs(Q.spectral_derivative(after.nodes))
         assert np.max(speed) - np.min(speed) <= 1e-9 * np.mean(speed)
 

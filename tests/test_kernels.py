@@ -8,8 +8,6 @@ from qgpatch.kernels import (
     LayerParams,
     biot_savart_minus,
     biot_savart_plus,
-    green_log,
-    green_screened,
     kernel_g,
     kernel_q,
     log_lipschitz_ell,
@@ -38,42 +36,6 @@ class TestLayerParams:
     def test_validation(self, args):
         with pytest.raises(ValueError):
             LayerParams(*args)
-
-
-class TestGreenFunctions:
-    def test_log_values(self):
-        assert green_log(np.array([1.0, 0.0])) == 0.0
-        assert green_log(np.array([np.e, 0.0])) == pytest.approx(-1.0 / TWO_PI)
-
-    def test_log_rotation_invariance(self):
-        r = RNG.uniform(0.1, 5.0, 32)
-        a = RNG.uniform(0.0, TWO_PI, 32)
-        assert np.allclose(
-            green_log(_ring(r, a)), green_log(_ring(r, np.zeros(32))), atol=1e-14
-        )
-
-    def test_log_singularity(self):
-        with pytest.raises(ValueError):
-            green_log(np.zeros(2))
-
-    def test_screened_small_argument(self):
-        # G_eps(p) + log(|p|/2) I_0(|p|)/(2 pi) -> Phi(1)/(2 pi) for eps = 1
-        r = 1e-7
-        combo = green_screened(1.0, np.array([r, 0.0])) + np.log(0.5 * r) / TWO_PI
-        assert combo == pytest.approx(-bessel.EULER_GAMMA / TWO_PI, abs=1e-12)
-
-    def test_screened_far_decay(self):
-        assert abs(green_screened(1.0, np.array([30.0, 0.0]))) < 1e-12
-
-    def test_screened_rotation_invariance(self):
-        r = RNG.uniform(0.1, 5.0, 32)
-        a = RNG.uniform(0.0, TWO_PI, 32)
-        assert np.allclose(
-            green_screened(0.7, _ring(r, a)),
-            green_screened(0.7, _ring(r, np.zeros(32))),
-            rtol=1e-13,
-            atol=1e-300,
-        )
 
 
 class TestLayerKernel:

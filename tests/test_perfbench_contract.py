@@ -1,10 +1,15 @@
-"""The names the benchmark tracer wraps, checked without running the benchmark.
+"""The library names the benchmark uses, checked without running the benchmark.
 
 ``perfbench/tracing.py`` wraps library functions by name, and a traced run
 stops with a KeyError once one of them is gone.  It is loaded here as a
 plain module (``perfbench/run.py``, which pins the BLAS threads, is not).
+The other ``perfbench`` files are only parsed: every ``qgpatch`` name they
+import or read as ``module.attr`` must still resolve, since their own
+tests run only under ``pytest perfbench``.
 """
 
+import ast
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -12,7 +17,8 @@ from pathlib import Path
 from qgpatch import spectrum
 from qgpatch.kernels import LayerParams
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing(monkeypatch):
@@ -47,3 +53,61 @@ def test_omega_pm_makes_six_scalar_products(monkeypatch):
     monkeypatch.setattr(spectrum, "bessel_ik_product", counted)
     spectrum.omega_pm(LayerParams(1.0, 1.0, 1.0, 0.7), 2)
     assert len(calls) == 6
+
+
+def _qgpatch_names(source: str) -> set[str]:
+    """Dotted qgpatch names a file imports with ``from qgpatch... import``, or
+    reads as attributes of a name so imported."""
+    tree = ast.parse(source)
+    bound = {}  # local name -> dotted qgpatch name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qgpatch":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    names = set(bound.values())
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in bound
+        ):
+            names.add(f"{bound[node.value.id]}.{node.attr}")
+    return names
+
+
+def _resolves(dotted: str) -> bool:
+    """The longest importable module prefix, then attribute lookups for the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+            break
+        except ImportError:
+            continue
+    for part in parts[cut:]:
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_perfbench_import_resolves():
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        names |= _qgpatch_names(path.read_text())
+    # the walk sees imports inside functions and module attribute reads
+    assert {
+        "qgpatch.cli",
+        "qgpatch.quadrature.k0_array",
+        "qgpatch.spectrum.bessel_ik_product",
+        "qgpatch.spectrum.kernel_vector",
+        "qgpatch.quadrature.NEAR_COINCIDENT_TOL",
+    } <= names
+    assert sorted(n for n in names if not _resolves(n)) == []
+
+
+def test_name_walk_flags_a_lost_name():
+    source = "from qgpatch import quadrature\nquadrature.no_such_name\n"
+    assert [n for n in _qgpatch_names(source) if not _resolves(n)] == [
+        "qgpatch.quadrature.no_such_name"
+    ]

@@ -9,7 +9,7 @@ import pytest
 import oracles as O
 from qgpatch import contour as C
 from qgpatch import quadrature as Q
-from qgpatch.bessel import bessel_ik_product, k0_array
+from qgpatch.bessel import bessel_ik_product, k0_array, series_coefficients
 from qgpatch.kernels import LayerParams, gkj_coefficients
 
 N = 256
@@ -71,6 +71,46 @@ class TestSpectralDerivative:
             1j * THETA
         )
         assert np.allclose(Q.spectral_derivative(z), dz, atol=1e-12)
+
+
+class TestPeriodicGrid:
+    """The shared trigonometric interpolant and the cached grid tables."""
+
+    @pytest.mark.parametrize("n", [64, 65, 66])
+    def test_trig_sum_evaluates_the_interpolant(self, n):
+        def curve(t):
+            r = 1.0 + 0.1 * np.cos(3 * t)
+            z = r * np.exp(1j * t) + 0.05 * np.exp(-7j * t)
+            dz = (1j * r - 0.3 * np.sin(3 * t)) * np.exp(1j * t) - 0.35j * np.exp(-7j * t)
+            return z, dz
+
+        k, coeffs = Q.fourier(curve(Q.grid(n))[0])
+        s = np.concatenate((Q.grid(n), np.linspace(0.01, 6.3, 37)))
+        got = Q.trig_sum(k, [coeffs, 1j * k * coeffs])(s)
+        assert np.max(np.abs(got - np.stack(curve(s)))) <= 1e-13
+
+    def test_nyquist_coefficient_dropped_and_mode_number_kept(self):
+        k, coeffs = Q.fourier((-1.0) ** np.arange(64))
+        assert k[32] == -32 and np.unique(k).size == 64
+        assert np.max(np.abs(coeffs)) == 0.0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Q._grid_tables(64),
+            lambda: (Q._gather_index(64, 64, True), Q._gather_index(64, 9, False)),
+            lambda: (Q._mirror_index(64, 4),),
+            lambda: Q.mode_tables(2, 8, 64),
+            lambda: (series_coefficients(1.0),),
+        ],
+        ids=["grid_tables", "gather_index", "mirror_index", "mode_tables", "series"],
+    )
+    def test_cached_tables_are_read_only(self, build):
+        # every later build shares these arrays; writing the value back
+        # leaves the cache intact if the guard is ever lost
+        for table in build():
+            with pytest.raises(ValueError):
+                table.flat[0] = table.flat[0]
 
 
 class TestGridIntegral:
@@ -493,11 +533,11 @@ class TestAllocations:
     PARAMS = LayerParams(1.0, 1.0, 1.0, 0.7)
     UNIT = N * N * 8  # bytes of one N x N float matrix
 
-    def test_one_row_build_makes_no_square_table(self, monkeypatch):
+    def test_one_row_build_makes_no_square_table(self):
         # fresh caches: a single-row moment check at N = 2048 must not build
         # the N x N half-band index or any other N^2 table (32 MB each)
-        monkeypatch.setattr(Q, "_TABLES", {})
-        monkeypatch.setattr(Q, "_GATHERS", {})
+        for cached in (Q._grid_tables, Q._gather_index, Q.mode_tables):
+            cached.cache_clear()
         peak = traced_peak(lambda: Q.screened_moment_quadrature(0.7, 0.7, 2.0, 32, 2048))
         assert peak < 8e6
 
