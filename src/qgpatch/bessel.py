@@ -22,9 +22,9 @@ positive half line.  The evaluation strategy per function:
 
   is even and entire.  S and I_0 are polynomials in q = z^2/4, kept as one
   stacked (2, M) coefficient table (``series_coefficients``) and summed
-  together by one in-place Horner pass over a (2, ...) array
-  (``horner_pair``); ``i0_and_regular_part`` and ``k0_array`` use that one
-  evaluator.  The tables are Chebyshev-economized: on [0, Q] the top
+  row by row, each row one in-place Horner pass over its own contiguous
+  array (``horner_pair``); ``i0_and_regular_part`` and ``k0_array`` use
+  that one evaluator.  The tables are Chebyshev-economized: on [0, Q] the top
   Taylor terms are traded for shifted Chebyshev polynomials while the
   summed change stays below 2^-53 relative, which takes 16 terms down to
   11 at Q = 2 and 34 to 22 at Q = 45.25.  Q runs over a sqrt(2) ladder,
@@ -175,21 +175,26 @@ def series_coefficients(qmax: float) -> FloatArray:
     return _economize(2.0 ** (level / 2))
 
 
-def horner_pair(q: FloatArray, coeffs: FloatArray) -> FloatArray:
-    """Both rows of a (2, M) table, M >= 2, as polynomials in q: shape (2, *q.shape).
+def horner_pair(q: FloatArray, coeffs: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """Both rows of a (2, M) table, M >= 2, as polynomials in q: two arrays of q's shape.
 
-    One Horner pass over the stacked array, in place.
+    Each row is its own in-place Horner pass with Python-float coefficients,
+    so every step is one contiguous array-scalar operation.
     """
-    c = coeffs.reshape(coeffs.shape + (1,) * q.ndim)
-    acc = np.multiply(c[:, -1], q)
-    for m in range(coeffs.shape[1] - 2, 0, -1):
-        acc += c[:, m]
+    row0, row1 = coeffs.tolist()
+    return _horner(q, row0), _horner(q, row1)
+
+
+def _horner(q: FloatArray, c: list[float]) -> FloatArray:
+    acc = np.multiply(q, c[-1])
+    for cm in c[-2:0:-1]:
+        acc += cm
         acc *= q
-    acc += c[:, 0]
+    acc += c[0]
     return acc
 
 
-def _series_pair(z: FloatArray, shift: float = 0.0) -> FloatArray:
+def _series_pair(z: FloatArray, shift: float = 0.0) -> tuple[FloatArray, FloatArray]:
     # (I_0, S - shift I_0) at z, the shift folded into the coefficients
     q = np.square(z)
     q *= 0.25

@@ -1,7 +1,9 @@
 """Command-line front end: spectrum | collide | vstate | evolve | verify.
 
 Settings come from an optional key=value config file plus flags; flags
-win.  All numeric output is printed with 17 significant digits so that
+win.  ``evolve --initial vstate:<file>`` takes delta, lambda, b1, b2 and
+the node count from the file and refuses one given explicitly that
+differs.  All numeric output is printed with 17 significant digits so that
 repeated runs of the same configuration produce byte-identical files.
 
 Exit codes: 0 success, 1 numeric failure, 2 configuration error,
@@ -83,19 +85,23 @@ _DEFAULTS = {
 }
 
 
-def _merge_settings(args: argparse.Namespace) -> dict[str, str]:
+def _merge_settings(args: argparse.Namespace) -> tuple[dict[str, str], set[str]]:
+    """(settings, the keys given by the config file or a flag)."""
     settings = dict(_DEFAULTS)
+    explicit = set()
     if args.config:
         cfg = _load_config_file(args.config)
         unknown = set(cfg) - set(_DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         settings.update(cfg)
+        explicit.update(cfg)
     for key in _DEFAULTS:
         val = getattr(args, key, None)
         if val is not None:
             settings[key] = str(val)
-    return settings
+            explicit.add(key)
+    return settings, explicit
 
 
 def _params_from(settings: dict[str, str]) -> LayerParams:
@@ -225,11 +231,28 @@ def cmd_vstate(settings: dict[str, str]) -> int:
     return EXIT_OK
 
 
-def _initial_state(settings: dict[str, str], params: LayerParams):
+def _check_file_values(
+    path: str, settings: dict[str, str], explicit: set[str], sol: VStateSolution
+) -> None:
+    """Refuse a model parameter or node count given explicitly that the V-state file
+    contradicts: the file's shape is a V-state only for its own values."""
+    file_values = {**sol.params.as_dict(), "nodes": sol.deformation.n_nodes}
+    clashes = [
+        f"{key} {settings[key]} given, {_fmt(value)} in the file"
+        for key, value in file_values.items()
+        if key in explicit and float(settings[key]) != value
+    ]
+    if clashes:
+        raise ConfigError(f"V-state file {path} disagrees: " + "; ".join(clashes))
+
+
+def _initial_state(settings: dict[str, str], explicit: set[str]):
+    """(params, state, V-state or None); a V-state file supplies the parameters."""
     spec_text = settings["initial"]
     n_nodes = _int_setting(settings, "nodes", 64)
     if spec_text == "discs":
-        return EvolutionState.discs(params, n_nodes), None
+        params = _params_from(settings)
+        return params, EvolutionState.discs(params, n_nodes), None
     if spec_text.startswith("vstate:"):
         path = spec_text.split(":", 1)[1]
         try:
@@ -244,12 +267,13 @@ def _initial_state(settings: dict[str, str], params: LayerParams):
             sol = VStateSolution.from_json_dict(payload)
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"malformed V-state file {path}: {exc!r}") from exc
+        _check_file_values(path, settings, explicit, sol)
         radii = sol.boundary_radii()
         phase = np.exp(1j * sol.deformation.grid())
         state = EvolutionState(
             (PatchBoundary(radii[0] * phase, 1), PatchBoundary(radii[1] * phase, 2)), 0.0
         )
-        return state, sol
+        return sol.params, state, sol
     if spec_text.startswith("csv:"):
         path = spec_text.split(":", 1)[1]
         try:
@@ -264,12 +288,11 @@ def _initial_state(settings: dict[str, str], params: LayerParams):
             sel = sel[np.argsort(sel[:, 1])]
             nodes.append(sel[:, 2] + 1j * sel[:, 3])
         state = EvolutionState((PatchBoundary(nodes[0], 1), PatchBoundary(nodes[1], 2)), 0.0)
-        return state, None
+        return _params_from(settings), state, None
     raise ConfigError("initial must be discs, vstate:<path> or csv:<path>")
 
 
-def cmd_evolve(settings: dict[str, str], check_rotation: bool) -> int:
-    params = _params_from(settings)
+def cmd_evolve(settings: dict[str, str], explicit: set[str], check_rotation: bool) -> int:
     try:
         t_end = float(settings["t_end"])
     except ValueError as exc:
@@ -281,7 +304,7 @@ def cmd_evolve(settings: dict[str, str], check_rotation: bool) -> int:
     if dt is not None and dt <= 0:
         raise ConfigError("dt must be > 0")
     snapshot_every = _int_setting(settings, "snapshot_every", 1)
-    state0, vstate = _initial_state(settings, params)
+    params, state0, vstate = _initial_state(settings, explicit)
     if check_rotation and vstate is None:
         raise ConfigError("--check-rotation requires initial=vstate:<path>")
     out = _outdir(settings)
@@ -407,7 +430,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        settings = _merge_settings(args)
+        settings, explicit = _merge_settings(args)
         if args.command == "spectrum":
             return cmd_spectrum(settings, args.find_free_m)
         if args.command == "collide":
@@ -415,7 +438,7 @@ def main(argv=None) -> int:
         if args.command == "vstate":
             return cmd_vstate(settings)
         if args.command == "evolve":
-            return cmd_evolve(settings, args.check_rotation)
+            return cmd_evolve(settings, explicit, args.check_rotation)
         if args.command == "verify":
             return cmd_verify(settings, args.inject_gamma_error)
         raise ConfigError(f"unknown command {args.command}")

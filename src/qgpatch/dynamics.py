@@ -32,6 +32,7 @@ NEWTON_STEPS Newton steps each.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,16 +112,23 @@ class EvolutionState:
         return EvolutionState(boundaries, 0.0)
 
 
+@functools.cache
+def _non_adjacent(k: int) -> NDArray[np.bool_]:
+    """Mask of the sample pairs (i, j) at least two apart around a k-cycle, read-only."""
+    i = np.arange(k)
+    mask = np.abs((i[:, None] - i[None, :] + k // 2) % k - k // 2) >= 2
+    mask.setflags(write=False)
+    return mask
+
+
 def _coarsely_simple(z: ComplexArray, samples: int = 64) -> bool:
-    n = z.size
-    step = max(1, n // samples)
-    w = z[::step]
-    k = w.size
-    d = np.abs(w[:, None] - w[None, :])
+    """No two non-adjacent samples closer than a quarter of the shortest edge."""
+    w = z[:: max(1, z.size // samples)]
+    dx = np.subtract.outer(w.real, w.real)
+    dy = np.subtract.outer(w.imag, w.imag)
+    d2 = dx * dx + dy * dy
     edge = np.min(np.abs(w - np.roll(w, -1)))
-    idx = np.abs((np.arange(k)[:, None] - np.arange(k)[None, :] + k // 2) % k - k // 2)
-    nonadj = idx >= 2
-    return bool(np.all(d[nonadj] > 0.25 * edge))
+    return bool(np.all(d2[_non_adjacent(w.size)] > 0.0625 * edge**2))
 
 
 def layer_node_velocities(

@@ -44,7 +44,9 @@ Three regimes are handled:
 
   with the two brackets polynomials in q = mu^2 rho^2 / 4 whose
   coefficients are the ``bessel`` series tables with alpha, kappa, h and
-  log(mu) folded in, summed in one Horner pass.  L is log(rho^2) for
+  log(mu) folded in, each summed by one Horner pass (``horner_pair``).
+  The folded tables are cached per series table and (alpha, kappa, mu, h)
+  in a bounded, read-only cache.  L is log(rho^2) for
   separated curves and log(rho^2) - log(4 sin^2) + (2/h) kress_row for
   the split.  A separated block with mu * rho_max > 3, where the series
   cancels, takes h (alpha log rho + kappa K_0(mu rho)) from ``k0_array``
@@ -70,7 +72,9 @@ Three regimes are handled:
 The in-between regime (curves closer than a few node spacings but not
 parameterwise close) cannot be integrated accurately on a uniform grid and
 raises ``TouchingBoundaryError``.  A non-finite node or derivative raises
-``QuadratureFailure`` before any regime is chosen.
+``QuadratureFailure`` before any regime is chosen.  A weight matrix is
+applied to a complex density (the nodes' z') as one (rows x N) @ (N x 2)
+product on the density's float view, so both parts share one pass over W.
 
 Conditioning note: the split evaluates I_0(mu rho) on the full chord
 matrix, so entries with large mu*rho cancel against the smooth part.  The
@@ -121,6 +125,16 @@ def grid(n: int) -> FloatArray:
     return TWO_PI * np.arange(n) / n
 
 
+@functools.cache
+def _mode_numbers(n: int) -> tuple[NDArray[np.int64], ComplexArray]:
+    """(k, 1j * k): the DFT mode numbers of an n-point grid, cached read-only."""
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+    ik = 1j * k
+    for table in (k, ik):
+        table.setflags(write=False)
+    return k, ik
+
+
 def _dft(values: np.ndarray) -> tuple[NDArray[np.int64], ComplexArray]:
     """Mode numbers k and the DFT over the last axis.  The unpaired Nyquist mode
     of an even n keeps its number -n/2 and gets coefficient 0."""
@@ -128,7 +142,7 @@ def _dft(values: np.ndarray) -> tuple[NDArray[np.int64], ComplexArray]:
     coeffs = np.fft.fft(values, axis=-1)
     if n % 2 == 0:
         coeffs[..., n // 2] = 0.0
-    return np.fft.fftfreq(n, d=1.0 / n).astype(np.int64), coeffs
+    return _mode_numbers(n)[0], coeffs
 
 
 def fourier(values) -> tuple[NDArray[np.int64], ComplexArray]:
@@ -141,8 +155,9 @@ def fourier(values) -> tuple[NDArray[np.int64], ComplexArray]:
 def spectral_derivative(values: ComplexArray) -> ComplexArray:
     """d/dt of the trigonometric interpolant (``fourier``) at the grid nodes."""
     values = np.asarray(values)
-    k, coeffs = _dft(values)
-    out = np.fft.ifft(1j * k * coeffs, axis=-1)
+    _, coeffs = _dft(values)
+    coeffs *= _mode_numbers(values.shape[-1])[1]
+    out = np.fft.ifft(coeffs, axis=-1)
     return out.real if np.isrealobj(values) else out
 
 
@@ -265,9 +280,14 @@ def _mirror_index(n: int, fold: int) -> np.ndarray:
 
 
 def _apply_kernel_matrix(kern: FloatArray, t_src: np.ndarray) -> np.ndarray:
-    """sum_j kern[i, j] T[j] for a real or complex density vector T."""
+    """sum_j kern[i, j] T[j] for a real or complex density vector T.
+
+    A complex T is read as its (N, 2) float view, so both parts take one
+    (rows x N) @ (N x 2) product and the result is viewed back as complex.
+    """
     if np.iscomplexobj(t_src):
-        return kern @ t_src.real + 1j * (kern @ t_src.imag)
+        pairs = np.ascontiguousarray(t_src, dtype=np.complex128).view(np.float64)
+        return (kern @ pairs.reshape(-1, 2)).view(np.complex128).reshape(-1)
     return kern @ t_src
 
 
@@ -288,10 +308,10 @@ def _squared_chords(x_tgt, y_tgt, x_src, y_src) -> tuple[FloatArray, FloatArray]
 def _cyclic_view(values: FloatArray, n_rows: int, n_cols: int) -> FloatArray:
     """Read-only view v[i, d] = values[(i + d) mod n] over a doubled copy."""
     doubled = np.concatenate((values, values))
-    step = doubled.strides[0]
-    return np.lib.stride_tricks.as_strided(
-        doubled, shape=(n_rows, n_cols), strides=(step, step), writeable=False
-    )
+    step = doubled.itemsize
+    view = np.ndarray((n_rows, n_cols), doubled.dtype, doubled, strides=(step, step))
+    view.setflags(write=False)
+    return view
 
 
 def _kernel_matrix(
@@ -391,16 +411,29 @@ def _fold(log_part, q, qmax, alpha, kappa, mu, h) -> FloatArray:
     """log_part * (h/2) (alpha - kappa I_0) + h kappa (S - log(mu) I_0), in log_part.
 
     Both factors are polynomials in q = mu^2 rho^2 / 4 over the series
-    tables with alpha, kappa, h and log(mu) folded in, summed in one Horner
-    pass; S is the regular part K_0(w) + log(w) I_0(w).
+    tables with alpha, kappa, h and log(mu) folded in (``_folded_table``),
+    each summed by one Horner pass; S is the regular part K_0(w) + log(w) I_0(w).
     """
-    i0, regular = series_coefficients(qmax)
-    folded = np.stack((-0.5 * h * kappa * i0, h * kappa * (regular - np.log(mu) * i0)))
-    folded[0, 0] += 0.5 * h * alpha
-    g, smooth = horner_pair(q, folded)
+    table = series_coefficients(qmax)
+    g, smooth = horner_pair(q, _folded_table(table.tobytes(), alpha, kappa, mu, h))
     log_part *= g
     log_part += smooth
     return log_part
+
+
+@functools.lru_cache(maxsize=32)
+def _folded_table(series: bytes, alpha, kappa, mu, h) -> FloatArray:
+    """The (2, M) table of ``_fold`` for one series table (as bytes), read-only.
+
+    A right-hand side folds the same few tables on every build: one per
+    kernel pair and ladder level.  The cache is bounded, so a parameter
+    sweep cannot grow it.
+    """
+    i0, regular = np.frombuffer(series, dtype=np.float64).reshape(2, -1)
+    folded = np.stack((-0.5 * h * kappa * i0, h * kappa * (regular - np.log(mu) * i0)))
+    folded[0, 0] += 0.5 * h * alpha
+    folded.setflags(write=False)
+    return folded
 
 
 def kernel_integral_grid(

@@ -195,6 +195,32 @@ class TestEconomizedTables:
         assert B.series_coefficients(2.0).shape[1] <= 12
 
 
+def horner_pair_stacked(q, coeffs):
+    """The stacked form: one Horner pass of a (2, 1, ...) table over a (2, ...) array."""
+    c = coeffs.reshape(coeffs.shape + (1,) * q.ndim)
+    acc = np.multiply(c[:, -1], q)
+    for m in range(coeffs.shape[1] - 2, 0, -1):
+        acc += c[:, m]
+        acc *= q
+    acc += c[:, 0]
+    return acc
+
+
+class TestHornerPair:
+    """The per-row Horner passes give the stacked pass's values bit for bit."""
+
+    @pytest.mark.parametrize("q_top", [2.0, 2.0 ** (B._LADDER_MAX / 2)])
+    @pytest.mark.parametrize("shape", [(256, 256), (256, 129), (65, 256), (1000,)])
+    def test_bitwise_equal_to_stacked(self, q_top, shape):
+        q = np.random.default_rng(7).uniform(0.0, q_top, shape)
+        coeffs = B.series_coefficients(q_top)
+        got = B.horner_pair(q, coeffs)
+        want = horner_pair_stacked(q, coeffs)
+        for row in range(2):
+            assert got[row].shape == shape
+            assert np.array_equal(got[row], want[row])
+
+
 class TestOrderSweeps:
     """One sweep of top order 512 gives log I_n, log K_n for every n <= 512."""
 

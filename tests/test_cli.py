@@ -227,6 +227,50 @@ class TestEvolveCommand:
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
 
+    @pytest.fixture(scope="class")
+    def branch_66(self, tmp_path_factory):
+        """An m = 3 branch at b2 = 0.6, lambda = 1, solved on 66 nodes."""
+        out = tmp_path_factory.mktemp("vs66")
+        assert run(["vstate", "--m", 3, "--b2", 0.6, "--nodes", 66, "--modes", 8,
+                    "--s-grid", 0.01, "--out", out]) == 0
+        return out / "branch.json"
+
+    def _evolve_from(self, branch, out, *flags):
+        return run(["evolve", "--initial", f"vstate:{branch}", "--t-end", 0.05,
+                    "--dt", 0.005, "--check-rotation", *flags, "--out", out])
+
+    def test_vstate_file_supplies_parameters_and_nodes(self, tmp_path, branch_66):
+        # no model flag given: the run uses the file's b2 = 0.6, not the
+        # default 1.0, and its 66 nodes, not the default 256
+        assert self._evolve_from(branch_66, tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["params"] == {"delta": 1.0, "lambda": 1.0, "b1": 1.0, "b2": 0.6}
+        assert manifest["diagnostics"]["rotation_residual"] <= 1e-13
+        rows = np.loadtxt(tmp_path / "snap_0000.csv", delimiter=",", skiprows=1)
+        assert rows.shape[0] == 2 * 66
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--lambda", 1.3], "lambda 1.3 given, 1 in the file"),
+         (["--nodes", 128], "nodes 128 given, 66 in the file")],
+        ids=["lambda", "nodes"],
+    )
+    def test_vstate_file_disagreeing_flag_refused(self, tmp_path, capsys, branch_66,
+                                                  flags, named):
+        out = tmp_path / "out"
+        assert self._evolve_from(branch_66, out, "--b2", 0.6, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and named in err
+        assert not out.exists()
+
+    def test_vstate_file_disagreeing_config_refused(self, tmp_path, capsys, branch_66):
+        config = tmp_path / "run.cfg"
+        config.write_text("b2 = 0.6\nlambda = 1.3\n")
+        out = tmp_path / "out"
+        assert self._evolve_from(branch_66, out, "--config", config) == 2
+        assert "lambda 1.3 given, 1 in the file" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "payload", [{"m": 2}, {"solutions": [{"params": {}}]}, [1, 2]],
         ids=["no_params", "no_delta", "not_an_object"],

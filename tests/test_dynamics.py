@@ -280,3 +280,43 @@ class TestGeometryHelpers:
         eight = (0.2 + np.cos(2 * t)) * np.exp(1j * t)  # self-intersecting
         with pytest.raises(D.SimplicityError):
             D.PatchBoundary(eight, 1).validate()
+
+
+def coarsely_simple_by_distance(z, samples=64):
+    """The check on |w_i - w_j| > edge / 4 itself: the reference for the squared form."""
+    w = z[:: max(1, z.size // samples)]
+    k = w.size
+    d = np.abs(w[:, None] - w[None, :])
+    edge = np.min(np.abs(w - np.roll(w, -1)))
+    idx = np.abs((np.arange(k)[:, None] - np.arange(k)[None, :] + k // 2) % k - k // 2)
+    return bool(np.all(d[idx >= 2] > 0.25 * edge))
+
+
+class TestCoarseSimplicity:
+    """The squared-distance check decides as the distance check does."""
+
+    @pytest.mark.parametrize("n", [64, 66, 256, 300])
+    def test_simple_curve(self, n):
+        t = 2 * np.pi * np.arange(n) / n
+        z = (1.0 + 0.3 * np.cos(3 * t)) * np.exp(1j * t)
+        assert D._coarsely_simple(z) is coarsely_simple_by_distance(z) is True
+
+    def test_figure_eight(self):
+        eight = (0.2 + np.cos(2 * THETA)) * np.exp(1j * THETA)
+        assert D._coarsely_simple(eight) is coarsely_simple_by_distance(eight) is False
+
+    def test_near_touching_necks(self):
+        # a dumbbell whose neck closes through a quarter of the shortest edge:
+        # both answers occur and every decision agrees
+        decisions = []
+        for gap in np.linspace(0.0, 0.05, 201):
+            z = np.cos(THETA) + 1j * np.sin(THETA) * (gap + (1.0 - gap) * np.cos(THETA) ** 2)
+            got = D._coarsely_simple(z)
+            assert got is coarsely_simple_by_distance(z), gap
+            decisions.append(got)
+        assert True in decisions and False in decisions
+
+    def test_mask_cached_read_only(self):
+        mask = D._non_adjacent(64)
+        assert mask is D._non_adjacent(64) and not mask.flags.writeable
+        assert mask.sum() == 64 * 61
