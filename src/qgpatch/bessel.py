@@ -6,7 +6,7 @@ positive half line.  The evaluation strategy per function:
 
 * Orders 0 and 1 come from ``scipy.special``: the sweeps below start
   from the exponentially scaled ``i0e``, ``i1e``, ``k0e``, ``k1e``, and
-  ``i0_array``, ``k1_array`` are ``i0``, ``k1``.
+  ``i0_array``, ``k0_array``, ``k1_array`` are ``i0``, ``k0``, ``k1``.
 * ``I_n`` (n >= 2): one downward Miller sweep gives every order <= N,
   normalized against ``I_0`` (the upward recurrence for I is violently
   unstable); ``log_bessel_i_orders`` returns the whole sweep.
@@ -23,16 +23,15 @@ positive half line.  The evaluation strategy per function:
   is even and entire.  S and I_0 are polynomials in q = z^2/4, kept as one
   stacked (2, M) coefficient table (``series_coefficients``) and summed
   row by row, each row one in-place Horner pass over its own contiguous
-  array (``horner_pair``); ``i0_and_regular_part`` and ``k0_array`` use
-  that one evaluator.  The tables are Chebyshev-economized: on [0, Q] the top
+  array (``horner_pair``); ``i0_and_regular_part`` uses that one
+  evaluator.  The tables are Chebyshev-economized: on [0, Q] the top
   Taylor terms are traded for shifted Chebyshev polynomials while the
   summed change stays below 2^-53 relative, which takes 16 terms down to
   11 at Q = 2 and 34 to 22 at Q = 45.25.  Q runs over a sqrt(2) ladder,
   Q = 2^(k/2) up to 45.25 (z = 13.45), each level built on first use; a
   larger q takes the plain Taylor table.  The singular quadrature folds
   its kernel constants into these tables and so calls the evaluator
-  directly.  ``k0_array`` evaluates K_0 from the series for z <= 3 and
-  takes ``scipy.special.k0`` above, where the series cancels.
+  directly.
 
 Products ``I_n(x) K_n(y)`` are assembled in log space, from the sweeps,
 so that orders up to several hundred neither overflow nor underflow; the
@@ -81,8 +80,6 @@ def phi_harmonic(m: int) -> float:
 # I_0 and the regular part of K_0
 # ---------------------------------------------------------------------------
 
-# K_0 from the regular-part series up to here, scipy.special.k0 beyond
-K0_SERIES_CUT = 3.0
 _SERIES_MAX_TERMS = 160
 # economized tables serve q in [0, 2^(k/2)] for k = _LADDER_MIN.._LADDER_MAX,
 # up to q = 45.25 (z = 13.45); larger q take the plain Taylor tables
@@ -194,16 +191,6 @@ def _horner(q: FloatArray, c: list[float]) -> FloatArray:
     return acc
 
 
-def _series_pair(z: FloatArray, shift: float = 0.0) -> tuple[FloatArray, FloatArray]:
-    # (I_0, S - shift I_0) at z, the shift folded into the coefficients
-    q = np.square(z)
-    q *= 0.25
-    coeffs = series_coefficients(float(np.max(q)) if q.size else 0.0)
-    if shift:
-        coeffs = np.stack((coeffs[0], coeffs[1] - shift * coeffs[0]))
-    return horner_pair(q, coeffs)
-
-
 def i0_and_regular_part(z: FloatArray) -> tuple[FloatArray, FloatArray]:
     r"""(I_0(z), K_0(z) + log(z) I_0(z)) elementwise, sharing one series pass.
 
@@ -213,8 +200,9 @@ def i0_and_regular_part(z: FloatArray) -> tuple[FloatArray, FloatArray]:
     and the singular quadrature integrates it with the plain trapezoidal
     rule.
     """
-    i0, regular = _series_pair(np.asarray(z, dtype=np.float64))
-    return i0, regular
+    q = np.square(np.asarray(z, dtype=np.float64))
+    q *= 0.25
+    return horner_pair(q, series_coefficients(float(np.max(q)) if q.size else 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -319,26 +307,7 @@ def bessel_ik_product(n: int, x: float, y: float) -> float:
 
 def k0_array(z: FloatArray) -> FloatArray:
     """Elementwise K_0 over an array with z > 0."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.size and float(np.max(z)) <= K0_SERIES_CUT:
-        return _k0_series(z)
-    small = z <= K0_SERIES_CUT
-    out = np.empty_like(z)
-    if np.any(small):
-        out[small] = _k0_series(z[small])
-    if np.any(~small):
-        out[~small] = special.k0(z[~small])
-    return out
-
-
-def _k0_series(z: FloatArray) -> FloatArray:
-    # K_0 = (S - log(2) I_0) - log(z/2) I_0, the tail in place
-    i0, out = _series_pair(z, _LOG2)
-    log_half_z = np.multiply(z, 0.5, out=np.empty_like(z))
-    np.log(log_half_z, out=log_half_z)
-    log_half_z *= i0
-    out -= log_half_z
-    return out
+    return special.k0(np.asarray(z, dtype=np.float64))
 
 
 def k1_array(z: FloatArray) -> FloatArray:

@@ -53,8 +53,7 @@ from numpy.typing import NDArray
 from . import spectrum
 from .kernels import LayerParams
 from .quadrature import (
-    QuadratureFailure,
-    TouchingBoundaryError,
+    NumericFailure,
     fold_rows,
     grid,
     layer_integrals,
@@ -69,7 +68,7 @@ S_MAX = 0.1  # largest amplitude a solve accepts
 SIMPLE_GAP_TOL = 1e-9  # smallest |Omega_m - Omega_km| check_simple_eigenvalue accepts
 
 
-class RadiusCollapseError(RuntimeError):
+class RadiusCollapseError(NumericFailure):
     """A deformation drove b_k^2 + 2 r_k below zero somewhere."""
 
 
@@ -77,7 +76,7 @@ class CollisionDetectedError(RuntimeError):
     """Bifurcation point degenerate: another mode shares the eigenvalue."""
 
 
-class NoConvergenceError(RuntimeError):
+class NoConvergenceError(NumericFailure):
     """Newton iteration failed to reach the residual tolerance."""
 
 
@@ -503,8 +502,8 @@ def branch_continue(
     tangent; each later one starts from ``_secant_start``, the Lagrange
     extrapolation in s of (Omega, coefficients) through the bifurcation
     point and the last one or two converged solutions.  Truncates at the
-    first failure (no convergence, radius collapse or a quadrature
-    refusal) and records it, keeping the solutions converged before it.
+    first NumericFailure (no convergence, radius collapse or a quadrature
+    refusal) and records it with the solutions before it; a collision raises.
     """
     result = BranchResult()
     # Omega_m^sign from the same rows as vstate_solve reads
@@ -518,12 +517,7 @@ def branch_continue(
             sol = vstate_solve(
                 params, m, sign, float(s), init=start, n_modes=n_modes, n_nodes=n_nodes
             )
-        except (
-            NoConvergenceError,
-            RadiusCollapseError,
-            TouchingBoundaryError,
-            QuadratureFailure,
-        ) as exc:
+        except NumericFailure as exc:
             result.failure = f"s={float(s):.6g}: {exc}"
             break
         result.solutions.append(sol)

@@ -41,8 +41,7 @@ from numpy.typing import NDArray
 from .kernels import LayerParams
 from .quadrature import (
     TWO_PI,
-    QuadratureFailure,
-    TouchingBoundaryError,
+    NumericFailure,
     fourier,
     grid,
     layer_integrals,
@@ -58,7 +57,7 @@ REDISTRIBUTE_EVERY = 50  # RK4 steps between arclength redistributions
 NEWTON_STEPS = 4  # Newton steps on the curve parameter: ruler and respacing
 
 
-class SimplicityError(RuntimeError):
+class SimplicityError(NumericFailure):
     """A boundary stopped being a simple positively oriented curve."""
 
 
@@ -228,9 +227,9 @@ def evolve(
 
     The nodes are respaced by arclength every REDISTRIBUTE_EVERY steps.
 
-    Snapshots include the initial and final states.  On simplicity
-    violation or touching boundaries the partial trajectory is returned
-    with the failure recorded in ``aborted``.
+    Snapshots include the initial and final states.  On a NumericFailure
+    (simplicity violation, touching boundaries, a quadrature refusal) the
+    partial trajectory is returned with the failure recorded in ``aborted``.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be > 0")
@@ -255,7 +254,7 @@ def evolve(
                 )
                 max_drift = max(max_drift, drift)
                 min_gap = min(min_gap, _boundary_gap(state))
-    except (SimplicityError, TouchingBoundaryError, QuadratureFailure) as exc:
+    except NumericFailure as exc:
         result.aborted = str(exc)
     result.diagnostics = {
         "area_drift": max_drift,

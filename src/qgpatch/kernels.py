@@ -62,11 +62,6 @@ class LayerParams:
         """delta >= (b2/b1)^2, where the spectral monotonicity facts hold."""
         return self.delta >= self.b ** 2
 
-    def radius(self, layer: int) -> float:
-        if layer not in (1, 2):
-            raise ValueError("layer must be 1 or 2")
-        return self.b1 if layer == 1 else self.b2
-
     def as_dict(self) -> dict:
         return {"delta": self.delta, "lambda": self.lam, "b1": self.b1, "b2": self.b2}
 

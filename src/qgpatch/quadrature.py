@@ -91,7 +91,7 @@ import functools
 import numpy as np
 from numpy.typing import NDArray
 
-from .bessel import K0_SERIES_CUT, horner_pair, k0_array, series_coefficients
+from .bessel import horner_pair, k0_array, series_coefficients
 from .kernels import LayerParams, gkj_coefficients
 
 FloatArray = NDArray[np.float64]
@@ -108,15 +108,27 @@ SEPARATED_TOL = 0.1
 # cancels against the smooth part, and on the unit circle the error against
 # 2 pi I_n K_n grows from 3e-12 at mu * diameter = 10 to 8e-11 at 14
 SPLIT_MAX_MU_CHORD = 12.0
+# largest mu * chord of a separated block the folded series serves; beyond
+# it the series cancels and the block takes k0_array
+K0_SERIES_CUT = 3.0
 # the interpolant sums modes k = lo + RULER_BLOCK * hi in two levels
 RULER_BLOCK = 16
 
 
-class TouchingBoundaryError(RuntimeError):
+class NumericFailure(RuntimeError):
+    """A computation that cannot reach its stated accuracy; the CLI exits 1.
+
+    The base of every numeric refusal in the library.  A spectral collision
+    (``contour.CollisionDetectedError``) is a refusal of the parameters, not
+    of the numerics, and is not one.
+    """
+
+
+class TouchingBoundaryError(NumericFailure):
     """Curves too close for the uniform-grid quadrature but not coincident."""
 
 
-class QuadratureFailure(RuntimeError):
+class QuadratureFailure(NumericFailure):
     """Non-finite integrand or unusable geometry in a boundary integral."""
 
 

@@ -20,25 +20,26 @@ exactly at the two angular velocities
 
 which are the bifurcation points of the m-fold V-state branches.  This
 module computes all of these quantities and the kernel direction of the
-singular matrix, and scans for spectral collisions Omega_m^- = Omega_n^+
-as b2 varies.
+singular matrix, scans for spectral collisions Omega_m^- = Omega_n^+ as
+b2 varies, and certifies the mode from which no collision can occur
+(``first_collision_free_m``).
 
-The array evaluator ``spectrum_over_b2`` returns A_n, B_n, gamma_n and
-Omega_n^+- over arrays of n and of b2: every n <= n_max at every radius of
-a b2 vector, from one Bessel sweep per function and argument, with the b1
-sweeps shared by all radii and the mean flow computed once per radius.
-``spectrum_arrays`` is its one-radius case, and its ``omega`` and
+The array evaluator ``spectrum_over_b2`` returns A_n, B_n, gamma_n,
+Omega_n^+- and V over arrays of n and of b2: every n <= n_max at every
+radius of a b2 vector, from one Bessel sweep per function and argument,
+with the b1 sweeps shared by all radii and the mean flow computed once per
+radius.  ``spectrum_arrays`` is its one-radius case, and its ``omega`` and
 ``kernel_vector`` read single modes.  The library calls only these arrays:
 the spectrum table, the collision scan, the V-state pin and Newton blocks
 and the linearized multiplier are built on them.  The per-n functions
 ``mean_flow_coeffs``, ``omega_pm`` and ``matrix_m`` take one mode from
 scalar I_n K_n products (``bessel_ik_product``); they are the reference
 the arrays are checked against.  Both routes go through the same formulas.
+The table rows and collision records are dataclasses; the CLI writes them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,7 @@ from scipy import special
 
 from .bessel import bessel_ik_product, log_bessel_i_orders, log_bessel_k_orders
 from .kernels import LayerParams
+from .quadrature import NumericFailure
 
 FloatArray = NDArray[np.float64]
 
@@ -182,7 +184,8 @@ def kernel_vector(params: LayerParams, m: int, sign: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectrumArrays:
-    """A_n, B_n, gamma_n and Omega_n^-+ for n = 1..n_max; mode n at index n-1."""
+    """A_n, B_n, gamma_n and Omega_n^-+ for n = 1..n_max, mode n at index n-1,
+    and the mean-flow coefficient V."""
 
     params: LayerParams
     a_n: FloatArray
@@ -190,6 +193,7 @@ class SpectrumArrays:
     gamma_n: FloatArray
     omega_minus: FloatArray
     omega_plus: FloatArray
+    v: float
 
     def matrix_m(self, omega: float) -> np.ndarray:
         """Every block M_n(omega), shape (n_max, 2, 2)."""
@@ -224,11 +228,12 @@ class SpectrumArrays:
 
 def spectrum_over_b2(
     params_base: LayerParams, b2: ArrayLike, n_max: int
-) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray, FloatArray]:
-    """(A_n, B_n, gamma_n, Omega_n^-, Omega_n^+) at every radius in b2.
+) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray, FloatArray, FloatArray]:
+    """(A_n, B_n, gamma_n, Omega_n^-, Omega_n^+, V) at every radius in b2.
 
-    Each array has shape (len(b2), n_max): row p is the disc pair
-    (b1, b2[p]), mode n at column n-1.  The b2 value carried by
+    The first five arrays have shape (len(b2), n_max): row p is the disc
+    pair (b1, b2[p]), mode n at column n-1; the mean-flow coefficient V
+    has shape (len(b2),).  The b2 value carried by
     params_base is ignored.  The two sweeps at b1 mu serve every row; each
     radius adds one I_n and one K_n sweep at b2 mu, and the formulas then
     run once over the whole (len(b2), n_max) block.
@@ -251,7 +256,7 @@ def spectrum_over_b2(
     a_n, b_n = _ab(d, mf, n, ik_b1[1:], ik_b2[:, 1:])
     g = _gamma(b, n, ik_cross[:, 1:])
     lo, hi = _omega_pair(d, a_n, b_n, g)
-    return a_n, b_n, g, lo, hi
+    return a_n, b_n, g, lo, hi, mf.v[:, 0]
 
 
 def spectrum_arrays(params: LayerParams, n_max: int) -> SpectrumArrays:
@@ -326,18 +331,20 @@ def collision_scan(
     a root typically takes about 4 of them (at most MAX_REFINE).  Roots of
     the same pair closer than DEDUP_TOL*b1 are merged and flagged as
     tangencies.  The b2 value carried by params_base is ignored; an empty
-    list is a valid result.
+    list is a valid result.  Records with n < m meet the plus branch of the
+    lower mode n; they belong to the n-fold problem (a collision there when
+    n divides m), not to the m-fold one.
     """
     if m < 1 or grid < 16:
         raise ValueError("need m >= 1 and grid >= 16")
     b1 = params_base.b1
     records: list[CollisionRecord] = []
     ts = np.linspace(0.5 / grid, 1.0 - 0.5 / grid, grid) * b1
-    _, _, _, minus, plus = spectrum_over_b2(params_base, ts, max(m, n_max))
+    minus, plus = spectrum_over_b2(params_base, ts, max(m, n_max))[3:5]
     minus_m = minus[:, m - 1]
 
     def gap(b2: float, n: int) -> float:
-        _, _, _, lo, hi = spectrum_over_b2(params_base, [b2], max(m, n))
+        lo, hi = spectrum_over_b2(params_base, [b2], max(m, n))[3:5]
         return float(lo[0, m - 1] - hi[0, n - 1])
 
     for n in range(1, n_max + 1):
@@ -366,19 +373,30 @@ def collision_scan(
     return records
 
 
-def first_collision_free_m(
-    params_base: LayerParams, m_start: int = 1, m_stop: int = 32, n_max: int = 48,
-    grid: int = 64,
-) -> int | None:
-    """Smallest m in [m_start, m_stop] whose collision scan comes back empty.
+def first_collision_free_m(params: LayerParams, n_max: int) -> tuple[int | None, int | None]:
+    """Thresholds (plus, minus) from which every m-fold bifurcation on that sign
+    is simple: Omega_m^sign != Omega_km^-sign for all k >= 2.
 
-    Empirical stand-in for the threshold index beyond which the two
-    eigenvalue branches can no longer cross.
+    With Omega_n^+- increasing and Omega_n^- < -V (V the mean flow),
+    Omega_m^+ > -V clears every Omega_km^- and Omega_2m^+ > -V puts every
+    Omega_km^+ above Omega_m^-.  The thresholds are the first such m in the
+    rows of ``spectrum_arrays(params, n_max)``, None if they are not
+    reached; a row that breaks either fact raises NumericFailure.
     """
-    for m in range(m_start, m_stop + 1):
-        if not collision_scan(params_base, m, n_max=n_max, grid=grid):
-            return m
-    return None
+    spec = spectrum_arrays(params, n_max)
+    limit = -spec.v
+    holds = spec.omega_minus < limit
+    holds[1:] &= (np.diff(spec.omega_plus) > 0.0) & (np.diff(spec.omega_minus) > 0.0)
+    if not holds.all():
+        n = int(np.argmin(holds)) + 1
+        raise NumericFailure(
+            f"row n = {n} breaks the collision-free certificate (Omega_n^+- increasing, "
+            f"Omega_n^- < -V): Omega_n^- = {spec.omega(n, -1)!r}, "
+            f"Omega_n^+ = {spec.omega(n, 1)!r}, -V = {float(limit)!r}"
+        )
+    plus = np.flatnonzero(spec.omega_plus > limit)  # m - 1
+    minus = np.flatnonzero(spec.omega_plus[1::2] > limit)  # m - 1, partner 2m
+    return tuple(int(i[0]) + 1 if i.size else None for i in (plus, minus))
 
 
 def equal_radius_collision_argument(n: int) -> float:
@@ -403,73 +421,3 @@ def equal_radius_collision_argument(n: int) -> float:
         if hi > 1e8:
             raise ArithmeticError("failed to bracket the collision argument")
     return _illinois(excess, lo, hi, excess(lo), f_hi, EQUAL_RADIUS_TOL, 0.0)[0]
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-_CSV_HEADER = "n,a_n,b_n,gamma_n,omega_minus,omega_plus"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def spectrum_rows_to_csv(rows: list[SpectrumRow]) -> str:
-    lines = [_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [str(r.n), _fmt(r.a_n), _fmt(r.b_n), _fmt(r.gamma_n),
-                 _fmt(r.omega_minus), _fmt(r.omega_plus)]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def spectrum_rows_to_json(rows: list[SpectrumRow]) -> str:
-    payload = [
-        {
-            "n": r.n,
-            "a_n": float(r.a_n),
-            "b_n": float(r.b_n),
-            "gamma_n": float(r.gamma_n),
-            "omega_minus": float(r.omega_minus),
-            "omega_plus": float(r.omega_plus),
-        }
-        for r in rows
-    ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def collision_records_to_csv(records: list[CollisionRecord]) -> str:
-    lines = ["m,n,b2_root,residual,tangency"]
-    for r in records:
-        lines.append(
-            ",".join(
-                [str(r.m), str(r.n), _fmt(r.b2_root), _fmt(r.residual),
-                 str(int(r.tangency))]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def collision_records_to_json(
-    records: list[CollisionRecord], params_base: LayerParams
-) -> str:
-    payload = {
-        "schema_version": 1,
-        "proven_regime": bool(params_base.in_proven_regime),
-        "records": [
-            {
-                "m": r.m,
-                "n": r.n,
-                "b2_root": float(r.b2_root),
-                "residual": float(r.residual),
-                "tangency": bool(r.tangency),
-            }
-            for r in records
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -312,3 +312,13 @@ def boundary_csv_per_value(sol):
         ]
         lines.append(",".join(format(float(v), ".17g") for v in row))
     return "\n".join(lines) + "\n"
+
+
+def snapshot_csv_per_value(boundaries):
+    """An ``evolve`` snapshot CSV written one node at a time, each value formatted alone."""
+    lines = ["layer,node_index,x,y"]
+    for layer, boundary in enumerate(boundaries, start=1):
+        for j, z in enumerate(boundary.nodes):
+            lines.append(f"{layer},{j},{format(float(z.real), '.17g')},"
+                         f"{format(float(z.imag), '.17g')}")
+    return "\n".join(lines) + "\n"

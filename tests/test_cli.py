@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import qgpatch
-from qgpatch import cli, spectrum
+from qgpatch import cli
 from qgpatch.cli import main
-from qgpatch.kernels import LayerParams
+from qgpatch.dynamics import PatchBoundary
+
+from oracles import snapshot_csv_per_value
 
 
 def run(args):
@@ -48,13 +50,23 @@ class TestSpectrumCommand:
         assert len(lines) == 3  # flag wins over config
 
     def test_find_free_m(self, tmp_path, capsys):
+        # at (1, 1, 0.5) Omega_m^+ first exceeds -V at m = 4 (ROADMAP F2)
         code = run(["spectrum", "--b2", 0.5, "--nmax", 8, "--find-free-m",
                     "--out", tmp_path])
         assert code == 0
-        last = capsys.readouterr().out.strip().split("\n")[-1]
-        assert last.startswith("first collision-free m: ")
-        free = spectrum.first_collision_free_m(LayerParams(1.0, 1.0, 1.0, 0.5), 1, 8)
-        assert last.split(": ")[1] == str(free)
+        assert capsys.readouterr().out.strip().split("\n")[-2:] == [
+            "first collision-free m, sign +: 4",
+            "first collision-free m, sign -: 2",
+        ]
+
+    def test_find_free_m_not_reached(self, tmp_path, capsys):
+        code = run(["spectrum", "--b2", 0.5, "--nmax", 3, "--find-free-m",
+                    "--out", tmp_path])
+        assert code == 0
+        assert capsys.readouterr().out.strip().split("\n")[-2:] == [
+            "first collision-free m, sign +: not reached within nmax = 3",
+            "first collision-free m, sign -: not reached within nmax = 3",
+        ]
 
 
 class TestCollideCommand:
@@ -210,6 +222,29 @@ class TestEvolveCommand:
                     "--dt", 0.002, "--nodes", 128, "--out", tmp_path / "second"])
         assert code == 0
 
+    def test_csv_initial_disagreeing_nodes_refused(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert run(["evolve", "--b2", 0.7, "--t-end", 0.004, "--dt", 0.002,
+                    "--nodes", 64, "--out", first]) == 0
+        out = tmp_path / "second"
+        code = run(["evolve", "--b2", 0.7, "--initial", f"csv:{first / 'snap_0000.csv'}",
+                    "--nodes", 128, "--t-end", 0.004, "--dt", 0.002, "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "nodes 128 given, 64 in the file" in err
+        assert not out.exists()
+
+    def test_csv_initial_without_nodes_keeps_the_files_nodes(self, tmp_path):
+        first = tmp_path / "first"
+        assert run(["evolve", "--b2", 0.7, "--t-end", 0.004, "--dt", 0.002,
+                    "--nodes", 64, "--out", first]) == 0
+        second = tmp_path / "second"
+        assert run(["evolve", "--b2", 0.7, "--initial", f"csv:{first / 'snap_0000.csv'}",
+                    "--t-end", 0.004, "--dt", 0.002, "--out", second]) == 0
+        rows = np.loadtxt(second / "snap_0000.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (2 * 64, 4)
+        assert (second / "snap_0000.csv").read_bytes() == (first / "snap_0000.csv").read_bytes()
+
     def test_bad_initial(self, tmp_path):
         assert run(["evolve", "--initial", "nonsense", "--out", tmp_path]) == 2
 
@@ -320,6 +355,83 @@ class TestForeignFlags:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nmax = 2\ndt = 0.1\nsuite = bessel\n")
         assert run(["spectrum", "--config", cfg, "--out", tmp_path / "out"]) == 0
+
+
+# (command, key, bad text): each refused by the key's converter
+_BAD_VALUES = [
+    ("spectrum", "nmax", "0"),
+    ("collide", "grid", "8"),
+    ("collide", "b2", "wide"),
+    ("vstate", "sign", "sideways"),  # config only: argparse's choices check the flag
+    ("vstate", "modes", "7.5"),
+    ("vstate", "s_grid", ","),
+    ("evolve", "t_end", "-1"),
+    ("evolve", "dt", "0"),
+    ("evolve", "nodes", "abc"),
+    ("evolve", "initial", "disks"),
+]
+
+
+class TestSettings:
+    """One converter per key, whether the text comes from a flag or a config file."""
+
+    def test_config_and_flags_write_identical_files(self, tmp_path):
+        cfg = tmp_path / "vstate.cfg"
+        cfg.write_text("sign = minus\nnodes = 128\nmodes = 8\ns_grid = 0.001\n")
+        by_file, by_flags = tmp_path / "file", tmp_path / "flags"
+        assert run(["vstate", "--config", cfg, "--b2", 0.7, "--out", by_file]) == 0
+        assert run(["vstate", "--sign", "-", "--nodes", 128, "--modes", 8,
+                    "--s-grid", 0.001, "--b2", 0.7, "--out", by_flags]) == 0
+        names = sorted(p.name for p in by_file.iterdir())
+        assert names == ["boundary_000.csv", "branch.json"]
+        assert names == sorted(p.name for p in by_flags.iterdir())
+        for name in names:
+            assert (by_file / name).read_bytes() == (by_flags / name).read_bytes()
+
+    @pytest.mark.parametrize("source, command, key, text", [
+        (source, *case) for source in ("flag", "config") for case in _BAD_VALUES
+        if not (source == "flag" and case[1] == "sign")
+    ])
+    def test_bad_value_names_key(self, tmp_path, capsys, source, command, key, text):
+        out = tmp_path / "out"
+        if source == "flag":
+            argv = [command, "--" + key.replace("_", "-"), text, "--out", out]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {text}\n")
+            argv = [command, "--config", cfg, "--out", out]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ")
+        assert not out.exists()
+
+    def test_bad_value_of_unread_key_ignored(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nodes = abc\nsign = sideways\nnmax = 2\n")
+        assert run(["spectrum", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 3
+
+    def test_snapshot_csv_matches_per_value_writer(self, tmp_path):
+        z = np.exp(2j * np.pi * np.arange(64) / 64)
+        z[:6] = [complex(-0.0, 1e-300), complex(1e12, -0.0), complex(-1e-300, -1e12),
+                 complex(-2.5, 0.0), complex(-0.0, -0.0), complex(0.1, 0.2)]
+        boundaries = (PatchBoundary(z, 1), PatchBoundary(-3.0 * z[::-1], 2))
+        cli._write_snapshot(tmp_path / "snap.csv", boundaries)
+        assert (tmp_path / "snap.csv").read_text() == snapshot_csv_per_value(boundaries)
+
+    def test_numeric_failures_share_one_type(self):
+        from qgpatch.contour import (
+            CollisionDetectedError,
+            NoConvergenceError,
+            RadiusCollapseError,
+        )
+        from qgpatch.dynamics import SimplicityError
+        from qgpatch.quadrature import NumericFailure, QuadratureFailure, TouchingBoundaryError
+
+        for cls in (TouchingBoundaryError, QuadratureFailure, RadiusCollapseError,
+                    NoConvergenceError, SimplicityError):
+            assert issubclass(cls, NumericFailure), cls
+        assert not issubclass(CollisionDetectedError, NumericFailure)
 
 
 def test_cli_import_skips_scipy_interpolate():

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from mpmath import mp
 
+from qgpatch import cli
 from qgpatch import spectrum as S
 from qgpatch.bessel import bessel_ik_product
 from qgpatch.kernels import LayerParams
+from qgpatch.quadrature import NumericFailure
 
 from oracles import collision_root_mp, spectrum_row_mp
 
@@ -177,12 +180,6 @@ class TestCollisions:
         root = collision_root_mp(1.0, 1.0, 1.0, 3, 2, 0.7777)
         assert abs(recs[0].b2_root - root) <= 1e-11  # 1e-11 * b1, b1 = 1
 
-    def test_empty_scan_for_collision_free_m(self):
-        base = LayerParams(1.0, 1.0, 1.0, 0.5)
-        free = S.first_collision_free_m(base, 1, 8, n_max=16, grid=48)
-        assert free is not None
-        assert S.collision_scan(base, free, n_max=16, grid=48) == []
-
     def test_high_pairs_never_collide(self):
         # Omega_n^+ > Omega_m^- once both indices clear a finite threshold
         base = LayerParams(1.0, 1.0, 1.0, 0.5)
@@ -221,6 +218,58 @@ class TestCollisions:
             assert abs(bessel_ik_product(1, x0, x0) - 0.5 / n) <= 1e-12
             p = LayerParams(1.0, 1.0, x0 / np.sqrt(2.0), x0 / np.sqrt(2.0))
             assert S.omega_pm(p, 1)[1] == pytest.approx(S.omega_pm(p, n)[0], abs=1e-10)
+
+
+class TestCollisionFreeThreshold:
+    """``first_collision_free_m``: the certified thresholds and their km partners."""
+
+    N_MAX = 256
+    # (delta, lambda, b2) with b1 = 1 -> (plus, minus) thresholds at n_max = 256
+    EXPECTED = {
+        (1.0, 1.0, 0.5): (4, 2),
+        (0.3, 3.0, 0.5): (2, 1),
+        (3.0, 0.3, 0.5): (8, 4),
+        (10.0, 1.0, 0.5): (2, 1),
+        (1.0, 0.1, 0.5): (58, 29),
+        (0.5, 5.0, 0.5): (2, 1),
+        (1.0, 1.0, 0.9): (17, 9),
+    }
+
+    @pytest.mark.parametrize("point", EXPECTED, ids=str)
+    def test_thresholds(self, point):
+        d, lam, b2 = point
+        got = S.first_collision_free_m(LayerParams(d, lam, 1.0, b2), self.N_MAX)
+        assert got == self.EXPECTED[point]
+
+    @pytest.mark.parametrize("point", EXPECTED, ids=str)
+    def test_every_km_gap_positive_from_threshold(self, point):
+        d, lam, b2 = point
+        plus, minus = self.EXPECTED[point]
+        spec = S.spectrum_arrays(LayerParams(d, lam, 1.0, b2), self.N_MAX)
+        for first, sign in ((plus, 1), (minus, -1)):
+            for m in range(first, self.N_MAX // 2 + 1):
+                for km in range(2 * m, self.N_MAX + 1, m):
+                    gap = sign * (spec.omega(m, sign) - spec.omega(km, -sign))
+                    assert gap > 0.0, (sign, m, km)
+
+    def test_not_reached_within_rows(self):
+        # both thresholds at (1, 0.1, 0.5) read Omega_58^+
+        low_screening = LayerParams(1.0, 0.1, 1.0, 0.5)
+        assert S.first_collision_free_m(low_screening, 58) == (58, 29)
+        assert S.first_collision_free_m(low_screening, 57) == (None, None)
+
+    def test_broken_certificate_names_the_row(self, monkeypatch):
+        arrays = S.spectrum_arrays
+
+        def dented(params, n_max):
+            spec = arrays(params, n_max)
+            omega_plus = spec.omega_plus.copy()
+            omega_plus[4] = omega_plus[3]  # Omega_5^+ no longer increases
+            return dataclasses.replace(spec, omega_plus=omega_plus)
+
+        monkeypatch.setattr(S, "spectrum_arrays", dented)
+        with pytest.raises(NumericFailure, match="row n = 5 "):
+            S.first_collision_free_m(LayerParams(1.0, 1.0, 1.0, 0.5), 16)
 
 
 class TestSpectrumArrays:
@@ -338,24 +387,36 @@ class TestTableAndSerialization:
             assert r.omega_minus <= r.omega_plus
             assert np.isfinite([r.a_n, r.b_n, r.gamma_n]).all()
 
-    def test_csv_header_and_roundtrip_precision(self):
+    # the CLI writes the rows and records through its one CSV and JSON writers
+
+    def test_csv_header_and_roundtrip_precision(self, tmp_path):
         rows = S.spectrum_table(BASE, 3)
-        text = S.spectrum_rows_to_csv(rows)
-        lines = text.strip().split("\n")
+        cli._write_records(tmp_path / "spectrum.csv", S.SpectrumRow, rows)
+        lines = (tmp_path / "spectrum.csv").read_text().strip().split("\n")
         assert lines[0] == "n,a_n,b_n,gamma_n,omega_minus,omega_plus"
+        assert lines[1].split(",")[0] == "1"
         got = float(lines[1].split(",")[4])
         assert got == rows[0].omega_minus  # 17 significant digits round-trip
 
-    def test_json_fields(self):
-        payload = json.loads(S.spectrum_rows_to_json(S.spectrum_table(BASE, 2)))
+    def test_json_fields(self, tmp_path):
+        assert cli.main(["spectrum", "--b2", "0.7", "--nmax", "2", "--out", str(tmp_path)]) == 0
+        payload = json.loads((tmp_path / "spectrum.json").read_text())
         assert len(payload) == 2
         assert set(payload[0]) == {
             "n", "a_n", "b_n", "gamma_n", "omega_minus", "omega_plus",
         }
+        assert payload[1] == dataclasses.asdict(S.spectrum_table(BASE, 2)[1])
 
-    def test_collision_json(self):
+    def test_collision_json(self, tmp_path):
+        assert cli.main(["collide", "--m", "3", "--nmax", "6", "--b2", "0.5", "--grid", "32",
+                         "--out", str(tmp_path)]) == 0
         recs = S.collision_scan(LayerParams(1.0, 1.0, 1.0, 0.5), 3, n_max=6, grid=32)
-        payload = json.loads(S.collision_records_to_json(recs, BASE))
+        payload = json.loads((tmp_path / "collide.json").read_text())
         assert payload["schema_version"] == 1
         assert payload["proven_regime"] is True
-        assert len(payload["records"]) == len(recs)
+        assert payload["records"] == [dataclasses.asdict(r) for r in recs]
+        lines = (tmp_path / "collide.csv").read_text().strip().split("\n")
+        assert lines[0] == "m,n,b2_root,residual,tangency"
+        assert [float(v) for v in lines[1].split(",")] == [
+            recs[0].m, recs[0].n, recs[0].b2_root, recs[0].residual, int(recs[0].tangency)
+        ]
