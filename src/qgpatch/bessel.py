@@ -15,6 +15,12 @@ positive half line.  The evaluation strategy per function:
   (``log_bessel_k_orders``).  ``scipy.special`` is no substitute here:
   at n = 400, x = 0.5, ``ive`` underflows to 0 and ``kve`` overflows to
   inf, so their product is NaN.
+* Both sweeps take either one x, swept on Python floats, or a 1-D array
+  of x, swept together: each recurrence step runs once over the whole
+  array in numpy, as the recurrences are elementwise in x (Gautschi,
+  SIAM Review 9, 1967).  One loop serves both.  Each x enters the Miller
+  recurrence at its own start and keeps its own count of 1e280 rescales,
+  so row p is bitwise the sweep at x[p] alone.
 * The regular part of K_0: the ascending series
 
       S(z) = K_0(z) + log(z) I_0(z) = log(2) I_0(z)
@@ -40,7 +46,8 @@ accuracy and therefore the product itself must keep relative accuracy
 even when it is ~1e-300.
 
 All functions are elementwise over numpy arrays and pure; there is no
-shared mutable state.
+shared mutable state.  Array sweeps cost about as much as a dozen float
+sweeps whatever their length, so callers batch only many arguments.
 """
 
 from __future__ import annotations
@@ -213,78 +220,133 @@ def i0_and_regular_part(z: FloatArray) -> tuple[FloatArray, FloatArray]:
 _LOG_RESCALE = 280.0 * np.log(10.0)  # log of the 1e280 rescale factor
 
 
-def _miller_log_ratios(n_max: int, x: float) -> FloatArray:
+def _sweep_arguments(name: str, n_max: int, x):
+    """x as one Python float, or as a nonempty 1-D float64 array."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if not isinstance(x, float) and np.ndim(x) > 0:
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 1 or x.size == 0 or not np.all((x > 0.0) & (x < np.inf)):
+            raise ValueError(f"{name} requires a nonempty 1-D array of finite x > 0")
+        return x
+    x = float(x)
+    if not 0.0 < x < np.inf:
+        raise ValueError(f"{name} requires a finite x > 0")
+    return x
+
+
+def _pick(big: bool, yes: float, no: float) -> float:
+    return yes if big else no
+
+
+def _sweep_ops(x):
+    """(shape of one order, scalar, any, where) for a sweep: Python's on one
+    float, numpy's on an array, so one argument never leaves Python floats."""
+    if isinstance(x, float):
+        return (), float, bool, _pick
+    return x.shape, np.asarray, np.ndarray.any, np.where
+
+
+def _miller_seeds(n_max: int, x) -> list:
+    """[(k, seed)], highest k first: each x enters the Miller sweep at
+    the first even k >= n_max + 20 + 2 sqrt(max(n_max, x)) + x/2, where its
+    f_k is seeded with 1e-290."""
+    if isinstance(x, float):
+        start = n_max + int(20 + 2.0 * np.sqrt(max(n_max, x)) + 0.5 * x)
+        return [(start + start % 2, 1e-290)]
+    # whole numbers held as floats: a huge x gives a huge start, never a wrapped int
+    start = n_max + np.floor(20 + 2.0 * np.sqrt(np.maximum(n_max, x)) + 0.5 * x)
+    start += start % 2
+    return [(int(k), np.where(start == k, 1e-290, 0.0)) for k in np.unique(start)[::-1]]
+
+
+def _miller_log_ratios(n_max: int, x) -> FloatArray:
     """log(I_n(x) / I_0(x)) for n = 0..n_max by one downward Miller sweep.
 
-    Each f_k is recorded with the number of 1e280 rescales made before it,
-    so log f_n - log f_0 is taken in the units both were stored in and the
-    low orders keep full accuracy however high the sweep starts.
+    Row n holds order n over the shape of x.  Above its own start the f
+    of an x is 0, which the recurrence keeps exactly 0, so each x runs the
+    operations of a sweep of its own.  Each f_k is recorded with the
+    number of 1e280 rescales made on its x before it, so
+    log f_n - log f_0 is taken in the units both were stored in and the low
+    orders keep full accuracy however high the sweep starts.
     """
-    start = n_max + int(20 + 2.0 * np.sqrt(max(n_max, x)) + 0.5 * x)
-    if start % 2:
-        start += 1
+    _, _, any_, where_ = _sweep_ops(x)
+    seeds = _miller_seeds(n_max, x)
     f = [0.0] * (n_max + 1)
-    rescales = [0] * (n_max + 1)
-    fk1 = 0.0  # f_{k+1}
-    fk = 1e-290  # f_k
-    count = 0
+    rescales = [0.0] * (n_max + 1)
+    fk1 = fk = 0.0  # f_{k+1}, f_k
+    count = seeds[0][1] * 0  # rescales so far, per x
     two_over_x = 2.0 / x
-    for k in range(start, 0, -1):
-        fk1, fk = fk, fk1 + (two_over_x * k) * fk
-        if k <= n_max + 1:
-            f[k - 1] = fk
-            rescales[k - 1] = count
-        if fk > 1e280:
-            fk *= 1e-280
-            fk1 *= 1e-280
-            count += 1
+    kept = n_max + 1  # f_{k-1} is kept from k = n_max + 1 down
+    for (top, seed), stop in zip(seeds, [k for k, _ in seeds[1:]] + [0]):
+        fk = fk + seed
+        for k in range(top, stop, -1):
+            fk1, fk = fk, fk1 + (two_over_x * k) * fk
+            if k <= kept:
+                f[k - 1] = fk
+                rescales[k - 1] = count
+            big = fk > 1e280
+            if big is not False and any_(big):  # a Python False skips the call
+                scale = where_(big, 1e-280, 1.0)
+                fk, fk1, count = fk * scale, fk1 * scale, count + big
     log_f = np.log(f)
     shift = np.array(rescales)
     return log_f - log_f[0] - (shift[0] - shift) * _LOG_RESCALE
 
 
-def log_bessel_i_orders(n_max: int, x: float) -> FloatArray:
-    """log I_n(x) for every order n = 0..n_max from one Miller sweep, x > 0."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if x <= 0.0:
-        raise ValueError("log_bessel_i_orders requires x > 0")
-    out = np.empty(n_max + 1)
+def _by_argument(out: FloatArray) -> FloatArray:
+    # (orders, arguments) -> (arguments, orders), contiguous; one x is already 1-D
+    return out if out.ndim == 1 else np.ascontiguousarray(out.T)
+
+
+def log_bessel_i_orders(n_max: int, x) -> FloatArray:
+    """log I_n(x) for every order n = 0..n_max from one Miller sweep, x > 0.
+
+    One float x gives shape (n_max+1,); a 1-D array of P arguments gives
+    (P, n_max+1) from one sweep over all of them, row p bitwise equal to
+    the sweep at x[p] alone.
+    """
+    x = _sweep_arguments("log_bessel_i_orders", n_max, x)
+    out = np.empty((n_max + 1, *_sweep_ops(x)[0]))
     out[0] = x + np.log(special.i0e(x))
     if n_max >= 1:
         out[1] = x + np.log(special.i1e(x))
     if n_max >= 2:
         out[2:] = out[0] + _miller_log_ratios(n_max, x)[2:]
-    return out
+    return _by_argument(out)
 
 
-def log_bessel_k_orders(n_max: int, x: float) -> FloatArray:
-    """log K_n(x) for every order n = 0..n_max from one upward sweep, x > 0."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if x <= 0.0:
-        raise ValueError("log_bessel_k_orders requires x > 0")
-    lk0 = float(np.log(special.k0e(x)) - x)
-    lk1 = float(np.log(special.k1e(x)) - x)
-    out = np.empty(n_max + 1)
+def log_bessel_k_orders(n_max: int, x) -> FloatArray:
+    """log K_n(x) for every order n = 0..n_max from one upward sweep, x > 0.
+
+    Shapes as for ``log_bessel_i_orders``; each x keeps its own count of
+    1e280 rescales, so row p is bitwise the sweep at x[p] alone.
+    """
+    x = _sweep_arguments("log_bessel_k_orders", n_max, x)
+    shape, scalar, any_, where_ = _sweep_ops(x)
+    lk0 = scalar(np.log(special.k0e(x)) - x)
+    lk1 = scalar(np.log(special.k1e(x)) - x)
+    out = np.empty((n_max + 1, *shape))
     out[0] = lk0
     if n_max >= 1:
         out[1] = lk1
     # upward recurrence on K scaled by exp(-shift)
     shift = lk1
-    km1 = float(np.exp(lk0 - shift))  # K_{k-1} * e^{-shift}
+    km1 = scalar(np.exp(lk0 - shift))  # K_{k-1} * e^{-shift}
     kk = 1.0  # K_k * e^{-shift}
     scaled, shifts = [], []
     for k in range(1, n_max):
         km1, kk = kk, km1 + (2.0 * k / x) * kk
-        if kk > 1e280:
-            km1 *= 1e-280
-            kk *= 1e-280
-            shift += _LOG_RESCALE
+        big = kk > 1e280
+        if big is not False and any_(big):  # a Python False skips the call
+            scale = where_(big, 1e-280, 1.0)
+            km1, kk = km1 * scale, kk * scale
+            shift = shift + where_(big, _LOG_RESCALE, 0.0)
         scaled.append(kk)
         shifts.append(shift)
-    out[2:] = np.log(scaled) + np.array(shifts)
-    return out
+    if n_max >= 2:
+        out[2:] = np.log(scaled) + np.array(shifts)
+    return _by_argument(out)
 
 
 def bessel_ik_product(n: int, x: float, y: float) -> float:

@@ -7,9 +7,11 @@ value, and a default; a flag's text and a config value's text go through
 it once, and only for the keys the running command reads, so one config
 file can serve every command.  ``evolve --initial vstate:<file>`` takes
 delta, lambda, b1, b2 and the node count from the file, ``csv:<file>``
-its node count; an explicit value that differs is refused.  Every
-artifact goes through ``_write_json`` or ``_write_csv`` (one % template
-per table, floats to 17 significant digits), so reruns are byte-identical.
+its node count; an explicit value that differs is refused.  So is an
+explicit b1, b2, m or grid, from a flag or the config file, in ``collide
+--equal-radii``, which would not read it.  Every artifact goes through
+``_write_json`` or ``_write_csv`` (one % template per table, floats to 17
+significant digits), so reruns are byte-identical.
 
 Exit codes: 0 success, 1 numeric failure (``NumericFailure``, which a
 singular Newton solve raises too, or ``ArithmeticError``), 2 configuration
@@ -212,7 +214,13 @@ def cmd_spectrum(settings: dict, find_free_m: bool) -> int:
     return EXIT_OK
 
 
-def cmd_collide(settings: dict, equal_radii: bool) -> int:
+_EQUAL_RADII_UNREAD = ("b1", "b2", "m", "grid")
+
+
+def cmd_collide(settings: dict, explicit: set[str], equal_radii: bool) -> int:
+    if equal_radii and (unread := [k for k in _EQUAL_RADII_UNREAD if k in explicit]):
+        raise ValueError(f"--equal-radii does not read {', '.join(unread)}: it sets "
+                         "b1 = b2 from each collision root and scans no m or grid")
     params = _params_from(settings)
     n_max = settings["nmax"]
     out = _outdir(settings)
@@ -437,7 +445,7 @@ def main(argv=None) -> int:
         if args.command == "spectrum":
             return cmd_spectrum(settings, args.find_free_m)
         if args.command == "collide":
-            return cmd_collide(settings, args.equal_radii)
+            return cmd_collide(settings, explicit, args.equal_radii)
         if args.command == "vstate":
             return cmd_vstate(settings)
         if args.command == "evolve":

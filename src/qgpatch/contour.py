@@ -396,6 +396,8 @@ def vstate_solve(
     init: VStateSolution | None = None,
     n_modes: int = 32,
     n_nodes: int = 256,
+    *,
+    _spec: spectrum.SpectrumArrays | None = None,
 ) -> VStateSolution:
     """Solve F(Omega, r) = 0 on the m-fold sine modes at fixed amplitude s.
 
@@ -410,6 +412,8 @@ def vstate_solve(
     the residual is at most NEWTON_TOL and the step at most 1e-12; one
     that has not converged after NEWTON_MAX_ITER iterations, or whose
     damping fails, raises NoConvergenceError.  |s| > S_MAX raises ValueError.
+    ``branch_continue`` passes the rows it has already evaluated and
+    checked with ``check_simple_eigenvalue`` as ``_spec``.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -417,8 +421,10 @@ def vstate_solve(
         raise ValueError(f"amplitude {s} beyond S_MAX = {S_MAX}")
     if n_modes < 8:
         raise ValueError("need n_modes >= 8")
-    spec = spectrum.spectrum_arrays(params, m * n_modes)
-    check_simple_eigenvalue(spec, m, sign, n_modes)
+    spec = _spec
+    if spec is None:
+        spec = spectrum.spectrum_arrays(params, m * n_modes)
+        check_simple_eigenvalue(spec, m, sign, n_modes)
 
     vec = spec.kernel_vector(m, sign)
     omega0 = spec.omega(m, sign)
@@ -503,20 +509,22 @@ def branch_continue(
     extrapolation in s of (Omega, coefficients) through the bifurcation
     point and the last one or two converged solutions.  Truncates at the
     first NumericFailure (no convergence, radius collapse or a quadrature
-    refusal) and records it with the solutions before it; a collision raises.
+    refusal) and records it with the solutions before it; a collision raises
+    before the first solve.  The spectrum rows up to m * n_modes are
+    evaluated and checked once and every solve reads them.
     """
     result = BranchResult()
-    # Omega_m^sign from the same rows as vstate_solve reads
-    omega0 = spectrum.spectrum_arrays(params, m * n_modes).omega(m, sign)
+    spec = spectrum.spectrum_arrays(params, m * n_modes)
+    omega0 = spec.omega(m, sign)
+    check_simple_eigenvalue(spec, m, sign, n_modes)
     origin = VStateSolution(
         params, m, sign, 0.0, omega0, RadialDeformation.zero(m, n_modes, n_nodes), 0.0
     )
     for s in s_grid:
         start = _secant_start(origin, result.solutions, float(s))
         try:
-            sol = vstate_solve(
-                params, m, sign, float(s), init=start, n_modes=n_modes, n_nodes=n_nodes
-            )
+            sol = vstate_solve(params, m, sign, float(s), init=start, n_modes=n_modes,
+                               n_nodes=n_nodes, _spec=spec)
         except NumericFailure as exc:
             result.failure = f"s={float(s):.6g}: {exc}"
             break

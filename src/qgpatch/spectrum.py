@@ -26,8 +26,9 @@ b2 varies, and certifies the mode from which no collision can occur
 
 The array evaluator ``spectrum_over_b2`` returns A_n, B_n, gamma_n,
 Omega_n^+- and V over arrays of n and of b2: every n <= n_max at every
-radius of a b2 vector, from one Bessel sweep per function and argument,
-with the b1 sweeps shared by all radii and the mean flow computed once per
+radius of a b2 vector, from one I_n sweep and one K_n sweep over
+[b1 mu, *b2 mu] (batched in ``bessel`` from BATCH_RADII radii on), with
+the b1 row shared by all radii and the mean flow computed once per
 radius.  ``spectrum_arrays`` is its one-radius case, and its ``omega`` and
 ``kernel_vector`` read single modes.  The library calls only these arrays:
 the spectrum table, the collision scan, the V-state pin and Newton blocks
@@ -55,6 +56,10 @@ FloatArray = NDArray[np.float64]
 DEDUP_TOL = 1e-9  # collision_scan merges roots of one pair closer than this times b1
 MAX_REFINE = 200  # cap on the evaluations of one root refinement
 EQUAL_RADIUS_TOL = 1e-12  # |I_1 K_1 - 1/(2n)| at an equal-radius collision argument
+# from this many radii the Bessel sweeps run over all of them at once, below
+# it one by one on Python floats: a sweep over an array costs about as much
+# as 12-16 float sweeps at n_max 16-48, almost whatever the array's length
+BATCH_RADII = 16
 
 
 @dataclass(frozen=True)
@@ -226,28 +231,28 @@ class SpectrumArrays:
         return vec
 
 
-def spectrum_over_b2(
-    params_base: LayerParams, b2: ArrayLike, n_max: int
-) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray, FloatArray, FloatArray]:
-    """(A_n, B_n, gamma_n, Omega_n^-, Omega_n^+, V) at every radius in b2.
+def _log_sweeps(n_max: int, x: FloatArray) -> tuple[FloatArray, FloatArray]:
+    """(log I_n(x), log K_n(x)) for n = 0..n_max, each of shape (len(x), n_max+1).
 
-    The first five arrays have shape (len(b2), n_max): row p is the disc
-    pair (b1, b2[p]), mode n at column n-1; the mean-flow coefficient V
-    has shape (len(b2),).  The b2 value carried by
-    params_base is ignored.  The two sweeps at b1 mu serve every row; each
-    radius adds one I_n and one K_n sweep at b2 mu, and the formulas then
-    run once over the whole (len(b2), n_max) block.
+    From BATCH_RADII radii on, one I sweep and one K sweep run over all of
+    them at once; fewer sweep one by one on Python floats, which is faster
+    for so few.  Both give the same bits.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    d, mu, b1 = params_base.delta, params_base.mu, params_base.b1
-    b2 = np.asarray(b2, dtype=np.float64).reshape(-1)
-    if b2.size == 0 or not np.all((b2 > 0.0) & (b2 <= b1)):
-        raise ValueError("need at least one radius, each with 0 < b2 <= b1")
-    log_k1 = log_bessel_k_orders(n_max, b1 * mu)
-    ik_b1 = np.exp(log_bessel_i_orders(n_max, b1 * mu) + log_k1)
-    log_i2 = np.array([log_bessel_i_orders(n_max, x) for x in b2 * mu])
-    log_k2 = np.array([log_bessel_k_orders(n_max, x) for x in b2 * mu])
+    if x.size >= BATCH_RADII:
+        return log_bessel_i_orders(n_max, x), log_bessel_k_orders(n_max, x)
+    values = x.tolist()
+    return (np.array([log_bessel_i_orders(n_max, v) for v in values]),
+            np.array([log_bessel_k_orders(n_max, v) for v in values]))
+
+
+def _spectrum_rows(params_base: LayerParams, b2: FloatArray, log_b1, log_b2):
+    """``spectrum_over_b2``'s six arrays from the sweeps: log_b1 is the pair
+    (log I_n, log K_n) at b1 mu, each (n_max+1,), and log_b2 the same pair
+    at every b2 mu, each (len(b2), n_max+1)."""
+    d, b1 = params_base.delta, params_base.b1
+    (log_i1, log_k1), (log_i2, log_k2) = log_b1, log_b2
+    n_max = log_i1.size - 1
+    ik_b1 = np.exp(log_i1 + log_k1)
     ik_b2 = np.exp(log_i2 + log_k2)
     ik_cross = np.exp(log_i2 + log_k1)
     b = (b2 / b1)[:, None]
@@ -257,6 +262,34 @@ def spectrum_over_b2(
     g = _gamma(b, n, ik_cross[:, 1:])
     lo, hi = _omega_pair(d, a_n, b_n, g)
     return a_n, b_n, g, lo, hi, mf.v[:, 0]
+
+
+def _over_b2(params_base: LayerParams, b2: ArrayLike, n_max: int):
+    # (spectrum_over_b2's six arrays, the (log I_n, log K_n) sweeps at b1 mu)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    mu, b1 = params_base.mu, params_base.b1
+    b2 = np.asarray(b2, dtype=np.float64).reshape(-1)
+    if b2.size == 0 or not np.all((b2 > 0.0) & (b2 <= b1)):
+        raise ValueError("need at least one radius, each with 0 < b2 <= b1")
+    log_i, log_k = _log_sweeps(n_max, np.concatenate(([b1 * mu], b2 * mu)))
+    log_b1 = (log_i[0], log_k[0])
+    return _spectrum_rows(params_base, b2, log_b1, (log_i[1:], log_k[1:])), log_b1
+
+
+def spectrum_over_b2(
+    params_base: LayerParams, b2: ArrayLike, n_max: int
+) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray, FloatArray, FloatArray]:
+    """(A_n, B_n, gamma_n, Omega_n^-, Omega_n^+, V) at every radius in b2.
+
+    The first five arrays have shape (len(b2), n_max): row p is the disc
+    pair (b1, b2[p]), mode n at column n-1; the mean-flow coefficient V
+    has shape (len(b2),).  The b2 value carried by params_base is ignored.
+    One I_n sweep and one K_n sweep run over [b1 mu, *b2 mu] (radius by
+    radius below BATCH_RADII radii), the b1 row serves every pair, and the
+    formulas then run once over the whole (len(b2), n_max) block.
+    """
+    return _over_b2(params_base, b2, n_max)[0]
 
 
 def spectrum_arrays(params: LayerParams, n_max: int) -> SpectrumArrays:
@@ -324,43 +357,63 @@ def collision_scan(
     """Locate b2 in (0, b1) where Omega_m^-(b2) = Omega_n^+(b2), n <= n_max.
 
     The gap is evaluated on a uniform b2 grid by one ``spectrum_over_b2``
-    call over every grid radius and every mode up to max(m, n_max).  Each
-    sign change is refined by Illinois false position (``_illinois``) to
-    |Omega_m^- - Omega_n^+| <= 1e-12 or a bracket <= 1e-16*b1; each
-    refinement step is one single-radius evaluation up to max(m, n), and
-    a root typically takes about 4 of them (at most MAX_REFINE).  Roots of
-    the same pair closer than DEDUP_TOL*b1 are merged and flagged as
-    tangencies.  The b2 value carried by params_base is ignored; an empty
-    list is a valid result.  Records with n < m meet the plus branch of the
-    lower mode n; they belong to the n-fold problem (a collision there when
-    n divides m), not to the m-fold one.
+    pass over every grid radius and every mode up to max(m, n_max), and
+    the brackets of every partner n come from one (grid-1) x n_max mask of
+    grid cells whose left gap is exactly 0 (recorded as a root there) or
+    whose gap changes sign.  Each sign change is refined by Illinois false
+    position (``_illinois``) to |Omega_m^- - Omega_n^+| <= 1e-12 or a
+    bracket <= 1e-16*b1.  A refinement step evaluates the one radius up
+    to max(m, n): an I_n and a K_n sweep at b2 mu, with the b1 mu sweeps
+    reused from the grid pass (an I_n sweep at b1 mu of a lower top order
+    is made once per partner order); a root typically takes about 4 steps
+    (at most MAX_REFINE).  Roots of the same pair closer than DEDUP_TOL*b1
+    are merged and flagged as tangencies.  The b2 value carried by
+    params_base is ignored; an empty list is a valid result.  Records with
+    n < m meet the plus branch of the lower mode n; they belong to the
+    n-fold problem (a collision there when n divides m), not to the m-fold
+    one.
     """
     if m < 1 or grid < 16:
         raise ValueError("need m >= 1 and grid >= 16")
-    b1 = params_base.b1
-    records: list[CollisionRecord] = []
+    b1, mu = params_base.b1, params_base.mu
+    n_top = max(m, n_max)
     ts = np.linspace(0.5 / grid, 1.0 - 0.5 / grid, grid) * b1
-    minus, plus = spectrum_over_b2(params_base, ts, max(m, n_max))[3:5]
-    minus_m = minus[:, m - 1]
+    rows, (log_i1, log_k1) = _over_b2(params_base, ts, n_top)
+    minus, plus = rows[3:5]
+    gaps = minus[:, m - 1 : m] - plus[:, :n_max]
+    g0, g1 = gaps[:-1], gaps[1:]
+    bracket = (g0 == 0.0) | (g0 * g1 < 0.0)
+    bracket[:, m - 1 : m] = False  # no partner n = m
+    # the I_n sweep at b1 mu of each top order, the K_n sweep is its prefix
+    log_i1_of = {n_top: log_i1}
 
     def gap(b2: float, n: int) -> float:
-        lo, hi = spectrum_over_b2(params_base, [b2], max(m, n))[3:5]
+        top = max(m, n)
+        if top not in log_i1_of:
+            log_i1_of[top] = log_bessel_i_orders(top, b1 * mu)
+        x = b2 * mu
+        lo, hi = _spectrum_rows(
+            params_base, np.array([b2]), (log_i1_of[top], log_k1[: top + 1]),
+            (log_bessel_i_orders(top, x)[None], log_bessel_k_orders(top, x)[None]),
+        )[3:5]
         return float(lo[0, m - 1] - hi[0, n - 1])
 
-    for n in range(1, n_max + 1):
-        if n == m:
-            continue
-        gaps = minus_m - plus[:, n - 1]
-        roots: list[tuple[float, float]] = []
-        for i in range(grid - 1):
-            g0, g1 = gaps[i], gaps[i + 1]
-            if g0 == 0.0:
-                roots.append((ts[i], 0.0))
-            elif g0 * g1 < 0.0:
-                roots.append(_illinois(lambda x: gap(x, n), ts[i], ts[i + 1], g0, g1,
-                                       1e-12, 1e-16 * b1))
+    ts_list = ts.tolist()
+    roots: dict[int, list[tuple[float, float]]] = {}
+    for cell in np.flatnonzero(bracket.T).tolist():  # partner-major, b2 ascending
+        col, i = divmod(cell, grid - 1)
+        f0, f1 = float(g0[i, col]), float(g1[i, col])
+        n = col + 1
+        if f0 == 0.0:
+            root = (ts_list[i], 0.0)
+        else:
+            root = _illinois(lambda x: gap(x, n), ts_list[i], ts_list[i + 1], f0, f1,
+                             1e-12, 1e-16 * b1)
+        roots.setdefault(n, []).append(root)
+    records: list[CollisionRecord] = []
+    for n, found in roots.items():
         merged: list[CollisionRecord] = []
-        for root, res in sorted(roots):
+        for root, res in sorted(found):
             if merged and abs(root - merged[-1].b2_root) <= DEDUP_TOL * b1:
                 prev = merged[-1]
                 merged[-1] = CollisionRecord(

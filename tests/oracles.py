@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: quadrature of integral
 representations, extended-precision series, finite differences, and a
 second route to the layer velocities that never builds the shared
-kernel-pair matrices of ``quadrature.layer_integrals``.
+kernel-pair matrices of ``quadrature.layer_integrals``, and the
+radius-by-radius spectrum and cell-by-cell collision scan that the
+batched sweeps must match bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from mpmath import log as mplog, pi as mppi, sqrt as mpsqrt
 from scipy.special import k0
 
 from qgpatch import quadrature
+from qgpatch import spectrum as S
+from qgpatch.bessel import log_bessel_i_orders, log_bessel_k_orders
 
 
 def j0_oracle(a):
@@ -243,6 +247,70 @@ def collision_root_mp(delta: float, lam: float, b1: float, m: int, n: int,
                     - spectrum_row_mp(delta, lam, b1, b2, n, dps)[4])
 
         return float(mp.findroot(gap, mpf(repr(b2_guess))))
+
+
+def spectrum_over_b2_per_radius(params_base, b2, n_max: int):
+    """``spectrum.spectrum_over_b2`` with one scalar I_n and K_n sweep per radius.
+
+    The b1 mu sweeps are made once and each b2 mu gets its own pair of
+    float sweeps; the formulas are the module's.  It is the reference the
+    batched sweeps over every radius are checked against, bit for bit.
+    """
+    d, mu, b1 = params_base.delta, params_base.mu, params_base.b1
+    b2 = np.asarray(b2, dtype=np.float64).reshape(-1)
+    log_k1 = log_bessel_k_orders(n_max, b1 * mu)
+    ik_b1 = np.exp(log_bessel_i_orders(n_max, b1 * mu) + log_k1)
+    log_i2 = np.array([log_bessel_i_orders(n_max, x) for x in b2 * mu])
+    log_k2 = np.array([log_bessel_k_orders(n_max, x) for x in b2 * mu])
+    ik_b2 = np.exp(log_i2 + log_k2)
+    ik_cross = np.exp(log_i2 + log_k1)
+    b = (b2 / b1)[:, None]
+    mf = S._mean_flow(d, b, ik_b1[1], ik_b2[:, 1:2], ik_cross[:, 1:2])
+    n = np.arange(1, n_max + 1)
+    a_n, b_n = S._ab(d, mf, n, ik_b1[1:], ik_b2[:, 1:])
+    g = S._gamma(b, n, ik_cross[:, 1:])
+    lo, hi = S._omega_pair(d, a_n, b_n, g)
+    return a_n, b_n, g, lo, hi, mf.v[:, 0]
+
+
+def collision_scan_per_cell(params_base, m: int, n_max: int, grid: int):
+    """``spectrum.collision_scan`` tested cell by cell, fed by
+    ``spectrum_over_b2_per_radius``: the grid in one call, and every
+    refinement step a one-radius call that sweeps at b1 mu again."""
+    b1 = params_base.b1
+    records = []
+    ts = np.linspace(0.5 / grid, 1.0 - 0.5 / grid, grid) * b1
+    minus, plus = spectrum_over_b2_per_radius(params_base, ts, max(m, n_max))[3:5]
+    minus_m = minus[:, m - 1]
+
+    def gap(b2, n):
+        lo, hi = spectrum_over_b2_per_radius(params_base, [b2], max(m, n))[3:5]
+        return float(lo[0, m - 1] - hi[0, n - 1])
+
+    for n in range(1, n_max + 1):
+        if n == m:
+            continue
+        gaps = minus_m - plus[:, n - 1]
+        roots = []
+        for i in range(grid - 1):
+            g0, g1 = gaps[i], gaps[i + 1]
+            if g0 == 0.0:
+                roots.append((ts[i], 0.0))
+            elif g0 * g1 < 0.0:
+                roots.append(S._illinois(lambda x: gap(x, n), ts[i], ts[i + 1], g0, g1,
+                                         1e-12, 1e-16 * b1))
+        merged = []
+        for root, res in sorted(roots):
+            if merged and abs(root - merged[-1].b2_root) <= S.DEDUP_TOL * b1:
+                prev = merged[-1]
+                merged[-1] = S.CollisionRecord(
+                    m, n, prev.b2_root, min(prev.residual, res), tangency=True
+                )
+            else:
+                merged.append(S.CollisionRecord(m, n, root, res))
+        records.extend(merged)
+    records.sort(key=lambda r: (r.b2_root, r.n))
+    return records
 
 
 def transform_pm(delta, f1, f2):

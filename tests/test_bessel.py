@@ -252,6 +252,60 @@ class TestOrderSweeps:
                 sweep(-1, 1.0)
 
 
+class TestBatchedSweeps:
+    """A 1-D array of x sweeps every radius at once, bit for bit the sweeps
+    of each radius alone."""
+
+    XS = np.array([0.01, 0.05, 0.3, 0.7, 1.0, 2.5, 7.0, 12.0, 20.0, 60.0])
+
+    @staticmethod
+    def _assert_rows_bitwise(sweep, n_max, xs):
+        got = sweep(n_max, xs)
+        assert got.shape == (xs.size, n_max + 1)
+        for row, x in zip(got, xs.tolist()):
+            assert np.array_equal(row, sweep(n_max, x)), (sweep.__name__, n_max, x)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 16, 48, 400])
+    @pytest.mark.parametrize("sweep", [B.log_bessel_i_orders, B.log_bessel_k_orders])
+    def test_bitwise_equal_to_per_radius(self, sweep, n_max):
+        self._assert_rows_bitwise(sweep, n_max, self.XS)
+
+    def test_radii_enter_the_miller_sweep_at_different_starts(self):
+        assert len(B._miller_seeds(16, self.XS)) >= 4
+        self._assert_rows_bitwise(B.log_bessel_i_orders, 16, self.XS)
+
+    def test_rescale_on_one_radius_only(self):
+        # f_start = 1e-290 and f_0 / f_start = I_0 / I_start, so the I sweep
+        # rescales (past 1e280) where I_0 / I_start > 1e570: at n_max = 400 it
+        # does at x = 0.05, several times, and never at x = 60
+        xs = np.array([0.05, 60.0])
+        for x, rescales in zip(xs.tolist(), (True, False)):
+            start = B._miller_seeds(400, x)[0][0]
+            log_i = B.log_bessel_i_orders(start, x)
+            assert ((log_i[0] - log_i[start]) / np.log(10.0) > 570.0) == rescales
+        for sweep in (B.log_bessel_i_orders, B.log_bessel_k_orders):
+            self._assert_rows_bitwise(sweep, 400, xs)
+
+    @pytest.mark.parametrize(
+        "xs", [[0.5, 0.0], [-1.0, 2.0], [1.0, np.nan], [1.0, np.inf], [], [[1.0]]]
+    )
+    def test_rejects_bad_arrays(self, xs):
+        for sweep in (B.log_bessel_i_orders, B.log_bessel_k_orders):
+            with pytest.raises(ValueError):
+                sweep(4, np.array(xs))
+
+    @pytest.mark.parametrize("x", [np.inf, np.nan])
+    def test_rejects_non_finite_scalar(self, x):
+        for sweep in (B.log_bessel_i_orders, B.log_bessel_k_orders):
+            with pytest.raises(ValueError):
+                sweep(4, x)
+
+    def test_scalar_input_keeps_one_dimension(self):
+        for sweep in (B.log_bessel_i_orders, B.log_bessel_k_orders):
+            assert sweep(5, np.float64(0.7)).shape == (6,)
+            assert np.array_equal(sweep(5, np.array(0.7)), sweep(5, 0.7))
+
+
 class TestOracleSeries:
     """The 40-digit I_0 / K_0 series behind criterion 2's oracle against mpmath."""
 

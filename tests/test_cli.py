@@ -95,6 +95,22 @@ class TestCollideCommand:
         for r in payload["roots"]:
             assert r["omega_gap"] <= 1e-10
 
+    @pytest.mark.parametrize("key,value", [("b1", 1.2), ("b2", 0.5), ("m", 3), ("grid", 32)])
+    def test_equal_radii_refuses_unread_flag(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        assert run(["collide", "--equal-radii", "--nmax", 3, f"--{key}", value,
+                    "--out", out]) == 2
+        assert f"does not read {key}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_equal_radii_refuses_unread_config_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("delta = 1\nb2 = 0.5\ngrid = 32\n")
+        out = tmp_path / "out"
+        assert run(["collide", "--equal-radii", "--config", cfg, "--out", out]) == 2
+        assert "does not read b2, grid:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_config_no_partial_files(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nmax = banana\n")

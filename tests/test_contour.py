@@ -290,6 +290,31 @@ class TestBranchContinue:
         assert res.failure is not None and "no convergence" in res.failure
         assert res.solutions == []
 
+    def test_one_spectrum_per_branch(self, monkeypatch):
+        # the rows up to m * n_modes are evaluated and checked once, not per solve
+        calls = {"spectrum_arrays": 0, "check_simple_eigenvalue": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(S, "spectrum_arrays")
+        counted(C, "check_simple_eigenvalue")
+        res = C.branch_continue(BASE, 2, -1, [0.002, 0.004, 0.006], n_modes=8, n_nodes=128)
+        assert res.failure is None and len(res.solutions) == 3
+        assert calls == {"spectrum_arrays": 1, "check_simple_eigenvalue": 1}
+
+    def test_collision_raises_before_any_solve(self, monkeypatch):
+        p = LayerParams(1.0, 1.0, 1.0, 0.7459086390395124)  # Omega_3^+ = Omega_6^-
+        monkeypatch.setattr(C, "_projected_residual", lambda *a: pytest.fail("solved"))
+        with pytest.raises(C.CollisionDetectedError):
+            C.branch_continue(p, 3, 1, [1e-3, 2e-3], n_modes=8, n_nodes=128)
+
     def test_quadrature_refusal_keeps_converged_part(self):
         res = C.branch_continue(
             NEAR_TOUCH, 1, 1, np.geomspace(0.001, 0.1, 9), n_modes=16, n_nodes=N

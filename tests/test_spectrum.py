@@ -11,7 +11,12 @@ from qgpatch.bessel import bessel_ik_product
 from qgpatch.kernels import LayerParams
 from qgpatch.quadrature import NumericFailure
 
-from oracles import collision_root_mp, spectrum_row_mp
+from oracles import (
+    collision_root_mp,
+    collision_scan_per_cell,
+    spectrum_over_b2_per_radius,
+    spectrum_row_mp,
+)
 
 BASE = LayerParams(1.0, 1.0, 1.0, 0.7)
 
@@ -207,6 +212,47 @@ class TestCollisions:
             # partners below m only: the evaluations still reach order m
             assert sorted(r.n for r in recs) == [2, 3]
 
+    # (params, m, n_max): one root, roots of several partners, two roots of n = 2
+    SCANS = [
+        (LayerParams(1.0, 1.0, 1.0, 0.5), 3, 8),
+        (LayerParams(1.0, 1.0, 1.0, 0.5), 5, 16),
+        (LayerParams(0.1, 3.0, 1.0, 0.5), 3, 8),
+    ]
+
+    @pytest.mark.parametrize("params,m,n_max", SCANS)
+    def test_records_equal_per_cell_scan(self, params, m, n_max):
+        recs = S.collision_scan(params, m, n_max=n_max, grid=48)
+        assert recs
+        assert recs == collision_scan_per_cell(params, m, n_max, 48)
+
+    def test_two_roots_of_one_partner(self):
+        params = LayerParams(0.1, 3.0, 1.0, 0.5)
+        recs = [r for r in S.collision_scan(params, 3, n_max=8, grid=48) if r.n == 2]
+        assert len(recs) == 2 and not any(r.tangency for r in recs)
+        for r in recs:
+            assert r.residual <= 1e-12
+            p = LayerParams(0.1, 3.0, 1.0, r.b2_root)
+            assert abs(S.omega_pm(p, 3)[0] - S.omega_pm(p, 2)[1]) <= 2e-12
+
+    def test_exact_zero_gap_is_a_root_at_the_grid_point(self, monkeypatch):
+        # put Omega_2^+ on Omega_3^- at the grid point left of the root
+        base, grid = LayerParams(1.0, 1.0, 1.0, 0.5), 48
+        (root,) = S.collision_scan(base, 3, n_max=8, grid=grid)
+        ts = np.linspace(0.5 / grid, 1.0 - 0.5 / grid, grid) * base.b1
+        i = int(np.searchsorted(ts, root.b2_root)) - 1
+        over_b2 = S._over_b2
+
+        def touched(params_base, b2, n_max):
+            rows, log_b1 = over_b2(params_base, b2, n_max)
+            rows[4][i, 1] = rows[3][i, 2]
+            return rows, log_b1
+
+        monkeypatch.setattr(S, "_over_b2", touched)
+        monkeypatch.setattr(S, "_illinois", lambda *args: pytest.fail("refined a zero"))
+        assert S.collision_scan(base, 3, n_max=8, grid=grid) == [
+            S.CollisionRecord(3, 2, float(ts[i]), 0.0)
+        ]
+
     def test_monotone_exclusion(self):
         # partners with Omega_n^+ entirely above Omega_m^- produce no records
         recs = S.collision_scan(LayerParams(1.0, 1.0, 1.0, 0.5), 4, n_max=8, grid=48)
@@ -354,6 +400,13 @@ class TestSpectrumArrays:
                                             spec.omega_minus, spec.omega_plus)):
                     assert np.array_equal(got[i], want)
 
+    @pytest.mark.parametrize("n_max", [1, 16, 64])
+    def test_batched_rows_equal_per_radius_rows(self, n_max):
+        b2 = np.linspace(0.05, 1.0, 2 * S.BATCH_RADII)
+        got = S.spectrum_over_b2(BASE, b2, n_max)
+        for g, w in zip(got, spectrum_over_b2_per_radius(BASE, b2, n_max), strict=True):
+            assert np.array_equal(g, w)
+
     def test_rejects_radius_outside_disc(self):
         for b2 in ([0.5, 0.0], [1.5], []):
             with pytest.raises(ValueError):
@@ -361,18 +414,33 @@ class TestSpectrumArrays:
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_scan_evaluation_count(self, m, monkeypatch):
-        sizes = []
-        evaluate = S.spectrum_over_b2
+        # the grid is one I sweep and one K sweep over b1 mu and all 48 radii;
+        # a refinement step sweeps one b2 mu, reusing the b1 mu sweeps, and
+        # an I sweep at b1 mu of a lower top order is made once per order
+        base = LayerParams(1.0, 1.0, 1.0, 0.5)
+        calls = {}
 
-        def counted(params_base, b2, n_max):
-            sizes.append(len(b2))
-            return evaluate(params_base, b2, n_max)
+        def counted(name):
+            sweep, calls[name] = getattr(S, name), []
 
-        monkeypatch.setattr(S, "spectrum_over_b2", counted)
-        recs = S.collision_scan(LayerParams(1.0, 1.0, 1.0, 0.5), m, n_max=16, grid=48)
+            def wrapper(n_max, x):
+                calls[name].append((n_max, np.size(x), x))
+                return sweep(n_max, x)
+
+            monkeypatch.setattr(S, name, wrapper)
+
+        counted("log_bessel_i_orders")
+        counted("log_bessel_k_orders")
+        recs = S.collision_scan(base, m, n_max=16, grid=48)
         assert recs
-        assert sizes[0] == 48 and sizes[1:] == [1] * (len(sizes) - 1)
-        assert len(sizes) - 1 <= 6 * len(recs)
+        (grid_i, *rest_i), (grid_k, *steps) = calls.values()
+        assert grid_i[:2] == grid_k[:2] == (16, 49)
+        # b1 mu = mu at b1 = 1
+        assert steps and all(size == 1 and x != base.mu for _, size, x in steps)
+        assert len(steps) <= 6 * len(recs)
+        b1_orders = [n_max for n_max, _, x in rest_i if x == base.mu]
+        assert len(rest_i) == len(steps) + len(b1_orders)
+        assert len(set(b1_orders)) == len(b1_orders) and 16 not in b1_orders
 
 
 class TestTableAndSerialization:
