@@ -5,8 +5,13 @@ quadrature) reduces to modified Bessel functions of integer order on the
 positive half line.  The evaluation strategy per function:
 
 * Orders 0 and 1 come from ``scipy.special``: the sweeps below start
-  from the exponentially scaled ``i0e``, ``i1e``, ``k0e``, ``k1e``, and
-  ``i0_array``, ``k0_array``, ``k1_array`` are ``i0``, ``k0``, ``k1``.
+  from the exponentially scaled ``i0e``, ``i1e``, ``k0e``, ``k1e``,
+  ``i1k1_product`` is ``i1e * k1e``, and ``i0_array``, ``k0_array``,
+  ``k1_array`` are ``i0``, ``k0``, ``k1``.  This module is the only one
+  that reads ``scipy.special``, and it imports it on the first sweep or
+  array evaluator (``_special``), not at import: the import takes about
+  0.3 s, and a contour evolution needs it only where a separated kernel
+  block reaches mu·chord > 3.
 * ``I_n`` (n >= 2): one downward Miller sweep gives every order <= N,
   normalized against ``I_0`` (the upward recurrence for I is violently
   unstable); ``log_bessel_i_orders`` returns the whole sweep.
@@ -15,6 +20,8 @@ positive half line.  The evaluation strategy per function:
   (``log_bessel_k_orders``).  ``scipy.special`` is no substitute here:
   at n = 400, x = 0.5, ``ive`` underflows to 0 and ``kve`` overflows to
   inf, so their product is NaN.
+* Both sweeps take 0 < x <= SWEEP_X_MAX (1e4): the Miller sweep starts
+  near order x/2, so its length, not its accuracy, bounds x.
 * Both sweeps take either one x, swept on Python floats, or a 1-D array
   of x, swept together: each recurrence step runs once over the whole
   array in numpy, as the recurrences are elementwise in x (Gautschi,
@@ -56,9 +63,17 @@ import functools
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import special
 
 FloatArray = NDArray[np.float64]
+
+
+@functools.cache
+def _special():
+    """``scipy.special``, imported on first use."""
+    from scipy import special
+
+    return special
+
 
 # Euler-Mascheroni constant, 17 significant digits.
 EULER_GAMMA = 0.57721566490153286
@@ -218,20 +233,27 @@ def i0_and_regular_part(z: FloatArray) -> tuple[FloatArray, FloatArray]:
 
 
 _LOG_RESCALE = 280.0 * np.log(10.0)  # log of the 1e280 rescale factor
+# largest argument of either sweep: the Miller sweep runs about x/2 steps
+# (about 1 ms on floats at the bound), and a larger x would only lengthen it
+SWEEP_X_MAX = 1e4
 
 
 def _sweep_arguments(name: str, n_max: int, x):
-    """x as one Python float, or as a nonempty 1-D float64 array."""
+    """x in (0, SWEEP_X_MAX] as one Python float, or as a nonempty 1-D float64 array."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if not isinstance(x, float) and np.ndim(x) > 0:
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 1 or x.size == 0 or not np.all((x > 0.0) & (x < np.inf)):
-            raise ValueError(f"{name} requires a nonempty 1-D array of finite x > 0")
+        if x.ndim != 1 or x.size == 0:
+            raise ValueError(f"{name} requires a nonempty 1-D array of x")
+        inside = (x > 0.0) & (x <= SWEEP_X_MAX)
+        if not np.all(inside):
+            raise ValueError(f"{name} requires 0 < x <= SWEEP_X_MAX = {SWEEP_X_MAX:g}, "
+                             f"got {float(x[~inside][0])!r}")
         return x
     x = float(x)
-    if not 0.0 < x < np.inf:
-        raise ValueError(f"{name} requires a finite x > 0")
+    if not 0.0 < x <= SWEEP_X_MAX:
+        raise ValueError(f"{name} requires 0 < x <= SWEEP_X_MAX = {SWEEP_X_MAX:g}, got {x!r}")
     return x
 
 
@@ -307,6 +329,7 @@ def log_bessel_i_orders(n_max: int, x) -> FloatArray:
     the sweep at x[p] alone.
     """
     x = _sweep_arguments("log_bessel_i_orders", n_max, x)
+    special = _special()
     out = np.empty((n_max + 1, *_sweep_ops(x)[0]))
     out[0] = x + np.log(special.i0e(x))
     if n_max >= 1:
@@ -324,6 +347,7 @@ def log_bessel_k_orders(n_max: int, x) -> FloatArray:
     """
     x = _sweep_arguments("log_bessel_k_orders", n_max, x)
     shape, scalar, any_, where_ = _sweep_ops(x)
+    special = _special()
     lk0 = scalar(np.log(special.k0e(x)) - x)
     lk1 = scalar(np.log(special.k1e(x)) - x)
     out = np.empty((n_max + 1, *shape))
@@ -364,19 +388,25 @@ def bessel_ik_product(n: int, x: float, y: float) -> float:
     return float(np.exp(lv))
 
 
+def i1k1_product(x: float) -> float:
+    """I_1(x) K_1(x) for x > 0, as the product of the scaled ``i1e`` and ``k1e``."""
+    special = _special()
+    return float(special.i1e(x) * special.k1e(x))
+
+
 # Vectorized kernels for the quadrature engine -------------------------------
 
 
 def k0_array(z: FloatArray) -> FloatArray:
     """Elementwise K_0 over an array with z > 0."""
-    return special.k0(np.asarray(z, dtype=np.float64))
+    return _special().k0(np.asarray(z, dtype=np.float64))
 
 
 def k1_array(z: FloatArray) -> FloatArray:
     """Elementwise K_1 over an array with z > 0."""
-    return special.k1(np.asarray(z, dtype=np.float64))
+    return _special().k1(np.asarray(z, dtype=np.float64))
 
 
 def i0_array(z: FloatArray) -> FloatArray:
     """Elementwise I_0 over an array with z >= 0."""
-    return special.i0(np.asarray(z, dtype=np.float64))
+    return _special().i0(np.asarray(z, dtype=np.float64))

@@ -45,9 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy import special
 
-from .bessel import bessel_ik_product, log_bessel_i_orders, log_bessel_k_orders
+from .bessel import bessel_ik_product, i1k1_product, log_bessel_i_orders, log_bessel_k_orders
 from .kernels import LayerParams
 from .quadrature import NumericFailure
 
@@ -458,15 +457,14 @@ def equal_radius_collision_argument(n: int) -> float:
     At equal radii b1 = b2 = x0/mu the branches collide: Omega_1^+ equals
     Omega_n^-.  I_1 K_1 decreases from 1/2 to 0, so the root is unique; it
     is refined by the same Illinois false position as the collision scan,
-    on the product of the scaled ``scipy.special.i1e`` and ``k1e``, to
-    |I_1 K_1 - 1/(2n)| <= EQUAL_RADIUS_TOL.
+    on ``bessel.i1k1_product``, to |I_1 K_1 - 1/(2n)| <= EQUAL_RADIUS_TOL.
     """
     if n < 2:
         raise ValueError("need n >= 2 (I_1 K_1 never exceeds 1/2)")
     target = 1.0 / (2.0 * n)
 
     def excess(x: float) -> float:
-        return float(special.i1e(x) * special.k1e(x)) - target
+        return i1k1_product(x) - target
 
     lo, hi = 1e-8, 1.0
     while (f_hi := excess(hi)) > 0.0:

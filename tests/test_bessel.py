@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from mpmath import mp, besselk, euler, log as mplog, mpf
@@ -251,6 +253,29 @@ class TestOrderSweeps:
             with pytest.raises(ValueError):
                 sweep(-1, 1.0)
 
+    def test_just_below_the_bound_against_mpmath(self):
+        # log I_n and log K_n are near +-x there: a few ulps of the log, so
+        # about 1e-12 relative in I_n and K_n
+        x = float(np.nextafter(B.SWEEP_X_MAX, 0.0))
+        with mp.workdps(30):
+            for sweep, ref_fn in ((B.log_bessel_i_orders, mp.besseli),
+                                  (B.log_bessel_k_orders, mp.besselk)):
+                got = sweep(4, x)
+                for n in range(5):
+                    ref = float(mplog(ref_fn(n, mpf(x))))
+                    assert abs(got[n] - ref) <= 4 * np.spacing(abs(ref)), (sweep, n)
+
+    def test_refuses_beyond_the_bound(self):
+        # the Miller sweep runs about x/2 steps, so a huge x would hang it
+        top = B.SWEEP_X_MAX
+        for sweep in (B.log_bessel_i_orders, B.log_bessel_k_orders):
+            assert np.all(np.isfinite(sweep(4, top)))
+            for bad in (float(np.nextafter(top, np.inf)), 1e10, 1e200):
+                with pytest.raises(ValueError, match="SWEEP_X_MAX = 10000"):
+                    sweep(4, bad)
+                with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+                    sweep(4, np.array([1.0, bad]))
+
 
 class TestBatchedSweeps:
     """A 1-D array of x sweeps every radius at once, bit for bit the sweeps
@@ -287,7 +312,7 @@ class TestBatchedSweeps:
             self._assert_rows_bitwise(sweep, 400, xs)
 
     @pytest.mark.parametrize(
-        "xs", [[0.5, 0.0], [-1.0, 2.0], [1.0, np.nan], [1.0, np.inf], [], [[1.0]]]
+        "xs", [[0.5, 0.0], [-1.0, 2.0], [1.0, np.nan], [1.0, np.inf], [], [[1.0]], [1.0, 2e4]]
     )
     def test_rejects_bad_arrays(self, xs):
         for sweep in (B.log_bessel_i_orders, B.log_bessel_k_orders):

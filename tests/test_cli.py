@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,15 @@ class TestCollideCommand:
         assert run(["collide", "--equal-radii", "--config", cfg, "--out", out]) == 2
         assert "does not read b2, grid:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_huge_sweep_argument_exits_2_at_once(self, tmp_path, capsys):
+        # mu * b1 = 1.4e10: the Miller sweep would run 7e9 steps
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert run(["collide", "--lambda", "1e10", "--m", 3, "--nmax", 4, "--grid", 16,
+                    "--out", out]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "SWEEP_X_MAX = 10000" in capsys.readouterr().err
 
     def test_malformed_config_no_partial_files(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -450,11 +460,74 @@ class TestSettings:
         assert not issubclass(CollisionDetectedError, NumericFailure)
 
 
-def test_cli_import_skips_scipy_interpolate():
+def _fresh_python(probe: str, *args: str) -> str:
+    """Standard output of ``python -c probe *args`` in a new interpreter that
+    imports qgpatch from this checkout; this process already holds scipy."""
     src = str(Path(qgpatch.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout
+
+
+def test_cli_import_skips_scipy_interpolate():
     probe = "import sys, qgpatch.cli; print('scipy.interpolate' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "False"
+    assert _fresh_python(probe).strip() == "False"
+
+
+class TestFreshProcess:
+    """Which runs load ``scipy.special``: only ``bessel`` imports it, on first use."""
+
+    _MAIN = ("import json, sys; from qgpatch import cli; "
+             "before = 'scipy.special' in sys.modules; "
+             "code = cli.main(json.loads(sys.argv[1])); "
+             "print(json.dumps([code, before, 'scipy.special' in sys.modules]))")
+
+    def _main(self, argv) -> tuple[int, bool, bool]:
+        """(exit code, scipy.special loaded after ``import qgpatch.cli``, after
+        main) of a fresh cli.main."""
+        stdout = _fresh_python(self._MAIN, json.dumps([str(a) for a in argv]))
+        return tuple(json.loads(stdout.splitlines()[-1]))
+
+    @staticmethod
+    def _assert_same_files(a: Path, b: Path):
+        names = sorted(p.name for p in a.iterdir())
+        assert names and names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_evolve_from_discs_skips_scipy_special(self, tmp_path):
+        # twin unit discs, lambda = 1: mu * chord <= 2.83, inside the series
+        assert self._main(["evolve", "--nodes", 64, "--t-end", 0.004, "--dt", 0.002,
+                           "--out", tmp_path]) == (0, False, False)
+
+    def test_evolve_from_vstate_skips_scipy_special(self, tmp_path):
+        branch = tmp_path / "vs"
+        assert run(["vstate", "--m", 3, "--b2", 0.6, "--nodes", 64, "--modes", 8,
+                    "--s-grid", 0.01, "--out", branch]) == 0
+        assert self._main(["evolve", "--initial", f"vstate:{branch / 'branch.json'}",
+                           "--t-end", 0.01, "--dt", 0.005, "--check-rotation",
+                           "--out", tmp_path / "ev"]) == (0, False, False)
+
+    @pytest.mark.parametrize("argv", [
+        ["evolve", "--nodes", 8],
+        ["collide", "--lambda", "1e10", "--m", 3, "--nmax", 4, "--grid", 16],
+    ], ids=["bad_nodes", "beyond_sweep_bound"])
+    def test_config_error_skips_scipy_special(self, tmp_path, argv):
+        assert self._main([*argv, "--out", tmp_path / "out"]) == (2, False, False)
+
+    def test_collide_loads_scipy_special(self, tmp_path):
+        argv = ["collide", "--m", 3, "--nmax", 6, "--b2", 0.5, "--grid", 32, "--out"]
+        assert self._main([*argv, tmp_path / "fresh"]) == (0, False, True)
+        assert run([*argv, tmp_path / "here"]) == 0
+        self._assert_same_files(tmp_path / "fresh", tmp_path / "here")
+
+    def test_far_cross_block_loads_scipy_special_midrun(self, tmp_path):
+        # lambda = 2, b2 = 0.5: mu * chord reaches 4.2 > K0_SERIES_CUT between
+        # the layers, so that block takes k0_array from the first right-hand side
+        argv = ["evolve", "--lambda", 2, "--b2", 0.5, "--nodes", 64, "--t-end", 0.006,
+                "--dt", 0.002, "--snapshot-every", 1, "--out"]
+        assert self._main([*argv, tmp_path / "fresh"]) == (0, False, True)
+        assert run([*argv, tmp_path / "here"]) == 0
+        self._assert_same_files(tmp_path / "fresh", tmp_path / "here")
