@@ -9,9 +9,13 @@ file can serve every command.  ``evolve --initial vstate:<file>`` takes
 delta, lambda, b1, b2 and the node count from the file, ``csv:<file>``
 its node count; an explicit value that differs is refused.  So is an
 explicit b1, b2, m or grid, from a flag or the config file, in ``collide
---equal-radii``, which would not read it.  Every artifact goes through
-``_write_json`` or ``_write_csv`` (one % template per table, floats to 17
-significant digits), so reruns are byte-identical.
+--equal-radii``, which would not read it.  The ``collide`` scan covers
+b2 in (0, b1) and reads no ``--b2``; each ``collide.json`` record says
+whether its own root lies in the proven regime.  Only this module writes
+files or creates directories: every artifact goes through ``_write_json``
+or ``_write_csv`` (one % template per table, floats to 17 significant
+digits), so reruns are byte-identical, and the writer creates ``--out``
+with the first artifact, so a run refused before it leaves no directory.
 
 Exit codes: 0 success, 1 numeric failure (``NumericFailure``, which a
 singular Newton solve raises too, or ``ArithmeticError``), 2 configuration
@@ -155,13 +159,8 @@ def _params_from(settings: dict) -> LayerParams:
 _FORMATS = {"int": "%d", "bool": "%d", "float": "%.17g"}
 
 
-def _outdir(settings: dict) -> Path:
-    out = settings["out"]
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_json(path: Path, payload) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -170,6 +169,7 @@ def _write_csv(path: Path, columns: dict[str, str], values: list) -> None:
     to a row, all formatted by one % template of the columns' formats."""
     template = ",".join(columns.values()) + "\n"
     rows = template * (len(values) // len(columns)) % tuple(values)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(",".join(columns) + "\n" + rows)
 
 
@@ -200,7 +200,7 @@ def cmd_spectrum(settings: dict, find_free_m: bool) -> int:
     params = _params_from(settings)
     n_max = settings["nmax"]
     rows = spectrum.spectrum_table(params, n_max)
-    out = _outdir(settings)
+    out = settings["out"]
     _write_records(out / "spectrum.csv", spectrum.SpectrumRow, rows)
     _write_json(out / "spectrum.json", [dataclasses.asdict(r) for r in rows])
     print(f"spectrum: {n_max} modes, delta={_fmt(params.delta)} "
@@ -222,8 +222,7 @@ def cmd_collide(settings: dict, explicit: set[str], equal_radii: bool) -> int:
         raise ValueError(f"--equal-radii does not read {', '.join(unread)}: it sets "
                          "b1 = b2 from each collision root and scans no m or grid")
     params = _params_from(settings)
-    n_max = settings["nmax"]
-    out = _outdir(settings)
+    n_max, out = settings["nmax"], settings["out"]
     if equal_radii:
         report = {"schema_version": 1, "mode": "equal_radii", "roots": []}
         for n in range(2, n_max + 1):
@@ -239,21 +238,22 @@ def cmd_collide(settings: dict, explicit: set[str], equal_radii: bool) -> int:
         return EXIT_OK
     m = settings["m"]
     records = spectrum.collision_scan(params, m, n_max=n_max, grid=settings["grid"])
+    # delta >= (b2_root/b1)^2 at each root: the scan reads no --b2
+    proven = [dataclasses.replace(params, b2=r.b2_root).in_proven_regime for r in records]
     _write_json(out / "collide.json", {
-        "schema_version": 1,
-        "proven_regime": params.in_proven_regime,
-        "records": [dataclasses.asdict(r) for r in records],
+        "schema_version": 2,
+        "records": [{**dataclasses.asdict(r), "proven_regime": p}
+                    for r, p in zip(records, proven)],
     })
     _write_records(out / "collide.csv", spectrum.CollisionRecord, records)
-    print(f"collision scan m={m}: {len(records)} records "
-          f"(proven regime: {params.in_proven_regime})")
+    print(f"collision scan m={m}: {len(records)} records, "
+          f"{sum(proven)} in the proven regime")
     return EXIT_OK
 
 
 def cmd_vstate(settings: dict) -> int:
     params = _params_from(settings)
-    m, sign = settings["m"], settings["sign"]
-    out = _outdir(settings)
+    m, sign, out = settings["m"], settings["sign"], settings["out"]
     try:
         result = branch_continue(params, m, sign, settings["s_grid"],
                                  n_modes=settings["modes"], n_nodes=settings["nodes"])
@@ -269,7 +269,12 @@ def cmd_vstate(settings: dict) -> int:
         "solutions": [sol.to_json_dict() for sol in result.solutions],
     })
     for i, sol in enumerate(result.solutions):
-        (out / f"boundary_{i:03d}.csv").write_text(sol.boundary_csv())
+        r1, r2 = sol.boundary_radii()
+        t = sol.deformation.grid()
+        c, s = np.cos(t), np.sin(t)
+        table = np.column_stack((t, r1, r2, r1 * c, r1 * s, r2 * c, r2 * s))
+        columns = dict.fromkeys(("theta", "R1", "R2", "x1", "y1", "x2", "y2"), "%.17g")
+        _write_csv(out / f"boundary_{i:03d}.csv", columns, table.ravel().tolist())
     if result.solutions:
         last = result.solutions[-1]
         print(f"branch: {len(result.solutions)} solutions, last s={_fmt(last.amplitude)} "
@@ -341,8 +346,7 @@ def cmd_evolve(settings: dict, explicit: set[str], check_rotation: bool) -> int:
     params, state0, vstate = _initial_state(settings, explicit)
     if check_rotation and vstate is None:
         raise ValueError("--check-rotation requires initial=vstate:<path>")
-    out = _outdir(settings)
-
+    out = settings["out"]
     result = dynamics.evolve(params, state0, settings["t_end"], dt=settings["dt"],
                              snapshot_every=settings["snapshot_every"])
     for i, snap in enumerate(result.snapshots):
@@ -375,9 +379,9 @@ def cmd_evolve(settings: dict, explicit: set[str], check_rotation: bool) -> int:
     return EXIT_NUMERIC if result.aborted else EXIT_OK
 
 
-def cmd_verify(settings: dict, gamma_error: float) -> int:
+def cmd_verify(settings: dict) -> int:
     suite = settings["suite"]
-    checks = run_suites(None if suite == "all" else [suite], gamma_error=gamma_error)
+    checks = run_suites(None if suite == "all" else [suite])
     width = max(len(name) for name, _, _ in checks)
     for name, passed, detail in checks:
         print(f"{name:<{width}}  {'PASS' if passed else 'FAIL'}  {detail}")
@@ -391,19 +395,13 @@ def cmd_verify(settings: dict, gamma_error: float) -> int:
 # ---------------------------------------------------------------------------
 
 # argparse options beyond the flag's name: a settings flag keeps its text for
-# the converter and takes at most choices; the verify test hook is no setting
+# the converter and takes at most choices
 _FLAGS = {
     "sign": {"choices": ["+", "-"]},
     "suite": {"choices": ["all", *SUITES]},
     "find_free_m": {"action": "store_true"},
     "equal_radii": {"action": "store_true"},
     "check_rotation": {"action": "store_true"},
-    "inject_gamma_error": {
-        "type": float,
-        "default": 0.0,
-        "help": "test hook: perturb the coupling coefficient in the "
-        "spectral checks to confirm the suite detects it",
-    },
 }
 # the flags each command reads, beyond --config; argparse rejects the others
 _COMMAND_FLAGS = {
@@ -412,7 +410,7 @@ _COMMAND_FLAGS = {
     "vstate": (*_PARAM_FLAGS, "m", "sign", "s_grid", "nodes", "modes", "out"),
     "evolve": (*_PARAM_FLAGS, "t_end", "dt", "nodes", "snapshot_every", "initial",
                "out", "check_rotation"),
-    "verify": ("suite", "inject_gamma_error"),
+    "verify": ("suite",),
 }
 
 
@@ -450,7 +448,7 @@ def main(argv=None) -> int:
             return cmd_vstate(settings)
         if args.command == "evolve":
             return cmd_evolve(settings, explicit, args.check_rotation)
-        return cmd_verify(settings, args.inject_gamma_error)
+        return cmd_verify(settings)
     except ValueError as exc:
         # bad settings, and precondition violations from the library
         print(f"config error: {exc}", file=sys.stderr)

@@ -295,17 +295,6 @@ class VStateSolution:
             payload.get("iterations", 0),
         )
 
-    def boundary_csv(self) -> str:
-        """theta, R1, R2, x1, y1, x2, y2 per node, each value as %.17g."""
-        r1, r2 = self.boundary_radii()
-        t = self.deformation.grid()
-        cos_t, sin_t = np.cos(t), np.sin(t)
-        table = np.column_stack(
-            (t, r1, r2, r1 * cos_t, r1 * sin_t, r2 * cos_t, r2 * sin_t)
-        )
-        rows = (",".join(["%.17g"] * 7) + "\n") * t.size
-        return "theta,R1,R2,x1,y1,x2,y2\n" + rows % tuple(table.ravel().tolist())
-
 
 def check_simple_eigenvalue(
     spec: spectrum.SpectrumArrays, m: int, sign: int, n_modes: int
@@ -488,10 +477,6 @@ def vstate_solve(
 class BranchResult:
     solutions: list[VStateSolution] = field(default_factory=list)
     failure: str | None = None
-
-    @property
-    def last_amplitude(self) -> float | None:
-        return self.solutions[-1].amplitude if self.solutions else None
 
 
 def branch_continue(

@@ -163,14 +163,10 @@ def step_rk4(params: LayerParams, state: EvolutionState, dt: float) -> Evolution
         raise ValueError("dt must be nonzero")
     z1 = state.boundaries[0].nodes
     z2 = state.boundaries[1].nodes
-
-    def rhs(a1, a2):
-        return layer_node_velocities(params, a1, a2)
-
-    k1a, k1b = rhs(z1, z2)
-    k2a, k2b = rhs(z1 + 0.5 * dt * k1a, z2 + 0.5 * dt * k1b)
-    k3a, k3b = rhs(z1 + 0.5 * dt * k2a, z2 + 0.5 * dt * k2b)
-    k4a, k4b = rhs(z1 + dt * k3a, z2 + dt * k3b)
+    k1a, k1b = layer_node_velocities(params, z1, z2)
+    k2a, k2b = layer_node_velocities(params, z1 + 0.5 * dt * k1a, z2 + 0.5 * dt * k1b)
+    k3a, k3b = layer_node_velocities(params, z1 + 0.5 * dt * k2a, z2 + 0.5 * dt * k2b)
+    k4a, k4b = layer_node_velocities(params, z1 + dt * k3a, z2 + dt * k3b)
     new1 = z1 + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
     new2 = z2 + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
     b1 = PatchBoundary(new1, 1)
@@ -269,8 +265,6 @@ def evolve(
 def _boundary_gap(state: EvolutionState) -> float:
     z1 = state.boundaries[0].nodes
     z2 = state.boundaries[1].nodes
-    if z1.size == z2.size and np.array_equal(z1, z2):
-        return 0.0
     return float(np.min(np.abs(z1[:, None] - z2[None, :])))
 
 

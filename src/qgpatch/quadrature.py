@@ -303,10 +303,6 @@ def _apply_kernel_matrix(kern: FloatArray, t_src: np.ndarray) -> np.ndarray:
     return kern @ t_src
 
 
-def _curve_scale(z_src: ComplexArray) -> float:
-    return float(np.mean(np.abs(z_src)))
-
-
 def _squared_chords(x_tgt, y_tgt, x_src, y_src) -> tuple[FloatArray, FloatArray]:
     """(|z_t - z_s|^2, a scratch array of its shape), broadcast over the block."""
     rho2 = np.subtract(x_tgt, x_src)
@@ -327,16 +323,16 @@ def _cyclic_view(values: FloatArray, n_rows: int, n_cols: int) -> FloatArray:
 
 
 def _kernel_matrix(
-    alpha, kappa, mu, z_tgt, z_src, dz_src, *, scale: float, n_rows: int | None = None
+    alpha, kappa, mu, z_tgt, z_src, dz_src, *, n_rows: int | None = None
 ) -> FloatArray:
     """Weights W with (W @ T)[i] the integral at z_tgt[i]; regime and guards.
 
     Only the leading targets i = 0 .. n_rows-1 are built (None: all N), so
     W is n_rows x N; the regime test still compares the full grids.  The
-    guards measure separations against ``scale``, which the caller picks:
-    a cross block must use the larger curve's scale whichever way round it
-    is built.  The split takes z_src' on the diagonal from ``dz_src``
-    (None: spectral).
+    guards measure separations against the larger curve's mean radius,
+    max(mean|z_tgt|, mean|z_src|), so a cross block sees the same guard
+    whichever way round it is built.  The split takes z_src' on the
+    diagonal from ``dz_src`` (None: spectral).
 
     The split is evaluated on the cyclic layout of ``_gather_index``, where
     the offset rows of ``_grid_tables`` broadcast and the diagonal is
@@ -356,6 +352,7 @@ def _kernel_matrix(
         raise QuadratureFailure("non-finite boundary node or derivative")
     rows = n if n_rows is None else n_rows
     h = TWO_PI / n
+    scale = max(float(np.mean(np.abs(z_tgt))), float(np.mean(np.abs(z_src))))
 
     dmax = float(np.max(np.abs(z_tgt - z_src)))
     if dmax > NEAR_COINCIDENT_TOL * scale:
@@ -467,10 +464,7 @@ def kernel_integral_grid(
     t_src = np.asarray(t_src)
     if t_src.ndim != 1:
         raise ValueError("density must be a vector over the source nodes")
-    kern = _kernel_matrix(
-        alpha, kappa, mu, z_tgt, z_src, dz_src, scale=_curve_scale(z_src)
-    )
-    return _apply_kernel_matrix(kern, t_src)
+    return _apply_kernel_matrix(_kernel_matrix(alpha, kappa, mu, z_tgt, z_src, dz_src), t_src)
 
 
 def layer_integrals(
@@ -485,22 +479,17 @@ def layer_integrals(
     2 pi/g; only the targets 0 <= t <= pi/g (``fold_rows``) are built, and
     the W_12 rows are one gather from the W_21 rows, whose entries cover
     every node pair up to that symmetry.  Every block measures its guards
-    against its source curve's scale, except that the cross block uses
-    layer 1's, the larger disc's.
+    against the larger curve's mean radius: a self block its own curve's,
+    the cross block the larger layer's.
     """
     (z1, z2), (dz1, dz2) = zs, dzs
     n_rows = None if fold is None else fold_rows(len(z1), fold)
-    mu, scale1 = params.mu, _curve_scale(z1)
+    mu = params.mu
     alpha12, _ = gkj_coefficients(params, 1, 2)
     alpha21, kappa21 = gkj_coefficients(params, 2, 1)
-    w11 = _kernel_matrix(
-        *gkj_coefficients(params, 1, 1), mu, z1, z1, dz1, scale=scale1, n_rows=n_rows
-    )
-    w22 = _kernel_matrix(
-        *gkj_coefficients(params, 2, 2), mu, z2, z2, dz2,
-        scale=_curve_scale(z2), n_rows=n_rows,
-    )
-    w21 = _kernel_matrix(alpha21, kappa21, mu, z2, z1, dz1, scale=scale1, n_rows=n_rows)
+    w11 = _kernel_matrix(*gkj_coefficients(params, 1, 1), mu, z1, z1, dz1, n_rows=n_rows)
+    w22 = _kernel_matrix(*gkj_coefficients(params, 2, 2), mu, z2, z2, dz2, n_rows=n_rows)
+    w21 = _kernel_matrix(alpha21, kappa21, mu, z2, z1, dz1, n_rows=n_rows)
     w21_t = w21.T if fold is None else np.take(w21, _mirror_index(len(z1), fold))
     u1 = _apply_kernel_matrix(w11, dz1)
     u1 += (alpha12 / alpha21) * _apply_kernel_matrix(w21_t, dz2)
@@ -548,5 +537,5 @@ def screened_moment_quadrature(
     z = y * np.exp(1j * theta)
     if x < y:
         return cosines @ k0_array(lam * np.abs(x - z)) / n_nodes
-    row = _kernel_matrix(0.0, 1.0, lam, z, z, 1j * z, scale=y, n_rows=1)[0]
+    row = _kernel_matrix(0.0, 1.0, lam, z, z, 1j * z, n_rows=1)[0]
     return cosines @ row / TWO_PI

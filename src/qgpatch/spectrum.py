@@ -137,22 +137,14 @@ def mean_flow_coeffs(params: LayerParams) -> MeanFlowCoeffs:
 
 
 def a_inf_minus_b_inf(params: LayerParams) -> float:
-    """Branch-limit gap A_inf - B_inf in closed form.
+    """Branch-limit gap A_inf - B_inf = (delta + 1)(V - W).
 
     Zero exactly at b1 = b2 and strictly positive for b2 < b1 once
     delta >= (b2/b1)^2; this gap is what separates the two eigenvalue
     branches at large mode index.
     """
-    d, mu, b1, b2, b = params.delta, params.mu, params.b1, params.b2, params.b
-    i1k1_b1 = bessel_ik_product(1, b1 * mu, b1 * mu)
-    i1k1_b2 = bessel_ik_product(1, b2 * mu, b2 * mu)
-    i1b2_k1b1 = bessel_ik_product(1, b2 * mu, b1 * mu)
-    return (
-        (1.0 - b * b) / 2.0
-        - i1k1_b1
-        + d * i1k1_b2
-        + (b * b - d) / b * i1b2_k1b1
-    )
+    mf = mean_flow_coeffs(params)
+    return (params.delta + 1.0) * (mf.v - mf.w)
 
 
 def _scalar_row(params: LayerParams, n: int) -> tuple[float, float, float]:

@@ -364,7 +364,7 @@ def trapezoid_integral(alpha, kappa, mu, queries, z_src, t_src):
 
 
 def boundary_csv_per_value(sol):
-    """``VStateSolution.boundary_csv`` written one scalar at a time."""
+    """The CLI's ``boundary_*.csv`` of one V-state, written one scalar at a time."""
     radii = sol.boundary_radii()
     t = sol.deformation.grid()
     lines = ["theta,R1,R2,x1,y1,x2,y2"]

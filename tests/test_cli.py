@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import qgpatch
-from qgpatch import cli
+from qgpatch import cli, spectrum
 from qgpatch.cli import main
 from qgpatch.dynamics import PatchBoundary
 
@@ -76,17 +78,17 @@ class TestCollideCommand:
                     "--out", tmp_path])
         assert code == 0
         payload = json.loads((tmp_path / "collide.json").read_text())
-        assert payload["schema_version"] == 1
-        assert payload["proven_regime"] is True
-        assert len(payload["records"]) == 1
+        assert payload["schema_version"] == 2
+        [record] = payload["records"]
+        # the root's own radius decides: delta = 1 >= (b2_root / b1)^2
+        assert record["proven_regime"] is True
 
     def test_collision_free_m_gives_empty(self, tmp_path):
         code = run(["collide", "--m", 2, "--nmax", 8, "--b2", 0.5, "--grid", 32,
                     "--out", tmp_path])
         assert code == 0
         payload = json.loads((tmp_path / "collide.json").read_text())
-        assert payload["records"] == []
-        assert payload["proven_regime"] is True
+        assert payload == {"schema_version": 2, "records": []}
 
     def test_equal_radii_mode(self, tmp_path):
         code = run(["collide", "--equal-radii", "--nmax", 3, "--out", tmp_path])
@@ -96,13 +98,37 @@ class TestCollideCommand:
         for r in payload["roots"]:
             assert r["omega_gap"] <= 1e-10
 
-    @pytest.mark.parametrize("key,value", [("b1", 1.2), ("b2", 0.5), ("m", 3), ("grid", 32)])
-    def test_equal_radii_refuses_unread_flag(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("argv,message", [
+        *(pytest.param(["collide", "--equal-radii", "--nmax", 3, f"--{key}", value],
+                       f"does not read {key}:", id=f"{key}-{value}")
+          for key, value in [("b1", 1.2), ("b2", 0.5), ("m", 3), ("grid", 32)]),
+        # refusals from the library: the writer has not created --out yet
+        pytest.param(["collide", "--lambda", "1e10", "--m", 3, "--nmax", 4, "--grid", 16],
+                     "SWEEP_X_MAX", id="collide-huge-lambda"),
+        pytest.param(["vstate", "--m", 5, "--modes", 8, "--nodes", 64],
+                     "Nyquist", id="vstate-modes-past-nyquist"),
+        pytest.param(["evolve", "--nodes", 65, "--t-end", 0.01, "--dt", 0.005],
+                     "node count must be even", id="evolve-odd-nodes"),
+    ])
+    def test_equal_radii_refuses_unread_flag(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
-        assert run(["collide", "--equal-radii", "--nmax", 3, f"--{key}", value,
-                    "--out", out]) == 2
-        assert f"does not read {key}:" in capsys.readouterr().err
+        assert run([*argv, "--out", out]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_proven_regime_per_root_not_from_b2(self, tmp_path):
+        # the scan reads no --b2: both runs find the one root at 0.7098, where
+        # (b2_root / b1)^2 = 0.504 > delta = 0.5, outside the proven regime
+        reports = []
+        for b2 in (0.3, 0.9):
+            out = tmp_path / str(b2)
+            assert run(["collide", "--delta", 0.5, "--m", 3, "--nmax", 16, "--grid", 64,
+                        "--b2", b2, "--out", out]) == 0
+            reports.append((out / "collide.json").read_bytes())
+        assert reports[0] == reports[1]
+        [record] = json.loads(reports[0])["records"]
+        assert record["b2_root"] == pytest.approx(0.7098, abs=1e-4)
+        assert record["proven_regime"] is False
 
     def test_equal_radii_refuses_unread_config_keys(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -126,7 +152,7 @@ class TestCollideCommand:
         cfg.write_text("nmax = banana\n")
         out = tmp_path / "out"
         assert run(["collide", "--config", cfg, "--out", out]) == 2
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
 
 
 class TestVStateCommand:
@@ -352,9 +378,25 @@ class TestVerifyCommand:
         assert "bessel.wronskian" in out
         assert "spectrum" not in out
 
-    def test_gamma_injection_fails_suite(self):
-        assert run(["verify", "--suite", "spectrum",
-                    "--inject-gamma-error", "0.001"]) == 1
+    def test_gamma_injection_fails_suite(self, monkeypatch, capsys):
+        # gamma_n scaled by 1.001 inside the spectrum rows must fail the suite
+        arrays = spectrum.spectrum_arrays
+
+        def faulty(params, n_max):
+            spec = arrays(params, n_max)
+            return dataclasses.replace(spec, gamma_n=spec.gamma_n * 1.001)
+
+        monkeypatch.setattr(spectrum, "spectrum_arrays", faulty)
+        assert run(["verify", "--suite", "spectrum"]) == 1
+        assert re.search(r"spectrum\.det_singular +FAIL", capsys.readouterr().out)
+
+    def test_help_lists_config_and_suite_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--help"])
+        assert exc.value.code == 0
+        options = capsys.readouterr().out.split("options:")[1]
+        assert sorted(set(re.findall(r"--[a-z-]+", options))) == ["--config", "--help",
+                                                                  "--suite"]
 
 
 class TestForeignFlags:
@@ -366,6 +408,7 @@ class TestForeignFlags:
         ["vstate", "--t-end", "-3"],
         ["evolve", "--modes", "8"],
         ["verify", "--nodes", "64"],
+        ["verify", "--inject-gamma-error", "0.001"],
     ])
     def test_foreign_flag_exits_2(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

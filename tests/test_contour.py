@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles as O
+from qgpatch import cli
 from qgpatch import contour as C
 from qgpatch import quadrature as Q
 from qgpatch import spectrum as S
@@ -85,10 +86,7 @@ class TestFunctional:
             want = omega * dr[k]
             for j in (0, 1):
                 alpha, kappa = gkj_coefficients(BASE, k + 1, j + 1)
-                w = Q._kernel_matrix(
-                    alpha, kappa, BASE.mu, zs[k], zs[j], dzs[j],
-                    scale=Q._curve_scale(zs[j]),
-                )
+                w = Q._kernel_matrix(alpha, kappa, BASE.mu, zs[k], zs[j], dzs[j])
                 density = np.imag(np.conj(dzs[k])[:, None] * dzs[j][None, :])
                 want = want + np.sum(w * density, axis=1)
             assert np.max(np.abs(got[k] - want)) <= 1e-14
@@ -283,7 +281,6 @@ class TestBranchContinue:
         res = C.branch_continue(BASE, 2, -1, [1e-3], n_modes=8, n_nodes=128)
         assert res.failure is not None
         assert res.solutions == []
-        assert res.last_amplitude is None
 
     def test_stalled_solve_recorded_as_failure(self):
         res = C.branch_continue(STALLED, 5, 1, [1e-3], n_modes=8, n_nodes=128)
@@ -395,20 +392,29 @@ class TestSerialization:
         assert back.iterations == sol.iterations
         assert np.array_equal(back.deformation.coeffs, sol.deformation.coeffs)
 
-    def test_boundary_csv_shape(self):
+    @staticmethod
+    def cli_boundary_csv(tmp_path, monkeypatch, sol) -> str:
+        """The boundary_000.csv that ``qgpatch vstate`` writes for a branch of sol."""
+        monkeypatch.setattr(cli, "branch_continue", lambda *a, **k: C.BranchResult([sol]))
+        assert cli.main(["vstate", "--out", str(tmp_path)]) == 0
+        return (tmp_path / "boundary_000.csv").read_text()
+
+    def test_boundary_csv_shape(self, tmp_path, monkeypatch):
         sol = C.vstate_solve(BASE, 2, -1, 1e-3, n_modes=8, n_nodes=128)
-        lines = sol.boundary_csv().strip().split("\n")
+        lines = self.cli_boundary_csv(tmp_path, monkeypatch, sol).strip().split("\n")
         assert lines[0] == "theta,R1,R2,x1,y1,x2,y2"
         assert len(lines) == 1 + 128
 
     @pytest.mark.parametrize("n_nodes", [64, 256])
-    def test_boundary_csv_bytes_match_per_value_writer(self, n_nodes):
+    def test_boundary_csv_bytes_match_per_value_writer(self, tmp_path, monkeypatch, n_nodes):
         sol = C.vstate_solve(BASE, 2, -1, 1e-3, n_modes=8, n_nodes=n_nodes)
-        assert sol.boundary_csv() == O.boundary_csv_per_value(sol)
+        written = self.cli_boundary_csv(tmp_path, monkeypatch, sol)
+        assert written == O.boundary_csv_per_value(sol)
 
-    def test_boundary_csv_bytes_negative_and_tiny_coefficients(self):
+    def test_boundary_csv_bytes_negative_and_tiny_coefficients(self, tmp_path, monkeypatch):
         coeffs = np.array([[-3e-3, 1e-300, -5e-17], [2e-3, -7e-320, 0.0]])
         sol = C.VStateSolution(
             BASE, 3, 1, -3e-3, -0.25, C.RadialDeformation(3, coeffs, 128), 0.0
         )
-        assert sol.boundary_csv() == O.boundary_csv_per_value(sol)
+        written = self.cli_boundary_csv(tmp_path, monkeypatch, sol)
+        assert written == O.boundary_csv_per_value(sol)

@@ -231,10 +231,9 @@ class TestSeparatedPath:
 
     def cross_blocks(self, params, z1, z2):
         """(alpha, kappa, z_tgt, z_src, W, unfolded W) for W_21 and W_12."""
-        scale = Q._curve_scale(z1)
         for k, j, z_tgt, z_src in ((2, 1, z2, z1), (1, 2, z1, z2)):
             alpha, kappa = gkj_coefficients(params, k, j)
-            got = Q._kernel_matrix(alpha, kappa, params.mu, z_tgt, z_src, None, scale=scale)
+            got = Q._kernel_matrix(alpha, kappa, params.mu, z_tgt, z_src, None)
             unfolded = self.log_k0_form(alpha, kappa, params.mu, z_tgt, z_src)
             yield alpha, kappa, z_tgt, z_src, got, unfolded
 
@@ -343,8 +342,8 @@ class TestRowBuilds:
         dzs = tuple(Q.spectral_derivative(z) for z in zs)
         args = (*gkj_coefficients(self.PARAMS, k, j), self.PARAMS.mu)
         args += (zs[k - 1], zs[j - 1], dzs[j - 1])
-        full = Q._kernel_matrix(*args, scale=1.0)
-        rows = Q._kernel_matrix(*args, scale=1.0, n_rows=N // 4 + 1)
+        full = Q._kernel_matrix(*args)
+        rows = Q._kernel_matrix(*args, n_rows=N // 4 + 1)
         assert np.array_equal(rows, full[: N // 4 + 1])
 
     @pytest.mark.parametrize("peak", [0.0, np.pi / 2])
@@ -363,13 +362,15 @@ class TestRowBuilds:
                 Q.layer_integrals(self.PARAMS, (z1, z2), dzs, fold)
 
     def test_cross_rows_guard_on_layer_one_scale(self):
-        # W_12 takes layer 2 as source; against its own scale (mean radius
-        # 0.86) a 0.099 gap would pass the 0.1 * scale guard
-        (z1, z2), (_, dz2) = self.bumped_pair(0.0)
-        args = (*gkj_coefficients(self.PARAMS, 1, 2), self.PARAMS.mu, z1, z2, dz2)
-        with pytest.raises(Q.TouchingBoundaryError):
-            Q._kernel_matrix(*args, scale=Q._curve_scale(z1), n_rows=self.ROWS)
-        Q._kernel_matrix(*args, scale=Q._curve_scale(z2), n_rows=self.ROWS)
+        # against layer 2's mean radius (0.86) the 0.099 gap would pass the
+        # 0.1 * scale guard; the larger curve's radius refuses it whichever
+        # layer is the source
+        (z1, z2), dzs = self.bumped_pair(0.0)
+        for k, j in ((1, 2), (2, 1)):
+            args = (*gkj_coefficients(self.PARAMS, k, j), self.PARAMS.mu)
+            with pytest.raises(Q.TouchingBoundaryError, match="9.900e-02"):
+                Q._kernel_matrix(*args, (z1, z2)[k - 1], (z1, z2)[j - 1], dzs[j - 1],
+                                 n_rows=self.ROWS)
 
     def test_vstate_on_touching_discs_refused(self):
         # the discs' 0.095 gap, narrowed by the s = 1e-3 tangent deformation,
@@ -421,12 +422,11 @@ class TestMirroredCrossRows:
         (z1, z2), (dz1, dz2) = self.curves(params, m, n, twins)
         g = gcd(m, n)
         rows = Q.fold_rows(n, g)
-        scale = Q._curve_scale(z1)
         alpha12, kappa12 = gkj_coefficients(params, 1, 2)
         alpha21, kappa21 = gkj_coefficients(params, 2, 1)
         mu = params.mu
-        w21 = Q._kernel_matrix(alpha21, kappa21, mu, z2, z1, dz1, scale=scale, n_rows=rows)
-        direct = Q._kernel_matrix(alpha12, kappa12, mu, z1, z2, dz2, scale=scale, n_rows=rows)
+        w21 = Q._kernel_matrix(alpha21, kappa21, mu, z2, z1, dz1, n_rows=rows)
+        direct = Q._kernel_matrix(alpha12, kappa12, mu, z1, z2, dz2, n_rows=rows)
         mirrored = (alpha12 / alpha21) * np.take(w21, Q._mirror_index(n, g))
         assert np.max(np.abs(mirrored - direct)) <= bound * np.max(np.abs(direct))
 
@@ -449,7 +449,7 @@ class TestSymmetricBuilds:
 
     def build(self, k, j, z_tgt, z_src, dz_src, **kwargs):
         args = (*gkj_coefficients(self.PARAMS, k, j), self.PARAMS.mu)
-        return Q._kernel_matrix(*args, z_tgt, z_src, dz_src, scale=1.0, **kwargs)
+        return Q._kernel_matrix(*args, z_tgt, z_src, dz_src, **kwargs)
 
     def test_full_self_builds_equal_their_transpose(self):
         (z1, z2), (dz1, dz2) = self.curves()
@@ -514,7 +514,7 @@ class TestNonFiniteNodes:
         dz[3] = np.nan
         alpha, kappa = gkj_coefficients(self.PARAMS, 1, 1)
         with pytest.raises(Q.QuadratureFailure, match="non-finite"):
-            Q._kernel_matrix(alpha, kappa, self.PARAMS.mu, z, z, dz, scale=1.0)
+            Q._kernel_matrix(alpha, kappa, self.PARAMS.mu, z, z, dz)
 
 
 class TestKernelApplication:
@@ -526,13 +526,10 @@ class TestKernelApplication:
         z1 = (1.0 + 0.03 * np.cos(2 * THETA)) * np.exp(1j * THETA)
         z2 = (0.7 - 0.02 * np.cos(2 * THETA)) * np.exp(1j * THETA)
         dz1 = Q.spectral_derivative(z1)
-        mu, scale = self.PARAMS.mu, Q._curve_scale(z1)
-        w11 = Q._kernel_matrix(*gkj_coefficients(self.PARAMS, 1, 1), mu, z1, z1, dz1,
-                               scale=scale)
-        w21 = Q._kernel_matrix(*gkj_coefficients(self.PARAMS, 2, 1), mu, z2, z1, dz1,
-                               scale=scale)
-        rows = Q._kernel_matrix(*gkj_coefficients(self.PARAMS, 2, 1), mu, z2, z1, dz1,
-                                scale=scale, n_rows=Q.fold_rows(N, 2))
+        mu = self.PARAMS.mu
+        w11 = Q._kernel_matrix(*gkj_coefficients(self.PARAMS, 1, 1), mu, z1, z1, dz1)
+        w21 = Q._kernel_matrix(*gkj_coefficients(self.PARAMS, 2, 1), mu, z2, z1, dz1)
+        rows = Q._kernel_matrix(*gkj_coefficients(self.PARAMS, 2, 1), mu, z2, z1, dz1, n_rows=Q.fold_rows(N, 2))
         return {"full": w11, "transposed": w21.T, "fold_rows": rows}, dz1
 
     @pytest.mark.parametrize("which", ["full", "transposed", "fold_rows"])
@@ -587,8 +584,7 @@ class TestCachedTables:
         dz = Q.spectral_derivative(z)
         for lam in np.linspace(0.5, 1.5, 100):
             params = LayerParams(1.0, float(lam), 1.0, 0.7)
-            Q._kernel_matrix(*gkj_coefficients(params, 1, 1), params.mu, z, z, dz,
-                             scale=1.0)
+            Q._kernel_matrix(*gkj_coefficients(params, 1, 1), params.mu, z, z, dz)
         info = Q._folded_table.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
 
@@ -627,8 +623,8 @@ class TestAllocations:
         z = (1.0 + 0.03 * np.cos(2 * THETA)) * np.exp(1j * THETA)
         dz = Q.spectral_derivative(z)
         args = (*gkj_coefficients(self.PARAMS, 1, 1), self.PARAMS.mu, z, z, dz)
-        Q._kernel_matrix(*args, scale=1.0)  # builds the cached gather index
-        peak = traced_peak(lambda: Q._kernel_matrix(*args, scale=1.0))
+        Q._kernel_matrix(*args)  # builds the cached gather index
+        peak = traced_peak(lambda: Q._kernel_matrix(*args))
         assert peak <= 5 * self.UNIT
 
     def test_full_layer_integrals_peak(self):
@@ -647,7 +643,7 @@ class TestAllocations:
         z2 = (0.7 - 0.02 * np.cos(2 * THETA)) * np.exp(1j * THETA)
         dz1 = Q.spectral_derivative(z1)
         args = (*gkj_coefficients(self.PARAMS, 2, 1), self.PARAMS.mu, z2, z1, dz1)
-        peak = traced_peak(lambda: Q._kernel_matrix(*args, scale=1.0))
+        peak = traced_peak(lambda: Q._kernel_matrix(*args))
         assert peak <= 9 * self.UNIT
 
 

@@ -480,9 +480,10 @@ class TestTableAndSerialization:
                          "--out", str(tmp_path)]) == 0
         recs = S.collision_scan(LayerParams(1.0, 1.0, 1.0, 0.5), 3, n_max=6, grid=32)
         payload = json.loads((tmp_path / "collide.json").read_text())
-        assert payload["schema_version"] == 1
-        assert payload["proven_regime"] is True
-        assert payload["records"] == [dataclasses.asdict(r) for r in recs]
+        assert payload["schema_version"] == 2
+        assert payload["records"] == [
+            {**dataclasses.asdict(r), "proven_regime": 1.0 >= r.b2_root**2} for r in recs
+        ]
         lines = (tmp_path / "collide.csv").read_text().strip().split("\n")
         assert lines[0] == "m,n,b2_root,residual,tangency"
         assert [float(v) for v in lines[1].split(",")] == [
