@@ -221,7 +221,8 @@ def cmd_collide(settings: dict, explicit: set[str], equal_radii: bool) -> int:
     if equal_radii and (unread := [k for k in _EQUAL_RADII_UNREAD if k in explicit]):
         raise ValueError(f"--equal-radii does not read {', '.join(unread)}: it sets "
                          "b1 = b2 from each collision root and scans no m or grid")
-    params = _params_from(settings)
+    # the scan reads no b2, so a default b2 above --b1 must not refuse it
+    params = LayerParams(settings["delta"], settings["lambda"], settings["b1"], settings["b1"])
     n_max, out = settings["nmax"], settings["out"]
     if equal_radii:
         report = {"schema_version": 1, "mode": "equal_radii", "roots": []}

@@ -26,9 +26,9 @@ is invariant under t -> -t and rotation by 2 pi/g, so the sine
 coefficients on the modes m*j are 4g/N times sums over the target rows
 0 <= t <= pi/g; the end rows, where the sines vanish, are built for the
 quadrature guards.  The residual passes the fold g to ``layer_integrals``,
-which builds those rows and gathers the second cross block from the
-first.  The finite-difference oracle ``jacobian_fd`` stays on the full
-grid.
+which builds those rows, evaluates each self block on one node pair per
+orbit of the symmetry and gathers the second cross block from the first.
+The finite-difference oracle ``jacobian_fd`` stays on the full grid.
 
 A branch is followed by a secant predictor: each solve after the first
 starts from the Lagrange extrapolation in s of (Omega, coefficients)

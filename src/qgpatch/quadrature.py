@@ -13,17 +13,17 @@ are defined here once for the package: ``grid``, ``fourier``,
 (cos/sin of the modes m*j).  ``layer_integrals`` assembles the
 two-layer integrals that the velocities and the contour functional share
 from three weight builds (W_11, W_22 and W_21) and one reuse of W_21 for
-W_12.  On the full grid the three are N x N (the self pairs are symmetric
-and evaluated on half of their entries) and W_12 is a multiple of W_21^T.
-Given a fold g, they hold only the targets i = 0 .. n_rows-1 with
+W_12.  On the full grid the three are N x N and W_12 is a multiple of
+W_21^T.  Given a fold g, they hold only the targets i = 0 .. n_rows-1 with
 n_rows = N/(2g) + 1, and W_12 is gathered from the W_21 rows.  The contour
 functional of an m-fold even shape needs no more: with g = gcd(m, N) the
 curves and the grid are invariant under t -> -t and rotation by 2 pi/g,
 so the rows 0 <= t <= pi/g fix its sine coefficients on the modes m*j,
 with weight 4g/N, and every entry of W_21 outside them equals one inside.
-The end rows t = 0 and t = pi/g are kept as targets: by the same symmetry
-every node pair then has an image among the rows built, so the guards
-below see the same minimum separation and maximum chord as a full build.
+``layer_integrals`` refuses a fold the curves do not have.  The end rows
+t = 0 and t = pi/g are kept as targets: by the same symmetry every node
+pair then has an image among the rows built, so the guards below see the
+same minimum separation and maximum chord as a full build.
 Three regimes are handled:
 
 * separated curves: the integrand is analytic, plain trapezoidal rule.
@@ -53,13 +53,23 @@ Three regimes are handled:
   instead.  The guards compare squared distances, so the folded paths take
   no square root of the chord matrix.
 
-  The split is evaluated on a cyclic layout: entry [i, d] pairs target i
-  with source (i + d) mod N, so the weights and log(4 sin^2) depend on the
-  column d only and are kept as two rows over d, mirror-symmetric bit for
-  bit.  A full build whose targets equal its sources (W_11, W_22, and W_21
-  of twin layers) is symmetric: it evaluates the offsets d <= N/2 only and
-  one cached gather expands them, so W == W.T exactly.  Row builds and
-  near-coincident pairs evaluate every offset.
+  The split is evaluated on a cyclic layout, where the weights and
+  log(4 sin^2) depend on the column d only and are kept as two rows over
+  d, mirror-symmetric bit for bit; one cached gather (``_gather_index``)
+  takes each layout to the grid.  There are three:
+
+  - all-offset rows: entry [i, d] pairs target i with source (i + d) mod N
+    for every d.  Explicit row builds and near-coincident pairs use it.
+  - the full half band: the same pairs for d <= N/2 only, on all N
+    targets.  A full build whose targets equal its sources (W_11, W_22,
+    and W_21 of twin layers) is symmetric, and the gather fills W[i, j]
+    and W[j, i] from one entry, so W == W.T exactly.
+  - the folded half band: given a fold, such a symmetric block holds
+    (N/(2g) + 1) x (N/2 + 1) entries.  Entry [k, d] pairs target
+    k - floor(d/2) with source k + ceil(d/2), so its centre runs over
+    0 .. pi/g and every node-pair orbit under rotation by 2 pi/g,
+    t -> -t and transposition appears in it.  At N = 256, g = 2 that is
+    8,385 entries instead of the 16,640 of the 65 rows it fills.
 * nearly coincident curves (parameterwise distance << node spacing): same
   split.  The ratio rho^2/(4 sin^2) is no longer smooth across the
   diagonal, but the defect is a spike of width ~|z_t(t)-z_s(t)| around the
@@ -239,24 +249,37 @@ def _grid_tables(n: int) -> tuple[FloatArray, FloatArray]:
 
 
 @functools.cache
-def _gather_index(n: int, n_rows: int, half_band: bool) -> np.ndarray:
+def _gather_index(n: int, n_rows: int, half_band: bool, fold: int | None) -> np.ndarray:
     """Flat indices that take a cyclic block to the n_rows x n grid layout.
 
     Entry [i, d] of a cyclic block pairs target i with source (i + d) mod n.
     An all-offsets block (n_rows x n) moves entry [i, (j - i) mod n] to
     [i, j].  A half band (n x (n/2 + 1), offsets d <= n/2) fills [i, j] and
     [j, i] from the one entry of the pair it holds, so the expanded matrix
-    is exactly symmetric.
+    is exactly symmetric.  A folded half band (given the fold g: n_rows x
+    (n/2 + 1), n_rows = ``fold_rows(n, g)``) pairs target k - floor(d/2)
+    with source k + ceil(d/2), the pair centred on k + (d mod 2)/2.  Each
+    [i, j] is oriented along its offset d <= n/2, and its centre is taken
+    by rotation through the period P = n/g and by t -> -t into [0, P/2]:
+    the entry whose pair is an image of (i, j) under the fold's symmetry.
     """
     i = np.arange(n_rows)[:, None]
     j = np.arange(n)[None, :]
     d = (j - i) % n
-    if half_band:
-        cols = n // 2 + 1
+    cols = n // 2 + 1
+    if not half_band:
+        index = i * n + d
+    elif fold is None:
         own = (d < n // 2) | ((d == n // 2) & (i < j))
         index = np.where(own, i * cols + d, j * cols + (n - d) % n)
     else:
-        index = i * n + d
+        flip = d > n // 2
+        d = np.where(flip, n - d, d)
+        period = n // fold
+        # twice the centre of the oriented pair, modulo the period
+        centre = (2 * np.where(flip, j, i) + d) % (2 * period)
+        centre = np.minimum(centre, 2 * period - centre)
+        index = (centre // 2) * cols + d
     index.setflags(write=False)
     return index
 
@@ -322,25 +345,57 @@ def _cyclic_view(values: FloatArray, n_rows: int, n_cols: int) -> FloatArray:
     return view
 
 
+@functools.cache
+def _folded_nodes(n: int, n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node indices that ``_folded_views`` strides over, cached read-only: each
+    node twice, the targets descending from n_rows - 1, the sources from 0."""
+    p = np.arange(2 * (n_rows - 1) + n_cols)
+    nodes = ((n_rows - 1 - p // 2) % n, ((p + 1) // 2) % n)
+    for table in nodes:
+        table.setflags(write=False)
+    return nodes
+
+
+def _folded_views(values: FloatArray, n_rows: int, n_cols: int) -> tuple[FloatArray, ...]:
+    """Read-only views of the folded half band: the targets
+    values[(k - floor(d/2)) mod n] and the sources values[(k + ceil(d/2)) mod n]
+    at [k, d], strided over the ``_folded_nodes`` gathers of values."""
+    step = values.itemsize
+    top = 2 * (n_rows - 1)
+    tgt, src = (values[nodes] for nodes in _folded_nodes(values.shape[0], n_rows, n_cols))
+    views = (
+        np.ndarray((n_rows, n_cols), tgt.dtype, tgt, top * step, (-2 * step, step)),
+        np.ndarray((n_rows, n_cols), src.dtype, src, 0, (2 * step, step)),
+    )
+    for view in views:
+        view.setflags(write=False)
+    return views
+
+
 def _kernel_matrix(
-    alpha, kappa, mu, z_tgt, z_src, dz_src, *, n_rows: int | None = None
+    alpha, kappa, mu, z_tgt, z_src, dz_src, *, n_rows: int | None = None,
+    fold: int | None = None,
 ) -> FloatArray:
     """Weights W with (W @ T)[i] the integral at z_tgt[i]; regime and guards.
 
-    Only the leading targets i = 0 .. n_rows-1 are built (None: all N), so
-    W is n_rows x N; the regime test still compares the full grids.  The
-    guards measure separations against the larger curve's mean radius,
-    max(mean|z_tgt|, mean|z_src|), so a cross block sees the same guard
-    whichever way round it is built.  The split takes z_src' on the
-    diagonal from ``dz_src`` (None: spectral).
+    Only the leading targets i = 0 .. n_rows-1 are built, so W is
+    n_rows x N.  Without ``n_rows`` they are the rows ``fold_rows(N, fold)``:
+    all N for no fold, else the rows 0 <= t <= pi/fold of curves that are
+    even and invariant under rotation by 2 pi/fold.  The regime test still
+    compares the full grids.  The guards measure separations against the
+    larger curve's mean radius, max(mean|z_tgt|, mean|z_src|), so a cross
+    block sees the same guard whichever way round it is built.  The split
+    takes z_src' on the diagonal from ``dz_src`` (None: spectral).
 
-    The split is evaluated on the cyclic layout of ``_gather_index``, where
+    The split is evaluated on a cyclic layout of ``_gather_index``, where
     the offset rows of ``_grid_tables`` broadcast and the diagonal is
-    column 0.  A full build with z_tgt equal to z_src is symmetric, so it
-    evaluates only the offsets d <= N/2 and expands them; row builds and
-    near-coincident pairs evaluate all offsets.  Every block is built in a
-    fixed handful of arrays, in place.  Non-finite nodes or derivatives
-    raise ``QuadratureFailure``.
+    column 0.  A block with z_tgt equal to z_src and no ``n_rows`` is
+    symmetric, so it evaluates only the offsets d <= N/2 and expands them:
+    on every target (the half band), or with a fold on one pair of each
+    orbit of the fold's symmetry (the folded half band).  Explicit row
+    builds and near-coincident pairs evaluate all offsets.  Every block is
+    built in a fixed handful of arrays, in place.  Non-finite nodes or
+    derivatives raise ``QuadratureFailure``.
     """
     z_tgt = np.asarray(z_tgt, dtype=np.complex128)
     z_src = np.asarray(z_src, dtype=np.complex128)
@@ -350,7 +405,7 @@ def _kernel_matrix(
     given = (z_tgt, z_src) if dz_src is None else (z_tgt, z_src, dz_src)
     if not all(np.all(np.isfinite(a)) for a in given):
         raise QuadratureFailure("non-finite boundary node or derivative")
-    rows = n if n_rows is None else n_rows
+    rows = fold_rows(n, fold) if n_rows is None else n_rows
     h = TWO_PI / n
     scale = max(float(np.mean(np.abs(z_tgt))), float(np.mean(np.abs(z_src))))
 
@@ -385,18 +440,26 @@ def _kernel_matrix(
             kern += k0
         return kern
 
-    # self / near-coincident: Kussmaul-Martensen split on the cyclic layout
+    # self / near-coincident: Kussmaul-Martensen split on a cyclic layout.
+    # The grid block is allocated before the work arrays, so freeing them
+    # leaves no heap top above glibc's trim threshold: the folded half
+    # band's would be given back and faulted in again on every build
+    # (about 3,000 page faults per vstate op, a tenth of its time)
+    expanded = np.empty((rows, n))
     half_band = n_rows is None and dmax == 0.0
+    fold = fold if half_band else None
     cols = n // 2 + 1 if half_band else n
     w_row, log_s2_row = _grid_tables(n)
     if dz_src is None:
         dz_src = spectral_derivative(z_src)
-    kern, q = _squared_chords(
-        z_tgt.real[:rows, None],
-        z_tgt.imag[:rows, None],
-        _cyclic_view(z_src.real, rows, cols),
-        _cyclic_view(z_src.imag, rows, cols),
-    )
+    if fold is None:
+        x_tgt, y_tgt = z_tgt.real[:rows, None], z_tgt.imag[:rows, None]
+        x_src, y_src = (_cyclic_view(v, rows, cols) for v in (z_src.real, z_src.imag))
+    else:  # z_tgt holds the nodes of z_src
+        (x_tgt, x_src), (y_tgt, y_src) = (
+            _folded_views(v, rows, cols) for v in (z_src.real, z_src.imag)
+        )
+    kern, q = _squared_chords(x_tgt, y_tgt, x_src, y_src)
     mu2_rho2_max = mu * mu * float(np.max(kern))
     if mu2_rho2_max > SPLIT_MAX_MU_CHORD**2:
         raise QuadratureFailure(
@@ -412,7 +475,8 @@ def _kernel_matrix(
     kern += (2.0 / h) * w_row[:cols] - log_s2_row[:cols]
     return np.take(
         _fold(kern, q, 0.25 * mu2_rho2_max, alpha, kappa, mu, h),
-        _gather_index(n, rows, half_band),
+        _gather_index(n, rows, half_band, fold),
+        out=expanded,
     )
 
 
@@ -474,27 +538,52 @@ def layer_integrals(
 
     Three builds and one reuse serve the four pairs: the cross kernels have
     alpha == kappa and depend on |x| only, so W_12 = (alpha_12 / alpha_21)
-    W_21^T.  On the full grid (``fold`` None) that is the transpose.  With
-    a fold g the curves must be even and invariant under rotation by
-    2 pi/g; only the targets 0 <= t <= pi/g (``fold_rows``) are built, and
-    the W_12 rows are one gather from the W_21 rows, whose entries cover
-    every node pair up to that symmetry.  Every block measures its guards
-    against the larger curve's mean radius: a self block its own curve's,
-    the cross block the larger layer's.
+    W_21^T.  The split blocks take one of three layouts of ``_gather_index``:
+
+    * the full half band (``fold`` None): every target is built, the self
+      blocks (and W_21 of twin layers) evaluate the offsets d <= N/2 of
+      every row, and W_12 is the transpose of W_21;
+    * the folded half band (a fold g): the curves must be even and
+      invariant under rotation by 2 pi/g (checked to 1e-12 of max|z|, else
+      ``ValueError``) and only the targets 0 <= t <= pi/g (``fold_rows``)
+      are built.  The self blocks evaluate one pair of each node-pair orbit
+      of that symmetry, and the W_12 rows are one gather from the W_21
+      rows, whose entries cover every node pair up to it;
+    * all-offset rows: a near-coincident W_21 evaluates every offset of the
+      rows built, in either case.
+
+    Every block measures its guards against the larger curve's mean radius:
+    a self block its own curve's, the cross block the larger layer's.
     """
     (z1, z2), (dz1, dz2) = zs, dzs
-    n_rows = None if fold is None else fold_rows(len(z1), fold)
+    if fold is not None:
+        _check_fold((z1, z2), fold)
     mu = params.mu
     alpha12, _ = gkj_coefficients(params, 1, 2)
     alpha21, kappa21 = gkj_coefficients(params, 2, 1)
-    w11 = _kernel_matrix(*gkj_coefficients(params, 1, 1), mu, z1, z1, dz1, n_rows=n_rows)
-    w22 = _kernel_matrix(*gkj_coefficients(params, 2, 2), mu, z2, z2, dz2, n_rows=n_rows)
-    w21 = _kernel_matrix(alpha21, kappa21, mu, z2, z1, dz1, n_rows=n_rows)
+    w11 = _kernel_matrix(*gkj_coefficients(params, 1, 1), mu, z1, z1, dz1, fold=fold)
+    w22 = _kernel_matrix(*gkj_coefficients(params, 2, 2), mu, z2, z2, dz2, fold=fold)
+    w21 = _kernel_matrix(alpha21, kappa21, mu, z2, z1, dz1, fold=fold)
     w21_t = w21.T if fold is None else np.take(w21, _mirror_index(len(z1), fold))
     u1 = _apply_kernel_matrix(w11, dz1)
     u1 += (alpha12 / alpha21) * _apply_kernel_matrix(w21_t, dz2)
     u2 = _apply_kernel_matrix(w21, dz1) + _apply_kernel_matrix(w22, dz2)
     return u1, u2
+
+
+def _check_fold(zs, fold: int) -> None:
+    """Refuse curves that are not even, z(-t) = conj z(t), and invariant
+    under rotation, z(t + 2 pi/fold) = e^{2 pi i/fold} z(t), to 1e-12 of
+    max|z|: the folded builds would return wrong velocities for them."""
+    z = np.asarray(zs, dtype=np.complex128)
+    n = z.shape[-1]
+    fold_rows(n, fold)  # refuses a fold that does not divide n
+    period = n // fold
+    reflected = z[:, 1:] - np.conj(z[:, :0:-1])
+    rotated = z[:, period:] - np.exp(TWO_PI * 1j / fold) * z[:, : n - period]
+    defect = max(float(np.max(np.abs(a), initial=0.0)) for a in (reflected, rotated))
+    if defect > 1e-12 * float(np.max(np.abs(z))):
+        raise ValueError(f"curves are not even and {fold}-fold symmetric (defect {defect:.2e})")
 
 
 # ---------------------------------------------------------------------------

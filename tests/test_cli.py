@@ -130,6 +130,17 @@ class TestCollideCommand:
         assert record["b2_root"] == pytest.approx(0.7098, abs=1e-4)
         assert record["proven_regime"] is False
 
+    def test_scan_inside_a_smaller_outer_radius(self, tmp_path):
+        # the default b2 = 1 lies above --b1 0.5; the scan reads no b2, so the
+        # run neither refuses it nor differs from one that passes --b2
+        reports = []
+        for extra in ([], ["--b2", 0.1]):
+            out = tmp_path / str(len(extra))
+            assert run(["collide", "--b1", 0.5, "--m", 3, "--nmax", 8, "--grid", 32,
+                        *extra, "--out", out]) == 0
+            reports.append(json.loads((out / "collide.json").read_text())["records"])
+        assert reports[0] == reports[1]
+
     def test_equal_radii_refuses_unread_config_keys(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("delta = 1\nb2 = 0.5\ngrid = 32\n")

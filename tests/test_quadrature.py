@@ -98,12 +98,18 @@ class TestPeriodicGrid:
         "build",
         [
             lambda: Q._grid_tables(64),
-            lambda: (Q._gather_index(64, 64, True), Q._gather_index(64, 9, False)),
+            lambda: (
+                Q._gather_index(64, 64, True, None),
+                Q._gather_index(64, 9, False, None),
+                Q._gather_index(64, 9, True, 4),
+            ),
+            lambda: Q._folded_nodes(64, 9, 33),
             lambda: (Q._mirror_index(64, 4),),
             lambda: Q.mode_tables(2, 8, 64),
             lambda: (series_coefficients(1.0),),
         ],
-        ids=["grid_tables", "gather_index", "mirror_index", "mode_tables", "series"],
+        ids=["grid_tables", "gather_index", "folded_nodes", "mirror_index", "mode_tables",
+             "series"],
     )
     def test_cached_tables_are_read_only(self, build):
         # every later build shares these arrays; writing the value back
@@ -435,6 +441,90 @@ class TestMirroredCrossRows:
             Q.fold_rows(66, 4)
 
 
+class TestFoldedSelfBlocks:
+    """Fold path: self blocks on the folded half band, one pair of each orbit."""
+
+    CASES = TestMirroredCrossRows.CASES
+    curves = TestMirroredCrossRows.curves
+
+    # a self block against its all-offset row build: the folded half band
+    # reads each weight off an image pair, whose chord agrees to rounding
+    # only (1.2e-15 to 2.2e-15 of max|W|).  Twin W_21 takes the split with
+    # alpha != kappa, whose far entries cancel as in the mirrored block
+    # (up to 4.7e-15)
+    @pytest.mark.parametrize("twins", [False, True])
+    @pytest.mark.parametrize("m,n", CASES)
+    def test_matches_row_build(self, m, n, twins):
+        params = TestMirroredCrossRows.TWINS if twins else TestMirroredCrossRows.PARAMS
+        zs, dzs = self.curves(params, m, n, twins)
+        g = gcd(m, n)
+        pairs = [(1, 1, 3e-15), (2, 2, 3e-15)] + [(2, 1, 1e-14)] * twins
+        for k, j, bound in pairs:
+            args = (*gkj_coefficients(params, k, j), params.mu)
+            args += (zs[k - 1], zs[j - 1], dzs[j - 1])
+            rows = Q._kernel_matrix(*args, n_rows=Q.fold_rows(n, g))
+            folded = Q._kernel_matrix(*args, fold=g)
+            assert np.max(np.abs(folded - rows)) <= bound * np.max(np.abs(rows))
+
+    @pytest.mark.parametrize("m,n", CASES)
+    def test_every_entry_gathers_an_image_pair(self, m, n):
+        # entry [k, d] pairs target k - floor(d/2) with source k + ceil(d/2);
+        # the pair gathered for (i, j) must be (i, j) moved by a rotation
+        # through n/g nodes, possibly the reflection t -> -t, and possibly
+        # transposed
+        g = gcd(m, n)
+        rows, cols = Q.fold_rows(n, g), n // 2 + 1
+        k, d = np.divmod(Q._gather_index(n, rows, True, g), cols)
+        assert k.max() < rows and d.max() < cols
+        tgt = (k - d // 2) % n
+        src = (tgt + d) % n
+        i, j = np.indices((rows, n))
+        image = np.zeros((rows, n), dtype=bool)
+        for r in range(g):
+            for sign in (1, -1):
+                a, b = (sign * i + r * n // g) % n, (sign * j + r * n // g) % n
+                image |= ((a == tgt) & (b == src)) | ((a == src) & (b == tgt))
+        assert image.all()
+
+    @pytest.mark.parametrize("twins", [False, True])
+    @pytest.mark.parametrize("m,n", CASES)
+    def test_each_folded_self_block_evaluates_its_half_band(self, monkeypatch, m, n, twins):
+        params = TestMirroredCrossRows.TWINS if twins else TestMirroredCrossRows.PARAMS
+        zs, dzs = self.curves(params, m, n, twins)
+        g = gcd(m, n)
+        sizes = []
+        fold = Q._fold
+
+        def spy(log_part, *args):
+            sizes.append(log_part.size)
+            return fold(log_part, *args)
+
+        monkeypatch.setattr(Q, "_fold", spy)
+        Q.layer_integrals(params, zs, dzs, g)
+        half_band = (n // (2 * g) + 1) * (n // 2 + 1)
+        cross = half_band if twins else Q.fold_rows(n, g) * n
+        assert sizes == [half_band, half_band, cross]  # W_11, W_22, W_21
+
+    @pytest.mark.parametrize("m,n", CASES)
+    def test_fold_contract_holds_for_deformations(self, m, n):
+        zs, _ = self.curves(TestMirroredCrossRows.PARAMS, m, n, False)
+        Q._check_fold(zs, gcd(m, n))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            pytest.param(lambda t: 1.0 + 0.02 * np.sin(2 * t), id="odd"),
+            pytest.param(lambda t: 1.0 + 0.02 * np.cos(3 * t), id="three-fold"),
+        ],
+    )
+    def test_wrong_fold_refused(self, shape):
+        z1 = shape(THETA) * np.exp(1j * THETA)
+        z2 = 0.7 * np.exp(1j * THETA)
+        dzs = tuple(Q.spectral_derivative(z) for z in (z1, z2))
+        with pytest.raises(ValueError, match="not even and 2-fold symmetric"):
+            Q.layer_integrals(TestMirroredCrossRows.PARAMS, (z1, z2), dzs, 2)
+
+
 class TestSymmetricBuilds:
     """Half-band full self builds: exact symmetry, and the paths that avoid it."""
 
@@ -480,9 +570,9 @@ class TestSymmetricBuilds:
         half_bands = []
         gather = Q._gather_index
 
-        def spy(n, n_rows, half_band):
+        def spy(n, n_rows, half_band, fold):
             half_bands.append(half_band)
-            return gather(n, n_rows, half_band)
+            return gather(n, n_rows, half_band, fold)
 
         monkeypatch.setattr(Q, "_gather_index", spy)
         u1, u2 = Q.layer_integrals(params, zs, dzs)
@@ -565,6 +655,15 @@ class TestCachedTables:
         i, d = np.indices((n_rows, n_cols))
         assert not view.flags.writeable
         assert np.array_equal(view, values[(i + d) % N])
+
+    @pytest.mark.parametrize("n,n_rows", [(N, N // 4 + 1), (66, 17), (66, 12)])
+    def test_folded_views(self, n, n_rows):
+        values = np.random.default_rng(4).normal(size=n)
+        k, d = np.indices((n_rows, n // 2 + 1))
+        tgt, src = Q._folded_views(values, n_rows, n // 2 + 1)
+        assert not (tgt.flags.writeable or src.flags.writeable)
+        assert np.array_equal(tgt, values[(k - d // 2) % n])
+        assert np.array_equal(src, values[(k + (d + 1) // 2) % n])
 
     def test_folded_table_read_only_and_fresh(self):
         params = LayerParams(1.3, 0.8, 1.0, 0.7)
