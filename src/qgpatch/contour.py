@@ -145,37 +145,23 @@ def _boundary_curves(params: LayerParams, r_nodal: FloatArray, dr_nodal: FloatAr
     return radius * phase, (dr_nodal / radius + 1j * radius) * phase
 
 
-def functional_from_nodal(
-    params: LayerParams,
-    omega: float,
-    r_nodal: FloatArray,
-    dr_nodal: FloatArray,
-    fold: int | None = None,
-) -> FloatArray:
-    """F(Omega, r) from nodal values of r and dr/dt, shape (2, N).
-
-    With a fold g (r even and 2 pi/g periodic) only the nodes
-    0 <= t <= pi/g are targets and the shape is (2, N/(2g) + 1); every
-    node is still a source.
-    """
-    r_nodal = np.asarray(r_nodal, dtype=np.float64)
-    dr_nodal = np.asarray(dr_nodal, dtype=np.float64)
-    zs, dzs = _boundary_curves(params, r_nodal, dr_nodal)
-    u = layer_integrals(params, zs, dzs, fold)
-    rows = fold_rows(r_nodal.shape[1], fold)
-    return omega * dr_nodal[:, :rows] + np.imag(np.conj(dzs[:, :rows]) * u)
-
-
 def functional_f(
     params: LayerParams,
     omega: float,
     deformation: RadialDeformation,
     fold: int | None = None,
 ) -> FloatArray:
-    """Contour functional F(Omega, r) on the deformation grid (0 <= t <= pi/fold)."""
-    return functional_from_nodal(
-        params, omega, deformation.nodal(), deformation.nodal_derivative(), fold
-    )
+    """Contour functional F(Omega, r) on the deformation grid, shape (2, N).
+
+    With a fold g (r even and 2 pi/g periodic) only the nodes
+    0 <= t <= pi/g are targets and the shape is (2, N/(2g) + 1); every
+    node is still a source.
+    """
+    r_nodal, dr_nodal = deformation.nodal(), deformation.nodal_derivative()
+    zs, dzs = _boundary_curves(params, r_nodal, dr_nodal)
+    u = layer_integrals(params, zs, dzs, fold)
+    rows = fold_rows(deformation.n_nodes, fold)
+    return omega * dr_nodal[:, :rows] + np.imag(np.conj(dzs[:, :rows]) * u)
 
 
 def linearized_multiplier(params: LayerParams, omega: float, n: int) -> np.ndarray:
@@ -193,44 +179,27 @@ def sine_coefficients(values: FloatArray, m: int, n_modes: int) -> FloatArray:
 def jacobian_fd(
     params: LayerParams,
     omega: float,
-    r0: RadialDeformation | None,
     h: float = 1e-6,
     n_probe: int = 16,
     n_nodes: int = 256,
 ) -> FloatArray:
-    """Central-difference Jacobian of F in the cosine basis, sine projected.
+    """Central-difference Jacobian of F at r = 0 in the cosine basis, sine projected.
 
-    Probes F along e = cos(n t) in each layer for n = 1..n_probe and
-    projects the response on sine modes 1..n_probe.  Returns blocks
-    J[np_, n, k, j] = d(sine mode np_ of F_k) / d(cos mode n of layer j).
-    At r0 = 0 the diagonal blocks J[n, n] reproduce -n M_n(Omega).
+    Probes F at the deformations r = +-h cos(n t) of each layer for
+    n = 1..n_probe and projects the response on sine modes 1..n_probe.
+    Returns blocks J[np_, n, k, j] = d(sine mode np_ of F_k) / d(cos mode
+    n of layer j); the diagonal blocks J[n, n] reproduce -n M_n(Omega).
     """
     if not 1e-8 <= h <= 1e-4:
         raise ValueError("finite-difference step outside [1e-8, 1e-4]")
-    if r0 is None:
-        base = np.zeros((2, n_nodes))
-        dbase = np.zeros((2, n_nodes))
-    else:
-        if r0.n_nodes != n_nodes:
-            r0 = replace(r0, n_nodes=n_nodes)
-        base = r0.nodal()
-        dbase = r0.nodal_derivative()
-    modes, cos, sin = mode_tables(1, n_probe, n_nodes)
     jac = np.empty((n_probe, n_probe, 2, 2))
     for j_layer in (0, 1):
-        for n in modes:
-            bump = cos[n - 1]
-            dbump = -n * sin[n - 1]
-            rp, rm = base.copy(), base.copy()
-            drp, drm = dbase.copy(), dbase.copy()
-            rp[j_layer] += h * bump
-            rm[j_layer] -= h * bump
-            drp[j_layer] += h * dbump
-            drm[j_layer] -= h * dbump
-            fp = functional_from_nodal(params, omega, rp, drp)
-            fm = functional_from_nodal(params, omega, rm, drm)
-            resp = (fp - fm) / (2.0 * h)
-            jac[:, n - 1, :, j_layer] = sine_coefficients(resp, 1, n_probe).T
+        for n in range(1, n_probe + 1):
+            bump = np.zeros((2, n_probe))
+            bump[j_layer, n - 1] = h
+            fp = functional_f(params, omega, RadialDeformation(1, bump, n_nodes))
+            fm = functional_f(params, omega, RadialDeformation(1, -bump, n_nodes))
+            jac[:, n - 1, :, j_layer] = sine_coefficients((fp - fm) / (2.0 * h), 1, n_probe).T
     return jac
 
 

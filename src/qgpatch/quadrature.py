@@ -56,17 +56,16 @@ Three regimes are handled:
   The split is evaluated on a cyclic layout, where the weights and
   log(4 sin^2) depend on the column d only and are kept as two rows over
   d, mirror-symmetric bit for bit; one cached gather (``_gather_index``)
-  takes each layout to the grid.  There are three:
+  takes each layout to the grid.  There are two:
 
-  - all-offset rows: entry [i, d] pairs target i with source (i + d) mod N
+  - target rows: entry [i, d] pairs target i with source (i + d) mod N
     for every d.  Explicit row builds and near-coincident pairs use it.
-  - the full half band: the same pairs for d <= N/2 only, on all N
-    targets.  A full build whose targets equal its sources (W_11, W_22,
-    and W_21 of twin layers) is symmetric, and the gather fills W[i, j]
-    and W[j, i] from one entry, so W == W.T exactly.
-  - the folded half band: given a fold, such a symmetric block holds
-    (N/(2g) + 1) x (N/2 + 1) entries.  Entry [k, d] pairs target
-    k - floor(d/2) with source k + ceil(d/2), so its centre runs over
+  - the centred half band: a block whose targets equal its sources
+    (W_11, W_22, and W_21 of twin layers) is symmetric and evaluates the
+    offsets d <= N/2 only.  Entry [k, d] pairs node k - floor(d/2) with
+    node k + ceil(d/2).  On the full grid k runs over 0 .. N-1, and the
+    gather fills W[i, j] and W[j, i] from one entry, so W == W.T exactly.
+    Given a fold g, k runs over 0 .. N/(2g), so the centre runs over
     0 .. pi/g and every node-pair orbit under rotation by 2 pi/g,
     t -> -t and transposition appears in it.  At N = 256, g = 2 that is
     8,385 entries instead of the 16,640 of the 65 rows it fills.
@@ -250,36 +249,38 @@ def _grid_tables(n: int) -> tuple[FloatArray, FloatArray]:
 
 @functools.cache
 def _gather_index(n: int, n_rows: int, half_band: bool, fold: int | None) -> np.ndarray:
-    """Flat indices that take a cyclic block to the n_rows x n grid layout.
+    """Flat indices that take a split block to the n_rows x n grid layout.
 
-    Entry [i, d] of a cyclic block pairs target i with source (i + d) mod n.
-    An all-offsets block (n_rows x n) moves entry [i, (j - i) mod n] to
-    [i, j].  A half band (n x (n/2 + 1), offsets d <= n/2) fills [i, j] and
-    [j, i] from the one entry of the pair it holds, so the expanded matrix
-    is exactly symmetric.  A folded half band (given the fold g: n_rows x
-    (n/2 + 1), n_rows = ``fold_rows(n, g)``) pairs target k - floor(d/2)
-    with source k + ceil(d/2), the pair centred on k + (d mod 2)/2.  Each
-    [i, j] is oriented along its offset d <= n/2, and its centre is taken
-    by rotation through the period P = n/g and by t -> -t into [0, P/2]:
-    the entry whose pair is an image of (i, j) under the fold's symmetry.
+    Two layouts.  Target rows (n_rows x n): entry [i, d] pairs target i
+    with source (i + d) mod n and moves to [i, (i + d) mod n].  The centred
+    half band (``fold_rows(n, fold)`` x (n/2 + 1)): entry [k, d] pairs node
+    k - floor(d/2) with node k + ceil(d/2), centred on k + (d mod 2)/2.
+    Each [i, j] is oriented along its offset d <= n/2 and its centre is
+    reduced modulo the period P (n, or n/g given a fold g); given a fold
+    it is also reflected by t -> -t into [0, P/2].  The entry taken pairs
+    (i, j) or (j, i), moved by the fold's symmetry if there is one.
     """
     i = np.arange(n_rows)[:, None]
     j = np.arange(n)[None, :]
     d = (j - i) % n
-    cols = n // 2 + 1
     if not half_band:
-        index = i * n + d
-    elif fold is None:
-        own = (d < n // 2) | ((d == n // 2) & (i < j))
-        index = np.where(own, i * cols + d, j * cols + (n - d) % n)
-    else:
-        flip = d > n // 2
-        d = np.where(flip, n - d, d)
-        period = n // fold
-        # twice the centre of the oriented pair, modulo the period
-        centre = (2 * np.where(flip, j, i) + d) % (2 * period)
+        return _checked_index(i * n + d, n_rows * n)
+    cols = n // 2 + 1
+    flip = d > n // 2
+    d = np.where(flip, n - d, d)
+    period = n if fold is None else n // fold
+    # twice the centre of the oriented pair, modulo the period
+    centre = (2 * np.where(flip, j, i) + d) % (2 * period)
+    if fold is not None:
         centre = np.minimum(centre, 2 * period - centre)
-        index = (centre // 2) * cols + d
+    return _checked_index((centre // 2) * cols + d, fold_rows(n, fold) * cols)
+
+
+def _checked_index(index: np.ndarray, size: int) -> np.ndarray:
+    """index, read-only, once checked to lie in [0, size): the gathers take it
+    with mode="clip", which neither checks nor buffers their ``out``."""
+    if index.min() < 0 or index.max() >= size:
+        raise IndexError(f"gather index outside a block of {size} entries")
     index.setflags(write=False)
     return index
 
@@ -309,9 +310,7 @@ def _mirror_index(n: int, fold: int) -> np.ndarray:
     reflect = 2 * r > period
     j_row = np.where(reflect, period - r, r)
     i_col = np.where(reflect, (shift + 1) * period - i, i - shift * period) % n
-    index = j_row * n + i_col
-    index.setflags(write=False)
-    return index
+    return _checked_index(j_row * n + i_col, fold_rows(n, fold) * n)
 
 
 def _apply_kernel_matrix(kern: FloatArray, t_src: np.ndarray) -> np.ndarray:
@@ -346,8 +345,8 @@ def _cyclic_view(values: FloatArray, n_rows: int, n_cols: int) -> FloatArray:
 
 
 @functools.cache
-def _folded_nodes(n: int, n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node indices that ``_folded_views`` strides over, cached read-only: each
+def _centred_nodes(n: int, n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node indices that ``_centred_views`` strides over, cached read-only: each
     node twice, the targets descending from n_rows - 1, the sources from 0."""
     p = np.arange(2 * (n_rows - 1) + n_cols)
     nodes = ((n_rows - 1 - p // 2) % n, ((p + 1) // 2) % n)
@@ -356,13 +355,13 @@ def _folded_nodes(n: int, n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndar
     return nodes
 
 
-def _folded_views(values: FloatArray, n_rows: int, n_cols: int) -> tuple[FloatArray, ...]:
-    """Read-only views of the folded half band: the targets
+def _centred_views(values: FloatArray, n_rows: int, n_cols: int) -> tuple[FloatArray, ...]:
+    """Read-only views of the centred half band: the targets
     values[(k - floor(d/2)) mod n] and the sources values[(k + ceil(d/2)) mod n]
-    at [k, d], strided over the ``_folded_nodes`` gathers of values."""
+    at [k, d], strided over the ``_centred_nodes`` gathers of values."""
     step = values.itemsize
     top = 2 * (n_rows - 1)
-    tgt, src = (values[nodes] for nodes in _folded_nodes(values.shape[0], n_rows, n_cols))
+    tgt, src = (values[nodes] for nodes in _centred_nodes(values.shape[0], n_rows, n_cols))
     views = (
         np.ndarray((n_rows, n_cols), tgt.dtype, tgt, top * step, (-2 * step, step)),
         np.ndarray((n_rows, n_cols), src.dtype, src, 0, (2 * step, step)),
@@ -390,12 +389,11 @@ def _kernel_matrix(
     The split is evaluated on a cyclic layout of ``_gather_index``, where
     the offset rows of ``_grid_tables`` broadcast and the diagonal is
     column 0.  A block with z_tgt equal to z_src and no ``n_rows`` is
-    symmetric, so it evaluates only the offsets d <= N/2 and expands them:
-    on every target (the half band), or with a fold on one pair of each
-    orbit of the fold's symmetry (the folded half band).  Explicit row
-    builds and near-coincident pairs evaluate all offsets.  Every block is
-    built in a fixed handful of arrays, in place.  Non-finite nodes or
-    derivatives raise ``QuadratureFailure``.
+    symmetric, so it evaluates only the centred half band, with a fold one
+    pair of each orbit of the fold's symmetry.  Explicit row builds and
+    near-coincident pairs evaluate every offset of their target rows.
+    Every block is built in a fixed handful of arrays, in place.
+    Non-finite nodes or derivatives raise ``QuadratureFailure``.
     """
     z_tgt = np.asarray(z_tgt, dtype=np.complex128)
     z_src = np.asarray(z_src, dtype=np.complex128)
@@ -442,7 +440,7 @@ def _kernel_matrix(
 
     # self / near-coincident: Kussmaul-Martensen split on a cyclic layout.
     # The grid block is allocated before the work arrays, so freeing them
-    # leaves no heap top above glibc's trim threshold: the folded half
+    # leaves no heap top above glibc's trim threshold: the centred half
     # band's would be given back and faulted in again on every build
     # (about 3,000 page faults per vstate op, a tenth of its time)
     expanded = np.empty((rows, n))
@@ -452,13 +450,13 @@ def _kernel_matrix(
     w_row, log_s2_row = _grid_tables(n)
     if dz_src is None:
         dz_src = spectral_derivative(z_src)
-    if fold is None:
+    if half_band:  # z_tgt holds the nodes of z_src
+        (x_tgt, x_src), (y_tgt, y_src) = (
+            _centred_views(v, rows, cols) for v in (z_src.real, z_src.imag)
+        )
+    else:
         x_tgt, y_tgt = z_tgt.real[:rows, None], z_tgt.imag[:rows, None]
         x_src, y_src = (_cyclic_view(v, rows, cols) for v in (z_src.real, z_src.imag))
-    else:  # z_tgt holds the nodes of z_src
-        (x_tgt, x_src), (y_tgt, y_src) = (
-            _folded_views(v, rows, cols) for v in (z_src.real, z_src.imag)
-        )
     kern, q = _squared_chords(x_tgt, y_tgt, x_src, y_src)
     mu2_rho2_max = mu * mu * float(np.max(kern))
     if mu2_rho2_max > SPLIT_MAX_MU_CHORD**2:
@@ -477,6 +475,7 @@ def _kernel_matrix(
         _fold(kern, q, 0.25 * mu2_rho2_max, alpha, kappa, mu, h),
         _gather_index(n, rows, half_band, fold),
         out=expanded,
+        mode="clip",
     )
 
 
@@ -538,19 +537,15 @@ def layer_integrals(
 
     Three builds and one reuse serve the four pairs: the cross kernels have
     alpha == kappa and depend on |x| only, so W_12 = (alpha_12 / alpha_21)
-    W_21^T.  The split blocks take one of three layouts of ``_gather_index``:
-
-    * the full half band (``fold`` None): every target is built, the self
-      blocks (and W_21 of twin layers) evaluate the offsets d <= N/2 of
-      every row, and W_12 is the transpose of W_21;
-    * the folded half band (a fold g): the curves must be even and
-      invariant under rotation by 2 pi/g (checked to 1e-12 of max|z|, else
-      ``ValueError``) and only the targets 0 <= t <= pi/g (``fold_rows``)
-      are built.  The self blocks evaluate one pair of each node-pair orbit
-      of that symmetry, and the W_12 rows are one gather from the W_21
-      rows, whose entries cover every node pair up to it;
-    * all-offset rows: a near-coincident W_21 evaluates every offset of the
-      rows built, in either case.
+    W_21^T.  The self blocks (and W_21 of twin layers) evaluate the centred
+    half band of ``_gather_index``, a near-coincident W_21 its target rows.
+    Without a fold every target is built and W_12 is the transpose of
+    W_21.  Given a fold g the curves must be even and invariant under
+    rotation by 2 pi/g (checked to 1e-12 of max|z|, else ``ValueError``),
+    only the targets 0 <= t <= pi/g (``fold_rows``) are built, the self
+    blocks evaluate one pair of each node-pair orbit of that symmetry, and
+    the W_12 rows are one gather from the W_21 rows, whose entries cover
+    every node pair up to it.
 
     Every block measures its guards against the larger curve's mean radius:
     a self block its own curve's, the cross block the larger layer's.
@@ -561,13 +556,19 @@ def layer_integrals(
     mu = params.mu
     alpha12, _ = gkj_coefficients(params, 1, 2)
     alpha21, kappa21 = gkj_coefficients(params, 2, 1)
-    w11 = _kernel_matrix(*gkj_coefficients(params, 1, 1), mu, z1, z1, dz1, fold=fold)
-    w22 = _kernel_matrix(*gkj_coefficients(params, 2, 2), mu, z2, z2, dz2, fold=fold)
+    # the cross block first, and each block applied as soon as it is built:
+    # the heap then holds one grid block at a time, and the self blocks
+    # reuse the space the larger cross build leaves, not the heap top
     w21 = _kernel_matrix(alpha21, kappa21, mu, z2, z1, dz1, fold=fold)
-    w21_t = w21.T if fold is None else np.take(w21, _mirror_index(len(z1), fold))
-    u1 = _apply_kernel_matrix(w11, dz1)
-    u1 += (alpha12 / alpha21) * _apply_kernel_matrix(w21_t, dz2)
-    u2 = _apply_kernel_matrix(w21, dz1) + _apply_kernel_matrix(w22, dz2)
+    w21_t = w21.T if fold is None else np.take(w21, _mirror_index(len(z1), fold), mode="clip")
+    u1 = (alpha12 / alpha21) * _apply_kernel_matrix(w21_t, dz2)
+    u2 = _apply_kernel_matrix(w21, dz1)
+    del w21, w21_t
+    w11 = _kernel_matrix(*gkj_coefficients(params, 1, 1), mu, z1, z1, dz1, fold=fold)
+    u1 += _apply_kernel_matrix(w11, dz1)
+    del w11
+    w22 = _kernel_matrix(*gkj_coefficients(params, 2, 2), mu, z2, z2, dz2, fold=fold)
+    u2 += _apply_kernel_matrix(w22, dz2)
     return u1, u2
 
 

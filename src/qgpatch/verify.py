@@ -205,7 +205,7 @@ def quadrature_suite() -> list[Check]:
     checks.append(_check("quadrature.disc_stationary", sup <= 1e-10, f"{sup:.2e}"))
 
     # linearization spot check against the multiplier
-    jac = jacobian_fd(p, 0.2, None, h=1e-6, n_probe=4, n_nodes=128)
+    jac = jacobian_fd(p, 0.2, h=1e-6, n_probe=4, n_nodes=128)
     worst = 0.0
     for n in range(1, 5):
         exact = linearized_multiplier(p, 0.2, n)

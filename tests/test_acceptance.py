@@ -133,7 +133,7 @@ def test_criterion_07_linearization_oracle():
         (LayerParams(2.0, 0.5, 1.0, 0.7), 0.1),
     ]
     for params, omega in cases:
-        jac = C.jacobian_fd(params, omega, None, h=1e-6, n_probe=16, n_nodes=256)
+        jac = C.jacobian_fd(params, omega, h=1e-6, n_probe=16, n_nodes=256)
         for n in range(1, 17):
             exact = C.linearized_multiplier(params, omega, n)
             rel = np.linalg.norm(jac[n - 1, n - 1] - exact) / np.linalg.norm(exact)

@@ -103,12 +103,12 @@ class TestPeriodicGrid:
                 Q._gather_index(64, 9, False, None),
                 Q._gather_index(64, 9, True, 4),
             ),
-            lambda: Q._folded_nodes(64, 9, 33),
+            lambda: Q._centred_nodes(64, 9, 33),
             lambda: (Q._mirror_index(64, 4),),
             lambda: Q.mode_tables(2, 8, 64),
             lambda: (series_coefficients(1.0),),
         ],
-        ids=["grid_tables", "gather_index", "folded_nodes", "mirror_index", "mode_tables",
+        ids=["grid_tables", "gather_index", "centred_nodes", "mirror_index", "mode_tables",
              "series"],
     )
     def test_cached_tables_are_read_only(self, build):
@@ -466,24 +466,24 @@ class TestFoldedSelfBlocks:
             folded = Q._kernel_matrix(*args, fold=g)
             assert np.max(np.abs(folded - rows)) <= bound * np.max(np.abs(rows))
 
-    @pytest.mark.parametrize("m,n", CASES)
+    @pytest.mark.parametrize("m,n", CASES + [(None, 256), (None, 66)])
     def test_every_entry_gathers_an_image_pair(self, m, n):
         # entry [k, d] pairs target k - floor(d/2) with source k + ceil(d/2);
         # the pair gathered for (i, j) must be (i, j) moved by a rotation
         # through n/g nodes, possibly the reflection t -> -t, and possibly
-        # transposed
-        g = gcd(m, n)
+        # transposed.  On the full grid (m None) it must be (i, j) or (j, i)
+        g = None if m is None else gcd(m, n)
         rows, cols = Q.fold_rows(n, g), n // 2 + 1
         k, d = np.divmod(Q._gather_index(n, rows, True, g), cols)
         assert k.max() < rows and d.max() < cols
         tgt = (k - d // 2) % n
         src = (tgt + d) % n
         i, j = np.indices((rows, n))
+        moves = [(1, 0)] if g is None else [(s, r * n // g) for r in range(g) for s in (1, -1)]
         image = np.zeros((rows, n), dtype=bool)
-        for r in range(g):
-            for sign in (1, -1):
-                a, b = (sign * i + r * n // g) % n, (sign * j + r * n // g) % n
-                image |= ((a == tgt) & (b == src)) | ((a == src) & (b == tgt))
+        for sign, shift in moves:
+            a, b = (sign * i + shift) % n, (sign * j + shift) % n
+            image |= ((a == tgt) & (b == src)) | ((a == src) & (b == tgt))
         assert image.all()
 
     @pytest.mark.parametrize("twins", [False, True])
@@ -503,7 +503,7 @@ class TestFoldedSelfBlocks:
         Q.layer_integrals(params, zs, dzs, g)
         half_band = (n // (2 * g) + 1) * (n // 2 + 1)
         cross = half_band if twins else Q.fold_rows(n, g) * n
-        assert sizes == [half_band, half_band, cross]  # W_11, W_22, W_21
+        assert sizes == [cross, half_band, half_band]  # W_21, W_11, W_22
 
     @pytest.mark.parametrize("m,n", CASES)
     def test_fold_contract_holds_for_deformations(self, m, n):
@@ -577,7 +577,7 @@ class TestSymmetricBuilds:
         monkeypatch.setattr(Q, "_gather_index", spy)
         u1, u2 = Q.layer_integrals(params, zs, dzs)
         monkeypatch.setattr(Q, "_gather_index", gather)
-        assert half_bands == [True, True, symmetric]  # W_11, W_22, W_21
+        assert half_bands == [symmetric, True, True]  # W_21, W_11, W_22
         w1, w2 = O.layer_node_velocities_pm(params, z1, z2)
         assert np.max(np.abs(-u1 - w1)) <= 1e-12
         assert np.max(np.abs(-u2 - w2)) <= 1e-12
@@ -656,14 +656,20 @@ class TestCachedTables:
         assert not view.flags.writeable
         assert np.array_equal(view, values[(i + d) % N])
 
-    @pytest.mark.parametrize("n,n_rows", [(N, N // 4 + 1), (66, 17), (66, 12)])
-    def test_folded_views(self, n, n_rows):
+    @pytest.mark.parametrize("n,n_rows", [(N, N // 4 + 1), (66, 17), (66, 12), (N, N), (66, 66)])
+    def test_centred_views(self, n, n_rows):
         values = np.random.default_rng(4).normal(size=n)
         k, d = np.indices((n_rows, n // 2 + 1))
-        tgt, src = Q._folded_views(values, n_rows, n // 2 + 1)
+        tgt, src = Q._centred_views(values, n_rows, n // 2 + 1)
         assert not (tgt.flags.writeable or src.flags.writeable)
         assert np.array_equal(tgt, values[(k - d // 2) % n])
         assert np.array_equal(src, values[(k + (d + 1) // 2) % n])
+
+    @pytest.mark.parametrize("index", [[0, 5], [-1, 0]])
+    def test_gather_index_range_checked(self, index):
+        # the gathers take mode="clip", which would clamp a stray index
+        with pytest.raises(IndexError, match="outside a block of 5 entries"):
+            Q._checked_index(np.array(index), 5)
 
     def test_folded_table_read_only_and_fresh(self):
         params = LayerParams(1.3, 0.8, 1.0, 0.7)
