@@ -30,10 +30,15 @@ which builds those rows, evaluates each self block on one node pair per
 orbit of the symmetry and gathers the second cross block from the first.
 The finite-difference oracle ``jacobian_fd`` stays on the full grid.
 
-A branch is followed by a secant predictor: each solve after the first
-starts from the Lagrange extrapolation in s of (Omega, coefficients)
-through the bifurcation point (0, zero deformation, Omega_m^sign) and the
-last one or two converged solutions, a line or a quadratic in s.
+A branch is followed by a predictor that uses its half-turn symmetry:
+rotating an m-fold V-state by pi/m maps the solution at amplitude s to
+the one at -s, so Omega is even in s and the coefficient of cos(n m t)
+has the parity (-1)^n.  Each unknown is s^p g(s^2), with p = 1 on the
+odd modes n and p = 0 on Omega and the even modes, and each solve after
+the first starts from the Lagrange extrapolation of g in s^2 through the
+bifurcation point (g = Omega_m^sign, the kernel vector on mode m and zero
+elsewhere) and the last one or two converged solutions with distinct
+nonzero s^2: a start O(s^4) or O(s^6) from the answer.
 
 The iteration has no options: it accepts a solve when the residual is at
 most NEWTON_TOL and the last step at most 1e-12, gives up after
@@ -459,23 +464,21 @@ def branch_continue(
     """Predictor-corrector continuation along a V-state branch.
 
     Solves at each amplitude in grid order.  The first solve starts on the
-    tangent; each later one starts from ``_secant_start``, the Lagrange
-    extrapolation in s of (Omega, coefficients) through the bifurcation
-    point and the last one or two converged solutions.  Truncates at the
-    first NumericFailure (no convergence, radius collapse or a quadrature
-    refusal) and records it with the solutions before it; a collision raises
-    before the first solve.  The spectrum rows up to m * n_modes are
-    evaluated and checked once and every solve reads them.
+    tangent; each later one starts from ``_secant_start``, which writes the
+    unknowns as s^p g(s^2) by the branch's half-turn symmetry and
+    extrapolates g in s^2 through the bifurcation point and the last one or
+    two converged solutions.  Truncates at the first NumericFailure (no
+    convergence, radius collapse or a quadrature refusal) and records it
+    with the solutions before it; a collision raises before the first
+    solve.  The spectrum rows up to m * n_modes are evaluated and checked
+    once and every solve reads them.
     """
     result = BranchResult()
     spec = spectrum.spectrum_arrays(params, m * n_modes)
-    omega0 = spec.omega(m, sign)
     check_simple_eigenvalue(spec, m, sign, n_modes)
-    origin = VStateSolution(
-        params, m, sign, 0.0, omega0, RadialDeformation.zero(m, n_modes, n_nodes), 0.0
-    )
+    omega0, vec = spec.omega(m, sign), spec.kernel_vector(m, sign)
     for s in s_grid:
-        start = _secant_start(origin, result.solutions, float(s))
+        start = _secant_start(omega0, vec, result.solutions, float(s))
         try:
             sol = vstate_solve(params, m, sign, float(s), init=start, n_modes=n_modes,
                                n_nodes=n_nodes, _spec=spec)
@@ -487,29 +490,41 @@ def branch_continue(
 
 
 def _secant_start(
-    origin: VStateSolution, solved: list[VStateSolution], s: float
+    omega0: float, vec: FloatArray, solved: list[VStateSolution], s: float
 ) -> VStateSolution | None:
-    """Lagrange extrapolation to amplitude s through origin and the last solves.
+    """Start at amplitude s from the branch's symmetry under s -> -s.
 
-    The nodes are the bifurcation point ``origin`` and the last one or two
-    solutions whose amplitudes are nonzero and distinct, so the start is
-    a line through the origin or a quadratic in s.  None with no solution.
+    Omega and the coefficients of the even modes n m are g(s^2), those of
+    the odd modes s g(s^2).  g is extrapolated in s^2 by Lagrange through
+    the bifurcation point, where it is omega0, the kernel vector ``vec``
+    on mode m and zero on the others, and the last one or two solutions
+    whose s^2 are nonzero and distinct (s and -s count once): a line or a
+    quadratic in s^2.  None with no such solution.
     """
-    nodes = [origin]
+    nodes: list[VStateSolution] = []
     for sol in reversed(solved):
-        if all(sol.amplitude != node.amplitude for node in nodes):
+        sigma = sol.amplitude**2
+        if sigma != 0.0 and all(sigma != node.amplitude**2 for node in nodes):
             nodes.append(sol)
-            if len(nodes) == 3:
+            if len(nodes) == 2:
                 break
-    if len(nodes) == 1:
+    if not nodes:
         return None
-    amps = [node.amplitude for node in nodes]
-    omega, coeffs = 0.0, np.zeros_like(origin.deformation.coeffs)
-    for k, node in enumerate(nodes):
-        weight = np.prod([(s - a) / (amps[k] - a) for a in amps if a != amps[k]])
-        omega += weight * node.omega
-        coeffs += weight * node.deformation.coeffs
+    n_modes = nodes[0].deformation.n_modes
+    odd = np.arange(n_modes) % 2 == 0  # column n - 1 holds mode n m
+    tangent = np.zeros((2, n_modes))
+    tangent[:, 0] = vec
+    # the weights sum to one, so each node adds its offset from the origin's g
+    sigmas = [0.0] + [node.amplitude**2 for node in nodes]
+    omega, coeffs = omega0, tangent.copy()
+    for node in nodes:
+        sigma_k = node.amplitude**2
+        weight = np.prod([(s * s - a) / (sigma_k - a) for a in sigmas if a != sigma_k])
+        omega += weight * (node.omega - omega0)
+        g = node.deformation.coeffs / np.where(odd, node.amplitude, 1.0)
+        coeffs += weight * (g - tangent)
+    template = nodes[0]
     return replace(
-        origin, amplitude=s, omega=omega,
-        deformation=replace(origin.deformation, coeffs=coeffs),
+        template, amplitude=s, omega=omega,
+        deformation=replace(template.deformation, coeffs=coeffs * np.where(odd, s, 1.0)),
     )

@@ -192,6 +192,22 @@ class TestVStateCommand:
                 "solutions"][0]["omega"]
         assert abs(omegas["+"] - omegas["-"]) > 1e-3
 
+    def test_negative_amplitudes_take_the_equals_form(self, tmp_path, capsys):
+        out = tmp_path / "joined"
+        assert run(["vstate", "--m", 2, "--sign", "-", "--b2", 0.7, "--modes", 8,
+                    "--nodes", 64, "--s-grid=-0.002,0.002", "--out", out]) == 0
+        payload = json.loads((out / "branch.json").read_text())
+        assert payload["failure"] is None
+        assert [sol["amplitude"] for sol in payload["solutions"]] == [-0.002, 0.002]
+        # after a space argparse reads the leading '-' as a flag
+        spaced = tmp_path / "spaced"
+        with pytest.raises(SystemExit) as exc:
+            run(["vstate", "--m", 2, "--sign", "-", "--b2", 0.7, "--modes", 8,
+                 "--nodes", 64, "--s-grid", "-0.002,0.002", "--out", spaced])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+        assert not spaced.exists()
+
     def test_collision_refusal_exit_code(self, tmp_path):
         code = run(["vstate", "--m", 3, "--sign", "+", "--b2", 0.7459086390395124,
                     "--s-grid", "0.001", "--modes", 8, "--nodes", 128,

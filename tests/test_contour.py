@@ -320,7 +320,7 @@ class TestBranchContinue:
             NEAR_TOUCH, 1, 1, np.geomspace(0.001, 0.1, 9), n_modes=16, n_nodes=N
         )
         assert len(res.solutions) == 7
-        assert res.failure.startswith("s=0.0562341: curve separation 9.827e-02")
+        assert res.failure.startswith("s=0.0562341: curve separation 9.826e-02")
 
 
 class TestSecantPredictor:
@@ -348,7 +348,7 @@ class TestSecantPredictor:
         monkeypatch.setattr(C, "_projected_residual", counted)
         res = C.branch_continue(BASE, 2, -1, self.GRID, n_modes=16, n_nodes=N)
         assert res.failure is None
-        assert len(calls) <= 24
+        assert len(calls) <= 14
 
     @pytest.mark.parametrize(
         "grid", [(0.0, 0.002, 0.004, 0.008), (0.002, 0.0, 0.002, 0.004, 0.008)]
@@ -360,31 +360,74 @@ class TestSecantPredictor:
         want = C.branch_continue(BASE, 2, -1, (0.002, 0.004, 0.008), n_modes=12, n_nodes=N)
         assert abs(res.solutions[-1].omega - want.solutions[-1].omega) <= 1e-12
 
-    def test_start_interpolates_its_nodes(self):
-        # a quadratic in s through the origin and two solutions is reproduced
+    def test_mirrored_amplitudes_share_one_node(self):
+        # s and -s share s^2: the start at -s is the mirrored solution, and
+        # the start at 0.004 extrapolates through two distinct s^2 only
+        grid = (0.002, -0.002, 0.004)
+        res = C.branch_continue(BASE, 2, -1, grid, n_modes=16, n_nodes=N)
+        assert res.failure is None
+        assert [sol.amplitude for sol in res.solutions] == list(grid)
+        for sol in res.solutions:
+            cold = C.vstate_solve(BASE, 2, -1, sol.amplitude, n_modes=16, n_nodes=N)
+            assert abs(sol.omega - cold.omega) <= 1e-12
+            coeffs = sol.deformation.coeffs
+            assert np.max(np.abs(coeffs - cold.deformation.coeffs)) <= 1e-12
+
+    def test_start_extrapolates_parity_structured_family(self):
+        # Omega and the even modes are g(s^2), the odd modes s g(s^2); at
+        # s = 0 the odd part of mode m is the kernel vector
         n_modes = 8
-        origin = C.VStateSolution(
-            BASE, 2, -1, 0.0, 0.3, C.RadialDeformation.zero(2, n_modes, 64), 0.0
-        )
-        a = np.linspace(1.0, 2.0, 2 * n_modes).reshape(2, n_modes)
+        omega0, vec = 0.3, np.array([0.6, -0.8])
+        odd = np.arange(n_modes) % 2 == 0
+        g1 = np.linspace(1.0, 2.0, 2 * n_modes).reshape(2, n_modes)
+        g2 = g1[::-1] - 1.5
+        g0 = np.zeros((2, n_modes))
+        g0[:, 0] = vec
 
-        def at(s):
-            coeffs = s * a + s * s * a[::-1]
-            return C.VStateSolution(
-                BASE, 2, -1, s, 0.3 + 0.5 * s - 2.0 * s * s,
-                C.RadialDeformation(2, coeffs, 64), 0.0,
-            )
+        def family(curvature):
+            def at(s):
+                sigma = s * s
+                g = g0 + sigma * g1 + curvature * sigma * sigma * g2
+                return C.VStateSolution(
+                    BASE, 2, -1, s, omega0 + 0.5 * sigma - curvature * 2.0 * sigma * sigma,
+                    C.RadialDeformation(2, g * np.where(odd, s, 1.0), 64), 0.0,
+                )
+            return at
 
-        solved = [at(0.001), at(0.002), at(0.004)]
-        start = C._secant_start(origin, solved, 0.008)
-        want = at(0.008)
-        assert start.amplitude == 0.008
-        assert start.omega == pytest.approx(want.omega, rel=0, abs=1e-15)
-        coeffs, want_coeffs = start.deformation.coeffs, want.deformation.coeffs
-        assert np.max(np.abs(coeffs - want_coeffs)) <= 1e-15
-        # one solution: the line through the origin
-        line = C._secant_start(origin, solved[:1], 0.002)
-        assert line.omega == pytest.approx(0.3 + 2 * (0.5 * 0.001 - 2e-6), abs=1e-15)
+        def assert_reproduces(start, want):
+            assert start.amplitude == want.amplitude
+            assert start.omega == pytest.approx(want.omega, rel=0, abs=1e-15)
+            coeffs, want_coeffs = start.deformation.coeffs, want.deformation.coeffs
+            assert np.max(np.abs(coeffs - want_coeffs)) <= 1e-15
+
+        # a quadratic in s^2 through the origin and two solutions; the
+        # earlier -0.002 repeats the s^2 of 0.002 and is skipped
+        at = family(1.0)
+        solved = [at(0.001), at(-0.002), at(0.002)]
+        for s in (0.004, -0.004):
+            assert_reproduces(C._secant_start(omega0, vec, solved, s), at(s))
+        # one solution: a line in s^2 through the origin
+        line = family(0.0)
+        assert_reproduces(C._secant_start(omega0, vec, [line(0.002)], -0.003), line(-0.003))
+        # no solution with nonzero amplitude: the tangent start
+        assert C._secant_start(omega0, vec, [line(0.0)], 0.002) is None
+
+
+class TestHalfTurnSymmetry:
+    """Rotation by pi/m maps the V-state at s to the one at -s."""
+
+    @pytest.mark.parametrize("m,n_nodes", [(2, 64), (3, 66)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_negative_amplitude_mirrors_branch(self, m, n_nodes, sign):
+        s = 0.01
+        plus = C.vstate_solve(BASE, m, sign, s, n_modes=8, n_nodes=n_nodes)
+        minus = C.vstate_solve(BASE, m, sign, -s, n_modes=8, n_nodes=n_nodes)
+        assert abs(minus.omega - plus.omega) <= 1e-12
+        parity = (-1.0) ** np.arange(1, 9)  # cos(n m t) -> (-1)^n cos(n m t)
+        mirrored = plus.deformation.coeffs * parity
+        assert np.max(np.abs(minus.deformation.coeffs - mirrored)) <= 1e-12
+        # the even mode 2m is resolved, so the parity is tested, not assumed
+        assert np.max(np.abs(plus.deformation.coeffs[:, 1])) > 1e-9
 
 
 class TestSerialization:
