@@ -36,15 +36,15 @@ positive half line.  The evaluation strategy per function:
   is even and entire.  S and I_0 are polynomials in q = z^2/4, kept as one
   stacked (2, M) coefficient table (``series_coefficients``) and summed
   row by row, each row one in-place Horner pass over its own contiguous
-  array (``horner_pair``); ``i0_and_regular_part`` uses that one
-  evaluator.  The tables are Chebyshev-economized: on [0, Q] the top
-  Taylor terms are traded for shifted Chebyshev polynomials while the
-  summed change stays below 2^-53 relative, which takes 16 terms down to
-  11 at Q = 2 and 34 to 22 at Q = 45.25.  Q runs over a sqrt(2) ladder,
-  Q = 2^(k/2) up to 45.25 (z = 13.45), each level built on first use; a
-  larger q takes the plain Taylor table.  The singular quadrature folds
-  its kernel constants into these tables and so calls the evaluator
-  directly.
+  array (``horner``, both rows ``horner_pair``); ``i0_and_regular_part``
+  uses that one evaluator.  The tables are Chebyshev-economized: on
+  [0, Q] the top Taylor terms are traded for shifted Chebyshev
+  polynomials while the summed change stays below 2^-53 relative, which
+  takes 16 terms down to 11 at Q = 2 and 34 to 22 at Q = 45.25.  Q runs
+  over a sqrt(2) ladder, Q = 2^(k/2) up to 45.25 (z = 13.45), each level
+  built on first use; a larger q takes the plain Taylor table.  The
+  singular quadrature folds its kernel constants into these tables and so
+  calls ``horner`` directly, the second row into the first row's array.
 
 Products ``I_n(x) K_n(y)`` are assembled in log space, from the sweeps,
 so that orders up to several hundred neither overflow nor underflow; the
@@ -201,11 +201,13 @@ def horner_pair(q: FloatArray, coeffs: FloatArray) -> tuple[FloatArray, FloatArr
     so every step is one contiguous array-scalar operation.
     """
     row0, row1 = coeffs.tolist()
-    return _horner(q, row0), _horner(q, row1)
+    return horner(q, row0), horner(q, row1)
 
 
-def _horner(q: FloatArray, c: list[float]) -> FloatArray:
-    acc = np.multiply(q, c[-1])
+def horner(q: FloatArray, c: list[float], out: FloatArray | None = None) -> FloatArray:
+    """sum_m c[m] q^m, len(c) >= 2, by one in-place Horner pass: into ``out``
+    if given (it may not be q), else into a new array of q's shape."""
+    acc = np.multiply(q, c[-1], out=out)
     for cm in c[-2:0:-1]:
         acc += cm
         acc *= q

@@ -326,6 +326,23 @@ def _projected_residual(
     return ((4.0 * g / n) * f_rows @ basis.T).ravel()
 
 
+def _iterate_residual(
+    params: LayerParams, omega: float, defo: RadialDeformation, iteration: int, scale: float
+) -> FloatArray:
+    """``_projected_residual`` of a Newton iterate.  A refusal gets the
+    iteration (0: the start) and damping scale appended to its text, so a
+    separation it reports is read as that iterate's, not a converged shape's."""
+    try:
+        return _projected_residual(params, omega, defo)
+    except NumericFailure as exc:
+        where = (
+            "the Newton start" if iteration == 0
+            else f"Newton iteration {iteration}, damping scale {scale:g}"
+        )
+        exc.args = (f"{exc} (at {where})",)
+        raise
+
+
 def _newton_matrix(
     spec: spectrum.SpectrumArrays, omega: float, coeffs: FloatArray, m: int
 ) -> FloatArray:
@@ -374,7 +391,9 @@ def vstate_solve(
     and halves the step until the residual falls.  A solve is accepted once
     the residual is at most NEWTON_TOL and the step at most 1e-12; one
     that has not converged after NEWTON_MAX_ITER iterations, or whose
-    damping fails, raises NoConvergenceError.  |s| > S_MAX raises ValueError.
+    damping fails, raises NoConvergenceError.  A refusal from a residual
+    names the iteration and damping scale it tripped at.  |s| > S_MAX
+    raises ValueError.
     ``branch_continue`` passes the rows it has already evaluated and
     checked with ``check_simple_eigenvalue`` as ``_spec``.
     """
@@ -411,7 +430,7 @@ def vstate_solve(
 
     u = _pack(omega, coeffs)
     defo = RadialDeformation(m, coeffs, n_nodes)
-    res = _projected_residual(params, omega, defo)
+    res = _iterate_residual(params, omega, defo, 0, 1.0)
     res_norm = float(np.max(np.abs(res)))
 
     for iteration in range(1, NEWTON_MAX_ITER + 1):
@@ -425,7 +444,7 @@ def vstate_solve(
             omega_try, coeffs_try = _unpack(u_try, n_modes, pinned)
             try:
                 defo_try = RadialDeformation(m, coeffs_try, n_nodes)
-                res_try = _projected_residual(params, omega_try, defo_try)
+                res_try = _iterate_residual(params, omega_try, defo_try, iteration, scale)
             except RadiusCollapseError:
                 scale *= 0.5
                 continue

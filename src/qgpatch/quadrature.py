@@ -44,7 +44,8 @@ Three regimes are handled:
 
   with the two brackets polynomials in q = mu^2 rho^2 / 4 whose
   coefficients are the ``bessel`` series tables with alpha, kappa, h and
-  log(mu) folded in, each summed by one Horner pass (``horner_pair``).
+  log(mu) folded in, each summed by one Horner pass (``horner``), the
+  second into the first one's array once L has been scaled by it.
   The folded tables are cached per series table and (alpha, kappa, mu, h)
   in a bounded, read-only cache.  L is log(rho^2) for
   separated curves and log(rho^2) - log(4 sin^2) + (2/h) kress_row for
@@ -85,6 +86,17 @@ raises ``TouchingBoundaryError``.  A non-finite node or derivative raises
 applied to a complex density (the nodes' z') as one (rows x N) @ (N x 2)
 product on the density's float view, so both parts share one pass over W.
 
+A full-grid ``layer_integrals`` with N >= 256 (``THREADED_CROSS_MIN_ENTRIES``
+cross-block entries) in a process allowed on two or more CPUs builds and
+applies W_21 on one long-lived worker thread while the calling thread builds
+and applies W_11 and W_22.  With the self blocks on the centred half band the
+split is even: 2 N (N/2 + 1) self entries against N^2 cross entries.  numpy
+releases the GIL inside the ufunc and BLAS calls that do the work, each block
+is built exactly as in the serial order, and each self part is added to its
+cross part as that order adds them, so every result is bitwise the serial
+one.  Smaller and folded builds stay serial, where the GIL hand-offs cost
+more than the second core saves (timings at the constant).
+
 Conditioning note: the split evaluates I_0(mu rho) on the full chord
 matrix, so entries with large mu*rho cancel against the smooth part.  The
 split therefore raises ``QuadratureFailure`` once mu * chord exceeds
@@ -96,11 +108,12 @@ this).
 from __future__ import annotations
 
 import functools
+import os
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .bessel import horner_pair, k0_array, series_coefficients
+from .bessel import horner, k0_array, series_coefficients
 from .kernels import LayerParams, gkj_coefficients
 
 FloatArray = NDArray[np.float64]
@@ -120,6 +133,15 @@ SPLIT_MAX_MU_CHORD = 12.0
 # largest mu * chord of a separated block the folded series serves; beyond
 # it the series cancels and the block takes k0_array
 K0_SERIES_CUT = 3.0
+# a full-grid layer_integrals whose cross block has at least this many
+# entries builds it on a worker thread, given 2 CPUs.  Serial over threaded
+# time of one layer_integrals, median of 15 interleaved rounds (two runs:
+# 2-vCPU Xeon, numpy 2.4.6, one BLAS thread), by N and fold:
+#   N = 128: 0.72, 0.72 (no fold)   0.41, 0.44 (fold 2)
+#   N = 256: 1.19, 1.20             0.75, 0.66
+#   N = 512: 1.36, 1.48             1.29, 1.38
+# Folded builds stay serial: the V-state residual runs at N = 256, fold 2
+THREADED_CROSS_MIN_ENTRIES = 256 * 256
 # the interpolant sums modes k = lo + RULER_BLOCK * hi in two levels
 RULER_BLOCK = 16
 
@@ -395,19 +417,22 @@ def _kernel_matrix(
     Every block is built in a fixed handful of arrays, in place.
     Non-finite nodes or derivatives raise ``QuadratureFailure``.
     """
-    z_tgt = np.asarray(z_tgt, dtype=np.complex128)
+    # a self block (one array for both) checks and measures its nodes once
+    same = z_tgt is z_src
     z_src = np.asarray(z_src, dtype=np.complex128)
+    z_tgt = z_src if same else np.asarray(z_tgt, dtype=np.complex128)
     n = z_src.shape[0]
     if z_tgt.shape[0] != n:
         raise ValueError("target and source grids must have equal node counts")
-    given = (z_tgt, z_src) if dz_src is None else (z_tgt, z_src, dz_src)
+    nodes = (z_src,) if same else (z_tgt, z_src)
+    given = nodes if dz_src is None else (*nodes, dz_src)
     if not all(np.all(np.isfinite(a)) for a in given):
         raise QuadratureFailure("non-finite boundary node or derivative")
     rows = fold_rows(n, fold) if n_rows is None else n_rows
     h = TWO_PI / n
-    scale = max(float(np.mean(np.abs(z_tgt))), float(np.mean(np.abs(z_src))))
+    scale = max(float(np.mean(np.abs(z))) for z in nodes)
 
-    dmax = float(np.max(np.abs(z_tgt - z_src)))
+    dmax = 0.0 if same else float(np.max(np.abs(z_tgt - z_src)))
     if dmax > NEAR_COINCIDENT_TOL * scale:
         rho2, kern = _squared_chords(
             z_tgt.real[:rows, None], z_tgt.imag[:rows, None], z_src.real, z_src.imag
@@ -487,9 +512,11 @@ def _fold(log_part, q, qmax, alpha, kappa, mu, h) -> FloatArray:
     each summed by one Horner pass; S is the regular part K_0(w) + log(w) I_0(w).
     """
     table = series_coefficients(qmax)
-    g, smooth = horner_pair(q, _folded_table(table.tobytes(), alpha, kappa, mu, h))
+    g_row, smooth_row = _folded_table(table.tobytes(), alpha, kappa, mu, h).tolist()
+    g = horner(q, g_row)
     log_part *= g
-    log_part += smooth
+    # the smooth part reuses g's array once log_part has read it
+    log_part += horner(q, smooth_row, out=g)
     return log_part
 
 
@@ -549,6 +576,14 @@ def layer_integrals(
 
     Every block measures its guards against the larger curve's mean radius:
     a self block its own curve's, the cross block the larger layer's.
+
+    Without a fold, at N^2 >= ``THREADED_CROSS_MIN_ENTRIES`` and with two
+    CPUs in this process's affinity, W_21 and its two products run on a
+    worker thread while this thread builds and applies W_11 and W_22; the
+    pool and its module are made on first use.  The velocities are bitwise
+    those of the serial order (cross part first, self part added), and so
+    are the refusals: a cross-block refusal is raised before a self-block
+    one, and the call returns or raises only once the worker is done.
     """
     (z1, z2), (dz1, dz2) = zs, dzs
     if fold is not None:
@@ -556,20 +591,54 @@ def layer_integrals(
     mu = params.mu
     alpha12, _ = gkj_coefficients(params, 1, 2)
     alpha21, kappa21 = gkj_coefficients(params, 2, 1)
-    # the cross block first, and each block applied as soon as it is built:
-    # the heap then holds one grid block at a time, and the self blocks
-    # reuse the space the larger cross build leaves, not the heap top
-    w21 = _kernel_matrix(alpha21, kappa21, mu, z2, z1, dz1, fold=fold)
-    w21_t = w21.T if fold is None else np.take(w21, _mirror_index(len(z1), fold), mode="clip")
-    u1 = (alpha12 / alpha21) * _apply_kernel_matrix(w21_t, dz2)
-    u2 = _apply_kernel_matrix(w21, dz1)
-    del w21, w21_t
-    w11 = _kernel_matrix(*gkj_coefficients(params, 1, 1), mu, z1, z1, dz1, fold=fold)
-    u1 += _apply_kernel_matrix(w11, dz1)
-    del w11
-    w22 = _kernel_matrix(*gkj_coefficients(params, 2, 2), mu, z2, z2, dz2, fold=fold)
-    u2 += _apply_kernel_matrix(w22, dz2)
+    self_pairs = (gkj_coefficients(params, 1, 1), gkj_coefficients(params, 2, 2))
+
+    def cross_parts():
+        w21 = _kernel_matrix(alpha21, kappa21, mu, z2, z1, dz1, fold=fold)
+        w21_t = w21.T if fold is None else np.take(w21, _mirror_index(len(z1), fold), mode="clip")
+        u1 = (alpha12 / alpha21) * _apply_kernel_matrix(w21_t, dz2)
+        return u1, _apply_kernel_matrix(w21, dz1)
+
+    def self_parts():
+        # each block applied as soon as it is built, so one is alive at a time
+        w11 = _kernel_matrix(*self_pairs[0], mu, z1, z1, dz1, fold=fold)
+        s1 = _apply_kernel_matrix(w11, dz1)
+        del w11
+        w22 = _kernel_matrix(*self_pairs[1], mu, z2, z2, dz2, fold=fold)
+        return s1, _apply_kernel_matrix(w22, dz2)
+
+    if fold is None and len(z1) ** 2 >= THREADED_CROSS_MIN_ENTRIES and _cpu_count() >= 2:
+        cross = _cross_worker(os.getpid()).submit(cross_parts)
+        try:
+            s1, s2 = self_parts()
+        finally:
+            # waits for the worker; its refusal, raised here, takes precedence
+            u1, u2 = cross.result()
+    else:
+        # the cross block first: the self blocks then reuse the space the
+        # larger cross build leaves on the heap, not the heap top
+        u1, u2 = cross_parts()
+        s1, s2 = self_parts()
+    u1 += s1
+    u2 += s2
     return u1, u2
+
+
+@functools.cache
+def _cross_worker(pid: int):
+    """The one-thread pool that builds full-grid cross blocks in process pid;
+    a forked child gets its own, since the parent's thread is not in it."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="qgpatch-cross")
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _check_fold(zs, fold: int) -> None:

@@ -580,6 +580,20 @@ class TestFreshProcess:
                            "--t-end", 0.01, "--dt", 0.005, "--check-rotation",
                            "--out", tmp_path / "ev"]) == (0, False, False)
 
+    def test_import_and_folded_vstate_start_no_thread(self, tmp_path):
+        # only full-grid builds at N >= 256 use the cross-block worker, whose
+        # pool and module are made on first use; the V-state residual is
+        # folded.  (scipy itself loads concurrent.futures during the run.)
+        probe = ("import json, sys, threading; from qgpatch import cli, quadrature; "
+                 "before = ['concurrent.futures' in sys.modules, threading.active_count()]; "
+                 "code = cli.main(json.loads(sys.argv[1])); "
+                 "after = [quadrature._cross_worker.cache_info().currsize, "
+                 "threading.active_count()]; "
+                 "print(json.dumps([code, before, after]))")
+        argv = ["vstate", "--nodes", 256, "--modes", 8, "--s-grid", 0.001, "--out", tmp_path]
+        stdout = _fresh_python(probe, json.dumps([str(a) for a in argv]))
+        assert json.loads(stdout.splitlines()[-1]) == [0, [False, 1], [0, 1]]
+
     @pytest.mark.parametrize("argv", [
         ["evolve", "--nodes", 8],
         ["collide", "--lambda", "1e10", "--m", 3, "--nmax", 4, "--grid", 16],

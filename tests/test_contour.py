@@ -321,6 +321,8 @@ class TestBranchContinue:
         )
         assert len(res.solutions) == 7
         assert res.failure.startswith("s=0.0562341: curve separation 9.826e-02")
+        # the separation is that of the predicted start, not of a solution
+        assert res.failure.endswith("(at the Newton start)")
 
 
 class TestSecantPredictor:

@@ -1,4 +1,5 @@
 import json
+import threading
 import tracemalloc
 from math import fsum, gcd
 from pathlib import Path
@@ -276,6 +277,30 @@ class TestSeparatedPath:
         assert len(calls) == 2 and max(np.max(z) for z in calls) > 3.0
 
 
+def record_per_block(monkeypatch, zs, name, measure) -> dict:
+    """{(k, j): measure(*args)} of the last call to Q.<name> inside each block
+    W_kj that ``_kernel_matrix`` builds while the spies are set, whichever
+    thread builds it; blocks are told apart by the identity of their nodes."""
+    current = threading.local()
+    seen = {}
+    kernel_matrix, inner = Q._kernel_matrix, getattr(Q, name)
+
+    def layer(z):
+        return next(k for k, z_k in enumerate(zs, 1) if z is z_k)
+
+    def kernel_spy(alpha, kappa, mu, z_tgt, z_src, *args, **kwargs):
+        current.block = (layer(z_tgt), layer(z_src))
+        return kernel_matrix(alpha, kappa, mu, z_tgt, z_src, *args, **kwargs)
+
+    def inner_spy(*args):
+        seen[current.block] = measure(*args)
+        return inner(*args)
+
+    monkeypatch.setattr(Q, "_kernel_matrix", kernel_spy)
+    monkeypatch.setattr(Q, name, inner_spy)
+    return seen
+
+
 class TestLayerIntegrals:
     """Three shared builds against four independent kernel_integral_grid calls."""
 
@@ -491,19 +516,13 @@ class TestFoldedSelfBlocks:
     def test_each_folded_self_block_evaluates_its_half_band(self, monkeypatch, m, n, twins):
         params = TestMirroredCrossRows.TWINS if twins else TestMirroredCrossRows.PARAMS
         zs, dzs = self.curves(params, m, n, twins)
+        zs = tuple(zs)  # fixed row objects, told apart by identity
         g = gcd(m, n)
-        sizes = []
-        fold = Q._fold
-
-        def spy(log_part, *args):
-            sizes.append(log_part.size)
-            return fold(log_part, *args)
-
-        monkeypatch.setattr(Q, "_fold", spy)
+        sizes = record_per_block(monkeypatch, zs, "_fold", lambda log_part, *_: log_part.size)
         Q.layer_integrals(params, zs, dzs, g)
         half_band = (n // (2 * g) + 1) * (n // 2 + 1)
         cross = half_band if twins else Q.fold_rows(n, g) * n
-        assert sizes == [cross, half_band, half_band]  # W_21, W_11, W_22
+        assert sizes == {(2, 1): cross, (1, 1): half_band, (2, 2): half_band}
 
     @pytest.mark.parametrize("m,n", CASES)
     def test_fold_contract_holds_for_deformations(self, m, n):
@@ -567,20 +586,95 @@ class TestSymmetricBuilds:
         zs = (z1, z2)
         dzs = tuple(Q.spectral_derivative(z) for z in zs)
         params = LayerParams(2.0, 1.0, 1.0, 1.0)
-        half_bands = []
-        gather = Q._gather_index
-
-        def spy(n, n_rows, half_band, fold):
-            half_bands.append(half_band)
-            return gather(n, n_rows, half_band, fold)
-
-        monkeypatch.setattr(Q, "_gather_index", spy)
+        half_bands = record_per_block(monkeypatch, zs, "_gather_index", lambda *args: args[2])
         u1, u2 = Q.layer_integrals(params, zs, dzs)
-        monkeypatch.setattr(Q, "_gather_index", gather)
-        assert half_bands == [symmetric, True, True]  # W_21, W_11, W_22
+        monkeypatch.undo()
+        assert half_bands == {(2, 1): symmetric, (1, 1): True, (2, 2): True}
         w1, w2 = O.layer_node_velocities_pm(params, z1, z2)
         assert np.max(np.abs(-u1 - w1)) <= 1e-12
         assert np.max(np.abs(-u2 - w2)) <= 1e-12
+
+
+class TestCrossWorker:
+    """Full-grid builds at N >= 256 on two CPUs run W_21 on a worker thread:
+    the same bits and the same refusals as the serial order."""
+
+    PARAMS = LayerParams(2.0, 1.0, 1.0, 1.0)
+
+    @staticmethod
+    def pair(kind, n):
+        t = 2 * np.pi * np.arange(n) / n
+        rng = np.random.default_rng(n)
+        k = np.arange(1, 7)[:, None]
+        a, phase = 0.01 * rng.standard_normal((2, 6, 1)) / k**2, rng.uniform(0, 6, (2, 6, 1))
+        z1, z2 = (b * (1.0 + np.sum(c * np.cos(k * t + p), axis=0)) * np.exp(1j * t)
+                  for b, c, p in zip((1.0, 0.7), a, phase))
+        if kind == "twins":
+            z2 = z1.copy()
+        elif kind == "near":  # a finite-difference probe of twin layers
+            z2 = z1 * (1.0 + 1e-6 * np.cos(2 * t))
+        return z1, z2
+
+    def integrals(self, monkeypatch, zs, cpus, params=PARAMS):
+        """layer_integrals as on ``cpus`` CPUs, and the threads that built W_21."""
+        monkeypatch.setattr(Q, "_cpu_count", lambda: cpus)
+        builders = []
+        kernel_matrix = Q._kernel_matrix
+
+        def spy(alpha, kappa, mu, z_tgt, z_src, *args, **kwargs):
+            if z_tgt is not z_src:
+                builders.append(threading.current_thread())
+            return kernel_matrix(alpha, kappa, mu, z_tgt, z_src, *args, **kwargs)
+
+        monkeypatch.setattr(Q, "_kernel_matrix", spy)
+        dzs = [Q.spectral_derivative(z) for z in zs]
+        try:
+            return Q.layer_integrals(params, zs, dzs), builders
+        finally:
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("kind", ["random", "twins", "near"])
+    def test_worker_bitwise_equal_to_serial(self, monkeypatch, kind, n):
+        zs = self.pair(kind, n)
+        threaded, builders = self.integrals(monkeypatch, zs, 2)
+        assert len(builders) == 1 and builders[0] is not threading.main_thread()
+        serial, builders = self.integrals(monkeypatch, zs, 1)
+        assert builders == [threading.main_thread()]
+        for got, want in zip(threaded, serial):
+            assert np.array_equal(got, want)
+
+    def test_below_size_rule_stays_serial(self, monkeypatch):
+        zs = self.pair("random", 128)
+        _, builders = self.integrals(monkeypatch, zs, 2)
+        assert builders == [threading.main_thread()]
+
+    def test_cross_refusal_wins_over_self_refusal(self, monkeypatch):
+        # mu * chord = 14.1 refuses both self splits; the cross block touches
+        # first in the serial order, so its refusal is the one raised
+        params = LayerParams(1.0, 5.0, 1.0, 0.95)
+        zs = (circle(1.0), circle(0.95))
+        refusals = []
+        for cpus in (2, 1):
+            with pytest.raises(Q.NumericFailure) as caught:
+                self.integrals(monkeypatch, zs, cpus, params)
+            refusals.append((type(caught.value), str(caught.value)))
+        assert refusals[0] == refusals[1]
+        assert refusals[0][0] is Q.TouchingBoundaryError
+
+    def test_next_call_after_self_refusal(self, monkeypatch):
+        # a NaN in z_2' refuses W_22 on the main thread, while the worker's
+        # W_21 (which reads z_1') succeeds; the worker is then free again
+        zs = self.pair("random", 256)
+        dzs = [Q.spectral_derivative(z) for z in zs]
+        dzs[1][3] = np.nan
+        monkeypatch.setattr(Q, "_cpu_count", lambda: 2)
+        with pytest.raises(Q.QuadratureFailure, match="non-finite"):
+            Q.layer_integrals(self.PARAMS, zs, dzs)
+        threaded, _ = self.integrals(monkeypatch, zs, 2)
+        serial, _ = self.integrals(monkeypatch, zs, 1)
+        for got, want in zip(threaded, serial):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -733,9 +827,11 @@ class TestAllocations:
         assert peak <= 5 * self.UNIT
 
     def test_full_layer_integrals_peak(self):
-        # three N x N builds, two kept while the third holds its chords and
-        # both Horner rows: measured 6.003 UNIT at N = 256; one more square
-        # temporary crosses the bound
+        # the cross build peaks at 3.0 UNIT (chords, log, one Horner row) and
+        # a self build at 3.05 (grid block, three half bands, and the copy
+        # np.take makes of the read-only gather index).  Serially that reads
+        # 3.08 UNIT; on two CPUs the two can peak together, 6.07 at most
+        # (300 calls at N = 256); one more square temporary crosses the bound
         z1 = (1.0 + 0.03 * np.cos(2 * THETA)) * np.exp(1j * THETA)
         z2 = (0.7 - 0.02 * np.cos(2 * THETA)) * np.exp(1j * THETA)
         dzs = [Q.spectral_derivative(z) for z in (z1, z2)]
