@@ -54,22 +54,21 @@ Three regimes are handled:
   instead.  The guards compare squared distances, so the folded paths take
   no square root of the chord matrix.
 
-  The split is evaluated on a cyclic layout, where the weights and
-  log(4 sin^2) depend on the column d only and are kept as two rows over
-  d, mirror-symmetric bit for bit; one cached gather (``_gather_index``)
-  takes each layout to the grid.  There are two:
-
-  - target rows: entry [i, d] pairs target i with source (i + d) mod N
-    for every d.  Explicit row builds and near-coincident pairs use it.
-  - the centred half band: a block whose targets equal its sources
-    (W_11, W_22, and W_21 of twin layers) is symmetric and evaluates the
-    offsets d <= N/2 only.  Entry [k, d] pairs node k - floor(d/2) with
-    node k + ceil(d/2).  On the full grid k runs over 0 .. N-1, and the
-    gather fills W[i, j] and W[j, i] from one entry, so W == W.T exactly.
-    Given a fold g, k runs over 0 .. N/(2g), so the centre runs over
-    0 .. pi/g and every node-pair orbit under rotation by 2 pi/g,
-    t -> -t and transposition appears in it.  At N = 256, g = 2 that is
-    8,385 entries instead of the 16,640 of the 65 rows it fills.
+  The kress weights and log(4 sin^2) depend on the offset d = (j - i) mod N
+  only and are kept as two rows over d, mirror-symmetric bit for bit.  A
+  block whose targets equal its sources (W_11, W_22, and W_21 of twin
+  layers) is symmetric and evaluates the offsets d <= N/2 only, on the
+  centred half band, where the rows broadcast along the columns: entry
+  [k, d] pairs node k - floor(d/2) with node k + ceil(d/2).  One cached
+  gather (``_gather_index``) takes it to the grid.  On the full grid k
+  runs over 0 .. N-1, and the gather fills W[i, j] and W[j, i] from one
+  entry, so W == W.T exactly.  Given a fold g, k runs over 0 .. N/(2g), so
+  the centre runs over 0 .. pi/g and every node-pair orbit under rotation
+  by 2 pi/g, t -> -t and transposition appears in it.  At N = 256, g = 2
+  that is 8,385 entries instead of the 16,640 of the 65 rows it fills.
+  Every other block (explicit row builds, near-coincident pairs and
+  separated blocks) is built in place in its grid layout, the split's rows
+  entering as one circulant view c[i, j] = row[(j - i) mod N].
 * nearly coincident curves (parameterwise distance << node spacing): same
   split.  The ratio rho^2/(4 sin^2) is no longer smooth across the
   diagonal, but the defect is a spike of width ~|z_t(t)-z_s(t)| around the
@@ -86,16 +85,17 @@ raises ``TouchingBoundaryError``.  A non-finite node or derivative raises
 applied to a complex density (the nodes' z') as one (rows x N) @ (N x 2)
 product on the density's float view, so both parts share one pass over W.
 
-A full-grid ``layer_integrals`` with N >= 256 (``THREADED_CROSS_MIN_ENTRIES``
-cross-block entries) in a process allowed on two or more CPUs builds and
-applies W_21 on one long-lived worker thread while the calling thread builds
-and applies W_11 and W_22.  With the self blocks on the centred half band the
-split is even: 2 N (N/2 + 1) self entries against N^2 cross entries.  numpy
-releases the GIL inside the ufunc and BLAS calls that do the work, each block
-is built exactly as in the serial order, and each self part is added to its
-cross part as that order adds them, so every result is bitwise the serial
-one.  Smaller and folded builds stay serial, where the GIL hand-offs cost
-more than the second core saves (timings at the constant).
+A ``layer_integrals`` whose cross block has at least
+``THREADED_CROSS_MIN_ENTRIES`` entries (``fold_rows(N, fold) * N``: the full
+grid from N = 256, a fold of 2 from N = 512) in a process allowed on two or
+more CPUs builds and applies W_21 on one long-lived worker thread while the
+calling thread builds and applies W_11 and W_22.  With the self blocks on the
+centred half band the split is even: 2 (N/2 + 1) self entries against N cross
+entries per target row.  numpy releases the GIL inside the ufunc and BLAS
+calls that do the work, each block is built exactly as in the serial order,
+and each self part is added to its cross part as that order adds them, so
+every result is bitwise the serial one.  Smaller builds stay serial, where the
+GIL hand-offs cost more than the second core saves (timings at the constant).
 
 Conditioning note: the split evaluates I_0(mu rho) on the full chord
 matrix, so entries with large mu*rho cancel against the smooth part.  The
@@ -133,14 +133,13 @@ SPLIT_MAX_MU_CHORD = 12.0
 # largest mu * chord of a separated block the folded series serves; beyond
 # it the series cancels and the block takes k0_array
 K0_SERIES_CUT = 3.0
-# a full-grid layer_integrals whose cross block has at least this many
-# entries builds it on a worker thread, given 2 CPUs.  Serial over threaded
-# time of one layer_integrals, median of 15 interleaved rounds (two runs:
-# 2-vCPU Xeon, numpy 2.4.6, one BLAS thread), by N and fold:
-#   N = 128: 0.72, 0.72 (no fold)   0.41, 0.44 (fold 2)
-#   N = 256: 1.19, 1.20             0.75, 0.66
-#   N = 512: 1.36, 1.48             1.29, 1.38
-# Folded builds stay serial: the V-state residual runs at N = 256, fold 2
+# a layer_integrals whose cross block has at least this many entries,
+# fold_rows(N, fold) * N, builds it on a worker thread, given 2 CPUs.  Serial
+# over threaded time of one layer_integrals, median of 15 interleaved rounds
+# (two runs: 2-vCPU Xeon, numpy 2.4.6, one BLAS thread), by N and fold:
+#   N = 128: 0.72, 0.72 (16,384 entries)   0.41, 0.44 (fold 2:  4,224)
+#   N = 256: 1.19, 1.20 (65,536)           0.75, 0.66 (fold 2: 16,640)
+#   N = 512: 1.36, 1.48 (262,144)          1.29, 1.38 (fold 2: 66,048)
 THREADED_CROSS_MIN_ENTRIES = 256 * 256
 # the interpolant sums modes k = lo + RULER_BLOCK * hi in two levels
 RULER_BLOCK = 16
@@ -270,23 +269,21 @@ def _grid_tables(n: int) -> tuple[FloatArray, FloatArray]:
 
 
 @functools.cache
-def _gather_index(n: int, n_rows: int, half_band: bool, fold: int | None) -> np.ndarray:
-    """Flat indices that take a split block to the n_rows x n grid layout.
+def _gather_index(n: int, fold: int | None) -> np.ndarray:
+    """Flat indices that take a symmetric block's centred half band to its
+    ``fold_rows(n, fold)`` x n grid layout.
 
-    Two layouts.  Target rows (n_rows x n): entry [i, d] pairs target i
-    with source (i + d) mod n and moves to [i, (i + d) mod n].  The centred
-    half band (``fold_rows(n, fold)`` x (n/2 + 1)): entry [k, d] pairs node
-    k - floor(d/2) with node k + ceil(d/2), centred on k + (d mod 2)/2.
-    Each [i, j] is oriented along its offset d <= n/2 and its centre is
-    reduced modulo the period P (n, or n/g given a fold g); given a fold
-    it is also reflected by t -> -t into [0, P/2].  The entry taken pairs
-    (i, j) or (j, i), moved by the fold's symmetry if there is one.
+    Entry [k, d] of the half band (``fold_rows(n, fold)`` x (n/2 + 1))
+    pairs node k - floor(d/2) with node k + ceil(d/2), centred on
+    k + (d mod 2)/2.  Each grid entry [i, j] is oriented along its offset
+    d <= n/2 and its centre is reduced modulo the period P (n, or n/g given
+    a fold g); given a fold it is also reflected by t -> -t into [0, P/2].
+    The entry taken pairs (i, j) or (j, i), moved by the fold's symmetry if
+    there is one.
     """
-    i = np.arange(n_rows)[:, None]
+    i = np.arange(fold_rows(n, fold))[:, None]
     j = np.arange(n)[None, :]
     d = (j - i) % n
-    if not half_band:
-        return _checked_index(i * n + d, n_rows * n)
     cols = n // 2 + 1
     flip = d > n // 2
     d = np.where(flip, n - d, d)
@@ -357,11 +354,12 @@ def _squared_chords(x_tgt, y_tgt, x_src, y_src) -> tuple[FloatArray, FloatArray]
     return rho2, scratch
 
 
-def _cyclic_view(values: FloatArray, n_rows: int, n_cols: int) -> FloatArray:
-    """Read-only view v[i, d] = values[(i + d) mod n] over a doubled copy."""
-    doubled = np.concatenate((values, values))
+def _circulant_view(row: FloatArray, n_rows: int) -> FloatArray:
+    """Read-only view c[i, j] = row[(j - i) mod n], n_rows <= n, over a doubled copy."""
+    n = row.shape[0]
+    doubled = np.concatenate((row, row))
     step = doubled.itemsize
-    view = np.ndarray((n_rows, n_cols), doubled.dtype, doubled, strides=(step, step))
+    view = np.ndarray((n_rows, n), doubled.dtype, doubled, n * step, (-step, step))
     view.setflags(write=False)
     return view
 
@@ -408,14 +406,16 @@ def _kernel_matrix(
     block sees the same guard whichever way round it is built.  The split
     takes z_src' on the diagonal from ``dz_src`` (None: spectral).
 
-    The split is evaluated on a cyclic layout of ``_gather_index``, where
-    the offset rows of ``_grid_tables`` broadcast and the diagonal is
-    column 0.  A block with z_tgt equal to z_src and no ``n_rows`` is
-    symmetric, so it evaluates only the centred half band, with a fold one
-    pair of each orbit of the fold's symmetry.  Explicit row builds and
-    near-coincident pairs evaluate every offset of their target rows.
-    Every block is built in a fixed handful of arrays, in place.
-    Non-finite nodes or derivatives raise ``QuadratureFailure``.
+    A block with z_tgt equal to z_src and no ``n_rows`` is symmetric: it
+    evaluates only the centred half band, with a fold one pair of each
+    orbit of the fold's symmetry, and ``_gather_index`` takes it to the
+    grid.  Every other block is built in its grid layout, where the split's
+    log-ratio row enters as a circulant view.  Both regimes then run one
+    sequence in a fixed handful of arrays, in place: chords, guards,
+    q = mu^2 rho^2 / 4, the split's diagonal (and its off-diagonal touch
+    guard) and log-ratio row, log, ``_fold``.  A separated block with
+    mu * rho_max > 3 returns early through ``k0_array``.  Non-finite nodes
+    or derivatives raise ``QuadratureFailure``.
     """
     # a self block (one array for both) checks and measures its nodes once
     same = z_tgt is z_src
@@ -431,13 +431,28 @@ def _kernel_matrix(
     rows = fold_rows(n, fold) if n_rows is None else n_rows
     h = TWO_PI / n
     scale = max(float(np.mean(np.abs(z))) for z in nodes)
-
     dmax = 0.0 if same else float(np.max(np.abs(z_tgt - z_src)))
-    if dmax > NEAR_COINCIDENT_TOL * scale:
-        rho2, kern = _squared_chords(
-            z_tgt.real[:rows, None], z_tgt.imag[:rows, None], z_src.real, z_src.imag
+    separated = dmax > NEAR_COINCIDENT_TOL * scale
+    symmetric = n_rows is None and dmax == 0.0
+
+    if symmetric:
+        # The grid block is allocated before the work arrays, so freeing them
+        # leaves no heap top above glibc's trim threshold: the centred half
+        # band's would be given back and faulted in again on every build
+        # (about 3,000 page faults per vstate op, a tenth of its time)
+        expanded = np.empty((rows, n))
+        cols = n // 2 + 1
+        (x_tgt, x_src), (y_tgt, y_src) = (
+            _centred_views(v, rows, cols) for v in (z_src.real, z_src.imag)
         )
-        rho2_min = float(np.min(rho2))
+    else:
+        x_tgt, y_tgt = z_tgt.real[:rows, None], z_tgt.imag[:rows, None]
+        x_src, y_src = z_src.real, z_src.imag
+    kern, q = _squared_chords(x_tgt, y_tgt, x_src, y_src)
+    rho2_max = float(np.max(kern))
+    qmax = 0.25 * mu * mu * rho2_max
+    if separated:
+        rho2_min = float(np.min(kern))
         if rho2_min < (SEPARATED_TOL * scale) ** 2:
             rho_min = float(np.sqrt(rho2_min))
             if rho_min < 1e-8 * scale:
@@ -448,60 +463,42 @@ def _kernel_matrix(
                 f"curve separation {rho_min:.3e} below {SEPARATED_TOL} * scale; "
                 "uniform-grid quadrature would lose accuracy"
             )
-        np.log(rho2, out=kern)
-        qmax = 0.25 * mu * mu * float(np.max(rho2))
-        if kappa != 0.0 and qmax <= 0.25 * K0_SERIES_CUT**2:
-            rho2 *= 0.25 * mu * mu
-            return _fold(kern, rho2, qmax, alpha, kappa, mu, h)
-        kern *= 0.5 * h * alpha
-        if kappa != 0.0:
+        if qmax > 0.25 * K0_SERIES_CUT**2:
             # mu * rho_max > 3, where the folded series cancels
-            np.sqrt(rho2, out=rho2)
-            rho2 *= mu
-            k0 = k0_array(rho2)
+            np.log(kern, out=q)
+            q *= 0.5 * h * alpha
+            np.sqrt(kern, out=kern)
+            kern *= mu
+            k0 = k0_array(kern)
             k0 *= h * kappa
-            kern += k0
-        return kern
-
-    # self / near-coincident: Kussmaul-Martensen split on a cyclic layout.
-    # The grid block is allocated before the work arrays, so freeing them
-    # leaves no heap top above glibc's trim threshold: the centred half
-    # band's would be given back and faulted in again on every build
-    # (about 3,000 page faults per vstate op, a tenth of its time)
-    expanded = np.empty((rows, n))
-    half_band = n_rows is None and dmax == 0.0
-    fold = fold if half_band else None
-    cols = n // 2 + 1 if half_band else n
-    w_row, log_s2_row = _grid_tables(n)
-    if dz_src is None:
-        dz_src = spectral_derivative(z_src)
-    if half_band:  # z_tgt holds the nodes of z_src
-        (x_tgt, x_src), (y_tgt, y_src) = (
-            _centred_views(v, rows, cols) for v in (z_src.real, z_src.imag)
-        )
-    else:
-        x_tgt, y_tgt = z_tgt.real[:rows, None], z_tgt.imag[:rows, None]
-        x_src, y_src = (_cyclic_view(v, rows, cols) for v in (z_src.real, z_src.imag))
-    kern, q = _squared_chords(x_tgt, y_tgt, x_src, y_src)
-    mu2_rho2_max = mu * mu * float(np.max(kern))
-    if mu2_rho2_max > SPLIT_MAX_MU_CHORD**2:
+            q += k0
+            return q
+    elif mu * mu * rho2_max > SPLIT_MAX_MU_CHORD**2:
         raise QuadratureFailure(
             f"mu * chord too large for the split evaluation (> {SPLIT_MAX_MU_CHORD})"
         )
-    if float(np.min(kern[:, 1:])) == 0.0:
-        raise QuadratureFailure("boundaries touch: singular integrand off the diagonal")
     np.multiply(kern, 0.25 * mu * mu, out=q)
-    # column 0 pairs node i with itself: its log ratio is log|z_src'(t_i)|^2
-    kern[:, 0] = np.abs(dz_src[:rows]) ** 2
+    if not separated:
+        # self / near-coincident: Kussmaul-Martensen split.  The diagonal
+        # pairs node i with itself: the touch guard skips it, and its log
+        # ratio is log|z_src'(t_i)|^2
+        diagonal = kern[:, 0] if symmetric else kern.reshape(-1)[:: n + 1]
+        diagonal[...] = np.inf
+        if float(np.min(kern)) == 0.0:
+            raise QuadratureFailure("boundaries touch: singular integrand off the diagonal")
+        if dz_src is None:
+            dz_src = spectral_derivative(z_src)
+        diagonal[...] = np.abs(dz_src[:rows]) ** 2
     np.log(kern, out=kern)
-    # log(rho^2) + 2 kress_row / h - log(4 sin^2): the weighted log ratio
-    kern += (2.0 / h) * w_row[:cols] - log_s2_row[:cols]
-    return np.take(
-        _fold(kern, q, 0.25 * mu2_rho2_max, alpha, kappa, mu, h),
-        _gather_index(n, rows, half_band, fold),
-        out=expanded,
-        mode="clip",
-    )
+    if not separated:
+        # log(rho^2) + 2 kress_row / h - log(4 sin^2): the weighted log ratio
+        w_row, log_s2_row = _grid_tables(n)
+        ratio = (2.0 / h) * w_row - log_s2_row
+        kern += ratio[:cols] if symmetric else _circulant_view(ratio, rows)
+    kern = _fold(kern, q, qmax, alpha, kappa, mu, h)
+    if symmetric:
+        return np.take(kern, _gather_index(n, fold), out=expanded, mode="clip")
+    return kern
 
 
 def _fold(log_part, q, qmax, alpha, kappa, mu, h) -> FloatArray:
@@ -565,7 +562,7 @@ def layer_integrals(
     Three builds and one reuse serve the four pairs: the cross kernels have
     alpha == kappa and depend on |x| only, so W_12 = (alpha_12 / alpha_21)
     W_21^T.  The self blocks (and W_21 of twin layers) evaluate the centred
-    half band of ``_gather_index``, a near-coincident W_21 its target rows.
+    half band of ``_gather_index``, any other W_21 its grid rows in place.
     Without a fold every target is built and W_12 is the transpose of
     W_21.  Given a fold g the curves must be even and invariant under
     rotation by 2 pi/g (checked to 1e-12 of max|z|, else ``ValueError``),
@@ -577,10 +574,10 @@ def layer_integrals(
     Every block measures its guards against the larger curve's mean radius:
     a self block its own curve's, the cross block the larger layer's.
 
-    Without a fold, at N^2 >= ``THREADED_CROSS_MIN_ENTRIES`` and with two
-    CPUs in this process's affinity, W_21 and its two products run on a
-    worker thread while this thread builds and applies W_11 and W_22; the
-    pool and its module are made on first use.  The velocities are bitwise
+    With ``fold_rows(N, fold) * N >= THREADED_CROSS_MIN_ENTRIES`` cross
+    entries and two CPUs in this process's affinity, W_21 and its two
+    products run on a worker thread while this thread builds and applies
+    W_11 and W_22; the pool and its module are made on first use.  The velocities are bitwise
     those of the serial order (cross part first, self part added), and so
     are the refusals: a cross-block refusal is raised before a self-block
     one, and the call returns or raises only once the worker is done.
@@ -607,7 +604,7 @@ def layer_integrals(
         w22 = _kernel_matrix(*self_pairs[1], mu, z2, z2, dz2, fold=fold)
         return s1, _apply_kernel_matrix(w22, dz2)
 
-    if fold is None and len(z1) ** 2 >= THREADED_CROSS_MIN_ENTRIES and _cpu_count() >= 2:
+    if fold_rows(len(z1), fold) * len(z1) >= THREADED_CROSS_MIN_ENTRIES and _cpu_count() >= 2:
         cross = _cross_worker(os.getpid()).submit(cross_parts)
         try:
             s1, s2 = self_parts()
@@ -626,7 +623,7 @@ def layer_integrals(
 
 @functools.cache
 def _cross_worker(pid: int):
-    """The one-thread pool that builds full-grid cross blocks in process pid;
+    """The one-thread pool that builds the large cross blocks in process pid;
     a forked child gets its own, since the parent's thread is not in it."""
     from concurrent.futures import ThreadPoolExecutor
 

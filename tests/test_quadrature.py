@@ -99,11 +99,7 @@ class TestPeriodicGrid:
         "build",
         [
             lambda: Q._grid_tables(64),
-            lambda: (
-                Q._gather_index(64, 64, True, None),
-                Q._gather_index(64, 9, False, None),
-                Q._gather_index(64, 9, True, 4),
-            ),
+            lambda: (Q._gather_index(64, None), Q._gather_index(64, 4)),
             lambda: Q._centred_nodes(64, 9, 33),
             lambda: (Q._mirror_index(64, 4),),
             lambda: Q.mode_tables(2, 8, 64),
@@ -266,6 +262,19 @@ class TestSeparatedPath:
                 assert float(np.max(np.abs(unfolded - want))) <= bound
         assert not calls  # every block has mu * rho_max <= 3: folded
 
+    @pytest.mark.parametrize("mu,k0_calls", [(1.0, 0), (2.0, 1)])
+    def test_pure_log_kernel_is_half_h_alpha_log(self, monkeypatch, mu, k0_calls):
+        # kappa = 0 takes the regime's one sequence: below K0_SERIES_CUT the
+        # folded table is [h alpha / 2, +-0, ...], above it k0_array's part
+        # is scaled by 0; either way the block is 0.5 h alpha log(rho^2)
+        calls = self.spy_k0(monkeypatch)
+        z_tgt, z_src = circle(1.3) * np.exp(0.3j), circle(0.7)  # mu * rho_max = 2 mu
+        rho2 = (z_tgt.real[:, None] - z_src.real) ** 2 + (z_tgt.imag[:, None] - z_src.imag) ** 2
+        alpha, h = -0.37, 2 * np.pi / N
+        got = Q._kernel_matrix(alpha, 0.0, mu, z_tgt, z_src, None)
+        assert np.array_equal(got, 0.5 * h * alpha * np.log(rho2))
+        assert len(calls) == k0_calls
+
     def test_strong_screening_keeps_k0_path(self, monkeypatch):
         # lam = 3: mu * rho_max = 7.2 > 3, where the folded series cancels
         calls = self.spy_k0(monkeypatch)
@@ -363,13 +372,17 @@ class TestRowBuilds:
         z2 = (0.85 + 0.051 * np.cos(t - peak) ** 20) * np.exp(1j * t)
         return (z1, z2), tuple(Q.spectral_derivative(z) for z in (z1, z2))
 
-    @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (1, 2)])
+    # (k, j, near): the last pair's layer 2 is layer 1 times
+    # (1 + 1e-6 cos 3t), a near-coincident cross block
+    @pytest.mark.parametrize("pair", [(1, 1, False), (2, 1, False), (1, 2, False), (2, 1, True)])
     def test_rows_are_leading_rows_of_full_build(self, pair):
-        k, j = pair
-        zs = (
-            (1.0 + 0.03 * np.cos(2 * THETA)) * np.exp(1j * THETA),
-            (0.7 - 0.02 * np.cos(2 * THETA)) * np.exp(1j * THETA),
-        )
+        k, j, near = pair
+        z1 = (1.0 + 0.03 * np.cos(2 * THETA)) * np.exp(1j * THETA)
+        if near:
+            z2 = z1 * (1.0 + 1e-6 * np.cos(3 * THETA))
+        else:
+            z2 = (0.7 - 0.02 * np.cos(2 * THETA)) * np.exp(1j * THETA)
+        zs = (z1, z2)
         dzs = tuple(Q.spectral_derivative(z) for z in zs)
         args = (*gkj_coefficients(self.PARAMS, k, j), self.PARAMS.mu)
         args += (zs[k - 1], zs[j - 1], dzs[j - 1])
@@ -499,7 +512,7 @@ class TestFoldedSelfBlocks:
         # transposed.  On the full grid (m None) it must be (i, j) or (j, i)
         g = None if m is None else gcd(m, n)
         rows, cols = Q.fold_rows(n, g), n // 2 + 1
-        k, d = np.divmod(Q._gather_index(n, rows, True, g), cols)
+        k, d = np.divmod(Q._gather_index(n, g), cols)
         assert k.max() < rows and d.max() < cols
         tgt = (k - d // 2) % n
         src = (tgt + d) % n
@@ -578,35 +591,39 @@ class TestSymmetricBuilds:
 
     @pytest.mark.parametrize("offset,symmetric", [(0.0, True), (1e-6, False)])
     def test_half_band_only_for_equal_nodes(self, monkeypatch, offset, symmetric):
-        # twin layers (offset 0, distinct arrays) build W_21 on the half band;
-        # a finite-difference probe moves layer 2 by ~1e-6 off layer 1, so its
-        # cross block is near-coincident, not symmetric, and takes every offset
+        # twin layers (offset 0, distinct arrays) build W_21 on the half band
+        # and gather it; a finite-difference probe moves layer 2 by ~1e-6 off
+        # layer 1, so its cross block is near-coincident, not symmetric, and
+        # is built in place on the grid, with no gather
         (z1, _), _ = self.curves()
         z2 = z1 * (1.0 + offset * np.cos(2 * THETA))
         zs = (z1, z2)
         dzs = tuple(Q.spectral_derivative(z) for z in zs)
         params = LayerParams(2.0, 1.0, 1.0, 1.0)
-        half_bands = record_per_block(monkeypatch, zs, "_gather_index", lambda *args: args[2])
+        gathered = record_per_block(monkeypatch, zs, "_gather_index", lambda *args: True)
         u1, u2 = Q.layer_integrals(params, zs, dzs)
         monkeypatch.undo()
-        assert half_bands == {(2, 1): symmetric, (1, 1): True, (2, 2): True}
+        assert gathered == {(1, 1): True, (2, 2): True} | ({(2, 1): True} if symmetric else {})
         w1, w2 = O.layer_node_velocities_pm(params, z1, z2)
         assert np.max(np.abs(-u1 - w1)) <= 1e-12
         assert np.max(np.abs(-u2 - w2)) <= 1e-12
 
 
 class TestCrossWorker:
-    """Full-grid builds at N >= 256 on two CPUs run W_21 on a worker thread:
-    the same bits and the same refusals as the serial order."""
+    """Builds with at least 256 * 256 cross entries on two CPUs run W_21 on a
+    worker thread: the same bits and the same refusals as the serial order."""
 
     PARAMS = LayerParams(2.0, 1.0, 1.0, 1.0)
 
     @staticmethod
-    def pair(kind, n):
+    def pair(kind, n, fold=None):
+        """A random pair; given a fold, even and fold-symmetric like a V-state's."""
         t = 2 * np.pi * np.arange(n) / n
         rng = np.random.default_rng(n)
         k = np.arange(1, 7)[:, None]
         a, phase = 0.01 * rng.standard_normal((2, 6, 1)) / k**2, rng.uniform(0, 6, (2, 6, 1))
+        if fold is not None:
+            k, phase = fold * k, 0.0 * phase
         z1, z2 = (b * (1.0 + np.sum(c * np.cos(k * t + p), axis=0)) * np.exp(1j * t)
                   for b, c, p in zip((1.0, 0.7), a, phase))
         if kind == "twins":
@@ -615,7 +632,7 @@ class TestCrossWorker:
             z2 = z1 * (1.0 + 1e-6 * np.cos(2 * t))
         return z1, z2
 
-    def integrals(self, monkeypatch, zs, cpus, params=PARAMS):
+    def integrals(self, monkeypatch, zs, cpus, params=PARAMS, fold=None):
         """layer_integrals as on ``cpus`` CPUs, and the threads that built W_21."""
         monkeypatch.setattr(Q, "_cpu_count", lambda: cpus)
         builders = []
@@ -629,7 +646,7 @@ class TestCrossWorker:
         monkeypatch.setattr(Q, "_kernel_matrix", spy)
         dzs = [Q.spectral_derivative(z) for z in zs]
         try:
-            return Q.layer_integrals(params, zs, dzs), builders
+            return Q.layer_integrals(params, zs, dzs, fold), builders
         finally:
             monkeypatch.undo()
 
@@ -644,10 +661,25 @@ class TestCrossWorker:
         for got, want in zip(threaded, serial):
             assert np.array_equal(got, want)
 
-    def test_below_size_rule_stays_serial(self, monkeypatch):
-        zs = self.pair("random", 128)
-        _, builders = self.integrals(monkeypatch, zs, 2)
+    @pytest.mark.parametrize("kind", ["random", "twins", "near"])
+    def test_folded_worker_bitwise_equal_to_serial(self, monkeypatch, kind):
+        # the V-state residual at N = 512, fold 2: 129 x 512 = 66,048 cross
+        # entries, above the rule
+        zs = self.pair(kind, 512, fold=2)
+        threaded, builders = self.integrals(monkeypatch, zs, 2, fold=2)
+        assert len(builders) == 1 and builders[0] is not threading.main_thread()
+        serial, builders = self.integrals(monkeypatch, zs, 1, fold=2)
         assert builders == [threading.main_thread()]
+        for got, want in zip(threaded, serial):
+            assert got.shape == (129,) and np.array_equal(got, want)
+
+    def test_below_size_rule_stays_serial(self, monkeypatch):
+        # the full grid at N = 128 (16,384 cross entries) and the V-state
+        # residual at N = 256, fold 2 (65 x 256 = 16,640)
+        for n, fold in ((128, None), (256, 2)):
+            zs = self.pair("random", n, fold)
+            _, builders = self.integrals(monkeypatch, zs, 2, fold=fold)
+            assert builders == [threading.main_thread()]
 
     def test_cross_refusal_wins_over_self_refusal(self, monkeypatch):
         # mu * chord = 14.1 refuses both self splits; the cross block touches
@@ -742,13 +774,13 @@ class TestKernelApplication:
 class TestCachedTables:
     """The views and tables the builds share are read-only and equal a fresh build."""
 
-    @pytest.mark.parametrize("n_rows,n_cols", [(N, N // 2 + 1), (N, N), (65, N), (1, N)])
-    def test_cyclic_view(self, n_rows, n_cols):
-        values = np.random.default_rng(3).normal(size=N)
-        view = Q._cyclic_view(values, n_rows, n_cols)
-        i, d = np.indices((n_rows, n_cols))
+    @pytest.mark.parametrize("n_rows", [1, N // 4 + 1, N])
+    def test_circulant_view(self, n_rows):
+        row = np.random.default_rng(3).normal(size=N)
+        view = Q._circulant_view(row, n_rows)
+        i, j = np.indices((n_rows, N))
         assert not view.flags.writeable
-        assert np.array_equal(view, values[(i + d) % N])
+        assert np.array_equal(view, row[(j - i) % N])
 
     @pytest.mark.parametrize("n,n_rows", [(N, N // 4 + 1), (66, 17), (66, 12), (N, N), (66, 66)])
     def test_centred_views(self, n, n_rows):
@@ -837,6 +869,29 @@ class TestAllocations:
         dzs = [Q.spectral_derivative(z) for z in (z1, z2)]
         Q.layer_integrals(self.PARAMS, (z1, z2), dzs)  # fills the caches
         peak = traced_peak(lambda: Q.layer_integrals(self.PARAMS, (z1, z2), dzs))
+        assert peak <= 6.5 * self.UNIT
+
+    def near_pair(self):
+        z1 = (1.0 + 0.03 * np.cos(2 * THETA)) * np.exp(1j * THETA)
+        return z1, z1 * (1.0 + 1e-6 * np.cos(3 * THETA))
+
+    def test_near_coincident_build_peak(self):
+        # chords, q and one Horner row, each built in place on the grid:
+        # 3.01 UNIT (4.02 with a split layout and a gather into the grid)
+        z1, z2 = self.near_pair()
+        dz1 = Q.spectral_derivative(z1)
+        args = (*gkj_coefficients(self.PARAMS, 2, 1), self.PARAMS.mu, z2, z1, dz1)
+        Q._kernel_matrix(*args)  # fills the caches
+        peak = traced_peak(lambda: Q._kernel_matrix(*args))
+        assert peak <= 3.1 * self.UNIT
+
+    def test_near_coincident_layer_integrals_peak(self):
+        # the near-coincident cross block (3.01 UNIT) next to a self build
+        # (3.05): 6.1 at most on two CPUs, 7.08 with a gathered cross block
+        zs = self.near_pair()
+        dzs = [Q.spectral_derivative(z) for z in zs]
+        Q.layer_integrals(self.PARAMS, zs, dzs)  # fills the caches
+        peak = traced_peak(lambda: Q.layer_integrals(self.PARAMS, zs, dzs))
         assert peak <= 6.5 * self.UNIT
 
     def test_cross_build_peak(self):
