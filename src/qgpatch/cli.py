@@ -16,6 +16,10 @@ files or creates directories: every artifact goes through ``_write_json``
 or ``_write_csv`` (one % template per table, floats to 17 significant
 digits), so reruns are byte-identical, and the writer creates ``--out``
 with the first artifact, so a run refused before it leaves no directory.
+The argument parser is built on the first ``main`` call and reused by every
+later one in the process; nothing else carries over from one call to the
+next: each call reads its own flags and config file and writes its own
+artifacts.
 
 Exit codes: 0 success, 1 numeric failure (``NumericFailure``, which a
 singular Newton solve raises too, or ``ArithmeticError``), 2 configuration
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -436,8 +441,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first ``main`` call and reused by the
+    later ones.  It depends only on the module's flag tables, and
+    ``parse_args`` leaves it unchanged and reads ``sys.stdout`` and
+    ``sys.stderr`` when it prints, so a later call parses, prints and exits
+    exactly as a first one."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     keys = [key for key in _COMMAND_FLAGS[args.command] if key in _SETTINGS]
     try:
         settings, explicit = _settings(args, keys)

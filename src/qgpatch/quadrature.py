@@ -81,7 +81,8 @@ Three regimes are handled:
 The in-between regime (curves closer than a few node spacings but not
 parameterwise close) cannot be integrated accurately on a uniform grid and
 raises ``TouchingBoundaryError``.  A non-finite node or derivative raises
-``QuadratureFailure`` before any regime is chosen.  A weight matrix is
+``QuadratureFailure`` before any regime is chosen, and so does a split
+block's zero derivative at a node, after the other guards.  A weight matrix is
 applied to a complex density (the nodes' z') as one (rows x N) @ (N x 2)
 product on the density's float view, so both parts share one pass over W.
 
@@ -295,9 +296,19 @@ def _gather_index(n: int, fold: int | None) -> np.ndarray:
     return _checked_index((centre // 2) * cols + d, fold_rows(n, fold) * cols)
 
 
+@functools.cache
+def _take(table, *key):
+    """np.take(block, table(*key), mode="clip") as a function of block (and
+    out), through a writeable copy of the cached read-only index that only
+    this function holds: numpy copies a read-only index before every take,
+    512 KB and about a third of the gather's time at N = 256."""
+    return functools.partial(np.take, indices=table(*key).copy(), mode="clip")
+
+
 def _checked_index(index: np.ndarray, size: int) -> np.ndarray:
-    """index, read-only, once checked to lie in [0, size): the gathers take it
-    with mode="clip", which neither checks nor buffers their ``out``."""
+    """index, read-only, once checked to lie in [0, size): the gathers
+    (``_take``) use it with mode="clip", which neither checks nor buffers
+    their ``out``."""
     if index.min() < 0 or index.max() >= size:
         raise IndexError(f"gather index outside a block of {size} entries")
     index.setflags(write=False)
@@ -415,7 +426,8 @@ def _kernel_matrix(
     q = mu^2 rho^2 / 4, the split's diagonal (and its off-diagonal touch
     guard) and log-ratio row, log, ``_fold``.  A separated block with
     mu * rho_max > 3 returns early through ``k0_array``.  Non-finite nodes
-    or derivatives raise ``QuadratureFailure``.
+    or derivatives raise ``QuadratureFailure``, and so does a zero z_src' on
+    the split's diagonal, whose log would be -inf.
     """
     # a self block (one array for both) checks and measures its nodes once
     same = z_tgt is z_src
@@ -489,6 +501,12 @@ def _kernel_matrix(
         if dz_src is None:
             dz_src = spectral_derivative(z_src)
         diagonal[...] = np.abs(dz_src[:rows]) ** 2
+        if float(np.min(diagonal)) == 0.0:
+            node = int(np.argmin(diagonal))
+            raise QuadratureFailure(
+                f"zero derivative z'(t) at source node {node}: the curve's "
+                "parametrization stalls there"
+            )
     np.log(kern, out=kern)
     if not separated:
         # log(rho^2) + 2 kress_row / h - log(4 sin^2): the weighted log ratio
@@ -497,7 +515,7 @@ def _kernel_matrix(
         kern += ratio[:cols] if symmetric else _circulant_view(ratio, rows)
     kern = _fold(kern, q, qmax, alpha, kappa, mu, h)
     if symmetric:
-        return np.take(kern, _gather_index(n, fold), out=expanded, mode="clip")
+        return _take(_gather_index, n, fold)(kern, out=expanded)
     return kern
 
 
@@ -592,7 +610,7 @@ def layer_integrals(
 
     def cross_parts():
         w21 = _kernel_matrix(alpha21, kappa21, mu, z2, z1, dz1, fold=fold)
-        w21_t = w21.T if fold is None else np.take(w21, _mirror_index(len(z1), fold), mode="clip")
+        w21_t = w21.T if fold is None else _take(_mirror_index, len(z1), fold)(w21)
         u1 = (alpha12 / alpha21) * _apply_kernel_matrix(w21_t, dz2)
         return u1, _apply_kernel_matrix(w21, dz1)
 

@@ -615,3 +615,82 @@ class TestFreshProcess:
         assert self._main([*argv, tmp_path / "fresh"]) == (0, False, True)
         assert run([*argv, tmp_path / "here"]) == 0
         self._assert_same_files(tmp_path / "fresh", tmp_path / "here")
+
+
+class TestSharedParser:
+    """One parser per process: built on the first ``main`` call, then reused."""
+
+    COLLIDE = ["collide", "--m", "3", "--nmax", "4", "--grid", "16", "--out"]
+    # each step: (COLUMNS, parse with a new build_parser() instead of main, argv);
+    # prints every step's (exit code or None, stdout, stderr) and the parser builds
+    _STEPS = "\n".join([
+        "import contextlib, io, json, os, sys",
+        "from qgpatch import cli",
+        "def call(parse, argv):",
+        "    out, err = io.StringIO(), io.StringIO()",
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
+        "        try:",
+        "            code = parse(argv)",
+        "        except SystemExit as exc:",
+        "            code = exc.code",
+        "    return [code if isinstance(code, int) else None, out.getvalue(), err.getvalue()]",
+        "built = [cli._shared_parser.cache_info().currsize]",
+        "results = []",
+        "for columns, fresh, argv in json.loads(sys.argv[1]):",
+        "    os.environ['COLUMNS'] = str(columns)",
+        "    results.append(call(cli.build_parser().parse_args if fresh else cli.main, argv))",
+        "built.append(cli._shared_parser.cache_info().misses)",
+        "print(json.dumps([results, built]))",
+    ])
+
+    def _steps(self, steps) -> tuple[list, list]:
+        """(each step's [code, stdout, stderr], [parsers cached after import,
+        parsers built by the steps]) in a fresh process."""
+        stdout = _fresh_python(self._STEPS, json.dumps(
+            [[columns, fresh, [str(a) for a in argv]] for columns, fresh, argv in steps]))
+        return tuple(json.loads(stdout.splitlines()[-1]))
+
+    def test_two_calls_build_the_parser_once(self, tmp_path, monkeypatch):
+        builds = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+        cli._shared_parser.cache_clear()
+        try:
+            assert run([*self.COLLIDE, tmp_path / "a"]) == 0
+            assert run([*self.COLLIDE, tmp_path / "b"]) == 0
+        finally:
+            cli._shared_parser.cache_clear()
+        assert len(builds) == 1
+        TestFreshProcess._assert_same_files(tmp_path / "a", tmp_path / "b")
+
+    def test_refused_parse_and_help_leave_next_call_as_first(self, tmp_path):
+        refused = ["vstate", "--dt", "5", "--out", tmp_path / "refused"]
+        results, built = self._steps([
+            (80, False, [*self.COLLIDE, tmp_path / "first"]),
+            (80, False, refused),
+            (80, True, refused),
+            (80, False, ["collide", "--help"]),
+            (80, False, [*self.COLLIDE, tmp_path / "next"]),
+        ])
+        first, refusal, fresh_refusal, help_text, after = results
+        assert built == [0, 1]
+        assert first[0] == after[0] == 0 and first[1:] == after[1:]
+        assert refusal[0] == 2 and "unrecognized arguments: --dt 5" in refusal[2]
+        assert refusal == fresh_refusal
+        assert help_text[0] == 0 and help_text[1].startswith("usage: qgpatch collide")
+        assert not (tmp_path / "refused").exists()
+        TestFreshProcess._assert_same_files(tmp_path / "first", tmp_path / "next")
+
+    def test_help_texts_match_a_new_parser_at_each_width(self, tmp_path):
+        helps = [["--help"], *([name, "--help"] for name in cli._COMMAND_FLAGS)]
+        steps = [(80, False, [*self.COLLIDE, tmp_path])]
+        for columns in (200, 52):
+            for argv in helps:
+                steps += [(columns, False, argv), (columns, True, argv)]
+        results, built = self._steps(steps)
+        assert built == [0, 1]
+        shared, fresh = results[1::2], results[2::2]
+        assert shared == fresh
+        assert all(code == 0 and text.startswith("usage: qgpatch") for code, text, _ in shared)
+        # the help is laid out for the width at each call, not at the first
+        assert shared[0][1] != shared[len(helps)][1]

@@ -600,7 +600,8 @@ class TestSymmetricBuilds:
         zs = (z1, z2)
         dzs = tuple(Q.spectral_derivative(z) for z in zs)
         params = LayerParams(2.0, 1.0, 1.0, 1.0)
-        gathered = record_per_block(monkeypatch, zs, "_gather_index", lambda *args: True)
+        gathered = record_per_block(monkeypatch, zs, "_take",
+                                    lambda table, *key: table is Q._gather_index)
         u1, u2 = Q.layer_integrals(params, zs, dzs)
         monkeypatch.undo()
         assert gathered == {(1, 1): True, (2, 2): True} | ({(2, 1): True} if symmetric else {})
@@ -733,6 +734,63 @@ class TestNonFiniteNodes:
             Q._kernel_matrix(alpha, kappa, self.PARAMS.mu, z, z, dz)
 
 
+@pytest.mark.filterwarnings("error")
+class TestZeroDerivative:
+    """A zero z' at a node of a split block is refused, not logged to -inf."""
+
+    PARAMS = LayerParams(1.0, 1.0, 1.0, 0.7)
+    THETA = 2 * np.pi * np.arange(64) / 64
+
+    def unit_circle(self):
+        z = np.exp(1j * self.THETA)
+        dz = Q.spectral_derivative(z)
+        dz[5] = 0.0
+        return z, dz
+
+    def test_kernel_integral_names_the_node(self):
+        z, dz = self.unit_circle()
+        with pytest.raises(Q.QuadratureFailure, match="zero derivative .* source node 5:"):
+            Q.kernel_integral_grid(1.0, 0.5, 1.0, z, z, np.cos(self.THETA), dz_src=dz)
+
+    @pytest.mark.parametrize("build", ["folded", "near", "rows"])
+    def test_every_split_layout_refuses(self, build):
+        z, dz = self.unit_circle()
+        alpha, kappa = gkj_coefficients(self.PARAMS, 1, 1)
+        z_tgt, kwargs = z, {}
+        if build == "folded":
+            kwargs = {"fold": 2}
+        elif build == "near":
+            z_tgt = z * (1.0 + 1e-9 * np.cos(3 * self.THETA))
+        else:
+            kwargs = {"n_rows": 9}
+        with pytest.raises(Q.QuadratureFailure, match="source node 5:"):
+            Q._kernel_matrix(alpha, kappa, self.PARAMS.mu, z_tgt, z, dz, **kwargs)
+
+    def test_zero_beyond_the_built_rows_is_not_read(self):
+        # a build of rows 0..3 has no diagonal entry at node 5
+        z, dz = self.unit_circle()
+        alpha, kappa = gkj_coefficients(self.PARAMS, 1, 1)
+        rows = Q._kernel_matrix(alpha, kappa, self.PARAMS.mu, z, z, dz, n_rows=4)
+        assert np.all(np.isfinite(rows))
+
+    @pytest.mark.parametrize("other,message", [
+        ("nan", "non-finite"),
+        ("touch", "boundaries touch"),
+        ("mu_chord", "mu \\* chord too large"),
+    ])
+    def test_earlier_guards_keep_their_precedence(self, other, message):
+        z, dz = self.unit_circle()
+        mu = self.PARAMS.mu
+        if other == "nan":
+            dz[3] = np.nan
+        elif other == "touch":
+            z[11] = z[10]
+        else:
+            mu = 7.0
+        with pytest.raises(Q.QuadratureFailure, match=message):
+            Q._kernel_matrix(1.0, 0.5, mu, z, z, dz)
+
+
 class TestKernelApplication:
     """A complex density takes one (rows x N) @ (N x 2) product on its float view."""
 
@@ -845,7 +903,7 @@ class TestAllocations:
     def test_one_row_build_makes_no_square_table(self):
         # fresh caches: a single-row moment check at N = 2048 must not build
         # the N x N half-band index or any other N^2 table (32 MB each)
-        for cached in (Q._grid_tables, Q._gather_index, Q.mode_tables):
+        for cached in (Q._grid_tables, Q._gather_index, Q._take, Q.mode_tables):
             cached.cache_clear()
         peak = traced_peak(lambda: Q.screened_moment_quadrature(0.7, 0.7, 2.0, 32, 2048))
         assert peak < 8e6
@@ -858,12 +916,29 @@ class TestAllocations:
         peak = traced_peak(lambda: Q._kernel_matrix(*args))
         assert peak <= 5 * self.UNIT
 
+    def test_self_build_gathers_without_an_index_copy(self):
+        # grid block and three half bands: 2.56 UNIT.  np.take copies a
+        # read-only index (1 UNIT here) before every gather, 3.05 with the
+        # cached table itself as the index
+        z = (1.0 + 0.03 * np.cos(2 * THETA)) * np.exp(1j * THETA)
+        args = (*gkj_coefficients(self.PARAMS, 1, 1), self.PARAMS.mu, z, z,
+                Q.spectral_derivative(z))
+        Q._kernel_matrix(*args)  # fills the caches
+        assert traced_peak(lambda: Q._kernel_matrix(*args)) <= 2.6 * self.UNIT
+
+    def test_gathers_take_a_private_writeable_index(self):
+        take = Q._take(Q._gather_index, 64, 4)
+        index, table = take.keywords["indices"], Q._gather_index(64, 4)
+        assert index.flags.writeable and not table.flags.writeable
+        assert np.array_equal(index, table) and not np.shares_memory(index, table)
+        assert Q._take(Q._gather_index, 64, 4) is take
+
     def test_full_layer_integrals_peak(self):
         # the cross build peaks at 3.0 UNIT (chords, log, one Horner row) and
-        # a self build at 3.05 (grid block, three half bands, and the copy
-        # np.take makes of the read-only gather index).  Serially that reads
-        # 3.08 UNIT; on two CPUs the two can peak together, 6.07 at most
-        # (300 calls at N = 256); one more square temporary crosses the bound
+        # a self build at 2.56 (grid block, three half bands).  Serially that
+        # reads 3.0 UNIT; on two CPUs the two can peak together, 5.58 at most
+        # (300 calls at N = 256; 6.07 while each gather copied its read-only
+        # index); one more square temporary crosses the bound
         z1 = (1.0 + 0.03 * np.cos(2 * THETA)) * np.exp(1j * THETA)
         z2 = (0.7 - 0.02 * np.cos(2 * THETA)) * np.exp(1j * THETA)
         dzs = [Q.spectral_derivative(z) for z in (z1, z2)]
@@ -887,7 +962,8 @@ class TestAllocations:
 
     def test_near_coincident_layer_integrals_peak(self):
         # the near-coincident cross block (3.01 UNIT) next to a self build
-        # (3.05): 6.1 at most on two CPUs, 7.08 with a gathered cross block
+        # (2.56): 5.58 at most on two CPUs (200 calls; 6.08 while each gather
+        # copied its read-only index), 7.08 with a gathered cross block
         zs = self.near_pair()
         dzs = [Q.spectral_derivative(z) for z in zs]
         Q.layer_integrals(self.PARAMS, zs, dzs)  # fills the caches
