@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -623,25 +624,25 @@ class TestSharedParser:
     COLLIDE = ["collide", "--m", "3", "--nmax", "4", "--grid", "16", "--out"]
     # each step: (COLUMNS, parse with a new build_parser() instead of main, argv);
     # prints every step's (exit code or None, stdout, stderr) and the parser builds
-    _STEPS = "\n".join([
-        "import contextlib, io, json, os, sys",
-        "from qgpatch import cli",
-        "def call(parse, argv):",
-        "    out, err = io.StringIO(), io.StringIO()",
-        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):",
-        "        try:",
-        "            code = parse(argv)",
-        "        except SystemExit as exc:",
-        "            code = exc.code",
-        "    return [code if isinstance(code, int) else None, out.getvalue(), err.getvalue()]",
-        "built = [cli._shared_parser.cache_info().currsize]",
-        "results = []",
-        "for columns, fresh, argv in json.loads(sys.argv[1]):",
-        "    os.environ['COLUMNS'] = str(columns)",
-        "    results.append(call(cli.build_parser().parse_args if fresh else cli.main, argv))",
-        "built.append(cli._shared_parser.cache_info().misses)",
-        "print(json.dumps([results, built]))",
-    ])
+    _STEPS = textwrap.dedent("""
+        import contextlib, io, json, os, sys
+        from qgpatch import cli
+        def call(parse, argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = parse(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            return [code if isinstance(code, int) else None, out.getvalue(), err.getvalue()]
+        built = [cli._shared_parser.cache_info().currsize]
+        results = []
+        for columns, fresh, argv in json.loads(sys.argv[1]):
+            os.environ["COLUMNS"] = str(columns)
+            results.append(call(cli.build_parser().parse_args if fresh else cli.main, argv))
+        built.append(cli._shared_parser.cache_info().misses)
+        print(json.dumps([results, built]))
+    """)
 
     def _steps(self, steps) -> tuple[list, list]:
         """(each step's [code, stdout, stderr], [parsers cached after import,
