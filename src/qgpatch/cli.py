@@ -234,8 +234,9 @@ def cmd_collide(settings: dict, explicit: set[str], equal_radii: bool) -> int:
         for n in range(2, n_max + 1):
             x0 = spectrum.equal_radius_collision_argument(n)
             b = x0 / params.mu
-            spec = spectrum.spectrum_arrays(LayerParams(params.delta, params.lam, b, b), n)
-            gap = abs(spec.omega(1, 1) - spec.omega(n, -1))
+            minus_n, plus_1 = spectrum.omega_minus_plus(
+                LayerParams(params.delta, params.lam, b, b), n, 1)
+            gap = abs(plus_1 - minus_n)
             report["roots"].append(
                 {"n": n, "x0": float(x0), "b_equal": float(b), "omega_gap": float(gap)}
             )

@@ -30,9 +30,13 @@ radius of a b2 vector, from one I_n sweep and one K_n sweep over
 [b1 mu, *b2 mu] (batched in ``bessel`` from BATCH_RADII radii on), with
 the b1 row shared by all radii and the mean flow computed once per
 radius.  ``spectrum_arrays`` is its one-radius case, and its ``omega`` and
-``kernel_vector`` read single modes.  The library calls only these arrays:
-the spectrum table, the collision scan, the V-state pin and Newton blocks
-and the linearized multiplier are built on them.  The per-n functions
+``kernel_vector`` read single modes.  The spectrum table, the collision
+scan's grid, the V-state pin and Newton blocks and the linearized
+multiplier are built on these arrays.  Where only two modes of one radius
+are read, ``omega_minus_plus`` gives Omega_m^- and Omega_n^+ from that
+radius's sweeps on Python floats, bitwise the arrays' values: each
+refinement step of the collision scan and each root of ``collide
+--equal-radii`` uses it.  The per-n functions
 ``mean_flow_coeffs``, ``omega_pm`` and ``matrix_m`` take one mode from
 scalar I_n K_n products (``bessel_ik_product``); they are the reference
 the arrays are checked against.  Both routes go through the same formulas.
@@ -102,12 +106,15 @@ def _ab(d, mf: MeanFlowCoeffs, n, ik_b1, ik_b2):
     return a_n, b_n
 
 
-def _gamma(b, n, ik_cross):
-    return b ** n / (2.0 * n) - ik_cross
+def _gamma(b, n, ik_cross, b_to_n=None):
+    # b_to_n: b ** n already taken, as the two-mode evaluator reads it
+    return (b ** n if b_to_n is None else b_to_n) / (2.0 * n) - ik_cross
 
 
 def _omega_pair(d, a_n, b_n, g):
-    disc = np.sqrt((a_n - b_n) ** 2 + 4.0 * d * g * g)
+    # an explicit square: numpy's x ** 2 is x * x, a Python float's calls pow
+    a_minus_b = a_n - b_n
+    disc = np.sqrt(a_minus_b * a_minus_b + 4.0 * d * g * g)
     lo = (-(a_n + b_n) - disc) / (2.0 * (d + 1.0))
     hi = (-(a_n + b_n) + disc) / (2.0 * (d + 1.0))
     return lo, hi
@@ -255,6 +262,47 @@ def _spectrum_rows(params_base: LayerParams, b2: FloatArray, log_b1, log_b2):
     return a_n, b_n, g, lo, hi, mf.v[:, 0]
 
 
+def _minus_plus(d: float, b1: float, b2: float, m: int, n: int, ik_b1: list[float],
+                log_k1: FloatArray, log_i2: FloatArray, log_k2: FloatArray):
+    """(Omega_m^-, Omega_n^+) at the one radius b2, bitwise ``_spectrum_rows``' row.
+
+    The sweeps are those the row is built on, of top order max(m, n):
+    log_k1 at b1 mu, (log_i2, log_k2) at b2 mu; ik_b1 lists I_k K_k(b1 mu)
+    by order k, numpy's exp of the row's log sums.  The products at b2 mu
+    are numpy's exp over the row's sums and b^k is the row's array power:
+    libm's exp and pow, and numpy's power on a scalar, do not always round
+    as these do.  The rest is +, -, *, / and sqrt on Python floats, through
+    the row's formulas in the row's order.
+    """
+    top = log_i2.size - 1
+    ik_b2 = np.exp(log_i2 + log_k2).tolist()
+    ik_cross = np.exp(log_i2 + log_k1).tolist()
+    powers = ((np.array([b2]) / b1)[:, None] ** np.arange(1, top + 1))[0].tolist()
+    b = b2 / b1
+    mf = _mean_flow(d, b, ik_b1[1], ik_b2[1], ik_cross[1])
+    (minus, _), (_, plus) = (
+        _omega_pair(d, *_ab(d, mf, k, ik_b1[k], ik_b2[k]),
+                    _gamma(b, k, ik_cross[k], powers[k - 1]))
+        for k in (m, n)
+    )
+    return minus, plus
+
+
+def omega_minus_plus(params: LayerParams, m: int, n: int) -> tuple[float, float]:
+    """(Omega_m^-, Omega_n^+), bitwise the rows of ``spectrum_arrays(params,
+    max(m, n))`` without building them: an I_n and a K_n sweep at b1 mu
+    and at b2 mu (one pair for both at b1 = b2), then the two modes."""
+    if min(m, n) < 1:
+        raise ValueError("mode indices must be >= 1")
+    mu, b1, b2, top = params.mu, params.b1, params.b2, max(m, n)
+    log_i1, log_k1 = log_bessel_i_orders(top, b1 * mu), log_bessel_k_orders(top, b1 * mu)
+    log_i2, log_k2 = ((log_i1, log_k1) if b2 == b1 else
+                      (log_bessel_i_orders(top, b2 * mu), log_bessel_k_orders(top, b2 * mu)))
+    minus, plus = _minus_plus(params.delta, b1, b2, m, n, np.exp(log_i1 + log_k1).tolist(),
+                              log_k1, log_i2, log_k2)
+    return float(minus), float(plus)
+
+
 def _over_b2(params_base: LayerParams, b2: ArrayLike, n_max: int):
     # (spectrum_over_b2's six arrays, the (log I_n, log K_n) sweeps at b1 mu)
     if n_max < 1:
@@ -353,16 +401,22 @@ def collision_scan(
     grid cells whose left gap is exactly 0 (recorded as a root there) or
     whose gap changes sign.  Each sign change is refined by Illinois false
     position (``_illinois``) to |Omega_m^- - Omega_n^+| <= 1e-12 or a
-    bracket <= 1e-16*b1.  A refinement step evaluates the one radius up
-    to max(m, n): an I_n and a K_n sweep at b2 mu, with the b1 mu sweeps
-    reused from the grid pass (an I_n sweep at b1 mu of a lower top order
-    is made once per partner order); a root typically takes about 4 steps
-    (at most MAX_REFINE).  Roots of the same pair closer than DEDUP_TOL*b1
-    are merged and flagged as tangencies.  The b2 value carried by
-    params_base is ignored; an empty list is a valid result.  Records with
-    n < m meet the plus branch of the lower mode n; they belong to the
-    n-fold problem (a collision there when n divides m), not to the m-fold
-    one.
+    bracket <= 1e-16*b1; a root typically takes about 4 steps (at most
+    MAX_REFINE).  A step makes an I_n and a K_n sweep at b2 mu to order
+    max(m, n), reusing the b1 mu sweeps of the grid pass (an I_n sweep at
+    b1 mu of a lower top order is made once per order), and evaluates only
+    the two modes it compares, Omega_m^- and Omega_n^+, on Python floats
+    (``_minus_plus``): no spectrum row is built.  Its I_k K_k products are
+    numpy's exp over the log sums a row forms and its b^k the row's array
+    power; the rest is +, -, *, / and sqrt, which round the same on
+    floats as on arrays, in the row's order.  So the gap of a step is
+    bitwise what ``_spectrum_rows``, the grid pass's evaluator, gives that
+    radius from the same sweeps.  Roots of the same pair closer
+    than DEDUP_TOL*b1 are merged and flagged as tangencies.  The b2 value
+    carried by params_base is ignored; an empty list is a valid result.
+    Records with n < m meet the plus branch of the lower mode n; they
+    belong to the n-fold problem (a collision there when n divides m), not
+    to the m-fold one.
     """
     if m < 1 or grid < 16:
         raise ValueError("need m >= 1 and grid >= 16")
@@ -375,19 +429,21 @@ def collision_scan(
     g0, g1 = gaps[:-1], gaps[1:]
     bracket = (g0 == 0.0) | (g0 * g1 < 0.0)
     bracket[:, m - 1 : m] = False  # no partner n = m
-    # the I_n sweep at b1 mu of each top order, the K_n sweep is its prefix
-    log_i1_of = {n_top: log_i1}
+    d = params_base.delta
+    # I_k K_k(b1 mu) by top order: the I_n sweep at b1 mu of a lower top order
+    # is made anew, the K_n sweep is a prefix of the grid pass's
+    ik_b1_of: dict[int, list[float]] = {}
 
     def gap(b2: float, n: int) -> float:
         top = max(m, n)
-        if top not in log_i1_of:
-            log_i1_of[top] = log_bessel_i_orders(top, b1 * mu)
+        log_k1_top = log_k1[: top + 1]
+        if top not in ik_b1_of:
+            log_i1_top = log_i1 if top == n_top else log_bessel_i_orders(top, b1 * mu)
+            ik_b1_of[top] = np.exp(log_i1_top + log_k1_top).tolist()
         x = b2 * mu
-        lo, hi = _spectrum_rows(
-            params_base, np.array([b2]), (log_i1_of[top], log_k1[: top + 1]),
-            (log_bessel_i_orders(top, x)[None], log_bessel_k_orders(top, x)[None]),
-        )[3:5]
-        return float(lo[0, m - 1] - hi[0, n - 1])
+        minus, plus = _minus_plus(d, b1, b2, m, n, ik_b1_of[top], log_k1_top,
+                                  log_bessel_i_orders(top, x), log_bessel_k_orders(top, x))
+        return float(minus - plus)
 
     ts_list = ts.tolist()
     roots: dict[int, list[tuple[float, float]]] = {}

@@ -7,7 +7,7 @@ from mpmath import mp
 
 from qgpatch import cli
 from qgpatch import spectrum as S
-from qgpatch.bessel import bessel_ik_product
+from qgpatch.bessel import bessel_ik_product, log_bessel_i_orders, log_bessel_k_orders
 from qgpatch.kernels import LayerParams
 from qgpatch.quadrature import NumericFailure
 
@@ -212,18 +212,46 @@ class TestCollisions:
             # partners below m only: the evaluations still reach order m
             assert sorted(r.n for r in recs) == [2, 3]
 
-    # (params, m, n_max): one root, roots of several partners, two roots of n = 2
-    SCANS = [
-        (LayerParams(1.0, 1.0, 1.0, 0.5), 3, 8),
-        (LayerParams(1.0, 1.0, 1.0, 0.5), 5, 16),
-        (LayerParams(0.1, 3.0, 1.0, 0.5), 3, 8),
-    ]
+    # (params, m, n_max) -> records: one root, roots of several partners, two
+    # roots of n = 2; m = 1, whose Omega_1^- lies below every Omega_n^+;
+    # delta = 4 with a grid pass to order 24, bare and with two roots; two
+    # roots of n = 2 and one of n = 1 under strong screening (lambda = 6)
+    SCANS = {
+        (LayerParams(1.0, 1.0, 1.0, 0.5), 3, 8): 1,
+        (LayerParams(1.0, 1.0, 1.0, 0.5), 5, 16): 3,
+        (LayerParams(0.1, 3.0, 1.0, 0.5), 3, 8): 3,
+        (LayerParams(1.0, 1.0, 1.0, 0.5), 1, 8): 0,
+        (LayerParams(4.0, 1.0, 1.0, 0.5), 2, 24): 0,
+        (LayerParams(4.0, 1.0, 1.0, 0.5), 4, 24): 2,
+        (LayerParams(0.1, 6.0, 1.0, 0.5), 5, 16): 3,
+    }
 
     @pytest.mark.parametrize("params,m,n_max", SCANS)
     def test_records_equal_per_cell_scan(self, params, m, n_max):
         recs = S.collision_scan(params, m, n_max=n_max, grid=48)
-        assert recs
+        assert len(recs) == self.SCANS[params, m, n_max]
         assert recs == collision_scan_per_cell(params, m, n_max, 48)
+
+    def test_refinement_builds_no_spectrum_row(self, monkeypatch):
+        # the grid pass is the scan's one _spectrum_rows call; every
+        # refinement step evaluates its two modes on floats
+        rows, steps = S._spectrum_rows, []
+        illinois = S._illinois
+
+        def counted_rows(*args):
+            steps.append("rows")
+            return rows(*args)
+
+        def counted_illinois(f, *args):
+            return illinois(lambda x: steps.append("step") or f(x), *args)
+
+        monkeypatch.setattr(S, "_spectrum_rows", counted_rows)
+        monkeypatch.setattr(S, "_illinois", counted_illinois)
+        for (params, m, n_max), count in self.SCANS.items():
+            steps.clear()
+            assert len(S.collision_scan(params, m, n_max=n_max, grid=48)) == count
+            assert steps.count("rows") == 1 and steps[0] == "rows"
+            assert steps.count("step") >= count
 
     def test_two_roots_of_one_partner(self):
         params = LayerParams(0.1, 3.0, 1.0, 0.5)
@@ -264,6 +292,37 @@ class TestCollisions:
             assert abs(bessel_ik_product(1, x0, x0) - 0.5 / n) <= 1e-12
             p = LayerParams(1.0, 1.0, x0 / np.sqrt(2.0), x0 / np.sqrt(2.0))
             assert S.omega_pm(p, 1)[1] == pytest.approx(S.omega_pm(p, n)[0], abs=1e-10)
+
+
+class TestTwoModes:
+    """``omega_minus_plus`` against the one-radius ``_spectrum_rows`` row, bit for bit."""
+
+    B2_OVER_B1 = (0.01, 0.3, 0.5, 0.77, 0.999, 1.0)
+
+    @pytest.mark.parametrize("d,lam", [(1.0, 1.0), (0.1, 3.0), (4.0, 1.0), (0.5, 6.0),
+                                       (10.0, 0.1)])
+    @pytest.mark.parametrize("m,n", [(3, 2), (5, 1), (2, 7), (1, 2), (3, 24), (24, 3)])
+    @pytest.mark.parametrize("b1", [1.0, 0.6])
+    def test_equals_the_row(self, d, lam, m, n, b1):
+        top = max(m, n)
+        for b2 in (b1 * t for t in self.B2_OVER_B1):
+            p = LayerParams(d, lam, b1, b2)
+            x1, x2 = b1 * p.mu, b2 * p.mu
+            lo, hi = S._spectrum_rows(
+                p, np.array([b2]),
+                (log_bessel_i_orders(top, x1), log_bessel_k_orders(top, x1)),
+                (log_bessel_i_orders(top, x2)[None], log_bessel_k_orders(top, x2)[None]),
+            )[3:5]
+            got = S.omega_minus_plus(p, m, n)
+            assert got == (float(lo[0, m - 1]), float(hi[0, n - 1]))
+            assert all(type(v) is float for v in got)
+            spec = S.spectrum_arrays(p, top)
+            assert got == (spec.omega(m, -1), spec.omega(n, 1))
+
+    def test_refuses_mode_zero(self):
+        for m, n in ((0, 2), (2, 0)):
+            with pytest.raises(ValueError):
+                S.omega_minus_plus(BASE, m, n)
 
 
 class TestCollisionFreeThreshold:
