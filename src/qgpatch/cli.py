@@ -338,10 +338,19 @@ def _initial_state(settings: dict, explicit: set[str]):
         raise ValueError(f"cannot load boundary CSV {path}: {exc}") from exc
     if rows.shape[1] != 4:
         raise ValueError(f"{path}: expected 4 columns layer,node_index,x,y")
+    stray = np.flatnonzero((rows[:, 0] != 1) & (rows[:, 0] != 2))
+    if stray.size:
+        raise ValueError(f"{path}: data row {stray[0] + 1} has layer {rows[stray[0], 0]:g}, "
+                         "not 1 or 2")
     nodes = []
     for layer in (1, 2):
         sel = rows[rows[:, 0] == layer]
         sel = sel[np.argsort(sel[:, 1])]
+        # each layer numbers its nodes 0 .. n-1, once each
+        bad = np.flatnonzero(sel[:, 1] != np.arange(len(sel)))
+        if bad.size:
+            raise ValueError(f"{path}: layer {layer} has node_index {sel[bad[0], 1]:g} where "
+                             f"{bad[0]} belongs; indices must run 0..{len(sel) - 1} once each")
         nodes.append(sel[:, 2] + 1j * sel[:, 3])
     if nodes[0].size != nodes[1].size:
         raise ValueError(f"{path}: layers have {nodes[0].size} and {nodes[1].size} nodes")

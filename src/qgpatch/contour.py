@@ -433,11 +433,16 @@ def vstate_solve(
     res = _iterate_residual(params, omega, defo, 0, 1.0)
     res_norm = float(np.max(np.abs(res)))
 
-    for iteration in range(1, NEWTON_MAX_ITER + 1):
+    for applied in range(NEWTON_MAX_ITER + 1):
         try:
             delta = np.linalg.solve(_newton_matrix(spec, omega, coeffs, m), res)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"singular Newton matrix: {exc}") from exc
+        if res_norm <= NEWTON_TOL and float(np.max(np.abs(delta))) <= 1e-12:
+            return VStateSolution(params, m, sign, s, omega, defo, res_norm, applied)
+        if applied == NEWTON_MAX_ITER:
+            break
+        iteration = applied + 1
         scale = 1.0
         for _ in range(9):
             u_try = u - scale * delta
@@ -455,11 +460,8 @@ def vstate_solve(
             raise NoConvergenceError(
                 f"damping failed at residual {res_norm:.3e} (iteration {iteration})"
             )
-        step_norm = float(np.max(np.abs(scale * delta)))
         u, omega, coeffs, defo, res = u_try, omega_try, coeffs_try, defo_try, res_try
         res_norm = float(np.max(np.abs(res)))
-        if res_norm <= NEWTON_TOL and step_norm <= 1e-12:
-            return VStateSolution(params, m, sign, s, omega, defo, res_norm, iteration)
 
     raise NoConvergenceError(
         f"no convergence after {NEWTON_MAX_ITER} iterations, residual {res_norm:.3e}"

@@ -342,6 +342,51 @@ class TestEvolveCommand:
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
 
+    @staticmethod
+    def disc_rows(n=64):
+        """layer, node_index, x, y of the discs b1 = 1, b2 = 0.7 on n nodes."""
+        z = np.exp(2j * np.pi * np.arange(n) / n)
+        return [[layer, i, float(b * z[i].real), float(b * z[i].imag)]
+                for layer, b in ((1, 1.0), (2, 0.7)) for i in range(n)]
+
+    def evolve_rows(self, tmp_path, rows):
+        path = tmp_path / "initial.csv"
+        path.write_text("layer,node_index,x,y\n"
+                        + "".join(",".join(repr(v) for v in row) + "\n" for row in rows))
+        out = tmp_path / "out"
+        code = run(["evolve", "--b2", 0.7, "--initial", f"csv:{path}", "--t-end", 0.004,
+                    "--dt", 0.002, "--out", out])
+        return code, path, out
+
+    def test_well_formed_csv_rows_evolve(self, tmp_path):
+        assert self.evolve_rows(tmp_path, self.disc_rows())[0] == 0
+
+    @pytest.mark.parametrize(
+        "row, index, named",
+        [(1, 0, "layer 1 has node_index 0 where 1 belongs"),    # 0 twice, 1 missing
+         (127, 64, "layer 2 has node_index 64 where 63 belongs")],  # 63 skipped
+        ids=["repeated", "skipped"],
+    )
+    def test_csv_node_indices_must_run_once_each(self, tmp_path, capsys, row, index, named):
+        rows = self.disc_rows()
+        rows[row][1] = index
+        code, path, out = self.evolve_rows(tmp_path, rows)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(path) in err and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("layer", [0, 3])
+    def test_csv_row_of_no_layer_refused(self, tmp_path, capsys, layer):
+        # an extra row is not dropped: both layers keep 64 nodes, yet it is refused
+        rows = self.disc_rows()
+        rows.insert(5, [layer, 5, 0.5, 0.5])
+        code, path, out = self.evolve_rows(tmp_path, rows)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"data row 6 has layer {layer}, not 1 or 2" in err
+        assert not out.exists()
+
     @pytest.fixture(scope="class")
     def branch_66(self, tmp_path_factory):
         """An m = 3 branch at b2 = 0.6, lambda = 1, solved on 66 nodes."""

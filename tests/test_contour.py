@@ -256,6 +256,31 @@ class TestVStateSolve:
         with pytest.raises(C.NoConvergenceError):
             C.vstate_solve(STALLED, 5, 1, 1e-3, n_modes=8, n_nodes=128)
 
+    def test_warm_start_at_solution_accepted_unmoved(self, monkeypatch):
+        # the start's own correction is below 1e-12: it is returned after
+        # one residual evaluation, with no step applied
+        sol = C.vstate_solve(BASE, 2, -1, 1e-3, n_modes=16, n_nodes=N)
+        calls = []
+        residual = C._projected_residual
+        monkeypatch.setattr(C, "_projected_residual", lambda *a: calls.append(a) or residual(*a))
+        again = C.vstate_solve(BASE, 2, -1, 1e-3, init=sol, n_modes=16, n_nodes=N)
+        assert len(calls) == 1
+        assert again.iterations == 0
+        assert again.omega == sol.omega
+        assert np.array_equal(again.deformation.coeffs, sol.deformation.coeffs)
+        assert again.residual_norm == sol.residual_norm
+
+    def test_converging_on_last_permitted_step_accepted(self, monkeypatch):
+        sol = C.vstate_solve(BASE, 2, -1, 1e-3, n_modes=16, n_nodes=N)
+        assert sol.iterations >= 1
+        monkeypatch.setattr(C, "NEWTON_MAX_ITER", sol.iterations)
+        last = C.vstate_solve(BASE, 2, -1, 1e-3, n_modes=16, n_nodes=N)
+        assert (last.omega, last.iterations) == (sol.omega, sol.iterations)
+        assert np.array_equal(last.deformation.coeffs, sol.deformation.coeffs)
+        monkeypatch.setattr(C, "NEWTON_MAX_ITER", sol.iterations - 1)
+        with pytest.raises(C.NoConvergenceError, match="no convergence"):
+            C.vstate_solve(BASE, 2, -1, 1e-3, n_modes=16, n_nodes=N)
+
 
 class TestBranchContinue:
     def test_first_point_matches_scratch(self):
@@ -350,7 +375,34 @@ class TestSecantPredictor:
         monkeypatch.setattr(C, "_projected_residual", counted)
         res = C.branch_continue(BASE, 2, -1, self.GRID, n_modes=16, n_nodes=N)
         assert res.failure is None
-        assert len(calls) <= 14
+        assert len(calls) <= 11
+
+    def test_residual_is_the_returned_iterates_own(self, monkeypatch):
+        # each reported residual is the max-norm of the last residual its
+        # solve evaluated, the one at the returned unknowns
+        last = []
+        residual = C._projected_residual
+
+        def spied(params, omega, defo):
+            values = residual(params, omega, defo)
+            last[:] = [omega, defo.coeffs.copy(), float(np.max(np.abs(values)))]
+            return values
+
+        solve = C.vstate_solve
+        checked = []
+
+        def checked_solve(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            assert sol.omega == last[0]
+            assert np.array_equal(sol.deformation.coeffs, last[1])
+            assert sol.residual_norm == last[2] <= C.NEWTON_TOL
+            checked.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(C, "_projected_residual", spied)
+        monkeypatch.setattr(C, "vstate_solve", checked_solve)
+        res = C.branch_continue(BASE, 2, -1, self.GRID, n_modes=16, n_nodes=N)
+        assert res.failure is None and len(checked) == len(self.GRID)
 
     @pytest.mark.parametrize(
         "grid", [(0.0, 0.002, 0.004, 0.008), (0.002, 0.0, 0.002, 0.004, 0.008)]
