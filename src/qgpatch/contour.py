@@ -40,11 +40,16 @@ bifurcation point (g = Omega_m^sign, the kernel vector on mode m and zero
 elsewhere) and the last one or two converged solutions with distinct
 nonzero s^2: a start O(s^4) or O(s^6) from the answer.
 
-The iteration has no options: it accepts a solve when the residual is at
-most NEWTON_TOL and the last step at most 1e-12, gives up after
-NEWTON_MAX_ITER iterations, and amplitudes beyond S_MAX are refused.  A
-solve that does not converge raises NoConvergenceError; it never returns
-an unconverged answer.
+The iteration has no options: it tests each iterate before stepping
+from it, and returns the iterate, unmoved, once its residual is at most
+NEWTON_TOL and the Newton correction solved at it at most 1e-12.  The
+solution's residual is that iterate's own, and its iteration count is the
+number of steps applied (0 when the start is accepted).  A solve thus
+evaluates the residual once at its start and once per damping trial of
+each applied step; no evaluation only confirms a step.  An iterate that
+still fails the test after NEWTON_MAX_ITER steps, or a damping that
+fails, raises NoConvergenceError, so a solve never returns an unconverged
+answer; amplitudes beyond S_MAX are refused.
 """
 
 from __future__ import annotations
@@ -215,6 +220,13 @@ def jacobian_fd(
 
 @dataclass(frozen=True)
 class VStateSolution:
+    """A converged V-state at amplitude s.
+
+    ``residual_norm`` is the max-norm of the projected residual measured at
+    the returned omega and deformation; ``iterations`` counts the Newton
+    steps applied to reach them, 0 when the start was accepted as it was.
+    """
+
     params: LayerParams
     m: int
     sign: int
@@ -387,11 +399,13 @@ def vstate_solve(
     remaining coefficients and Omega are the Newton unknowns.  With no warm
     start the iteration begins on the tangent r = s * v cos(m t),
     Omega = Omega_m^sign.
-    Each iteration solves with the r = 0 blocks of :func:`_newton_matrix`
-    and halves the step until the residual falls.  A solve is accepted once
-    the residual is at most NEWTON_TOL and the step at most 1e-12; one
-    that has not converged after NEWTON_MAX_ITER iterations, or whose
-    damping fails, raises NoConvergenceError.  A refusal from a residual
+    At each iterate the correction is solved with the r = 0 blocks of
+    :func:`_newton_matrix`.  The iterate is returned as it is, with its own
+    measured residual, once that residual is at most NEWTON_TOL and the
+    correction at most 1e-12; otherwise the correction is applied, halved
+    until the residual falls.  ``iterations`` counts the applied steps.  An
+    iterate that fails the test after NEWTON_MAX_ITER steps, or a damping
+    that fails, raises NoConvergenceError.  A refusal from a residual
     names the iteration and damping scale it tripped at.  |s| > S_MAX
     raises ValueError.
     ``branch_continue`` passes the rows it has already evaluated and
