@@ -346,7 +346,6 @@ def _initial_state(settings: dict, explicit: set[str]):
     for layer in (1, 2):
         sel = rows[rows[:, 0] == layer]
         sel = sel[np.argsort(sel[:, 1])]
-        # each layer numbers its nodes 0 .. n-1, once each
         bad = np.flatnonzero(sel[:, 1] != np.arange(len(sel)))
         if bad.size:
             raise ValueError(f"{path}: layer {layer} has node_index {sel[bad[0], 1]:g} where "

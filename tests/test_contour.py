@@ -396,7 +396,7 @@ class TestSecantPredictor:
             assert sol.omega == last[0]
             assert np.array_equal(sol.deformation.coeffs, last[1])
             assert sol.residual_norm == last[2] <= C.NEWTON_TOL
-            checked.append(sol.iterations)
+            checked.append(sol)
             return sol
 
         monkeypatch.setattr(C, "_projected_residual", spied)
