@@ -33,6 +33,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -336,6 +337,8 @@ def _initial_state(settings: dict, explicit: set[str]):
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
         raise ValueError(f"cannot load boundary CSV {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"cannot parse boundary CSV {path}: {exc}") from exc
     if rows.shape[1] != 4:
         raise ValueError(f"{path}: expected 4 columns layer,node_index,x,y")
     stray = np.flatnonzero((rows[:, 0] != 1) & (rows[:, 0] != 2))
@@ -362,8 +365,10 @@ def cmd_evolve(settings: dict, explicit: set[str], check_rotation: bool) -> int:
     if check_rotation and vstate is None:
         raise ValueError("--check-rotation requires initial=vstate:<path>")
     out = settings["out"]
+    # a V-state's dynamics keep its m-fold symmetry: evolve its fundamental domain
+    fold = None if vstate is None else math.gcd(vstate.m, vstate.deformation.n_nodes)
     result = dynamics.evolve(params, state0, settings["t_end"], dt=settings["dt"],
-                             snapshot_every=settings["snapshot_every"])
+                             snapshot_every=settings["snapshot_every"], fold=fold)
     for i, snap in enumerate(result.snapshots):
         _write_snapshot(out / f"snap_{i:04d}.csv", snap.boundaries)
 

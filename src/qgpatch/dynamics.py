@@ -42,6 +42,7 @@ from .kernels import LayerParams
 from .quadrature import (
     TWO_PI,
     NumericFailure,
+    _check_fold,
     fourier,
     grid,
     layer_integrals,
@@ -85,8 +86,20 @@ class PatchBoundary:
 
     def area(self) -> float:
         """Area of the trigonometric interpolant; positive when counterclockwise."""
+        return float(np.pi * np.mean(self._flux()))
+
+    def second_moment(self) -> float:
+        """The integral of |x|^2 over the patch, (1/4) oint |z|^2 Im(conj z z') dt."""
+        return float(0.5 * np.pi * np.mean(np.abs(self.nodes) ** 2 * self._flux()))
+
+    def first_moment(self) -> complex:
+        """The integral of x over the patch, as x + iy: (1/3) oint z Im(conj z z') dt."""
+        return complex(TWO_PI / 3.0 * np.mean(self.nodes * self._flux()))
+
+    def _flux(self) -> FloatArray:
+        """Im(conj z z') at the nodes, z' of the trigonometric interpolant."""
         z = self.nodes
-        return float(np.pi * np.mean(np.imag(np.conj(z) * spectral_derivative(z))))
+        return np.imag(np.conj(z) * spectral_derivative(z))
 
     def validate(self) -> None:
         if self.area() <= 0.0:
@@ -130,23 +143,62 @@ def _coarsely_simple(z: ComplexArray, samples: int = 64) -> bool:
     return bool(np.all(d2[_non_adjacent(w.size)] > 0.0625 * edge**2))
 
 
+@functools.cache
+def _turns(fold: int) -> ComplexArray:
+    """e^{2 pi i k/fold}, k = 0 .. fold-1, read-only; the quarter turns are
+    exact (-1 for fold 2, where np.exp(1j * pi) has an imaginary part)."""
+    k = np.arange(fold)
+    turns = np.exp(TWO_PI * 1j * k / fold)
+    quarter = (4 * k) % fold == 0
+    turns[quarter] = np.array([1, 1j, -1, -1j])[4 * k[quarter] // fold]
+    turns.setflags(write=False)
+    return turns
+
+
+def _rotation_image(head: ComplexArray, fold: int) -> ComplexArray:
+    """The fold * P values whose entry j + k P is e^{2 pi i k/fold} head[j],
+    j < P = head.size: the image of head under the rotations by 2 pi/fold."""
+    return (_turns(fold)[:, None] * head).reshape(-1)
+
+
+def _folded(state: EvolutionState, fold: int | None) -> EvolutionState:
+    """state with each boundary's nodes the rotation image of its first N/fold
+    nodes (None: state itself)."""
+    if fold is None:
+        return state
+    n = state.boundaries[0].nodes.size
+    boundaries = tuple(
+        PatchBoundary(_rotation_image(b.nodes[: n // fold], fold), b.layer)
+        for b in state.boundaries
+    )
+    return EvolutionState(boundaries, state.time)
+
+
 def layer_node_velocities(
-    params: LayerParams, z1: ComplexArray, z2: ComplexArray
+    params: LayerParams, z1: ComplexArray, z2: ComplexArray, fold: int | None = None
 ) -> tuple[ComplexArray, ComplexArray]:
-    """Velocity of each layer's field at that layer's own boundary nodes."""
+    """Velocity of each layer's field at that layer's own boundary nodes.
+
+    Given a fold g, the curves must be invariant under rotation by 2 pi/g
+    (``quadrature.layer_integrals`` refuses them otherwise): only the N/g
+    nodes 0 <= t < 2 pi/g are targets, and their velocities, turned by
+    e^{2 pi i k/g}, give the rest.
+    """
     zs = [np.asarray(z, dtype=np.complex128) for z in (z1, z2)]
-    u1, u2 = layer_integrals(params, zs, [spectral_derivative(z) for z in zs])
+    u1, u2 = layer_integrals(params, zs, [spectral_derivative(z) for z in zs], fold, even=False)
+    if fold is not None:
+        u1, u2 = _rotation_image(u1, fold), _rotation_image(u2, fold)
     return -u1, -u2
 
 
-def suggested_dt(params: LayerParams, state: EvolutionState) -> float:
+def suggested_dt(params: LayerParams, state: EvolutionState, fold: int | None = None) -> float:
     """Time for the fastest node to cross one mean node spacing, capped at DT_CAP.
 
     A heuristic step size, not a CFL or stability limit: RK4 on this
     system has been run stable and accurate at steps far above it.
     """
     v1, v2 = layer_node_velocities(
-        params, state.boundaries[0].nodes, state.boundaries[1].nodes
+        params, state.boundaries[0].nodes, state.boundaries[1].nodes, fold
     )
     vmax = float(max(np.max(np.abs(v1)), np.max(np.abs(v2)), 1e-12))
     n = state.boundaries[0].nodes.size
@@ -154,26 +206,30 @@ def suggested_dt(params: LayerParams, state: EvolutionState) -> float:
     return min(DT_CAP, spacing / vmax)
 
 
-def step_rk4(params: LayerParams, state: EvolutionState, dt: float) -> EvolutionState:
+def step_rk4(
+    params: LayerParams, state: EvolutionState, dt: float, fold: int | None = None
+) -> EvolutionState:
     """One classical RK4 step of all boundary nodes; checks simplicity after.
 
-    A negative dt steps backward (used for reversibility checks).
+    A negative dt steps backward (used for reversibility checks).  Given a
+    fold, the velocities are folded (``layer_node_velocities``) and the new
+    nodes are the rotation image of their first N/fold.
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
     z1 = state.boundaries[0].nodes
     z2 = state.boundaries[1].nodes
-    k1a, k1b = layer_node_velocities(params, z1, z2)
-    k2a, k2b = layer_node_velocities(params, z1 + 0.5 * dt * k1a, z2 + 0.5 * dt * k1b)
-    k3a, k3b = layer_node_velocities(params, z1 + 0.5 * dt * k2a, z2 + 0.5 * dt * k2b)
-    k4a, k4b = layer_node_velocities(params, z1 + dt * k3a, z2 + dt * k3b)
+    k1a, k1b = layer_node_velocities(params, z1, z2, fold)
+    k2a, k2b = layer_node_velocities(params, z1 + 0.5 * dt * k1a, z2 + 0.5 * dt * k1b, fold)
+    k3a, k3b = layer_node_velocities(params, z1 + 0.5 * dt * k2a, z2 + 0.5 * dt * k2b, fold)
+    k4a, k4b = layer_node_velocities(params, z1 + dt * k3a, z2 + dt * k3b, fold)
     new1 = z1 + dt / 6.0 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
     new2 = z2 + dt / 6.0 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-    b1 = PatchBoundary(new1, 1)
-    b2 = PatchBoundary(new2, 2)
-    b1.validate()
-    b2.validate()
-    return EvolutionState((b1, b2), state.time + dt)
+    new = EvolutionState((PatchBoundary(new1, 1), PatchBoundary(new2, 2)), state.time + dt)
+    new = _folded(new, fold)
+    for boundary in new.boundaries:
+        boundary.validate()
+    return new
 
 
 def resample_by_arclength(boundary: PatchBoundary) -> PatchBoundary:
@@ -212,52 +268,85 @@ class EvolutionResult:
     aborted: str | None = None
 
 
+def impulses(params: LayerParams, state: EvolutionState) -> tuple[float, complex]:
+    """(J, C): the angular impulse J = delta int_{D1} |x|^2 + int_{D2} |x|^2 and
+    the centroid C = delta int_{D1} x + int_{D2} x (as x + iy).
+
+    The coupled dynamics conserve both, since delta G_12 = G_21; per-layer
+    areas cannot see a wrong coupling coefficient, these can.
+    """
+    b1, b2 = state.boundaries
+    delta = params.delta
+    return (delta * b1.second_moment() + b2.second_moment(),
+            delta * b1.first_moment() + b2.first_moment())
+
+
 def evolve(
     params: LayerParams,
     state0: EvolutionState,
     t_end: float,
     dt: float | None = None,
     snapshot_every: int = 50,
+    fold: int | None = None,
 ) -> EvolutionResult:
     """March to t_end with RK4, node redistribution and snapshots.
 
     The nodes are respaced by arclength every REDISTRIBUTE_EVERY steps.
 
-    Snapshots include the initial and final states.  On a NumericFailure
+    Given a fold g, state0 must be invariant under rotation by 2 pi/g (to
+    1e-12 of max|z|, else ``ValueError``), the right-hand sides are folded
+    (``layer_node_velocities``), and every state held (the start, each RK4
+    step, each respacing) is the exact rotation image of its first N/g
+    nodes, so the run stays in the g-fold subspace.
+
+    Snapshots include the initial and final states.  At each snapshot the
+    diagnostics take the largest relative drift of each layer's area, of
+    the angular impulse J and of the centroid C (``impulses``; its shift is
+    measured against sqrt(J M) at the start, M = delta A_1 + A_2, the
+    weighted area times its radius of gyration).  On a NumericFailure
     (simplicity violation, touching boundaries, a quadrature refusal) the
     partial trajectory is returned with the failure recorded in ``aborted``.
     """
     if t_end <= 0.0:
         raise ValueError("t_end must be > 0")
+    if fold is not None:
+        _check_fold([b.nodes for b in state0.boundaries], fold, even=False)
+    state = _folded(state0, fold)
     if dt is None:
-        dt = suggested_dt(params, state0)
-    state = state0
+        dt = suggested_dt(params, state, fold)
     n_steps = max(1, int(round(t_end / dt)))
     result = EvolutionResult(snapshots=[state])
     area0 = [b.area() for b in state.boundaries]
-    max_drift = 0.0
+    impulse0, centroid0 = impulses(params, state)
+    centroid_scale = float(np.sqrt(abs(impulse0) * abs(params.delta * area0[0] + area0[1])))
+    drifts = dict.fromkeys(("area_drift", "angular_impulse_drift", "centroid_drift"), 0.0)
     min_gap = _boundary_gap(state)
     try:
         for step in range(1, n_steps + 1):
-            state = step_rk4(params, state, dt)
+            state = step_rk4(params, state, dt, fold)
             if step % REDISTRIBUTE_EVERY == 0:
                 boundaries = tuple(map(resample_by_arclength, state.boundaries))
-                state = EvolutionState(boundaries, state.time)
+                state = _folded(EvolutionState(boundaries, state.time), fold)
             if step % snapshot_every == 0 or step == n_steps:
                 result.snapshots.append(state)
-                drift = max(
-                    abs(b.area() - a) / abs(a) for b, a in zip(state.boundaries, area0)
-                )
-                max_drift = max(max_drift, drift)
+                impulse, centroid = impulses(params, state)
+                now = {
+                    "area_drift": max(abs(b.area() - a) / abs(a)
+                                      for b, a in zip(state.boundaries, area0)),
+                    "angular_impulse_drift": abs(impulse - impulse0) / abs(impulse0),
+                    "centroid_drift": abs(centroid - centroid0) / centroid_scale,
+                }
+                drifts = {key: max(drifts[key], now[key]) for key in drifts}
                 min_gap = min(min_gap, _boundary_gap(state))
     except NumericFailure as exc:
         result.aborted = str(exc)
     result.diagnostics = {
-        "area_drift": max_drift,
+        **drifts,
         "min_boundary_gap": min_gap,
         "n_steps": n_steps,
         "n_snapshots": len(result.snapshots),
         "dt": dt,
+        "fold": fold,
     }
     return result
 

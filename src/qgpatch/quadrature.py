@@ -270,19 +270,20 @@ def _grid_tables(n: int) -> tuple[FloatArray, FloatArray]:
 
 
 @functools.cache
-def _gather_index(n: int, fold: int | None) -> np.ndarray:
+def _gather_index(n: int, fold: int | None, even: bool = True) -> np.ndarray:
     """Flat indices that take a symmetric block's centred half band to its
-    ``fold_rows(n, fold)`` x n grid layout.
+    ``fold_rows(n, fold, even)`` x n grid layout.
 
-    Entry [k, d] of the half band (``fold_rows(n, fold)`` x (n/2 + 1))
+    Entry [k, d] of the half band (``fold_rows(n, fold, even)`` x (n/2 + 1))
     pairs node k - floor(d/2) with node k + ceil(d/2), centred on
     k + (d mod 2)/2.  Each grid entry [i, j] is oriented along its offset
     d <= n/2 and its centre is reduced modulo the period P (n, or n/g given
-    a fold g); given a fold it is also reflected by t -> -t into [0, P/2].
-    The entry taken pairs (i, j) or (j, i), moved by the fold's symmetry if
-    there is one.
+    a fold g); given an even fold it is also reflected by t -> -t into
+    [0, P/2].  The entry taken pairs (i, j) or (j, i), moved by the fold's
+    symmetry if there is one.
     """
-    i = np.arange(fold_rows(n, fold))[:, None]
+    rows = fold_rows(n, fold, even)
+    i = np.arange(rows)[:, None]
     j = np.arange(n)[None, :]
     d = (j - i) % n
     cols = n // 2 + 1
@@ -291,9 +292,9 @@ def _gather_index(n: int, fold: int | None) -> np.ndarray:
     period = n if fold is None else n // fold
     # twice the centre of the oriented pair, modulo the period
     centre = (2 * np.where(flip, j, i) + d) % (2 * period)
-    if fold is not None:
+    if fold is not None and even:
         centre = np.minimum(centre, 2 * period - centre)
-    return _checked_index((centre // 2) * cols + d, fold_rows(n, fold) * cols)
+    return _checked_index((centre // 2) * cols + d, rows * cols)
 
 
 @functools.cache
@@ -315,32 +316,36 @@ def _checked_index(index: np.ndarray, size: int) -> np.ndarray:
     return index
 
 
-def fold_rows(n: int, fold: int | None) -> int:
-    """Target rows 0 <= t <= pi/fold of an n-point grid (None: all n)."""
+def fold_rows(n: int, fold: int | None, even: bool = True) -> int:
+    """Target rows of an n-point grid a fold builds: all n for None, else the
+    rows 0 <= t <= pi/fold of an even fold, or the n/fold rows
+    0 <= t < 2 pi/fold of a rotation-only one (``even`` False)."""
     if fold is None:
         return n
     if fold < 1 or n % fold:
         raise ValueError(f"fold {fold} does not divide the node count {n}")
-    return n // (2 * fold) + 1
+    return n // (2 * fold) + 1 if even else n // fold
 
 
 @functools.cache
-def _mirror_index(n: int, fold: int) -> np.ndarray:
+def _mirror_index(n: int, fold: int, even: bool = True) -> np.ndarray:
     """Flat indices into the W_21 rows that give W_21^T on the same rows.
 
     Entry [i, j] of the result is the position in the fold_rows x n block
     of W_21[j, i].  With period P = n/fold, node j maps to j' = j mod P,
-    or reflects to P - (j mod P) when that is above P/2; node i moves by
-    the same rotation and reflection, so the pair keeps its chord.
+    or, given an even fold, reflects to P - (j mod P) when that is above
+    P/2; node i moves by the same rotation and reflection, so the pair
+    keeps its chord.
     """
     period = n // fold
-    i = np.arange(fold_rows(n, fold))[:, None]
+    rows = fold_rows(n, fold, even)
+    i = np.arange(rows)[:, None]
     j = np.arange(n)[None, :]
     shift, r = np.divmod(j, period)
-    reflect = 2 * r > period
+    reflect = even & (2 * r > period)
     j_row = np.where(reflect, period - r, r)
     i_col = np.where(reflect, (shift + 1) * period - i, i - shift * period) % n
-    return _checked_index(j_row * n + i_col, fold_rows(n, fold) * n)
+    return _checked_index(j_row * n + i_col, rows * n)
 
 
 def _apply_kernel_matrix(kern: FloatArray, t_src: np.ndarray) -> np.ndarray:
@@ -404,14 +409,16 @@ def _centred_views(values: FloatArray, n_rows: int, n_cols: int) -> tuple[FloatA
 
 def _kernel_matrix(
     alpha, kappa, mu, z_tgt, z_src, dz_src, *, n_rows: int | None = None,
-    fold: int | None = None,
+    fold: int | None = None, even: bool = True,
 ) -> FloatArray:
     """Weights W with (W @ T)[i] the integral at z_tgt[i]; regime and guards.
 
     Only the leading targets i = 0 .. n_rows-1 are built, so W is
-    n_rows x N.  Without ``n_rows`` they are the rows ``fold_rows(N, fold)``:
-    all N for no fold, else the rows 0 <= t <= pi/fold of curves that are
-    even and invariant under rotation by 2 pi/fold.  The regime test still
+    n_rows x N.  Without ``n_rows`` they are the rows
+    ``fold_rows(N, fold, even)``: all N for no fold, else the rows
+    0 <= t <= pi/fold of curves that are even and invariant under rotation
+    by 2 pi/fold, or, with ``even`` False, the rows 0 <= t < 2 pi/fold of
+    curves that are only invariant under the rotation.  The regime test still
     compares the full grids.  The guards measure separations against the
     larger curve's mean radius, max(mean|z_tgt|, mean|z_src|), so a cross
     block sees the same guard whichever way round it is built.  The split
@@ -419,8 +426,9 @@ def _kernel_matrix(
 
     A block with z_tgt equal to z_src and no ``n_rows`` is symmetric: it
     evaluates only the centred half band, with a fold one pair of each
-    orbit of the fold's symmetry, and ``_gather_index`` takes it to the
-    grid.  Every other block is built in its grid layout, where the split's
+    orbit of the fold's symmetry (the centres 0 <= t <= pi/fold, or
+    0 <= t < 2 pi/fold for a rotation-only fold), and ``_gather_index``
+    takes it to the grid.  Every other block is built in its grid layout, where the split's
     log-ratio row enters as a circulant view.  Both regimes then run one
     sequence in a fixed handful of arrays, in place: chords, guards,
     q = mu^2 rho^2 / 4, the split's diagonal (and its off-diagonal touch
@@ -440,7 +448,7 @@ def _kernel_matrix(
     given = nodes if dz_src is None else (*nodes, dz_src)
     if not all(np.all(np.isfinite(a)) for a in given):
         raise QuadratureFailure("non-finite boundary node or derivative")
-    rows = fold_rows(n, fold) if n_rows is None else n_rows
+    rows = fold_rows(n, fold, even) if n_rows is None else n_rows
     h = TWO_PI / n
     scale = max(float(np.mean(np.abs(z))) for z in nodes)
     dmax = 0.0 if same else float(np.max(np.abs(z_tgt - z_src)))
@@ -515,7 +523,7 @@ def _kernel_matrix(
         kern += ratio[:cols] if symmetric else _circulant_view(ratio, rows)
     kern = _fold(kern, q, qmax, alpha, kappa, mu, h)
     if symmetric:
-        return _take(_gather_index, n, fold)(kern, out=expanded)
+        return _take(_gather_index, n, fold, even)(kern, out=expanded)
     return kern
 
 
@@ -573,7 +581,7 @@ def kernel_integral_grid(
 
 
 def layer_integrals(
-    params: LayerParams, zs, dzs, fold: int | None = None
+    params: LayerParams, zs, dzs, fold: int | None = None, even: bool = True
 ) -> tuple[ComplexArray, ComplexArray]:
     """u_k(t_i) = sum_j int G_{k,j}(z_k(t_i) - z_j(e)) z_j'(e) de for k = 1, 2.
 
@@ -587,12 +595,15 @@ def layer_integrals(
     only the targets 0 <= t <= pi/g (``fold_rows``) are built, the self
     blocks evaluate one pair of each node-pair orbit of that symmetry, and
     the W_12 rows are one gather from the W_21 rows, whose entries cover
-    every node pair up to it.
+    every node pair up to it.  With ``even`` False the curves need only the
+    rotation: the targets are the N/g rows 0 <= t < 2 pi/g, the self blocks
+    keep the half band's centres in that range, and every entry again has
+    an image among the rows built.
 
     Every block measures its guards against the larger curve's mean radius:
     a self block its own curve's, the cross block the larger layer's.
 
-    With ``fold_rows(N, fold) * N >= THREADED_CROSS_MIN_ENTRIES`` cross
+    With ``fold_rows(N, fold, even) * N >= THREADED_CROSS_MIN_ENTRIES`` cross
     entries and two CPUs in this process's affinity, W_21 and its two
     products run on a worker thread while this thread builds and applies
     W_11 and W_22; the pool and its module are made on first use.  The velocities are bitwise
@@ -602,27 +613,28 @@ def layer_integrals(
     """
     (z1, z2), (dz1, dz2) = zs, dzs
     if fold is not None:
-        _check_fold((z1, z2), fold)
+        _check_fold((z1, z2), fold, even)
     mu = params.mu
     alpha12, _ = gkj_coefficients(params, 1, 2)
     alpha21, kappa21 = gkj_coefficients(params, 2, 1)
     self_pairs = (gkj_coefficients(params, 1, 1), gkj_coefficients(params, 2, 2))
 
     def cross_parts():
-        w21 = _kernel_matrix(alpha21, kappa21, mu, z2, z1, dz1, fold=fold)
-        w21_t = w21.T if fold is None else _take(_mirror_index, len(z1), fold)(w21)
+        w21 = _kernel_matrix(alpha21, kappa21, mu, z2, z1, dz1, fold=fold, even=even)
+        w21_t = w21.T if fold is None else _take(_mirror_index, len(z1), fold, even)(w21)
         u1 = (alpha12 / alpha21) * _apply_kernel_matrix(w21_t, dz2)
         return u1, _apply_kernel_matrix(w21, dz1)
 
     def self_parts():
         # each block applied as soon as it is built, so one is alive at a time
-        w11 = _kernel_matrix(*self_pairs[0], mu, z1, z1, dz1, fold=fold)
+        w11 = _kernel_matrix(*self_pairs[0], mu, z1, z1, dz1, fold=fold, even=even)
         s1 = _apply_kernel_matrix(w11, dz1)
         del w11
-        w22 = _kernel_matrix(*self_pairs[1], mu, z2, z2, dz2, fold=fold)
+        w22 = _kernel_matrix(*self_pairs[1], mu, z2, z2, dz2, fold=fold, even=even)
         return s1, _apply_kernel_matrix(w22, dz2)
 
-    if fold_rows(len(z1), fold) * len(z1) >= THREADED_CROSS_MIN_ENTRIES and _cpu_count() >= 2:
+    n_cross = fold_rows(len(z1), fold, even) * len(z1)
+    if n_cross >= THREADED_CROSS_MIN_ENTRIES and _cpu_count() >= 2:
         cross = _cross_worker(os.getpid()).submit(cross_parts)
         try:
             s1, s2 = self_parts()
@@ -656,19 +668,22 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _check_fold(zs, fold: int) -> None:
-    """Refuse curves that are not even, z(-t) = conj z(t), and invariant
-    under rotation, z(t + 2 pi/fold) = e^{2 pi i/fold} z(t), to 1e-12 of
-    max|z|: the folded builds would return wrong velocities for them."""
+def _check_fold(zs, fold: int, even: bool = True) -> None:
+    """Refuse curves that are not invariant under rotation,
+    z(t + 2 pi/fold) = e^{2 pi i/fold} z(t), or, for an even fold, not even,
+    z(-t) = conj z(t), to 1e-12 of max|z|: the folded builds would return
+    wrong velocities for them."""
     z = np.asarray(zs, dtype=np.complex128)
     n = z.shape[-1]
     fold_rows(n, fold)  # refuses a fold that does not divide n
     period = n // fold
-    reflected = z[:, 1:] - np.conj(z[:, :0:-1])
-    rotated = z[:, period:] - np.exp(TWO_PI * 1j / fold) * z[:, : n - period]
-    defect = max(float(np.max(np.abs(a), initial=0.0)) for a in (reflected, rotated))
+    defects = [z[:, period:] - np.exp(TWO_PI * 1j / fold) * z[:, : n - period]]
+    if even:
+        defects.append(z[:, 1:] - np.conj(z[:, :0:-1]))
+    defect = max(float(np.max(np.abs(a), initial=0.0)) for a in defects)
     if defect > 1e-12 * float(np.max(np.abs(z))):
-        raise ValueError(f"curves are not even and {fold}-fold symmetric (defect {defect:.2e})")
+        kind = "even and " if even else ""
+        raise ValueError(f"curves are not {kind}{fold}-fold symmetric (defect {defect:.2e})")
 
 
 # ---------------------------------------------------------------------------

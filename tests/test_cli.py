@@ -350,9 +350,10 @@ class TestEvolveCommand:
                 for layer, b in ((1, 1.0), (2, 0.7)) for i in range(n)]
 
     def evolve_rows(self, tmp_path, rows):
+        """Run evolve from rows, written by repr, or as they are if text."""
         path = tmp_path / "initial.csv"
-        path.write_text("layer,node_index,x,y\n"
-                        + "".join(",".join(repr(v) for v in row) + "\n" for row in rows))
+        path.write_text("layer,node_index,x,y\n" + "".join(
+            ",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in rows))
         out = tmp_path / "out"
         code = run(["evolve", "--b2", 0.7, "--initial", f"csv:{path}", "--t-end", 0.004,
                     "--dt", 0.002, "--out", out])
@@ -387,6 +388,16 @@ class TestEvolveCommand:
         assert str(path) in err and f"data row 6 has layer {layer}, not 1 or 2" in err
         assert not out.exists()
 
+    def test_non_numeric_csv_value_names_the_file(self, tmp_path, capsys):
+        rows = self.disc_rows()
+        rows[0][2] = "np.float64(1.0)"
+        code, path, out = self.evolve_rows(tmp_path, rows)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot parse boundary CSV {path}: ")
+        assert "np.float64(1.0)" in err
+        assert not out.exists()
+
     @pytest.fixture(scope="class")
     def branch_66(self, tmp_path_factory):
         """An m = 3 branch at b2 = 0.6, lambda = 1, solved on 66 nodes."""
@@ -408,6 +419,26 @@ class TestEvolveCommand:
         assert manifest["diagnostics"]["rotation_residual"] <= 1e-13
         rows = np.loadtxt(tmp_path / "snap_0000.csv", delimiter=",", skiprows=1)
         assert rows.shape[0] == 2 * 66
+
+    def test_vstate_run_folded_and_its_snapshot_run_not(self, tmp_path, branch_66):
+        # the m = 3 V-state on 66 nodes evolves on its fundamental domain
+        # (fold 3); its first snapshot, read back, is a plain boundary file
+        folded, full = tmp_path / "folded", tmp_path / "full"
+        assert self._evolve_from(branch_66, folded) == 0
+        assert run(["evolve", "--b2", 0.6, "--initial", f"csv:{folded / 'snap_0000.csv'}",
+                    "--t-end", 0.05, "--dt", 0.005, "--out", full]) == 0
+        diagnostics = [json.loads((out / "manifest.json").read_text())["diagnostics"]
+                       for out in (folded, full)]
+        assert [d["fold"] for d in diagnostics] == [3, None]
+        assert diagnostics[0]["rotation_residual"] <= 1e-12
+        last = sorted(p.name for p in folded.glob("snap_*.csv"))[-1]
+        a, b = (np.loadtxt(out / last, delimiter=",", skiprows=1) for out in (folded, full))
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_disc_run_records_no_fold(self, tmp_path):
+        assert run(["evolve", "--b2", 0.7, "--t-end", 0.004, "--dt", 0.002,
+                    "--nodes", 64, "--out", tmp_path]) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["diagnostics"]["fold"] is None
 
     @pytest.mark.parametrize(
         "flags, named",
@@ -639,6 +670,29 @@ class TestFreshProcess:
         argv = ["vstate", "--nodes", 256, "--modes", 8, "--s-grid", 0.001, "--out", tmp_path]
         stdout = _fresh_python(probe, json.dumps([str(a) for a in argv]))
         assert json.loads(stdout.splitlines()[-1]) == [0, [False, 1], [0, 1]]
+
+    def test_folded_vstate_evolve_starts_no_cross_thread(self, tmp_path):
+        # N = 256, m = 2: the folded cross block has 128 x 256 entries, below
+        # THREADED_CROSS_MIN_ENTRIES; the same start read back from its
+        # snapshot is unfolded, 256 x 256, and builds W_21 on the worker
+        probe = ("import json, sys, threading; from qgpatch import cli, quadrature; "
+                 "quadrature._cpu_count = lambda: 2; "
+                 "code = cli.main(json.loads(sys.argv[1])); "
+                 "names = [t.name for t in threading.enumerate()]; "
+                 "print(json.dumps([code, any(n.startswith('qgpatch-cross') for n in names)]))")
+        branch = tmp_path / "vs"
+        assert run(["vstate", "--nodes", 256, "--modes", 8, "--s-grid", 0.001,
+                    "--out", branch]) == 0
+        starts = [f"vstate:{branch / 'branch.json'}", f"csv:{tmp_path / 'ev0' / 'snap_0000.csv'}"]
+        threads = []
+        for i, start in enumerate(starts):
+            argv = ["evolve", "--initial", start, "--t-end", 0.002, "--dt", 0.002,
+                    "--out", tmp_path / f"ev{i}"]
+            stdout = _fresh_python(probe, json.dumps([str(a) for a in argv]))
+            code, started = json.loads(stdout.splitlines()[-1])
+            assert code == 0
+            threads.append(started)
+        assert threads == [False, True]
 
     @pytest.mark.parametrize("argv", [
         ["evolve", "--nodes", 8],

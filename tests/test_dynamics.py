@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as O
+from qgpatch import contour as C
 from qgpatch import dynamics as D
 from qgpatch import quadrature as Q
 from qgpatch.kernels import LayerParams, gkj_coefficients
@@ -57,6 +58,15 @@ class TestArea:
         t = 2 * np.pi * np.arange(64) / 64
         curve = D.PatchBoundary((1.0 + 0.2 * np.cos(3 * t)) * np.exp(1j * t), 1)
         assert curve.area() == pytest.approx(1.02 * np.pi, rel=0, abs=1e-14)
+
+    def test_moments_of_an_offset_disc(self):
+        # the disc |x - c| < r: int |x|^2 = pi r^2 (r^2/2 + |c|^2), int x = pi r^2 c
+        c, r = 0.3 - 0.2j, 0.8
+        disc = D.PatchBoundary(c + r * np.exp(1j * Q.grid(128)), 1)
+        area = np.pi * r * r
+        assert disc.second_moment() == pytest.approx(area * (r * r / 2 + abs(c) ** 2),
+                                                     rel=1e-14)
+        assert abs(disc.first_moment() - area * c) <= 1e-14
 
 
 class TestNyquistAgreement:
@@ -320,3 +330,126 @@ class TestCoarseSimplicity:
         mask = D._non_adjacent(64)
         assert mask is D._non_adjacent(64) and not mask.flags.writeable
         assert mask.sum() == 64 * 61
+
+
+def off_centre_state(n=N):
+    """Two off-centre layers with no symmetry: C and J both nonzero."""
+    t = Q.grid(n)
+    z1 = 0.05 + 0.03j + (1.0 + 0.03 * np.cos(2 * t) + 0.01 * np.sin(3 * t)) * np.exp(1j * t)
+    z2 = -0.1 + 0.02j + (0.6 - 0.02 * np.cos(3 * t + 0.4)) * np.exp(1j * t)
+    return D.EvolutionState((D.PatchBoundary(z1, 1), D.PatchBoundary(z2, 2)), 0.0)
+
+
+def rotation_symmetric_state(m, n, seed=0):
+    """A g-fold pair, g = gcd(m, n), turned off the axes so it is not even:
+    a V-state as it rotates.  Its symmetry holds to rounding only."""
+    t = Q.grid(n)
+    rng = np.random.default_rng(seed)
+    k = m * np.arange(1, 4)[:, None]
+    boundaries = []
+    for layer, b in ((1, 1.0), (2, 0.7)):
+        a, phase = 0.01 * rng.standard_normal((3, 1)) / k, rng.uniform(0, 6, (3, 1))
+        shape = 1.0 + np.sum(a * np.cos(k * t + phase), axis=0)
+        boundaries.append(D.PatchBoundary(np.exp(0.3j) * b * shape * np.exp(1j * t), layer))
+    return D.EvolutionState(tuple(boundaries), 0.0)
+
+
+class TestInvariants:
+    """The angular impulse J and the centroid C, weights (delta, 1)."""
+
+    PARAMS = LayerParams(2.0, 1.0, 1.0, 0.6)
+    DRIFTS = ("angular_impulse_drift", "centroid_drift")
+
+    def run(self, state0, params=PARAMS, **kwargs):
+        res = D.evolve(params, state0, t_end=0.2, dt=2e-3, snapshot_every=10, **kwargs)
+        assert res.aborted is None
+        return res.diagnostics
+
+    def test_off_centre_asymmetric_run_conserves_both(self):
+        diag = self.run(off_centre_state())
+        for key in self.DRIFTS:
+            assert diag[key] <= 1e-13, (key, diag[key])
+
+    def test_wrong_coupling_breaks_both(self, monkeypatch):
+        # the mutation check: the (1, 2) kernel scaled by 1.01 leaves every
+        # area at roundoff, but moves J by about 1e-6 and C by about 1e-5
+        coefficients = Q.gkj_coefficients
+
+        def scaled(params, k, j):
+            alpha, kappa = coefficients(params, k, j)
+            return (1.01 * alpha, 1.01 * kappa) if (k, j) == (1, 2) else (alpha, kappa)
+
+        monkeypatch.setattr(Q, "gkj_coefficients", scaled)
+        diag = self.run(off_centre_state())
+        assert diag["area_drift"] <= 1e-13
+        for key in self.DRIFTS:
+            assert diag[key] >= 1e-8, (key, diag[key])
+
+    def test_folded_vstate_run_conserves_angular_impulse(self):
+        sol = C.vstate_solve(BASE, 2, -1, 0.02, n_modes=8, n_nodes=128)
+        phase = np.exp(1j * sol.deformation.grid())
+        state0 = D.EvolutionState(tuple(
+            D.PatchBoundary(r * phase, layer) for layer, r in zip((1, 2), sol.boundary_radii())
+        ), 0.0)
+        diag = self.run(state0, BASE, fold=2)
+        assert diag["fold"] == 2
+        assert diag["angular_impulse_drift"] <= 1e-13
+
+
+class TestFold:
+    """Folded right-hand sides and runs against the full ones."""
+
+    @pytest.mark.parametrize("m,n", [(2, 256), (2, 66), (3, 66)],
+                             ids=["256-m2", "66-m2-odd-period", "66-m3-inexact-turn"])
+    def test_velocities_match_full_rhs(self, m, n):
+        z1, z2 = (b.nodes for b in rotation_symmetric_state(m, n).boundaries)
+        full = D.layer_node_velocities(BASE, z1, z2)
+        folded = D.layer_node_velocities(BASE, z1, z2, fold=m)
+        for got, want in zip(folded, full):
+            assert got.shape == (n,)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_turns_exact_on_quarter_turns(self):
+        assert D._turns(2).tolist() == [1, -1]
+        assert D._turns(4).tolist() == [1, 1j, -1, -1j]
+        turns = D._turns(3)
+        assert np.max(np.abs(turns - np.exp(2j * np.pi * np.arange(3) / 3))) <= 1e-16
+
+    def test_every_state_is_an_exact_image(self):
+        # 51 steps pass one respacing; each snapshot (the start, each step, the
+        # respaced step 50) must repeat its first third exactly, turned
+        state0 = rotation_symmetric_state(3, 66)
+        res = D.evolve(BASE, state0, t_end=51 * 5e-3, dt=5e-3, snapshot_every=1, fold=3)
+        assert res.aborted is None and len(res.snapshots) == 52
+        turns = D._turns(3)
+        for snap in res.snapshots:
+            for b in snap.boundaries:
+                head = b.nodes[:22]
+                assert np.array_equal(b.nodes, (turns[:, None] * head).reshape(-1))
+
+    def test_folded_run_tracks_the_unfolded_one(self):
+        state0 = rotation_symmetric_state(3, 66)
+        folded, full = (D.evolve(BASE, state0, t_end=0.3, dt=5e-3, snapshot_every=60,
+                                 fold=fold) for fold in (3, None))
+        assert folded.diagnostics["fold"] == 3 and full.diagnostics["fold"] is None
+        for a, b in zip(folded.snapshots[-1].boundaries, full.snapshots[-1].boundaries):
+            assert np.max(np.abs(a.nodes - b.nodes)) <= 1e-13
+
+    def test_asymmetric_start_refused(self):
+        with pytest.raises(ValueError, match="not 2-fold symmetric"):
+            D.evolve(BASE, off_centre_state(), t_end=0.01, dt=5e-3, fold=2)
+
+    def test_criterion_10_setup_folded(self):
+        # test_acceptance's criterion 10 run, on its fundamental domain
+        sol = C.vstate_solve(BASE, 2, -1, 1e-3, n_modes=16, n_nodes=256)
+        defo = C.RadialDeformation(sol.m, sol.deformation.coeffs, 128)
+        r_nodal = defo.nodal()
+        radii = (C.radius_profile(BASE.b1, r_nodal[0]), C.radius_profile(BASE.b2, r_nodal[1]))
+        phase = np.exp(1j * defo.grid())
+        state0 = D.EvolutionState(
+            (D.PatchBoundary(radii[0] * phase, 1), D.PatchBoundary(radii[1] * phase, 2)), 0.0
+        )
+        t_end = 2.0 * np.pi / (10.0 * abs(sol.omega))
+        result = D.evolve(BASE, state0, t_end=t_end, dt=5e-3, snapshot_every=175, fold=2)
+        assert result.aborted is None
+        assert D.rigid_rotation_residual(result.snapshots, sol.omega) <= 1e-12

@@ -9,6 +9,7 @@ import pytest
 
 import oracles as O
 from qgpatch import contour as C
+from qgpatch import dynamics as D
 from qgpatch import quadrature as Q
 from qgpatch.bessel import bessel_ik_product, k0_array, series_coefficients
 from qgpatch.kernels import LayerParams, gkj_coefficients
@@ -557,6 +558,94 @@ class TestFoldedSelfBlocks:
             Q.layer_integrals(TestMirroredCrossRows.PARAMS, (z1, z2), dzs, 2)
 
 
+class TestRotationFold:
+    """Rotation-only fold (even False): the N/g targets 0 <= t < 2 pi/g of
+    curves invariant under rotation by 2 pi/g, as a V-state stays while it
+    turns off the axes and stops being even."""
+
+    CASES = TestMirroredCrossRows.CASES
+
+    def curves(self, params, m, n, twins):
+        (z1, z2), _ = TestMirroredCrossRows.curves(self, params, m, n, twins)
+        zs = tuple(np.exp(0.3j) * z for z in (z1, z2))
+        return zs, tuple(Q.spectral_derivative(z) for z in zs)
+
+    @pytest.mark.parametrize("m,n", CASES)
+    def test_every_entry_gathers_a_rotated_pair(self, m, n):
+        # as for the even fold, with rotations through n/g nodes only
+        g = gcd(m, n)
+        rows, cols = Q.fold_rows(n, g, even=False), n // 2 + 1
+        assert rows == n // g
+        k, d = np.divmod(Q._gather_index(n, g, False), cols)
+        assert k.max() < rows and d.max() < cols
+        tgt = (k - d // 2) % n
+        src = (tgt + d) % n
+        i, j = np.indices((rows, n))
+        image = np.zeros((rows, n), dtype=bool)
+        for shift in range(0, n, n // g):
+            a, b = (i + shift) % n, (j + shift) % n
+            image |= ((a == tgt) & (b == src)) | ((a == src) & (b == tgt))
+        assert image.all()
+
+    @pytest.mark.parametrize("twins", [False, True])
+    @pytest.mark.parametrize("m,n", CASES)
+    def test_rows_match_full_grid(self, m, n, twins):
+        params = TestMirroredCrossRows.TWINS if twins else TestMirroredCrossRows.PARAMS
+        zs, dzs = self.curves(params, m, n, twins)
+        g = gcd(m, n)
+        with pytest.raises(ValueError, match="not even"):
+            Q.layer_integrals(params, zs, dzs, g)
+        full = Q.layer_integrals(params, zs, dzs)
+        folded = Q.layer_integrals(params, zs, dzs, g, even=False)
+        for u_full, u_rows in zip(full, folded):
+            assert u_rows.shape == (n // g,)
+            err = np.max(np.abs(u_rows - u_full[: n // g]))
+            assert err <= 1e-14 * np.max(np.abs(u_full))
+
+    @pytest.mark.parametrize("m,n", CASES)
+    def test_mirrored_block_matches_direct_build(self, m, n):
+        params = TestMirroredCrossRows.PARAMS
+        (z1, z2), (dz1, dz2) = self.curves(params, m, n, False)
+        g = gcd(m, n)
+        rows = Q.fold_rows(n, g, even=False)
+        alpha12, kappa12 = gkj_coefficients(params, 1, 2)
+        alpha21, kappa21 = gkj_coefficients(params, 2, 1)
+        w21 = Q._kernel_matrix(alpha21, kappa21, params.mu, z2, z1, dz1, n_rows=rows)
+        direct = Q._kernel_matrix(alpha12, kappa12, params.mu, z1, z2, dz2, n_rows=rows)
+        mirrored = (alpha12 / alpha21) * np.take(w21, Q._mirror_index(n, g, False))
+        assert np.max(np.abs(mirrored - direct)) <= 3e-15 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("twins", [False, True])
+    @pytest.mark.parametrize("m,n", CASES)
+    def test_each_block_evaluates_its_rows(self, monkeypatch, m, n, twins):
+        params = TestMirroredCrossRows.TWINS if twins else TestMirroredCrossRows.PARAMS
+        zs, dzs = self.curves(params, m, n, twins)
+        g = gcd(m, n)
+        sizes = record_per_block(monkeypatch, zs, "_fold", lambda log_part, *_: log_part.size)
+        Q.layer_integrals(params, zs, dzs, g, even=False)
+        half_band = n // g * (n // 2 + 1)
+        cross = half_band if twins else n // g * n
+        assert sizes == {(2, 1): cross, (1, 1): half_band, (2, 2): half_band}
+
+    def test_curve_without_the_rotation_refused(self):
+        # even, but 3-fold where 2-fold is claimed
+        z1 = (1.0 + 0.02 * np.cos(3 * THETA)) * np.exp(1j * THETA)
+        z2 = 0.7 * np.exp(1j * THETA)
+        dzs = tuple(Q.spectral_derivative(z) for z in (z1, z2))
+        with pytest.raises(ValueError, match="curves are not 2-fold symmetric"):
+            Q.layer_integrals(TestMirroredCrossRows.PARAMS, (z1, z2), dzs, 2, even=False)
+
+    @pytest.mark.parametrize("fold,entries", [(None, 131_584), (2, 65_792)])
+    def test_entries_per_right_hand_side(self, monkeypatch, fold, entries):
+        # the benchmark's evolve: N = 256, m = 2; folded, the self blocks take
+        # 128 x 129 entries each and the cross block 128 x 256
+        params, z1, z2 = next(evolve_reference_inputs())
+        zs = (z1, z2)
+        sizes = record_per_block(monkeypatch, zs, "_fold", lambda log_part, *_: log_part.size)
+        D.layer_node_velocities(params, z1, z2, fold)
+        assert sum(sizes.values()) == entries
+
+
 class TestSymmetricBuilds:
     """Half-band full self builds: exact symmetry, and the paths that avoid it."""
 
@@ -633,7 +722,7 @@ class TestCrossWorker:
             z2 = z1 * (1.0 + 1e-6 * np.cos(2 * t))
         return z1, z2
 
-    def integrals(self, monkeypatch, zs, cpus, params=PARAMS, fold=None):
+    def integrals(self, monkeypatch, zs, cpus, params=PARAMS, fold=None, even=True):
         """layer_integrals as on ``cpus`` CPUs, and the threads that built W_21."""
         monkeypatch.setattr(Q, "_cpu_count", lambda: cpus)
         builders = []
@@ -647,7 +736,7 @@ class TestCrossWorker:
         monkeypatch.setattr(Q, "_kernel_matrix", spy)
         dzs = [Q.spectral_derivative(z) for z in zs]
         try:
-            return Q.layer_integrals(params, zs, dzs, fold), builders
+            return Q.layer_integrals(params, zs, dzs, fold, even), builders
         finally:
             monkeypatch.undo()
 
@@ -681,6 +770,19 @@ class TestCrossWorker:
             zs = self.pair("random", n, fold)
             _, builders = self.integrals(monkeypatch, zs, 2, fold=fold)
             assert builders == [threading.main_thread()]
+
+    def test_rotation_fold_threads_from_512(self, monkeypatch):
+        # a folded evolve right-hand side: 128 x 256 = 32,768 cross entries
+        # stay serial, 256 x 512 = 131,072 go to the worker, bitwise the same
+        zs = self.pair("random", 256, fold=2)
+        _, builders = self.integrals(monkeypatch, zs, 2, fold=2, even=False)
+        assert builders == [threading.main_thread()]
+        zs = self.pair("random", 512, fold=2)
+        threaded, builders = self.integrals(monkeypatch, zs, 2, fold=2, even=False)
+        assert len(builders) == 1 and builders[0] is not threading.main_thread()
+        serial, _ = self.integrals(monkeypatch, zs, 1, fold=2, even=False)
+        for got, want in zip(threaded, serial):
+            assert got.shape == (256,) and np.array_equal(got, want)
 
     def test_cross_refusal_wins_over_self_refusal(self, monkeypatch):
         # mu * chord = 14.1 refuses both self splits; the cross block touches
