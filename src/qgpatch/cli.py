@@ -9,7 +9,10 @@ file can serve every command.  ``evolve --initial vstate:<file>`` takes
 delta, lambda, b1, b2 and the node count from the file, ``csv:<file>``
 its node count; an explicit value that differs is refused.  So is an
 explicit b1, b2, m or grid, from a flag or the config file, in ``collide
---equal-radii``, which would not read it.  The ``collide`` scan covers
+--equal-radii``, which would not read it.  A V-state evolves on its
+fundamental domain, the fold g = gcd(m, N) of ``dynamics.evolve``, and so
+stays in its m-fold subspace; the manifest records ``fold`` (null for
+discs and ``csv:`` inputs, which evolve the full grid).  The ``collide`` scan covers
 b2 in (0, b1) and reads no ``--b2``; each ``collide.json`` record says
 whether its own root lies in the proven regime.  Only this module writes
 files or creates directories: every artifact goes through ``_write_json``

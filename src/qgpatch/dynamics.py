@@ -12,6 +12,16 @@ the assembly the contour functional uses too: the j = k term is
 log-singular and goes through the singular split, and the cross-layer
 terms are regular unless the boundaries touch.
 
+The dynamics commute with rotation, so a state invariant under rotation
+by 2 pi/g stays so: z_k(t_i + 2 pi/g) = e^{2 pi i/g} z_k(t_i) at every
+time.  Given such a fold g (``cli`` passes g = gcd(m, N) for a V-state),
+the velocities are built on the N/g nodes 0 <= t < 2 pi/g only, the
+rotation-only fold of ``layer_integrals``, and turned onto the rest by
+e^{2 pi i k/g}, exactly -1 for g = 2.  ``evolve`` then holds every state
+as the exact image of its first N/g nodes, so a folded run never leaves
+the g-fold subspace: a perturbation that breaks the symmetry cannot grow
+in it.  Starting from a snapshot of the run evolves the full grid.
+
 Every geometric reading uses the one curve the quadrature integrates: the
 trigonometric interpolant of the nodes, ``quadrature.fourier``, summed off
 the grid by ``quadrature.trig_sum``.  ``PatchBoundary.area`` is its area
@@ -28,6 +38,13 @@ at the nearest node, finds the closest point; a running ``fmin`` over the
 iterates, all curve points, keeps the reading an upper bound and ignores
 a NaN from a degenerate step.  The ruler and the respacing take
 NEWTON_STEPS Newton steps each.
+
+Two more boundary sums check the coupling, which the per-layer areas
+cannot see: since delta G_12 = G_21, the angular impulse
+J = delta int_{D1} |x|^2 + int_{D2} |x|^2 and the centroid
+C = delta int_{D1} x + int_{D2} x are conserved (``impulses``, from
+``PatchBoundary.second_moment`` and ``first_moment``), and ``evolve``
+records their largest drifts.
 """
 
 from __future__ import annotations

@@ -14,16 +14,21 @@ are defined here once for the package: ``grid``, ``fourier``,
 two-layer integrals that the velocities and the contour functional share
 from three weight builds (W_11, W_22 and W_21) and one reuse of W_21 for
 W_12.  On the full grid the three are N x N and W_12 is a multiple of
-W_21^T.  Given a fold g, they hold only the targets i = 0 .. n_rows-1 with
-n_rows = N/(2g) + 1, and W_12 is gathered from the W_21 rows.  The contour
-functional of an m-fold even shape needs no more: with g = gcd(m, N) the
-curves and the grid are invariant under t -> -t and rotation by 2 pi/g,
-so the rows 0 <= t <= pi/g fix its sine coefficients on the modes m*j,
-with weight 4g/N, and every entry of W_21 outside them equals one inside.
-``layer_integrals`` refuses a fold the curves do not have.  The end rows
-t = 0 and t = pi/g are kept as targets: by the same symmetry every node
-pair then has an image among the rows built, so the guards below see the
-same minimum separation and maximum chord as a full build.
+W_21^T.  Given a fold g, they hold only the targets i = 0 .. n_rows-1
+(``fold_rows``), and W_12 is gathered from the W_21 rows.  A fold has two
+forms.  The even one (n_rows = N/(2g) + 1) serves the contour functional
+of an m-fold even shape: with g = gcd(m, N) the curves and the grid are
+invariant under t -> -t and rotation by 2 pi/g, so the rows
+0 <= t <= pi/g fix its sine coefficients on the modes m*j, with weight
+4g/N, and every entry of W_21 outside them equals one inside.  The
+rotation-only one (``even`` False, n_rows = N/g) serves the evolution of
+a V-state, which keeps its rotation symmetry but not its evenness as it
+turns: the rows 0 <= t < 2 pi/g give every velocity, the others being
+these turned by e^{2 pi i k/g}.  ``layer_integrals`` refuses a fold the
+curves do not have.  The even fold keeps the end rows t = 0 and t = pi/g
+as targets: in either form every node pair then has an image among the
+rows built, so the guards below see the same minimum separation and
+maximum chord as a full build.
 Three regimes are handled:
 
 * separated curves: the integrand is analytic, plain trapezoidal rule.
@@ -62,10 +67,14 @@ Three regimes are handled:
   [k, d] pairs node k - floor(d/2) with node k + ceil(d/2).  One cached
   gather (``_gather_index``) takes it to the grid.  On the full grid k
   runs over 0 .. N-1, and the gather fills W[i, j] and W[j, i] from one
-  entry, so W == W.T exactly.  Given a fold g, k runs over 0 .. N/(2g), so
-  the centre runs over 0 .. pi/g and every node-pair orbit under rotation
-  by 2 pi/g, t -> -t and transposition appears in it.  At N = 256, g = 2
-  that is 8,385 entries instead of the 16,640 of the 65 rows it fills.
+  entry, so W == W.T exactly.  Given an even fold g, k runs over
+  0 .. N/(2g), so the centre runs over 0 .. pi/g and every node-pair orbit
+  under rotation by 2 pi/g, t -> -t and transposition appears in it.  At
+  N = 256, g = 2 that is 8,385 entries instead of the 16,640 of the 65 rows
+  it fills.  Given a rotation-only fold, k runs over 0 .. N/g - 1, the
+  centres 0 <= t < 2 pi/g: 16,512 entries at N = 256, g = 2, against the
+  33,024 of the full grid's band, and 65,792 kernel entries per folded
+  right-hand side of ``dynamics`` instead of 131,584.
   Every other block (explicit row builds, near-coincident pairs and
   separated blocks) is built in place in its grid layout, the split's rows
   entering as one circulant view c[i, j] = row[(j - i) mod N].
@@ -87,9 +96,10 @@ applied to a complex density (the nodes' z') as one (rows x N) @ (N x 2)
 product on the density's float view, so both parts share one pass over W.
 
 A ``layer_integrals`` whose cross block has at least
-``THREADED_CROSS_MIN_ENTRIES`` entries (``fold_rows(N, fold) * N``: the full
-grid from N = 256, a fold of 2 from N = 512) in a process allowed on two or
-more CPUs builds and applies W_21 on one long-lived worker thread while the
+``THREADED_CROSS_MIN_ENTRIES`` entries (``fold_rows(N, fold, even) * N``:
+the full grid from N = 256, either form of a fold of 2 from N = 512) in a
+process allowed on two or more CPUs builds and applies W_21 on one
+long-lived worker thread while the
 calling thread builds and applies W_11 and W_22.  With the self blocks on the
 centred half band the split is even: 2 (N/2 + 1) self entries against N cross
 entries per target row.  numpy releases the GIL inside the ufunc and BLAS
@@ -135,12 +145,17 @@ SPLIT_MAX_MU_CHORD = 12.0
 # it the series cancels and the block takes k0_array
 K0_SERIES_CUT = 3.0
 # a layer_integrals whose cross block has at least this many entries,
-# fold_rows(N, fold) * N, builds it on a worker thread, given 2 CPUs.  Serial
-# over threaded time of one layer_integrals, median of 15 interleaved rounds
-# (two runs: 2-vCPU Xeon, numpy 2.4.6, one BLAS thread), by N and fold:
+# fold_rows(N, fold, even) * N, builds it on a worker thread, given 2 CPUs.
+# Serial over threaded time of one layer_integrals, median of 15 interleaved
+# rounds (two runs: 2-vCPU Xeon, numpy 2.4.6, one BLAS thread), by N and
+# fold (an even fold of 2):
 #   N = 128: 0.72, 0.72 (16,384 entries)   0.41, 0.44 (fold 2:  4,224)
 #   N = 256: 1.19, 1.20 (65,536)           0.75, 0.66 (fold 2: 16,640)
 #   N = 512: 1.36, 1.48 (262,144)          1.29, 1.38 (fold 2: 66,048)
+# A V-state evolve folds by rotation only, 128 x 256 = 32,768 entries at
+# N = 256, and so now runs serial there; it threads from N = 512
+# (131,072).  The full-grid evolve of discs and boundary CSVs threads from
+# N = 256 as before.
 THREADED_CROSS_MIN_ENTRIES = 256 * 256
 # the interpolant sums modes k = lo + RULER_BLOCK * hi in two levels
 RULER_BLOCK = 16
