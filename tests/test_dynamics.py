@@ -409,6 +409,11 @@ class TestFold:
             assert got.shape == (n,)
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    def test_suggested_dt_from_folded_velocities(self):
+        state = rotation_symmetric_state(3, 66)
+        assert D.suggested_dt(BASE, state, fold=3) == pytest.approx(
+            D.suggested_dt(BASE, state), rel=1e-14)
+
     def test_turns_exact_on_quarter_turns(self):
         assert D._turns(2).tolist() == [1, -1]
         assert D._turns(4).tolist() == [1, 1j, -1, -1j]
