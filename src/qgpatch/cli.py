@@ -386,7 +386,7 @@ def cmd_evolve(settings: dict, explicit: set[str], check_rotation: bool) -> int:
     if check_rotation:
         diagnostics["rotation_omega"] = vstate.omega
         diagnostics["rotation_residual"] = dynamics.rigid_rotation_residual(
-            result.snapshots, vstate.omega
+            result.snapshots, vstate.omega, fold
         )
     times = [snap.time for snap in result.snapshots]
     _write_json(out / "manifest.json", {

@@ -20,7 +20,9 @@ rotation-only fold of ``layer_integrals``, and turned onto the rest by
 e^{2 pi i k/g}, exactly -1 for g = 2.  ``evolve`` then holds every state
 as the exact image of its first N/g nodes, so a folded run never leaves
 the g-fold subspace: a perturbation that breaks the symmetry cannot grow
-in it.  Starting from a snapshot of the run evolves the full grid.
+in it.  Starting from a snapshot of the run evolves the full grid.  Both
+derivatives of a right-hand side come from one (2, N) FFT pair, bitwise
+the two 1-D ones.
 
 Every geometric reading uses the one curve the quadrature integrates: the
 trigonometric interpolant of the nodes, ``quadrature.fourier``, summed off
@@ -37,7 +39,12 @@ curve's trigonometric interpolant.  Newton on the curve parameter, seeded
 at the nearest node, finds the closest point; a running ``fmin`` over the
 iterates, all curve points, keeps the reading an upper bound and ignores
 a NaN from a degenerate step.  The ruler and the respacing take
-NEWTON_STEPS Newton steps each.
+NEWTON_STEPS Newton steps each.  The ruler's nearest-node seeds and the
+least node gap between the layers (``min_boundary_gap``) come from squared
+real distances in row blocks of at most ROW_BLOCK_ENTRIES entries, so no
+N x N array is built.  Given a fold g, both read the first N/g nodes of
+each snapshot only, once its fold is checked: every other node is one of
+these turned, and neither reading moves under the rotation.
 
 Two more boundary sums check the coupling, which the per-layer areas
 cannot see: since delta G_12 = G_21, the angular impulse
@@ -60,6 +67,7 @@ from .quadrature import (
     TWO_PI,
     NumericFailure,
     _check_fold,
+    _curve,
     fourier,
     grid,
     layer_integrals,
@@ -73,6 +81,10 @@ ComplexArray = NDArray[np.complex128]
 DT_CAP = 1e-3  # largest step suggested_dt returns
 REDISTRIBUTE_EVERY = 50  # RK4 steps between arclength redistributions
 NEWTON_STEPS = 4  # Newton steps on the curve parameter: ruler and respacing
+# entries of one row block of the gap and ruler's node-to-node distances
+# (512 KB of float64): every row is read alone, so the block bounds their
+# memory and changes no reading; one block serves N = 256
+ROW_BLOCK_ENTRIES = 256 * 256
 
 
 class SimplicityError(NumericFailure):
@@ -202,7 +214,8 @@ def layer_node_velocities(
     e^{2 pi i k/g}, give the rest.
     """
     zs = [np.asarray(z, dtype=np.complex128) for z in (z1, z2)]
-    u1, u2 = layer_integrals(params, zs, [spectral_derivative(z) for z in zs], fold, even=False)
+    # one (2, N) FFT pair, bitwise the two 1-D ones
+    u1, u2 = layer_integrals(params, zs, spectral_derivative(np.stack(zs)), fold, even=False)
     if fold is not None:
         u1, u2 = _rotation_image(u1, fold), _rotation_image(u2, fold)
     return -u1, -u2
@@ -314,7 +327,8 @@ def evolve(
     1e-12 of max|z|, else ``ValueError``), the right-hand sides are folded
     (``layer_node_velocities``), and every state held (the start, each RK4
     step, each respacing) is the exact rotation image of its first N/g
-    nodes, so the run stays in the g-fold subspace.
+    nodes, so the run stays in the g-fold subspace; the gap is read on
+    them.  A non-finite start is refused with ``ValueError`` too.
 
     Snapshots include the initial and final states.  At each snapshot the
     diagnostics take the largest relative drift of each layer's area, of
@@ -327,7 +341,7 @@ def evolve(
     if t_end <= 0.0:
         raise ValueError("t_end must be > 0")
     if fold is not None:
-        _check_fold([b.nodes for b in state0.boundaries], fold, even=False)
+        _check_fold([_curve(b.nodes) for b in state0.boundaries], fold, even=False)
     state = _folded(state0, fold)
     if dt is None:
         dt = suggested_dt(params, state, fold)
@@ -337,7 +351,7 @@ def evolve(
     impulse0, centroid0 = impulses(params, state)
     centroid_scale = float(np.sqrt(abs(impulse0) * abs(params.delta * area0[0] + area0[1])))
     drifts = dict.fromkeys(("area_drift", "angular_impulse_drift", "centroid_drift"), 0.0)
-    min_gap = _boundary_gap(state)
+    min_gap = _boundary_gap(state, fold)
     try:
         for step in range(1, n_steps + 1):
             state = step_rk4(params, state, dt, fold)
@@ -354,7 +368,7 @@ def evolve(
                     "centroid_drift": abs(centroid - centroid0) / centroid_scale,
                 }
                 drifts = {key: max(drifts[key], now[key]) for key in drifts}
-                min_gap = min(min_gap, _boundary_gap(state))
+                min_gap = min(min_gap, _boundary_gap(state, fold))
     except NumericFailure as exc:
         result.aborted = str(exc)
     result.diagnostics = {
@@ -368,10 +382,42 @@ def evolve(
     return result
 
 
-def _boundary_gap(state: EvolutionState) -> float:
-    z1 = state.boundaries[0].nodes
+def _head_rows(state: EvolutionState, fold: int | None) -> int:
+    """The node count P whose first P nodes of each boundary fix every reading
+    of state that rotation leaves alone: all N for None, else N/fold once
+    state has the fold (``quadrature._check_fold``, else ``ValueError``)."""
+    nodes = [b.nodes for b in state.boundaries]
+    if fold is None:
+        return nodes[0].size
+    _check_fold([_curve(z) for z in nodes], fold, even=False)
+    return nodes[0].size // fold
+
+
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Blocks of consecutive rows, each of at most ROW_BLOCK_ENTRIES entries
+    across n_cols columns (one row at the least)."""
+    step = max(1, ROW_BLOCK_ENTRIES // n_cols)
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def _squared_distances(points: ComplexArray, z: ComplexArray) -> FloatArray:
+    """|points[i] - z[j]|^2 from the real and imaginary parts, (points x z)."""
+    d2 = np.subtract.outer(points.real, z.real)
+    np.square(d2, out=d2)
+    dy = np.subtract.outer(points.imag, z.imag)
+    np.square(dy, out=dy)
+    d2 += dy
+    return d2
+
+
+def _boundary_gap(state: EvolutionState, fold: int | None = None) -> float:
+    """Least distance between a layer-1 and a layer-2 node.  Given a fold, the
+    state must have it, and the layer-1 nodes up to N/fold are the rows:
+    every node pair has a rotated image among theirs."""
+    z1 = state.boundaries[0].nodes[: _head_rows(state, fold)]
     z2 = state.boundaries[1].nodes
-    return float(np.min(np.abs(z1[:, None] - z2[None, :])))
+    d2 = min(float(np.min(_squared_distances(z1[b], z2))) for b in _row_blocks(z1.size, z2.size))
+    return float(np.sqrt(d2))
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +426,23 @@ def _boundary_gap(state: EvolutionState) -> float:
 
 
 def _distance_to_curve(points: ComplexArray, z: ComplexArray) -> FloatArray:
-    """Distance from each point to the interpolant of z, by Newton on |z(s) - p|^2."""
+    """Distance from each point to the interpolant of z, by Newton on |z(s) - p|^2,
+    seeded at the nearest node; the points are taken in ``_row_blocks``."""
     k, coeffs = fourier(z)
     interpolant = trig_sum(k, [coeffs, 1j * k * coeffs, -k * k * coeffs])  # z, z', z''
-    s = grid(z.size)[np.argmin(np.abs(points[:, None] - z[None, :]), axis=1)]
-    best = np.full(points.shape, np.inf)
-    for _ in range(NEWTON_STEPS):
-        zs, dz, ddz = interpolant(s)
-        r = zs - points
-        best = np.fmin(best, np.abs(r))
-        s = s - (np.conj(r) * dz).real / (np.abs(dz) ** 2 + (np.conj(r) * ddz).real)
-    return np.fmin(best, np.abs(interpolant(s)[0] - points))
+    nodes = grid(z.size)
+    out = np.empty(points.shape)
+    for block in _row_blocks(points.size, z.size):
+        p = points[block]
+        s = nodes[np.argmin(_squared_distances(p, z), axis=1)]
+        best = np.full(p.shape, np.inf)
+        for _ in range(NEWTON_STEPS):
+            zs, dz, ddz = interpolant(s)
+            r = zs - p
+            best = np.fmin(best, np.abs(r))
+            s = s - (np.conj(r) * dz).real / (np.abs(dz) ** 2 + (np.conj(r) * ddz).real)
+        out[block] = np.fmin(best, np.abs(interpolant(s)[0] - p))
+    return out
 
 
 def curve_hausdorff(za: ComplexArray, zb: ComplexArray) -> float:
@@ -404,10 +456,18 @@ def curve_hausdorff(za: ComplexArray, zb: ComplexArray) -> float:
     """
     za = np.asarray(za, dtype=np.complex128)
     zb = np.asarray(zb, dtype=np.complex128)
-    return float(max(_distance_to_curve(za, zb).max(), _distance_to_curve(zb, za).max()))
+    return _hausdorff(za, zb, za.size)
 
 
-def rigid_rotation_residual(traj: list[EvolutionState], omega: float) -> float:
+def _hausdorff(za: ComplexArray, zb: ComplexArray, rows: int) -> float:
+    """``curve_hausdorff`` with each sup over the first ``rows`` nodes only."""
+    return float(max(_distance_to_curve(za[:rows], zb).max(),
+                     _distance_to_curve(zb[:rows], za).max()))
+
+
+def rigid_rotation_residual(
+    traj: list[EvolutionState], omega: float, fold: int | None = None
+) -> float:
     """Deviation of a trajectory from rigid rotation at angular velocity omega.
 
     Maximum over snapshots and layers of the symmetric Hausdorff distance
@@ -415,7 +475,10 @@ def rigid_rotation_residual(traj: list[EvolutionState], omega: float) -> float:
     omega*t, normalized by the initial layer-1 mean radius.  The sup runs
     over the nodes of each curve, each node's distance being to the
     trigonometric interpolant of the other, found by Newton on the curve
-    parameter.
+    parameter.  Given a fold g, every snapshot must have it (else
+    ``ValueError``), and the sups run over the first N/g nodes: the
+    distances of the others are theirs turned by the rotation, which moves
+    neither curve.
     """
     if not traj:
         raise ValueError("empty trajectory")
@@ -424,8 +487,8 @@ def rigid_rotation_residual(traj: list[EvolutionState], omega: float) -> float:
     scale = float(np.sqrt(abs(ref.boundaries[0].area()) / np.pi))
     worst = 0.0
     for snap in traj:
+        rows = _head_rows(snap, fold)
         rot = np.exp(1j * omega * (snap.time - t0))
-        for i in (0, 1):
-            d = curve_hausdorff(snap.boundaries[i].nodes, rot * ref.boundaries[i].nodes)
-            worst = max(worst, d)
+        for b, b0 in zip(snap.boundaries, ref.boundaries):
+            worst = max(worst, _hausdorff(b.nodes, rot * b0.nodes, rows))
     return worst / scale

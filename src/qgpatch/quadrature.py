@@ -24,11 +24,14 @@ invariant under t -> -t and rotation by 2 pi/g, so the rows
 rotation-only one (``even`` False, n_rows = N/g) serves the evolution of
 a V-state, which keeps its rotation symmetry but not its evenness as it
 turns: the rows 0 <= t < 2 pi/g give every velocity, the others being
-these turned by e^{2 pi i k/g}.  ``layer_integrals`` refuses a fold the
-curves do not have.  The even fold keeps the end rows t = 0 and t = pi/g
-as targets: in either form every node pair then has an image among the
-rows built, so the guards below see the same minimum separation and
-maximum chord as a full build.
+these turned by e^{2 pi i k/g}.  ``layer_integrals`` measures each curve
+once per call (``_curve``: finiteness of nodes and derivative, mean and
+max |z|), and its fold check and every block's guards read those
+measures; a single-block caller measures through the same ``_curve``.  It
+refuses a fold the curves do not have.  The even fold keeps the end rows
+t = 0 and t = pi/g as targets: in either form every node pair then has an
+image among the rows built, so the guards below see the same minimum
+separation and maximum chord as a full build.
 Three regimes are handled:
 
 * separated curves: the integrand is analytic, plain trapezoidal rule.
@@ -64,8 +67,9 @@ Three regimes are handled:
   block whose targets equal its sources (W_11, W_22, and W_21 of twin
   layers) is symmetric and evaluates the offsets d <= N/2 only, on the
   centred half band, where the rows broadcast along the columns: entry
-  [k, d] pairs node k - floor(d/2) with node k + ceil(d/2).  One cached
-  gather (``_gather_index``) takes it to the grid.  On the full grid k
+  [k, d] pairs node k - floor(d/2) with node k + ceil(d/2).  One gather
+  (``_gather_index``, its index held once, by the cached ``_take``) takes
+  it to the grid.  On the full grid k
   runs over 0 .. N-1, and the gather fills W[i, j] and W[j, i] from one
   entry, so W == W.T exactly.  Given an even fold g, k runs over
   0 .. N/(2g), so the centre runs over 0 .. pi/g and every node-pair orbit
@@ -77,7 +81,9 @@ Three regimes are handled:
   right-hand side of ``dynamics`` instead of 131,584.
   Every other block (explicit row builds, near-coincident pairs and
   separated blocks) is built in place in its grid layout, the split's rows
-  entering as one circulant view c[i, j] = row[(j - i) mod N].
+  entering as one circulant view c[i, j] = row[(j - i) mod N].  The two
+  rows enter as one, (2/h) kress_row - log(4 sin^2), cached per N
+  (``_log_ratio_row``).
 * nearly coincident curves (parameterwise distance << node spacing): same
   split.  The ratio rho^2/(4 sin^2) is no longer smooth across the
   diagonal, but the defect is a spike of width ~|z_t(t)-z_s(t)| around the
@@ -90,8 +96,10 @@ Three regimes are handled:
 The in-between regime (curves closer than a few node spacings but not
 parameterwise close) cannot be integrated accurately on a uniform grid and
 raises ``TouchingBoundaryError``.  A non-finite node or derivative raises
-``QuadratureFailure`` before any regime is chosen, and so does a split
-block's zero derivative at a node, after the other guards.  A weight matrix is
+``QuadratureFailure`` before any regime is chosen (in ``layer_integrals``
+before the fold check too), and so does a split block's zero derivative
+at a node, after the other guards.  ``_check_fold`` called alone refuses
+a non-finite curve with ``ValueError``, naming the value.  A weight matrix is
 applied to a complex density (the nodes' z') as one (rows x N) @ (N x 2)
 product on the density's float view, so both parts share one pass over W.
 
@@ -120,6 +128,7 @@ from __future__ import annotations
 
 import functools
 import os
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -285,6 +294,15 @@ def _grid_tables(n: int) -> tuple[FloatArray, FloatArray]:
 
 
 @functools.cache
+def _log_ratio_row(n: int) -> FloatArray:
+    """(2/h) kress_row - log_s2_row over the offset d, h = 2 pi/n: the split's
+    weighted log ratio less log(rho^2), cached read-only beside ``_grid_tables``."""
+    w_row, log_s2_row = _grid_tables(n)
+    ratio = (2.0 / (TWO_PI / n)) * w_row - log_s2_row
+    ratio.setflags(write=False)
+    return ratio
+
+
 def _gather_index(n: int, fold: int | None, even: bool = True) -> np.ndarray:
     """Flat indices that take a symmetric block's centred half band to its
     ``fold_rows(n, fold, even)`` x n grid layout.
@@ -315,19 +333,17 @@ def _gather_index(n: int, fold: int | None, even: bool = True) -> np.ndarray:
 @functools.cache
 def _take(table, *key):
     """np.take(block, table(*key), mode="clip") as a function of block (and
-    out), through a writeable copy of the cached read-only index that only
-    this function holds: numpy copies a read-only index before every take,
-    512 KB and about a third of the gather's time at N = 256."""
-    return functools.partial(np.take, indices=table(*key).copy(), mode="clip")
+    out).  The index is built here and held here only, the one copy of it:
+    it stays writeable, since numpy copies a read-only index before every
+    take (512 KB and about a third of the gather's time at N = 256)."""
+    return functools.partial(np.take, indices=table(*key), mode="clip")
 
 
 def _checked_index(index: np.ndarray, size: int) -> np.ndarray:
-    """index, read-only, once checked to lie in [0, size): the gathers
-    (``_take``) use it with mode="clip", which neither checks nor buffers
-    their ``out``."""
+    """index, once checked to lie in [0, size): the gathers (``_take``) use
+    it with mode="clip", which neither checks nor buffers their ``out``."""
     if index.min() < 0 or index.max() >= size:
         raise IndexError(f"gather index outside a block of {size} entries")
-    index.setflags(write=False)
     return index
 
 
@@ -342,7 +358,6 @@ def fold_rows(n: int, fold: int | None, even: bool = True) -> int:
     return n // (2 * fold) + 1 if even else n // fold
 
 
-@functools.cache
 def _mirror_index(n: int, fold: int, even: bool = True) -> np.ndarray:
     """Flat indices into the W_21 rows that give W_21^T on the same rows.
 
@@ -422,11 +437,43 @@ def _centred_views(values: FloatArray, n_rows: int, n_cols: int) -> tuple[FloatA
     return views
 
 
-def _kernel_matrix(
-    alpha, kappa, mu, z_tgt, z_src, dz_src, *, n_rows: int | None = None,
+class _Curve(NamedTuple):
+    """One boundary's nodes, measured once for every guard that reads them."""
+
+    z: ComplexArray
+    dz: ComplexArray | None  # z' at the nodes; None: spectral, when a split needs it
+    finite: bool  # every node and derivative value is finite
+    scale: float  # mean |z|, the scale of the guards
+    peak: float  # max |z|, the scale of the fold check
+
+
+def _curve(z, dz=None) -> _Curve:
+    """The nodes z (and derivative dz) with their measures, z itself if complex."""
+    z = np.asarray(z, dtype=np.complex128)
+    finite = bool(np.all(np.isfinite(z)) and (dz is None or np.all(np.isfinite(dz))))
+    radii = np.abs(z)
+    return _Curve(z, dz, finite, float(np.mean(radii)), float(np.max(radii)))
+
+
+def _require_finite(*curves: _Curve) -> None:
+    if not all(c.finite for c in curves):
+        raise QuadratureFailure("non-finite boundary node or derivative")
+
+
+def _kernel_matrix(alpha, kappa, mu, z_tgt, z_src, dz_src, **layout) -> FloatArray:
+    """``_kernel_block`` of one block given by its nodes (dz_src None: spectral);
+    the single-block callers measure the curves here as ``layer_integrals``
+    does, one shared measure when z_tgt is z_src."""
+    src = _curve(z_src, dz_src)
+    tgt = src if z_tgt is z_src else _curve(z_tgt)
+    return _kernel_block(alpha, kappa, mu, tgt, src, **layout)
+
+
+def _kernel_block(
+    alpha, kappa, mu, tgt: _Curve, src: _Curve, *, n_rows: int | None = None,
     fold: int | None = None, even: bool = True,
 ) -> FloatArray:
-    """Weights W with (W @ T)[i] the integral at z_tgt[i]; regime and guards.
+    """Weights W with (W @ T)[i] the integral at tgt.z[i]; regime and guards.
 
     Only the leading targets i = 0 .. n_rows-1 are built, so W is
     n_rows x N.  Without ``n_rows`` they are the rows
@@ -434,38 +481,36 @@ def _kernel_matrix(
     0 <= t <= pi/fold of curves that are even and invariant under rotation
     by 2 pi/fold, or, with ``even`` False, the rows 0 <= t < 2 pi/fold of
     curves that are only invariant under the rotation.  The regime test still
-    compares the full grids.  The guards measure separations against the
-    larger curve's mean radius, max(mean|z_tgt|, mean|z_src|), so a cross
-    block sees the same guard whichever way round it is built.  The split
-    takes z_src' on the diagonal from ``dz_src`` (None: spectral).
+    compares the full grids.  The guards read the curves' measures
+    (``_curve``), taken once per ``layer_integrals`` call: separations are
+    compared against the larger curve's mean radius,
+    max(tgt.scale, src.scale), so a cross block sees the same guard whichever
+    way round it is built.  The split takes z_src' on the diagonal from
+    src.dz (None: spectral).
 
-    A block with z_tgt equal to z_src and no ``n_rows`` is symmetric: it
-    evaluates only the centred half band, with a fold one pair of each
-    orbit of the fold's symmetry (the centres 0 <= t <= pi/fold, or
-    0 <= t < 2 pi/fold for a rotation-only fold), and ``_gather_index``
-    takes it to the grid.  Every other block is built in its grid layout, where the split's
-    log-ratio row enters as a circulant view.  Both regimes then run one
-    sequence in a fixed handful of arrays, in place: chords, guards,
+    A block whose target and source nodes are one array, with no ``n_rows``,
+    is symmetric, and so is one whose nodes are equal: it evaluates only the
+    centred half band, with a fold one pair of each orbit of the fold's
+    symmetry (the centres 0 <= t <= pi/fold, or 0 <= t < 2 pi/fold for a
+    rotation-only fold), and ``_gather_index`` takes it to the grid.  Every
+    other block is built in its grid layout, where the split's log-ratio row
+    (``_log_ratio_row``) enters as a circulant view.  Both regimes then run
+    one sequence in a fixed handful of arrays, in place: chords, guards,
     q = mu^2 rho^2 / 4, the split's diagonal (and its off-diagonal touch
     guard) and log-ratio row, log, ``_fold``.  A separated block with
     mu * rho_max > 3 returns early through ``k0_array``.  Non-finite nodes
     or derivatives raise ``QuadratureFailure``, and so does a zero z_src' on
     the split's diagonal, whose log would be -inf.
     """
-    # a self block (one array for both) checks and measures its nodes once
+    z_tgt, z_src = tgt.z, src.z
     same = z_tgt is z_src
-    z_src = np.asarray(z_src, dtype=np.complex128)
-    z_tgt = z_src if same else np.asarray(z_tgt, dtype=np.complex128)
     n = z_src.shape[0]
     if z_tgt.shape[0] != n:
         raise ValueError("target and source grids must have equal node counts")
-    nodes = (z_src,) if same else (z_tgt, z_src)
-    given = nodes if dz_src is None else (*nodes, dz_src)
-    if not all(np.all(np.isfinite(a)) for a in given):
-        raise QuadratureFailure("non-finite boundary node or derivative")
+    _require_finite(tgt, src)
     rows = fold_rows(n, fold, even) if n_rows is None else n_rows
     h = TWO_PI / n
-    scale = max(float(np.mean(np.abs(z))) for z in nodes)
+    scale = max(tgt.scale, src.scale)
     dmax = 0.0 if same else float(np.max(np.abs(z_tgt - z_src)))
     separated = dmax > NEAR_COINCIDENT_TOL * scale
     symmetric = n_rows is None and dmax == 0.0
@@ -521,8 +566,7 @@ def _kernel_matrix(
         diagonal[...] = np.inf
         if float(np.min(kern)) == 0.0:
             raise QuadratureFailure("boundaries touch: singular integrand off the diagonal")
-        if dz_src is None:
-            dz_src = spectral_derivative(z_src)
+        dz_src = spectral_derivative(z_src) if src.dz is None else src.dz
         diagonal[...] = np.abs(dz_src[:rows]) ** 2
         if float(np.min(diagonal)) == 0.0:
             node = int(np.argmin(diagonal))
@@ -533,8 +577,7 @@ def _kernel_matrix(
     np.log(kern, out=kern)
     if not separated:
         # log(rho^2) + 2 kress_row / h - log(4 sin^2): the weighted log ratio
-        w_row, log_s2_row = _grid_tables(n)
-        ratio = (2.0 / h) * w_row - log_s2_row
+        ratio = _log_ratio_row(n)
         kern += ratio[:cols] if symmetric else _circulant_view(ratio, rows)
     kern = _fold(kern, q, qmax, alpha, kappa, mu, h)
     if symmetric:
@@ -615,8 +658,11 @@ def layer_integrals(
     keep the half band's centres in that range, and every entry again has
     an image among the rows built.
 
-    Every block measures its guards against the larger curve's mean radius:
-    a self block its own curve's, the cross block the larger layer's.
+    Each curve is measured once (``_curve``), and a non-finite node or
+    derivative is refused before the fold check.  Every block reads those
+    measures and compares its guards against the larger curve's mean
+    radius: a self block its own curve's, the cross block the larger
+    layer's.
 
     With ``fold_rows(N, fold, even) * N >= THREADED_CROSS_MIN_ENTRIES`` cross
     entries and two CPUs in this process's affinity, W_21 and its two
@@ -626,29 +672,31 @@ def layer_integrals(
     are the refusals: a cross-block refusal is raised before a self-block
     one, and the call returns or raises only once the worker is done.
     """
-    (z1, z2), (dz1, dz2) = zs, dzs
+    c1, c2 = (_curve(z, dz) for z, dz in zip(zs, dzs))
+    _require_finite(c1, c2)
     if fold is not None:
-        _check_fold((z1, z2), fold, even)
+        _check_fold((c1, c2), fold, even)
+    n, dz1, dz2 = len(c1.z), c1.dz, c2.dz
     mu = params.mu
     alpha12, _ = gkj_coefficients(params, 1, 2)
     alpha21, kappa21 = gkj_coefficients(params, 2, 1)
     self_pairs = (gkj_coefficients(params, 1, 1), gkj_coefficients(params, 2, 2))
 
     def cross_parts():
-        w21 = _kernel_matrix(alpha21, kappa21, mu, z2, z1, dz1, fold=fold, even=even)
-        w21_t = w21.T if fold is None else _take(_mirror_index, len(z1), fold, even)(w21)
+        w21 = _kernel_block(alpha21, kappa21, mu, c2, c1, fold=fold, even=even)
+        w21_t = w21.T if fold is None else _take(_mirror_index, n, fold, even)(w21)
         u1 = (alpha12 / alpha21) * _apply_kernel_matrix(w21_t, dz2)
         return u1, _apply_kernel_matrix(w21, dz1)
 
     def self_parts():
         # each block applied as soon as it is built, so one is alive at a time
-        w11 = _kernel_matrix(*self_pairs[0], mu, z1, z1, dz1, fold=fold, even=even)
+        w11 = _kernel_block(*self_pairs[0], mu, c1, c1, fold=fold, even=even)
         s1 = _apply_kernel_matrix(w11, dz1)
         del w11
-        w22 = _kernel_matrix(*self_pairs[1], mu, z2, z2, dz2, fold=fold, even=even)
+        w22 = _kernel_block(*self_pairs[1], mu, c2, c2, fold=fold, even=even)
         return s1, _apply_kernel_matrix(w22, dz2)
 
-    n_cross = fold_rows(len(z1), fold, even) * len(z1)
+    n_cross = fold_rows(n, fold, even) * n
     if n_cross >= THREADED_CROSS_MIN_ENTRIES and _cpu_count() >= 2:
         cross = _cross_worker(os.getpid()).submit(cross_parts)
         try:
@@ -683,20 +731,29 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _check_fold(zs, fold: int, even: bool = True) -> None:
-    """Refuse curves that are not invariant under rotation,
+def _check_fold(curves: tuple[_Curve, ...], fold: int, even: bool = True) -> None:
+    """Refuse curves (``_curve``) that are not invariant under rotation,
     z(t + 2 pi/fold) = e^{2 pi i/fold} z(t), or, for an even fold, not even,
-    z(-t) = conj z(t), to 1e-12 of max|z|: the folded builds would return
-    wrong velocities for them."""
-    z = np.asarray(zs, dtype=np.complex128)
-    n = z.shape[-1]
-    fold_rows(n, fold)  # refuses a fold that does not divide n
-    period = n // fold
-    defects = [z[:, period:] - np.exp(TWO_PI * 1j / fold) * z[:, : n - period]]
-    if even:
-        defects.append(z[:, 1:] - np.conj(z[:, :0:-1]))
-    defect = max(float(np.max(np.abs(a), initial=0.0)) for a in defects)
-    if defect > 1e-12 * float(np.max(np.abs(z))):
+    z(-t) = conj z(t), to 1e-12 of their largest max|z|: the folded builds
+    would return wrong velocities for them.  A non-finite value is refused
+    too, by name, since no defect or tolerance can be read from it."""
+    for layer, c in enumerate(curves, 1):
+        if not c.finite:
+            kind, values = next((kind, a) for kind, a in (("node", c.z), ("derivative", c.dz))
+                                if a is not None and not np.all(np.isfinite(a)))
+            node = int(np.argmin(np.isfinite(values)))
+            raise ValueError(f"curve {layer} has the non-finite {kind} {values[node]} at "
+                             f"node {node}; its {fold}-fold symmetry cannot be checked")
+    defect = 0.0
+    for z in (c.z for c in curves):
+        n = z.shape[-1]
+        fold_rows(n, fold)  # refuses a fold that does not divide n
+        period = n // fold
+        defects = [z[period:] - np.exp(TWO_PI * 1j / fold) * z[: n - period]]
+        if even:
+            defects.append(z[1:] - np.conj(z[:0:-1]))
+        defect = max(defect, *(float(np.max(np.abs(a), initial=0.0)) for a in defects))
+    if defect > 1e-12 * max(c.peak for c in curves):
         kind = "even and " if even else ""
         raise ValueError(f"curves are not {kind}{fold}-fold symmetric (defect {defect:.2e})")
 

@@ -1,4 +1,7 @@
+import json
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +115,14 @@ class TestVelocities:
         v = D.layer_node_velocities(p, z, z.copy())
         w = O.layer_node_velocities_pm(p, z, z.copy())
         assert max(np.max(np.abs(a - b)) for a, b in zip(v, w)) <= 1e-12
+
+    def test_derivatives_by_one_stacked_fft(self):
+        # the (2, N) FFT pair is bitwise the two 1-D ones
+        z1, z2 = (b.nodes for b in off_centre_state().boundaries)
+        got = D.layer_node_velocities(BASE, z1, z2)
+        dzs = [Q.spectral_derivative(z) for z in (z1, z2)]
+        u1, u2 = Q.layer_integrals(BASE, [z1, z2], dzs)
+        assert np.array_equal(got[0], -u1) and np.array_equal(got[1], -u2)
 
     def test_pm_route_independent_of_layer_integrals(self, monkeypatch):
         # the oracle must not reach the assembly it checks, under any name
@@ -396,6 +407,20 @@ class TestInvariants:
         assert diag["angular_impulse_drift"] <= 1e-13
 
 
+def benchmark_vstate(seed=0):
+    """(params, omega, state) of the V-state the evolve benchmark starts from at seed."""
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "reference.json"
+    points = json.loads(reference.read_text())["points"]
+    point = points[seed % len(points)]
+    sol = C.VStateSolution.from_json_dict(point["vstate_input"])
+    phase = np.exp(1j * sol.deformation.grid())
+    state = D.EvolutionState(tuple(
+        D.PatchBoundary(r * phase, layer) for layer, r in zip((1, 2), sol.boundary_radii())
+    ), 0.0)
+    params = LayerParams(point["delta"], point["lambda"], point["b1"], point["b2"])
+    return params, sol.omega, state
+
+
 class TestFold:
     """Folded right-hand sides and runs against the full ones."""
 
@@ -458,3 +483,74 @@ class TestFold:
         result = D.evolve(BASE, state0, t_end=t_end, dt=5e-3, snapshot_every=175, fold=2)
         assert result.aborted is None
         assert D.rigid_rotation_residual(result.snapshots, sol.omega) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_refused_by_name(self, bad):
+        # node 40 lies outside the 32-node head, which the run would have
+        # turned onto it; such a start evolved with no failure recorded
+        nodes = [b.nodes.copy() for b in D.EvolutionState.discs(BASE, 64).boundaries]
+        nodes[0][40] = bad
+        state0 = D.EvolutionState(
+            (D.PatchBoundary(nodes[0], 1), D.PatchBoundary(nodes[1], 2)), 0.0
+        )
+        with pytest.raises(ValueError, match=rf"curve 1 has the non-finite node \({bad}\+0j\) "
+                                             "at node 40"):
+            D.evolve(BASE, state0, 0.01, dt=0.005, fold=2)
+
+
+class TestFoldedDiagnostics:
+    """The gap and the rotation residual read on the head of a folded run."""
+
+    def folded_run(self, case):
+        if case == "benchmark-g2":
+            # the benchmark's seed-0 V-state after 25 of its steps
+            params, omega, state0 = benchmark_vstate(0)
+            return D.evolve(params, state0, t_end=0.05, dt=0.002, snapshot_every=25,
+                            fold=2), omega, 2
+        state0 = rotation_symmetric_state(3, 66)
+        return D.evolve(BASE, state0, t_end=0.1, dt=5e-3, snapshot_every=10, fold=3), 0.3, 3
+
+    @pytest.mark.parametrize("case", ["benchmark-g2", "66-g3"])
+    def test_folded_readings_equal_the_full_ones(self, case):
+        res, omega, g = self.folded_run(case)
+        assert res.aborted is None and res.diagnostics["fold"] == g
+        snaps = res.snapshots
+        full = D.rigid_rotation_residual(snaps, omega)
+        assert abs(D.rigid_rotation_residual(snaps, omega, g) - full) <= 5e-16
+        gap = min(D._boundary_gap(s) for s in snaps)
+        assert abs(res.diagnostics["min_boundary_gap"] - gap) <= 4 * np.spacing(gap)
+        for snap in snaps:
+            gap = D._boundary_gap(snap)
+            assert abs(D._boundary_gap(snap, g) - gap) <= 4 * np.spacing(gap)
+
+    def test_snapshot_without_the_fold_refused(self):
+        res, omega, g = self.folded_run("66-g3")
+        last = res.snapshots[-1]
+        nodes = last.boundaries[1].nodes.copy()
+        nodes[40] *= 1.0 + 1e-6  # outside the 22-node head
+        broken = D.EvolutionState((last.boundaries[0], D.PatchBoundary(nodes, 2)), last.time)
+        with pytest.raises(ValueError, match="not 3-fold symmetric"):
+            D.rigid_rotation_residual([res.snapshots[0], broken], omega, g)
+        with pytest.raises(ValueError, match="not 3-fold symmetric"):
+            D._boundary_gap(broken, g)
+
+    def test_unfolded_diagnostics_make_no_square_table(self):
+        # an N = 1024 state: one N x N complex difference and its modulus,
+        # 24 MiB, was the largest allocation of an evolve at this N
+        n = 1024
+        state = off_centre_state(n)
+        turned = D.EvolutionState(
+            tuple(D.PatchBoundary(np.exp(0.01j) * b.nodes, b.layer) for b in state.boundaries),
+            0.1,
+        )
+        D.rigid_rotation_residual([state, turned], 0.1)  # fills the mode-number cache
+        for reading in (lambda: D._boundary_gap(state),
+                        lambda: D.rigid_rotation_residual([state, turned], 0.1)):
+            tracemalloc.start()
+            try:
+                reading()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20

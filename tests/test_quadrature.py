@@ -100,14 +100,12 @@ class TestPeriodicGrid:
         "build",
         [
             lambda: Q._grid_tables(64),
-            lambda: (Q._gather_index(64, None), Q._gather_index(64, 4)),
+            lambda: (Q._log_ratio_row(64),),
             lambda: Q._centred_nodes(64, 9, 33),
-            lambda: (Q._mirror_index(64, 4),),
             lambda: Q.mode_tables(2, 8, 64),
             lambda: (series_coefficients(1.0),),
         ],
-        ids=["grid_tables", "gather_index", "centred_nodes", "mirror_index", "mode_tables",
-             "series"],
+        ids=["grid_tables", "log_ratio_row", "centred_nodes", "mode_tables", "series"],
     )
     def test_cached_tables_are_read_only(self, build):
         # every later build shares these arrays; writing the value back
@@ -289,24 +287,25 @@ class TestSeparatedPath:
 
 def record_per_block(monkeypatch, zs, name, measure) -> dict:
     """{(k, j): measure(*args)} of the last call to Q.<name> inside each block
-    W_kj that ``_kernel_matrix`` builds while the spies are set, whichever
-    thread builds it; blocks are told apart by the identity of their nodes."""
+    W_kj that ``_kernel_block`` builds while the spies are set, whichever
+    thread builds it; blocks are told apart by the identity of their nodes,
+    the arrays each measured curve holds."""
     current = threading.local()
     seen = {}
-    kernel_matrix, inner = Q._kernel_matrix, getattr(Q, name)
+    kernel_block, inner = Q._kernel_block, getattr(Q, name)
 
-    def layer(z):
-        return next(k for k, z_k in enumerate(zs, 1) if z is z_k)
+    def layer(curve):
+        return next(k for k, z_k in enumerate(zs, 1) if curve.z is z_k)
 
-    def kernel_spy(alpha, kappa, mu, z_tgt, z_src, *args, **kwargs):
-        current.block = (layer(z_tgt), layer(z_src))
-        return kernel_matrix(alpha, kappa, mu, z_tgt, z_src, *args, **kwargs)
+    def kernel_spy(alpha, kappa, mu, tgt, src, *args, **kwargs):
+        current.block = (layer(tgt), layer(src))
+        return kernel_block(alpha, kappa, mu, tgt, src, *args, **kwargs)
 
     def inner_spy(*args):
         seen[current.block] = measure(*args)
         return inner(*args)
 
-    monkeypatch.setattr(Q, "_kernel_matrix", kernel_spy)
+    monkeypatch.setattr(Q, "_kernel_block", kernel_spy)
     monkeypatch.setattr(Q, name, inner_spy)
     return seen
 
@@ -541,7 +540,7 @@ class TestFoldedSelfBlocks:
     @pytest.mark.parametrize("m,n", CASES)
     def test_fold_contract_holds_for_deformations(self, m, n):
         zs, _ = self.curves(TestMirroredCrossRows.PARAMS, m, n, False)
-        Q._check_fold(zs, gcd(m, n))
+        Q._check_fold([Q._curve(z) for z in zs], gcd(m, n))
 
     @pytest.mark.parametrize(
         "shape",
@@ -726,14 +725,14 @@ class TestCrossWorker:
         """layer_integrals as on ``cpus`` CPUs, and the threads that built W_21."""
         monkeypatch.setattr(Q, "_cpu_count", lambda: cpus)
         builders = []
-        kernel_matrix = Q._kernel_matrix
+        kernel_block = Q._kernel_block
 
-        def spy(alpha, kappa, mu, z_tgt, z_src, *args, **kwargs):
-            if z_tgt is not z_src:
+        def spy(alpha, kappa, mu, tgt, src, *args, **kwargs):
+            if tgt is not src:
                 builders.append(threading.current_thread())
-            return kernel_matrix(alpha, kappa, mu, z_tgt, z_src, *args, **kwargs)
+            return kernel_block(alpha, kappa, mu, tgt, src, *args, **kwargs)
 
-        monkeypatch.setattr(Q, "_kernel_matrix", spy)
+        monkeypatch.setattr(Q, "_kernel_block", spy)
         dzs = [Q.spectral_derivative(z) for z in zs]
         try:
             return Q.layer_integrals(params, zs, dzs, fold, even), builders
@@ -826,6 +825,23 @@ class TestNonFiniteNodes:
         dzs = [Q.spectral_derivative(z) for z in zs]
         with pytest.raises(Q.QuadratureFailure, match="non-finite"):
             Q.layer_integrals(self.PARAMS, zs, dzs, fold)
+
+    @pytest.mark.parametrize("fold", [None, 2])
+    def test_layer_integrals_refusals_keep_their_types_and_messages(self, fold):
+        # as before the curves were measured once per call: a NaN in the
+        # layer-2 derivative, read by W_22 only, and a pair 0.05 apart
+        zs = [circle(1.0), circle(0.7)]
+        dzs = [Q.spectral_derivative(z) for z in zs]
+        dzs[1][9] = np.nan
+        with pytest.raises(Q.QuadratureFailure) as info:
+            Q.layer_integrals(self.PARAMS, zs, dzs, fold)
+        assert str(info.value) == "non-finite boundary node or derivative"
+        zs = [circle(1.0), circle(0.95)]
+        dzs = [Q.spectral_derivative(z) for z in zs]
+        with pytest.raises(Q.TouchingBoundaryError) as info:
+            Q.layer_integrals(self.PARAMS, zs, dzs, fold)
+        assert str(info.value) == ("curve separation 5.000e-02 below 0.1 * scale; "
+                                   "uniform-grid quadrature would lose accuracy")
 
     def test_non_finite_derivative_refused(self):
         z = circle(1.0)
@@ -1005,7 +1021,7 @@ class TestAllocations:
     def test_one_row_build_makes_no_square_table(self):
         # fresh caches: a single-row moment check at N = 2048 must not build
         # the N x N half-band index or any other N^2 table (32 MB each)
-        for cached in (Q._grid_tables, Q._gather_index, Q._take, Q.mode_tables):
+        for cached in (Q._grid_tables, Q._log_ratio_row, Q._take, Q.mode_tables):
             cached.cache_clear()
         peak = traced_peak(lambda: Q.screened_moment_quadrature(0.7, 0.7, 2.0, 32, 2048))
         assert peak < 8e6
@@ -1029,11 +1045,14 @@ class TestAllocations:
         assert traced_peak(lambda: Q._kernel_matrix(*args)) <= 2.6 * self.UNIT
 
     def test_gathers_take_a_private_writeable_index(self):
-        take = Q._take(Q._gather_index, 64, 4)
-        index, table = take.keywords["indices"], Q._gather_index(64, 4)
-        assert index.flags.writeable and not table.flags.writeable
-        assert np.array_equal(index, table) and not np.shares_memory(index, table)
-        assert Q._take(Q._gather_index, 64, 4) is take
+        # each cached take holds the one copy of its index, writeable (numpy
+        # copies a read-only index before every take); no other cache holds it
+        for table, key in ((Q._gather_index, (64, 4)), (Q._mirror_index, (64, 4, False))):
+            take = Q._take(table, *key)
+            index = take.keywords["indices"]
+            assert index.flags.writeable and not hasattr(table, "cache_info")
+            assert np.array_equal(index, table(*key))
+            assert Q._take(table, *key) is take
 
     def test_full_layer_integrals_peak(self):
         # the cross build peaks at 3.0 UNIT (chords, log, one Horner row) and
