@@ -20,7 +20,9 @@ rotation-only fold of ``layer_integrals``, and turned onto the rest by
 e^{2 pi i k/g}, exactly -1 for g = 2.  ``evolve`` then holds every state
 as the exact image of its first N/g nodes, so a folded run never leaves
 the g-fold subspace: a perturbation that breaks the symmetry cannot grow
-in it.  Starting from a snapshot of the run evolves the full grid.
+in it.  Starting from a snapshot of the run evolves the full grid.  Both
+derivatives of a right-hand side come from one (2, N) FFT pair, bitwise
+the two 1-D ones.
 
 Every geometric reading uses the one curve the quadrature integrates: the
 trigonometric interpolant of the nodes, ``quadrature.fourier``, summed off
@@ -212,7 +214,8 @@ def layer_node_velocities(
     e^{2 pi i k/g}, give the rest.
     """
     zs = [np.asarray(z, dtype=np.complex128) for z in (z1, z2)]
-    u1, u2 = layer_integrals(params, zs, [spectral_derivative(z) for z in zs], fold, even=False)
+    # one (2, N) FFT pair, bitwise the two 1-D ones
+    u1, u2 = layer_integrals(params, zs, spectral_derivative(np.stack(zs)), fold, even=False)
     if fold is not None:
         u1, u2 = _rotation_image(u1, fold), _rotation_image(u2, fold)
     return -u1, -u2

@@ -116,6 +116,14 @@ class TestVelocities:
         w = O.layer_node_velocities_pm(p, z, z.copy())
         assert max(np.max(np.abs(a - b)) for a, b in zip(v, w)) <= 1e-12
 
+    def test_derivatives_by_one_stacked_fft(self):
+        # the (2, N) FFT pair is bitwise the two 1-D ones
+        z1, z2 = (b.nodes for b in off_centre_state().boundaries)
+        got = D.layer_node_velocities(BASE, z1, z2)
+        dzs = [Q.spectral_derivative(z) for z in (z1, z2)]
+        u1, u2 = Q.layer_integrals(BASE, [z1, z2], dzs)
+        assert np.array_equal(got[0], -u1) and np.array_equal(got[1], -u2)
+
     def test_pm_route_independent_of_layer_integrals(self, monkeypatch):
         # the oracle must not reach the assembly it checks, under any name
         z1 = (1.0 + 0.03 * np.cos(2 * THETA)) * np.exp(1j * THETA)
