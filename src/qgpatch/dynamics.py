@@ -382,13 +382,14 @@ def evolve(
     return result
 
 
-def _head_rows(state: EvolutionState, fold: int | None) -> int:
+def _head_rows(state: EvolutionState, fold: int | None) -> int | None:
     """The node count P whose first P nodes of each boundary fix every reading
-    of state that rotation leaves alone: all N for None, else N/fold once
-    state has the fold (``quadrature._check_fold``, else ``ValueError``)."""
-    nodes = [b.nodes for b in state.boundaries]
+    of state that rotation leaves alone: None (all nodes) for no fold, else
+    N/fold once state has the fold (``quadrature._check_fold``, else
+    ``ValueError``)."""
     if fold is None:
-        return nodes[0].size
+        return None
+    nodes = [b.nodes for b in state.boundaries]
     _check_fold([_curve(z) for z in nodes], fold, even=False)
     return nodes[0].size // fold
 
@@ -456,11 +457,12 @@ def curve_hausdorff(za: ComplexArray, zb: ComplexArray) -> float:
     """
     za = np.asarray(za, dtype=np.complex128)
     zb = np.asarray(zb, dtype=np.complex128)
-    return _hausdorff(za, zb, za.size)
+    return _hausdorff(za, zb, None)
 
 
-def _hausdorff(za: ComplexArray, zb: ComplexArray, rows: int) -> float:
-    """``curve_hausdorff`` with each sup over the first ``rows`` nodes only."""
+def _hausdorff(za: ComplexArray, zb: ComplexArray, rows: int | None) -> float:
+    """``curve_hausdorff`` with each sup over the first ``rows`` nodes only
+    (None: all)."""
     return float(max(_distance_to_curve(za[:rows], zb).max(),
                      _distance_to_curve(zb[:rows], za).max()))
 

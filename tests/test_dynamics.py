@@ -265,6 +265,15 @@ class TestGeometryHelpers:
         three = (1.0 + 0.2 * np.cos(3 * THETA)) * np.exp(1j * THETA)
         assert D.curve_hausdorff(three, 0.9 * z) == pytest.approx(0.3, abs=1e-12)
 
+    def test_hausdorff_reads_every_node_of_a_longer_curve(self):
+        # a 1024-node curve with a narrow spike of height 0.2 at t = 3 pi/2,
+        # far beyond its first 64 nodes, against the 64-node unit circle:
+        # only the spike's own nodes see the 0.2
+        t = 2 * np.pi * np.arange(1024) / 1024
+        spiked = (1.0 + 0.2 * np.exp(-((t - 1.5 * np.pi) / 0.03) ** 2)) * np.exp(1j * t)
+        circle = np.exp(2j * np.pi * np.arange(64) / 64)
+        assert D.curve_hausdorff(circle, spiked) == pytest.approx(0.2, rel=1e-2)
+
     def test_rotation_residual_rejects_empty_trajectory(self):
         with pytest.raises(ValueError):
             D.rigid_rotation_residual([], 0.0)
