@@ -38,13 +38,16 @@ of a V-state: the sup over each curve's nodes of the distance to the other
 curve's trigonometric interpolant.  Newton on the curve parameter, seeded
 at the nearest node, finds the closest point; a running ``fmin`` over the
 iterates, all curve points, keeps the reading an upper bound and ignores
-a NaN from a degenerate step.  The ruler and the respacing take
-NEWTON_STEPS Newton steps each.  The ruler's nearest-node seeds and the
-least node gap between the layers (``min_boundary_gap``) come from squared
-real distances in row blocks of at most ROW_BLOCK_ENTRIES entries, so no
-N x N array is built.  Given a fold g, both read the first N/g nodes of
-each snapshot only, once its fold is checked: every other node is one of
-these turned, and neither reading moves under the rotation.
+a NaN from a degenerate step.  The residual builds each reference
+layer's ruler once (``_ruler``) and reads a node's distance to the turned
+reference as that of the node turned back onto it.  The ruler and the
+respacing take NEWTON_STEPS Newton steps each, in row blocks of at most
+ROW_BLOCK_ENTRIES entries, and the ruler's nearest-node seeds and the
+least node gap between the layers (``min_boundary_gap``) come from
+squared real distances in the same blocks, so no N x N array is built.
+Given a fold g, both read the first N/g nodes of each snapshot only, once
+its fold is checked: every other node is one of these turned, and neither
+reading moves under the rotation.
 
 Two more boundary sums check the coupling, which the per-layer areas
 cannot see: since delta G_12 = G_21, the angular impulse
@@ -82,8 +85,9 @@ DT_CAP = 1e-3  # largest step suggested_dt returns
 REDISTRIBUTE_EVERY = 50  # RK4 steps between arclength redistributions
 NEWTON_STEPS = 4  # Newton steps on the curve parameter: ruler and respacing
 # entries of one row block of the gap and ruler's node-to-node distances
-# (512 KB of float64): every row is read alone, so the block bounds their
-# memory and changes no reading; one block serves N = 256
+# (512 KB of float64) and of the respacing's points: every row is read
+# alone, so the block bounds their memory and changes no reading; one
+# block serves N = 256
 ROW_BLOCK_ENTRIES = 256 * 256
 
 
@@ -270,7 +274,8 @@ def resample_by_arclength(boundary: PatchBoundary) -> PatchBoundary:
     L = 2 pi mean_speed.  Linear interpolation of s sampled at the nodes
     seeds the parameters t_j of s(t_j) = j L / N;
     NEWTON_STEPS Newton steps refine them, and the new nodes are the
-    interpolant at t_j.
+    interpolant at t_j.  The t_j are taken in ``_row_blocks``, so the
+    interpolant's evaluator holds one block's tables at a time.
     """
     z = boundary.nodes
     n = z.size
@@ -285,10 +290,13 @@ def resample_by_arclength(boundary: PatchBoundary) -> PatchBoundary:
     targets = mean_speed * t
     s_nodes = targets + n * np.fft.ifft(periodic).real
     tj = np.interp(targets, np.append(s_nodes, mean_speed * TWO_PI), np.append(t, TWO_PI))
-    for _ in range(NEWTON_STEPS):
-        _, p, ds = curve(tj)
-        tj = tj - (mean_speed * tj + p.real - targets) / ds.real
-    return PatchBoundary(curve(tj)[0], boundary.layer)
+    nodes = np.empty(n, dtype=np.complex128)
+    for block in _row_blocks(n, n):
+        for _ in range(NEWTON_STEPS):
+            _, p, ds = curve(tj[block])
+            tj[block] -= (mean_speed * tj[block] + p.real - targets[block]) / ds.real
+        nodes[block] = curve(tj[block])[0]
+    return PatchBoundary(nodes, boundary.layer)
 
 
 @dataclass
@@ -426,24 +434,29 @@ def _boundary_gap(state: EvolutionState, fold: int | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _distance_to_curve(points: ComplexArray, z: ComplexArray) -> FloatArray:
-    """Distance from each point to the interpolant of z, by Newton on |z(s) - p|^2,
-    seeded at the nearest node; the points are taken in ``_row_blocks``."""
+def _ruler(z: ComplexArray):
+    """The distances from points to the interpolant of z, as a function of the
+    points, its interpolant built once: Newton on |z(s) - p|^2, seeded at the
+    nearest node, with the points taken in ``_row_blocks``."""
     k, coeffs = fourier(z)
     interpolant = trig_sum(k, [coeffs, 1j * k * coeffs, -k * k * coeffs])  # z, z', z''
     nodes = grid(z.size)
-    out = np.empty(points.shape)
-    for block in _row_blocks(points.size, z.size):
-        p = points[block]
-        s = nodes[np.argmin(_squared_distances(p, z), axis=1)]
-        best = np.full(p.shape, np.inf)
-        for _ in range(NEWTON_STEPS):
-            zs, dz, ddz = interpolant(s)
-            r = zs - p
-            best = np.fmin(best, np.abs(r))
-            s = s - (np.conj(r) * dz).real / (np.abs(dz) ** 2 + (np.conj(r) * ddz).real)
-        out[block] = np.fmin(best, np.abs(interpolant(s)[0] - p))
-    return out
+
+    def distances(points: ComplexArray) -> FloatArray:
+        out = np.empty(points.shape)
+        for block in _row_blocks(points.size, z.size):
+            p = points[block]
+            s = nodes[np.argmin(_squared_distances(p, z), axis=1)]
+            best = np.full(p.shape, np.inf)
+            for _ in range(NEWTON_STEPS):
+                zs, dz, ddz = interpolant(s)
+                r = zs - p
+                best = np.fmin(best, np.abs(r))
+                s = s - (np.conj(r) * dz).real / (np.abs(dz) ** 2 + (np.conj(r) * ddz).real)
+            out[block] = np.fmin(best, np.abs(interpolant(s)[0] - p))
+        return out
+
+    return distances
 
 
 def curve_hausdorff(za: ComplexArray, zb: ComplexArray) -> float:
@@ -463,8 +476,7 @@ def curve_hausdorff(za: ComplexArray, zb: ComplexArray) -> float:
 def _hausdorff(za: ComplexArray, zb: ComplexArray, rows: int | None) -> float:
     """``curve_hausdorff`` with each sup over the first ``rows`` nodes only
     (None: all)."""
-    return float(max(_distance_to_curve(za[:rows], zb).max(),
-                     _distance_to_curve(zb[:rows], za).max()))
+    return float(max(_ruler(zb)(za[:rows]).max(), _ruler(za)(zb[:rows]).max()))
 
 
 def rigid_rotation_residual(
@@ -477,20 +489,26 @@ def rigid_rotation_residual(
     omega*t, normalized by the initial layer-1 mean radius.  The sup runs
     over the nodes of each curve, each node's distance being to the
     trigonometric interpolant of the other, found by Newton on the curve
-    parameter.  Given a fold g, every snapshot must have it (else
-    ``ValueError``), and the sups run over the first N/g nodes: the
-    distances of the others are theirs turned by the rotation, which moves
-    neither curve.
+    parameter.  Each reference layer's ruler (``_ruler``) is built once: a
+    node's distance to the rotated reference is that of the node turned back
+    by conj(rot) to the reference itself.  boundary(0) is not measured
+    against itself, a distance at rounding level.  Given a fold g, every
+    snapshot must have it (else ``ValueError``), and the sups run over the
+    first N/g nodes: the distances of the others are theirs turned by the
+    rotation, which moves neither curve.
     """
     if not traj:
         raise ValueError("empty trajectory")
     ref = traj[0]
     t0 = ref.time
     scale = float(np.sqrt(abs(ref.boundaries[0].area()) / np.pi))
+    _head_rows(ref, fold)  # the reference's head stands for all its nodes too
+    rulers = [_ruler(b0.nodes) for b0 in ref.boundaries]
     worst = 0.0
-    for snap in traj:
+    for snap in traj[1:]:
         rows = _head_rows(snap, fold)
         rot = np.exp(1j * omega * (snap.time - t0))
-        for b, b0 in zip(snap.boundaries, ref.boundaries):
-            worst = max(worst, _hausdorff(b.nodes, rot * b0.nodes, rows))
+        for b, b0, ruler in zip(snap.boundaries, ref.boundaries, rulers):
+            worst = max(worst, ruler(np.conj(rot) * b.nodes[:rows]).max(),
+                        _ruler(b.nodes)(rot * b0.nodes[:rows]).max())
     return worst / scale

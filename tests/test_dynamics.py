@@ -300,7 +300,7 @@ class TestGeometryHelpers:
         z = (1.0 + 0.1 * np.cos(3 * t + 0.5 * np.sin(t))) * np.exp(1j * phase)
         before = D.PatchBoundary(z, 1)
         after = D.resample_by_arclength(before)
-        assert np.max(D._distance_to_curve(after.nodes, z)) <= 1e-14
+        assert np.max(D._ruler(z)(after.nodes)) <= 1e-14
         assert after.area() == pytest.approx(before.area(), rel=1e-14)
         speed = np.abs(Q.spectral_derivative(after.nodes))
         assert np.max(speed) - np.min(speed) <= 1e-9 * np.mean(speed)
@@ -563,3 +563,106 @@ class TestFoldedDiagnostics:
             finally:
                 tracemalloc.stop()
             assert peak < 4 * 2**20
+
+
+def per_snapshot_residual(traj, omega, rows=None):
+    """``rigid_rotation_residual`` by its per-snapshot formula: every snapshot,
+    the first included, against boundary(0) rotated, each distance taken to
+    the interpolant of the nodes it is measured against, built there, and
+    summed over its modes directly.  rows: the head read (None: all)."""
+
+    def distances(points, z):
+        k, coeffs = Q.fourier(z)
+        def curve(s, power):
+            return np.exp(1j * np.outer(s, k)) @ ((1j * k) ** power * coeffs)
+        nodes = 2 * np.pi * np.arange(z.size) / z.size
+        s = nodes[np.argmin(np.abs(points[:, None] - z[None, :]), axis=1)]
+        best = np.full(points.shape, np.inf)
+        for _ in range(D.NEWTON_STEPS):
+            r = curve(s, 0) - points
+            best = np.fmin(best, np.abs(r))
+            dz, ddz = curve(s, 1), curve(s, 2)
+            s = s - (np.conj(r) * dz).real / (np.abs(dz) ** 2 + (np.conj(r) * ddz).real)
+        return np.fmin(best, np.abs(curve(s, 0) - points))
+
+    ref = traj[0]
+    worst = 0.0
+    for snap in traj:
+        rot = np.exp(1j * omega * (snap.time - ref.time))
+        for b, b0 in zip(snap.boundaries, ref.boundaries):
+            za, zb = b.nodes, rot * b0.nodes
+            worst = max(worst, distances(za[:rows], zb).max(), distances(zb[:rows], za).max())
+    return worst / np.sqrt(abs(ref.boundaries[0].area()) / np.pi)
+
+
+class TestRuler:
+    """The rotation residual builds each reference ruler once and turns the
+    snapshot's nodes back onto it; the per-snapshot formula is the oracle."""
+
+    def criterion_10_run(self):
+        sol = C.vstate_solve(BASE, 2, -1, 1e-3, n_modes=16, n_nodes=256)
+        defo = C.RadialDeformation(sol.m, sol.deformation.coeffs, 128)
+        r_nodal = defo.nodal()
+        radii = (C.radius_profile(BASE.b1, r_nodal[0]), C.radius_profile(BASE.b2, r_nodal[1]))
+        phase = np.exp(1j * defo.grid())
+        state0 = D.EvolutionState(
+            (D.PatchBoundary(radii[0] * phase, 1), D.PatchBoundary(radii[1] * phase, 2)), 0.0
+        )
+        t_end = 2.0 * np.pi / (10.0 * abs(sol.omega))
+        return D.evolve(BASE, state0, t_end=t_end, dt=5e-3, snapshot_every=175), sol.omega
+
+    # both formulas round each distance |p - z(s)| between points of size 1
+    # on their own path: they agree to 1e-15 absolute (4.4e-16 at most on the
+    # benchmark's 16 reference points, where the matched readings are
+    # themselves rounding-level, about 1.2e-15; 1.1e-16 here with omega off)
+    def test_criterion_10_setup_against_the_per_snapshot_formula(self):
+        res, omega = self.criterion_10_run()
+        assert res.aborted is None and len(res.snapshots) == 5
+        matched = D.rigid_rotation_residual(res.snapshots, omega)
+        mismatched = D.rigid_rotation_residual(res.snapshots, omega + 0.1)
+        assert abs(matched - per_snapshot_residual(res.snapshots, omega)) <= 1e-15
+        assert abs(mismatched - per_snapshot_residual(res.snapshots, omega + 0.1)) <= 1e-15
+        assert matched <= 1e-12 and mismatched >= 1e-6
+
+    def test_g3_run_against_the_per_snapshot_formula(self):
+        res, omega, g = TestFoldedDiagnostics().folded_run("66-g3")
+        snaps = res.snapshots
+        got = D.rigid_rotation_residual(snaps, omega, g)
+        assert abs(got - per_snapshot_residual(snaps, omega, 66 // g)) <= 1e-15
+        assert got > 1e-6  # omega = 0.3 is not the run's rotation: a real reading
+
+    def test_one_snapshot_reads_zero(self):
+        # boundary(0) is not measured against itself
+        state = rotation_symmetric_state(3, 66)
+        assert D.rigid_rotation_residual([state], 0.3) == 0.0
+        assert D.rigid_rotation_residual([state], 0.3, 3) == 0.0
+
+
+class TestRespacingInBlocks:
+    """resample_by_arclength evaluates the interpolant in row blocks."""
+
+    def curve(self, n):
+        t = 2 * np.pi * np.arange(n) / n
+        return D.PatchBoundary(
+            (1.0 + 0.1 * np.cos(3 * t + 0.5 * np.sin(t))) * np.exp(1j * (t + 0.5 * np.sin(t))), 1
+        )
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_bitwise_equal_to_one_block(self, monkeypatch, n):
+        boundary = self.curve(n)
+        blocked = D.resample_by_arclength(boundary).nodes
+        for rows in (n, 16):  # all nodes in one block, and 16-row blocks
+            monkeypatch.setattr(D, "ROW_BLOCK_ENTRIES", rows * n)
+            assert np.array_equal(D.resample_by_arclength(boundary).nodes, blocked)
+
+    def test_memory_bounded_at_1024(self):
+        # the unblocked evaluator held 1024 x 64 x 4 complex entries, 5.25 MiB
+        boundary = self.curve(1024)
+        D.resample_by_arclength(boundary)  # fills the mode-number cache
+        tracemalloc.start()
+        try:
+            D.resample_by_arclength(boundary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20

@@ -35,6 +35,25 @@ def evolve_reference_inputs():
         yield params, radii[0] * phase, radii[1] * phase
 
 
+def assert_transposed_product(params, zs, dzs, g, even, bound):
+    """W_12 applied by ``_apply_transpose`` from the W_21 rows equals a direct
+    build of the fold's W_12 rows applied to the same density, to bound of
+    max|W_12 T|, for z_2' and for a density without the fold's symmetry."""
+    (z1, z2), (dz1, dz2) = zs, dzs
+    n = z1.size
+    rows = Q.fold_rows(n, g, even)
+    alpha12, kappa12 = gkj_coefficients(params, 1, 2)
+    alpha21, kappa21 = gkj_coefficients(params, 2, 1)
+    w21 = Q._kernel_matrix(alpha21, kappa21, params.mu, z2, z1, dz1, n_rows=rows)
+    w12 = Q._kernel_matrix(alpha12, kappa12, params.mu, z1, z2, dz2, n_rows=rows)
+    rng = np.random.default_rng(n + g)
+    for density in (dz2, rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+        direct = w12 @ density
+        product = (alpha12 / alpha21) * Q._apply_transpose(w21, density, g, even)
+        assert product.shape == (rows,)
+        assert np.max(np.abs(product - direct)) <= bound * np.max(np.abs(direct))
+
+
 class TestLogWeights:
     @pytest.mark.parametrize("n", [1, 2, 7, 63, 127, 128])
     def test_exact_on_cosines(self, n):
@@ -102,10 +121,12 @@ class TestPeriodicGrid:
             lambda: Q._grid_tables(64),
             lambda: (Q._log_ratio_row(64),),
             lambda: Q._centred_nodes(64, 9, 33),
+            lambda: Q._transpose_tables(66, 3),
             lambda: Q.mode_tables(2, 8, 64),
             lambda: (series_coefficients(1.0),),
         ],
-        ids=["grid_tables", "log_ratio_row", "centred_nodes", "mode_tables", "series"],
+        ids=["grid_tables", "log_ratio_row", "centred_nodes", "transpose_tables", "mode_tables",
+             "series"],
     )
     def test_cached_tables_are_read_only(self, build):
         # every later build shares these arrays; writing the value back
@@ -455,24 +476,19 @@ class TestMirroredCrossRows:
             err = np.max(np.abs(u_rows - u_full[:rows]))
             assert err <= 1e-14 * np.max(np.abs(u_full))
 
-    # the mirror pairs nodes whose symmetry holds to rounding only: 1.1e-15
-    # to 1.6e-15 of max|W| on the random pairs.  Twin cross blocks take the
-    # split, whose far entries (mu * rho near 3.5) sum I_0 and S series
-    # terms several times larger than themselves; they read up to 4.7e-15
+    # W_12 = (alpha_12 / alpha_21) W_21^T applied to z_2' (and to a density
+    # without the fold's symmetry) by one transposed product of the W_21
+    # rows, against a direct build of the W_12 rows applied to it.  The
+    # product reads each weight off an image pair, whose chord agrees to
+    # rounding only.  Twin cross blocks take the split, whose far entries
+    # (mu * rho near 3.5) sum I_0 and S series terms several times larger
+    # than themselves
     @pytest.mark.parametrize("twins,bound", [(False, 3e-15), (True, 1e-14)])
-    @pytest.mark.parametrize("m,n", CASES)
+    @pytest.mark.parametrize("m,n", CASES + [(1, 66), (4, 64)])
     def test_mirrored_block_matches_direct_build(self, m, n, twins, bound):
         params = self.TWINS if twins else self.PARAMS
-        (z1, z2), (dz1, dz2) = self.curves(params, m, n, twins)
-        g = gcd(m, n)
-        rows = Q.fold_rows(n, g)
-        alpha12, kappa12 = gkj_coefficients(params, 1, 2)
-        alpha21, kappa21 = gkj_coefficients(params, 2, 1)
-        mu = params.mu
-        w21 = Q._kernel_matrix(alpha21, kappa21, mu, z2, z1, dz1, n_rows=rows)
-        direct = Q._kernel_matrix(alpha12, kappa12, mu, z1, z2, dz2, n_rows=rows)
-        mirrored = (alpha12 / alpha21) * np.take(w21, Q._mirror_index(n, g))
-        assert np.max(np.abs(mirrored - direct)) <= bound * np.max(np.abs(direct))
+        assert_transposed_product(params, *self.curves(params, m, n, twins), gcd(m, n), True,
+                                  bound)
 
     def test_fold_must_divide_node_count(self):
         with pytest.raises(ValueError, match="does not divide"):
@@ -601,18 +617,12 @@ class TestRotationFold:
             err = np.max(np.abs(u_rows - u_full[: n // g]))
             assert err <= 1e-14 * np.max(np.abs(u_full))
 
-    @pytest.mark.parametrize("m,n", CASES)
+    # the transposed product of the W_21 rows, as for the even fold
+    @pytest.mark.parametrize("m,n", CASES + [(1, 66), (4, 64)])
     def test_mirrored_block_matches_direct_build(self, m, n):
         params = TestMirroredCrossRows.PARAMS
-        (z1, z2), (dz1, dz2) = self.curves(params, m, n, False)
-        g = gcd(m, n)
-        rows = Q.fold_rows(n, g, even=False)
-        alpha12, kappa12 = gkj_coefficients(params, 1, 2)
-        alpha21, kappa21 = gkj_coefficients(params, 2, 1)
-        w21 = Q._kernel_matrix(alpha21, kappa21, params.mu, z2, z1, dz1, n_rows=rows)
-        direct = Q._kernel_matrix(alpha12, kappa12, params.mu, z1, z2, dz2, n_rows=rows)
-        mirrored = (alpha12 / alpha21) * np.take(w21, Q._mirror_index(n, g, False))
-        assert np.max(np.abs(mirrored - direct)) <= 3e-15 * np.max(np.abs(direct))
+        zs, dzs = self.curves(params, m, n, False)
+        assert_transposed_product(params, zs, dzs, gcd(m, n), False, 3e-15)
 
     @pytest.mark.parametrize("twins", [False, True])
     @pytest.mark.parametrize("m,n", CASES)
@@ -995,6 +1005,14 @@ class TestCachedTables:
         info = Q._folded_table.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
 
+    def test_curve_holds_contiguous_coordinates(self):
+        # every block's chords read Re z and Im z from these copies
+        z = circle(0.7) * (1.0 + 0.03 * np.cos(2 * THETA))
+        curve = Q._curve(z)
+        assert curve.z is z
+        for part, want in ((curve.x, z.real), (curve.y, z.imag)):
+            assert part.flags.c_contiguous and np.array_equal(part, want)
+
     def test_mode_numbers_read_only(self):
         k, ik = Q._mode_numbers(N)
         assert not k.flags.writeable and not ik.flags.writeable
@@ -1047,12 +1065,24 @@ class TestAllocations:
     def test_gathers_take_a_private_writeable_index(self):
         # each cached take holds the one copy of its index, writeable (numpy
         # copies a read-only index before every take); no other cache holds it
-        for table, key in ((Q._gather_index, (64, 4)), (Q._mirror_index, (64, 4, False))):
-            take = Q._take(table, *key)
-            index = take.keywords["indices"]
-            assert index.flags.writeable and not hasattr(table, "cache_info")
-            assert np.array_equal(index, table(*key))
-            assert Q._take(table, *key) is take
+        take = Q._take(Q._gather_index, 64, 4)
+        index = take.keywords["indices"]
+        assert index.flags.writeable and not hasattr(Q._gather_index, "cache_info")
+        assert np.array_equal(index, Q._gather_index(64, 4))
+        assert Q._take(Q._gather_index, 64, 4) is take
+
+    @pytest.mark.parametrize("even", [True, False])
+    def test_folded_layer_integrals_hold_one_gather(self, even):
+        # the self blocks' half-band gather is the one cached take: W_12 is a
+        # transposed product of the W_21 rows, with no index of their size
+        fold = TestMirroredCrossRows if even else TestRotationFold
+        zs, dzs = fold.curves(fold(), self.PARAMS, 2, 256, False)
+        Q._take.cache_clear()
+        Q.layer_integrals(self.PARAMS, zs, dzs, 2, even)
+        assert Q._take.cache_info().currsize == 1
+        Q._take(Q._gather_index, 256, 2, even)
+        info = Q._take.cache_info()
+        assert (info.currsize, info.hits) == (1, 2)
 
     def test_full_layer_integrals_peak(self):
         # the cross build peaks at 3.0 UNIT (chords, log, one Horner row) and
