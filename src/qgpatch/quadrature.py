@@ -28,10 +28,10 @@ these turned by e^{2 pi i k/g}.  ``layer_integrals`` measures each curve
 once per call (``_curve``: finiteness of nodes and derivative, mean and
 max |z|, contiguous Re z and Im z), and its fold check and every block's
 guards and chords read those measures; a single-block caller measures
-through the same ``_curve``.  It refuses a fold the curves do not have.  The even fold keeps the end rows
-t = 0 and t = pi/g as targets: in either form every node pair then has an
-image among the rows built, so the guards below see the same minimum
-separation and maximum chord as a full build.
+through the same ``_curve``.  It refuses a fold the curves do not have.
+The even fold keeps the end rows t = 0 and t = pi/g as targets: in either
+form every node pair then has an image among the rows built, so the
+guards below see a full build's least separation and largest chord.
 Three regimes are handled:
 
 * separated curves: the integrand is analytic, plain trapezoidal rule.
@@ -362,11 +362,11 @@ def fold_rows(n: int, fold: int | None, even: bool = True) -> int:
 def _transpose_tables(n: int, fold: int, even: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, sums) of ``_apply_transpose``, cached read-only.  With P = n/fold,
     node r + sP is the rotated image of row r and, given an even fold, sP - r
-    (0 < 2r < P) its reflected one, so over the rows W, (W^T d)[i] = sum_s
-    (W^T d_s)[(i - sP) mod n] + sum_s (W^T d'_s)[(sP - i) mod n], with d_s[r] =
-    d[r + sP] and d'_s[r] = d[sP - r] (0 at r = 0 and 2r = P).  ``nodes`` takes d,
-    a 0 appended at n, to the columns [d_s, d'_s]; ``sums`` takes the flat
-    product (n x columns) to the terms of each target row."""
+    (0 < 2r < P) its reflected one, so over the rows W, (W^T d)[i] =
+    sum_s (W^T d_s)[(i - sP) mod n] + sum_s (W^T d'_s)[(sP - i) mod n], with
+    d_s[r] = d[r + sP] and d'_s[r] = d[sP - r] (0 at r = 0 and 2r = P).
+    ``nodes`` takes d, a 0 appended at n, to the columns [d_s, d'_s], and
+    ``sums`` the flat product (n x columns) to the terms of each target row."""
     r, s = np.arange(fold_rows(n, fold, even))[:, None], n // fold * np.arange(fold)
     nodes, sums = [(r + s) % n], [(r - s) % n]
     if even:
