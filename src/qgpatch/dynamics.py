@@ -38,16 +38,14 @@ of a V-state: the sup over each curve's nodes of the distance to the other
 curve's trigonometric interpolant.  Newton on the curve parameter, seeded
 at the nearest node, finds the closest point; a running ``fmin`` over the
 iterates, all curve points, keeps the reading an upper bound and ignores
-a NaN from a degenerate step.  The residual builds each reference
-layer's ruler once (``_ruler``) and reads a node's distance to the turned
-reference as that of the node turned back onto it.  The ruler and the
-respacing take NEWTON_STEPS Newton steps each, in row blocks of at most
-ROW_BLOCK_ENTRIES entries, and the ruler's nearest-node seeds and the
-least node gap between the layers (``min_boundary_gap``) come from
-squared real distances in the same blocks, so no N x N array is built.
-Given a fold g, both read the first N/g nodes of each snapshot only, once
-its fold is checked: every other node is one of these turned, and neither
-reading moves under the rotation.
+a NaN from a degenerate step.  The ruler and the respacing take
+NEWTON_STEPS Newton steps each, in row blocks of at most ROW_BLOCK_ENTRIES
+entries, and the ruler's nearest-node seeds and the least node gap between
+the layers (``min_boundary_gap``) come from squared real distances in the
+same blocks, so no N x N array is built.  Given a fold g, both read the
+first N/g nodes of each snapshot only, once its fold is checked: every
+other node is one of these turned, and neither reading moves under the
+rotation.
 
 Two more boundary sums check the coupling, which the per-layer areas
 cannot see: since delta G_12 = G_21, the angular impulse
@@ -434,29 +432,24 @@ def _boundary_gap(state: EvolutionState, fold: int | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ruler(z: ComplexArray):
-    """The distances from points to the interpolant of z, as a function of the
-    points, its interpolant built once: Newton on |z(s) - p|^2, seeded at the
-    nearest node, with the points taken in ``_row_blocks``."""
+def _distance_to_curve(points: ComplexArray, z: ComplexArray) -> FloatArray:
+    """Distance from each point to the interpolant of z, by Newton on |z(s) - p|^2,
+    seeded at the nearest node; the points are taken in ``_row_blocks``."""
     k, coeffs = fourier(z)
     interpolant = trig_sum(k, [coeffs, 1j * k * coeffs, -k * k * coeffs])  # z, z', z''
     nodes = grid(z.size)
-
-    def distances(points: ComplexArray) -> FloatArray:
-        out = np.empty(points.shape)
-        for block in _row_blocks(points.size, z.size):
-            p = points[block]
-            s = nodes[np.argmin(_squared_distances(p, z), axis=1)]
-            best = np.full(p.shape, np.inf)
-            for _ in range(NEWTON_STEPS):
-                zs, dz, ddz = interpolant(s)
-                r = zs - p
-                best = np.fmin(best, np.abs(r))
-                s = s - (np.conj(r) * dz).real / (np.abs(dz) ** 2 + (np.conj(r) * ddz).real)
-            out[block] = np.fmin(best, np.abs(interpolant(s)[0] - p))
-        return out
-
-    return distances
+    out = np.empty(points.shape)
+    for block in _row_blocks(points.size, z.size):
+        p = points[block]
+        s = nodes[np.argmin(_squared_distances(p, z), axis=1)]
+        best = np.full(p.shape, np.inf)
+        for _ in range(NEWTON_STEPS):
+            zs, dz, ddz = interpolant(s)
+            r = zs - p
+            best = np.fmin(best, np.abs(r))
+            s = s - (np.conj(r) * dz).real / (np.abs(dz) ** 2 + (np.conj(r) * ddz).real)
+        out[block] = np.fmin(best, np.abs(interpolant(s)[0] - p))
+    return out
 
 
 def curve_hausdorff(za: ComplexArray, zb: ComplexArray) -> float:
@@ -476,7 +469,8 @@ def curve_hausdorff(za: ComplexArray, zb: ComplexArray) -> float:
 def _hausdorff(za: ComplexArray, zb: ComplexArray, rows: int | None) -> float:
     """``curve_hausdorff`` with each sup over the first ``rows`` nodes only
     (None: all)."""
-    return float(max(_ruler(zb)(za[:rows]).max(), _ruler(za)(zb[:rows]).max()))
+    return float(max(_distance_to_curve(za[:rows], zb).max(),
+                     _distance_to_curve(zb[:rows], za).max()))
 
 
 def rigid_rotation_residual(
@@ -489,26 +483,22 @@ def rigid_rotation_residual(
     omega*t, normalized by the initial layer-1 mean radius.  The sup runs
     over the nodes of each curve, each node's distance being to the
     trigonometric interpolant of the other, found by Newton on the curve
-    parameter.  Each reference layer's ruler (``_ruler``) is built once: a
-    node's distance to the rotated reference is that of the node turned back
-    by conj(rot) to the reference itself.  boundary(0) is not measured
-    against itself, a distance at rounding level.  Given a fold g, every
-    snapshot must have it (else ``ValueError``), and the sups run over the
-    first N/g nodes: the distances of the others are theirs turned by the
-    rotation, which moves neither curve.
+    parameter.  boundary(0) is not measured against itself, a distance at
+    rounding level.  Given a fold g, every snapshot must have it (else
+    ``ValueError``), and the sups run over the first N/g nodes: the
+    distances of the others are theirs turned by the rotation, which moves
+    neither curve.
     """
     if not traj:
         raise ValueError("empty trajectory")
     ref = traj[0]
     t0 = ref.time
     scale = float(np.sqrt(abs(ref.boundaries[0].area()) / np.pi))
-    _head_rows(ref, fold)  # the reference's head stands for all its nodes too
-    rulers = [_ruler(b0.nodes) for b0 in ref.boundaries]
+    _head_rows(ref, fold)  # boundary(0) must have the fold too
     worst = 0.0
     for snap in traj[1:]:
         rows = _head_rows(snap, fold)
         rot = np.exp(1j * omega * (snap.time - t0))
-        for b, b0, ruler in zip(snap.boundaries, ref.boundaries, rulers):
-            worst = max(worst, ruler(np.conj(rot) * b.nodes[:rows]).max(),
-                        _ruler(b.nodes)(rot * b0.nodes[:rows]).max())
+        for b, b0 in zip(snap.boundaries, ref.boundaries):
+            worst = max(worst, _hausdorff(b.nodes, rot * b0.nodes, rows))
     return worst / scale

@@ -13,25 +13,25 @@ are defined here once for the package: ``grid``, ``fourier``,
 (cos/sin of the modes m*j).  ``layer_integrals`` assembles the
 two-layer integrals that the velocities and the contour functional share
 from three weight builds (W_11, W_22 and W_21) and one reuse of W_21 for
-W_12, a multiple of W_21^T.  On the full grid the three are N x N.  Given a
-fold g, they hold only the targets i = 0 .. n_rows-1 (``fold_rows``), and
-W_12 z_2' is one transposed product of the W_21 rows (``_apply_transpose``).
-A fold has two forms.  The even one (n_rows = N/(2g) + 1) serves the
-contour functional of an m-fold even shape: with g = gcd(m, N) the curves
-and the grid are invariant under t -> -t and rotation by 2 pi/g, so the
-rows 0 <= t <= pi/g fix its sine coefficients on the modes m*j, with
-weight 4g/N, and every entry of W_21 outside them equals one inside.  The
-rotation-only one (``even`` False, n_rows = N/g) serves the evolution of a
-V-state, which keeps its rotation symmetry but not its evenness as it
+W_12.  On the full grid the three are N x N and W_12 is a multiple of
+W_21^T.  Given a fold g, they hold only the targets i = 0 .. n_rows-1
+(``fold_rows``), and W_12 is copied from the W_21 rows.  A fold has two
+forms.  The even one (n_rows = N/(2g) + 1) serves the contour functional
+of an m-fold even shape: with g = gcd(m, N) the curves and the grid are
+invariant under t -> -t and rotation by 2 pi/g, so the rows
+0 <= t <= pi/g fix its sine coefficients on the modes m*j, with weight
+4g/N, and every entry of W_21 outside them equals one inside.  The
+rotation-only one (``even`` False, n_rows = N/g) serves the evolution of
+a V-state, which keeps its rotation symmetry but not its evenness as it
 turns: the rows 0 <= t < 2 pi/g give every velocity, the others being
 these turned by e^{2 pi i k/g}.  ``layer_integrals`` measures each curve
 once per call (``_curve``: finiteness of nodes and derivative, mean and
-max |z|, contiguous Re z and Im z), and its fold check and every block's
-guards and chords read those measures; a single-block caller measures
-through the same ``_curve``.  It refuses a fold the curves do not have.
-The even fold keeps the end rows t = 0 and t = pi/g as targets: in either
-form every node pair then has an image among the rows built, so the
-guards below see a full build's least separation and largest chord.
+max |z|), and its fold check and every block's guards read those
+measures; a single-block caller measures through the same ``_curve``.  It
+refuses a fold the curves do not have.  The even fold keeps the end rows
+t = 0 and t = pi/g as targets: in either form every node pair then has an
+image among the rows built, so the guards below see the same minimum
+separation and maximum chord as a full build.
 Three regimes are handled:
 
 * separated curves: the integrand is analytic, plain trapezoidal rule.
@@ -358,47 +358,40 @@ def fold_rows(n: int, fold: int | None, even: bool = True) -> int:
     return n // (2 * fold) + 1 if even else n // fold
 
 
-@functools.cache
-def _transpose_tables(n: int, fold: int, even: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """(nodes, sums) of ``_apply_transpose``, cached read-only.  With P = n/fold,
-    node r + sP is the rotated image of row r and, given an even fold, sP - r
-    (0 < 2r < P) its reflected one, so over the rows W, (W^T d)[i] =
-    sum_s (W^T d_s)[(i - sP) mod n] + sum_s (W^T d'_s)[(sP - i) mod n], with
-    d_s[r] = d[r + sP] and d'_s[r] = d[sP - r] (0 at r = 0 and 2r = P).
-    ``nodes`` takes d, a 0 appended at n, to the columns [d_s, d'_s], and
-    ``sums`` the flat product (n x columns) to the terms of each target row."""
-    r, s = np.arange(fold_rows(n, fold, even))[:, None], n // fold * np.arange(fold)
-    nodes, sums = [(r + s) % n], [(r - s) % n]
-    if even:
-        nodes.append(np.where((r > 0) & (2 * fold * r < n), (s - r) % n, n))
-        sums.append((s - r) % n)
-    cols = len(nodes) * fold
-    tables = np.hstack(nodes), np.hstack(sums) * cols + np.arange(cols)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+def _transposed_rows(w: FloatArray, fold: int | None, even: bool = True) -> FloatArray:
+    """W^T on the ``fold_rows`` of a cross block W (all n: W.T), copied from
+    the rows of W by slices.
 
-
-def _apply_transpose(w: FloatArray, t_src: np.ndarray, fold: int | None, even: bool = True):
-    """W^T T on the ``fold_rows`` of a cross block W (all n: W^T itself), one
-    product of W^T with the blocks of T (``_transpose_tables``) summed per row;
-    T is read at all n nodes and need not have the fold's symmetry."""
+    With period P = n/fold, node j = r + sP (0 <= r < P) is the rotated
+    image of row r, whose entry for target i sits at column (i - sP) mod n;
+    given an even fold, a node with 2r > P is instead the reflected image of
+    row P - r, at column ((s + 1)P - i) mod n.  Node i moves by the same
+    rotation and reflection, so the pair keeps its chord.
+    """
     if fold is None:
-        return _apply_kernel_matrix(w.T, t_src)
-    nodes, sums = _transpose_tables(t_src.shape[0], fold, even)
-    return np.take(_apply_kernel_matrix(w.T, np.append(t_src, 0.0)[nodes]), sums).sum(axis=1)
+        return w.T
+    rows, n = w.shape
+    period = n // fold
+    out = np.empty((rows, n))
+    reflected = w[period - rows : 0 : -1]  # rows P - r for r = rows .. P-1
+    for s in range(fold):
+        start, end, col = s * period, (s + 1) * period, -s * period % n
+        out[:, start : start + rows] = w[:, col : col + rows].T
+        if even:
+            out[0, start + rows : end] = reflected[:, end % n]
+            out[1:, start + rows : end] = reflected[:, end - 1 : end - rows : -1].T
+    return out
 
 
 def _apply_kernel_matrix(kern: FloatArray, t_src: np.ndarray) -> np.ndarray:
-    """sum_j kern[i, j] T[j] for a real or complex density T, a vector or N x c.
+    """sum_j kern[i, j] T[j] for a real or complex density vector T.
 
-    A complex T is read as its (N, 2c) float view, so both parts take one
-    (rows x N) @ (N x 2c) product and the result is viewed back as complex.
+    A complex T is read as its (N, 2) float view, so both parts take one
+    (rows x N) @ (N x 2) product and the result is viewed back as complex.
     """
     if np.iscomplexobj(t_src):
         pairs = np.ascontiguousarray(t_src, dtype=np.complex128).view(np.float64)
-        out = kern @ pairs.reshape(t_src.shape[0], -1)
-        return out.view(np.complex128).reshape(kern.shape[0], *t_src.shape[1:])
+        return (kern @ pairs.reshape(-1, 2)).view(np.complex128).reshape(-1)
     return kern @ t_src
 
 
@@ -457,8 +450,6 @@ class _Curve(NamedTuple):
     finite: bool  # every node and derivative value is finite
     scale: float  # mean |z|, the scale of the guards
     peak: float  # max |z|, the scale of the fold check
-    x: FloatArray  # Re z and Im z, contiguous, for every block's chords
-    y: FloatArray
 
 
 def _curve(z, dz=None) -> _Curve:
@@ -466,8 +457,7 @@ def _curve(z, dz=None) -> _Curve:
     z = np.asarray(z, dtype=np.complex128)
     finite = bool(np.all(np.isfinite(z)) and (dz is None or np.all(np.isfinite(dz))))
     radii = np.abs(z)
-    return _Curve(z, dz, finite, float(np.mean(radii)), float(np.max(radii)), z.real.copy(),
-                  z.imag.copy())
+    return _Curve(z, dz, finite, float(np.mean(radii)), float(np.max(radii)))
 
 
 def _require_finite(*curves: _Curve) -> None:
@@ -537,9 +527,12 @@ def _kernel_block(
         # (about 3,000 page faults per vstate op, a tenth of its time)
         expanded = np.empty((rows, n))
         cols = n // 2 + 1
-        (x_tgt, x_src), (y_tgt, y_src) = (_centred_views(v, rows, cols) for v in (src.x, src.y))
+        (x_tgt, x_src), (y_tgt, y_src) = (
+            _centred_views(v, rows, cols) for v in (z_src.real, z_src.imag)
+        )
     else:
-        x_tgt, y_tgt, x_src, y_src = tgt.x[:rows, None], tgt.y[:rows, None], src.x, src.y
+        x_tgt, y_tgt = z_tgt.real[:rows, None], z_tgt.imag[:rows, None]
+        x_src, y_src = z_src.real, z_src.imag
     kern, q = _squared_chords(x_tgt, y_tgt, x_src, y_src)
     rho2_max = float(np.max(kern))
     qmax = 0.25 * mu * mu * rho2_max
@@ -664,11 +657,11 @@ def layer_integrals(
     rotation by 2 pi/g (checked to 1e-12 of max|z|, else ``ValueError``),
     only the targets 0 <= t <= pi/g (``fold_rows``) are built, the self
     blocks evaluate one pair of each node-pair orbit of that symmetry, and
-    W_12 z_2' is one transposed product of the W_21 rows, whose entries cover
-    every node pair up to it (``_apply_transpose``).  With ``even`` False the curves need only the
-    rotation: the targets are the N/g rows 0 <= t < 2 pi/g, the self blocks
-    keep the half band's centres in that range, and every entry again has
-    an image among the rows built.
+    the W_12 rows are copied by slices from the W_21 rows, whose entries
+    cover every node pair up to it (``_transposed_rows``).  With ``even``
+    False the curves need only the rotation: the targets are the N/g rows
+    0 <= t < 2 pi/g, the self blocks keep the half band's centres in that
+    range, and every entry again has an image among the rows built.
 
     Each curve is measured once (``_curve``), and a non-finite node or
     derivative is refused before the fold check.  Every block reads those
@@ -696,7 +689,7 @@ def layer_integrals(
 
     def cross_parts():
         w21 = _kernel_block(alpha21, kappa21, mu, c2, c1, fold=fold, even=even)
-        u1 = (alpha12 / alpha21) * _apply_transpose(w21, dz2, fold, even)
+        u1 = (alpha12 / alpha21) * _apply_kernel_matrix(_transposed_rows(w21, fold, even), dz2)
         return u1, _apply_kernel_matrix(w21, dz1)
 
     def self_parts():

@@ -36,9 +36,10 @@ def evolve_reference_inputs():
 
 
 def assert_transposed_product(params, zs, dzs, g, even, bound):
-    """W_12 applied by ``_apply_transpose`` from the W_21 rows equals a direct
-    build of the fold's W_12 rows applied to the same density, to bound of
-    max|W_12 T|, for z_2' and for a density without the fold's symmetry."""
+    """The fold's W_12 rows, sliced from the W_21 rows (``_transposed_rows``),
+    equal a direct build of them to bound of max|W_12|, and so does their
+    product with z_2' and with a density without the fold's symmetry, to
+    bound of max|W_12 T|."""
     (z1, z2), (dz1, dz2) = zs, dzs
     n = z1.size
     rows = Q.fold_rows(n, g, even)
@@ -46,12 +47,28 @@ def assert_transposed_product(params, zs, dzs, g, even, bound):
     alpha21, kappa21 = gkj_coefficients(params, 2, 1)
     w21 = Q._kernel_matrix(alpha21, kappa21, params.mu, z2, z1, dz1, n_rows=rows)
     w12 = Q._kernel_matrix(alpha12, kappa12, params.mu, z1, z2, dz2, n_rows=rows)
+    sliced = (alpha12 / alpha21) * Q._transposed_rows(w21, g, even)
+    assert np.max(np.abs(sliced - w12)) <= bound * np.max(np.abs(w12))
     rng = np.random.default_rng(n + g)
     for density in (dz2, rng.standard_normal(n) + 1j * rng.standard_normal(n)):
         direct = w12 @ density
-        product = (alpha12 / alpha21) * Q._apply_transpose(w21, density, g, even)
+        product = Q._apply_kernel_matrix(sliced, density)
         assert product.shape == (rows,)
         assert np.max(np.abs(product - direct)) <= bound * np.max(np.abs(direct))
+
+
+def mirror_index(n, fold, even):
+    """Flat indices into the W_21 rows giving W_21^T on the same rows: the
+    gather the sliced copy replaces, kept as its oracle.  Node j maps to row
+    j mod P (P = n/fold) or, given an even fold, reflects to P - (j mod P)
+    when that is above P/2; node i moves by the same rotation and reflection."""
+    period = n // fold
+    i = np.arange(Q.fold_rows(n, fold, even))[:, None]
+    shift, r = np.divmod(np.arange(n)[None, :], period)
+    reflect = even & (2 * r > period)
+    j_row = np.where(reflect, period - r, r)
+    i_col = np.where(reflect, (shift + 1) * period - i, i - shift * period) % n
+    return j_row * n + i_col
 
 
 class TestLogWeights:
@@ -121,12 +138,10 @@ class TestPeriodicGrid:
             lambda: Q._grid_tables(64),
             lambda: (Q._log_ratio_row(64),),
             lambda: Q._centred_nodes(64, 9, 33),
-            lambda: Q._transpose_tables(66, 3),
             lambda: Q.mode_tables(2, 8, 64),
             lambda: (series_coefficients(1.0),),
         ],
-        ids=["grid_tables", "log_ratio_row", "centred_nodes", "transpose_tables", "mode_tables",
-             "series"],
+        ids=["grid_tables", "log_ratio_row", "centred_nodes", "mode_tables", "series"],
     )
     def test_cached_tables_are_read_only(self, build):
         # every later build shares these arrays; writing the value back
@@ -446,7 +461,7 @@ class TestRowBuilds:
 
 
 class TestMirroredCrossRows:
-    """Fold path: W_12 rows gathered from the W_21 rows, against direct builds."""
+    """Fold path: W_12 rows sliced from the W_21 rows, against direct builds."""
 
     PARAMS = LayerParams(1.0, 1.0, 1.0, 0.7)
     TWINS = LayerParams(2.0, 1.0, 1.0, 1.0)
@@ -476,13 +491,28 @@ class TestMirroredCrossRows:
             err = np.max(np.abs(u_rows - u_full[:rows]))
             assert err <= 1e-14 * np.max(np.abs(u_full))
 
-    # W_12 = (alpha_12 / alpha_21) W_21^T applied to z_2' (and to a density
-    # without the fold's symmetry) by one transposed product of the W_21
-    # rows, against a direct build of the W_12 rows applied to it.  The
-    # product reads each weight off an image pair, whose chord agrees to
-    # rounding only.  Twin cross blocks take the split, whose far entries
+    # W_12 = (alpha_12 / alpha_21) W_21^T sliced from the W_21 rows, and its
+    # product with z_2' (and with a density without the fold's symmetry),
+    # against a direct build of the W_12 rows.  The slices pair nodes whose
+    # symmetry holds to rounding only: 1.1e-15 to 1.6e-15 of max|W| on the
+    # random pairs.  Twin cross blocks take the split, whose far entries
     # (mu * rho near 3.5) sum I_0 and S series terms several times larger
-    # than themselves
+    # than themselves; they read up to 4.7e-15
+    @pytest.mark.parametrize("even", [True, False])
+    def test_sliced_rows_are_the_mirror_gather(self, even):
+        # entry for entry the images the index gather took, so the product
+        # rounds as it did; odd periods and a fold of one node included
+        rng = np.random.default_rng(7)
+        cases = [(n, g) for n in range(1, 70) for g in range(1, n + 1) if n % g == 0]
+        for n, g in cases + [(256, 2), (512, 4)]:
+            w = rng.standard_normal((Q.fold_rows(n, g, even), n))
+            sliced = Q._transposed_rows(w, g, even)
+            assert sliced.flags.c_contiguous
+            assert np.array_equal(sliced, np.take(w, mirror_index(n, g, even))), (n, g)
+        assert Q._transposed_rows(w, None) is not w and np.array_equal(
+            Q._transposed_rows(w, None), w.T
+        )
+
     @pytest.mark.parametrize("twins,bound", [(False, 3e-15), (True, 1e-14)])
     @pytest.mark.parametrize("m,n", CASES + [(1, 66), (4, 64)])
     def test_mirrored_block_matches_direct_build(self, m, n, twins, bound):
@@ -617,7 +647,7 @@ class TestRotationFold:
             err = np.max(np.abs(u_rows - u_full[: n // g]))
             assert err <= 1e-14 * np.max(np.abs(u_full))
 
-    # the transposed product of the W_21 rows, as for the even fold
+    # the W_12 rows sliced from the W_21 rows, as for the even fold
     @pytest.mark.parametrize("m,n", CASES + [(1, 66), (4, 64)])
     def test_mirrored_block_matches_direct_build(self, m, n):
         params = TestMirroredCrossRows.PARAMS
@@ -1005,14 +1035,6 @@ class TestCachedTables:
         info = Q._folded_table.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
 
-    def test_curve_holds_contiguous_coordinates(self):
-        # every block's chords read Re z and Im z from these copies
-        z = circle(0.7) * (1.0 + 0.03 * np.cos(2 * THETA))
-        curve = Q._curve(z)
-        assert curve.z is z
-        for part, want in ((curve.x, z.real), (curve.y, z.imag)):
-            assert part.flags.c_contiguous and np.array_equal(part, want)
-
     def test_mode_numbers_read_only(self):
         k, ik = Q._mode_numbers(N)
         assert not k.flags.writeable and not ik.flags.writeable
@@ -1073,8 +1095,8 @@ class TestAllocations:
 
     @pytest.mark.parametrize("even", [True, False])
     def test_folded_layer_integrals_hold_one_gather(self, even):
-        # the self blocks' half-band gather is the one cached take: W_12 is a
-        # transposed product of the W_21 rows, with no index of their size
+        # the self blocks' half-band gather is the one cached take: the W_12
+        # rows are sliced from the W_21 rows, with no index of their size
         fold = TestMirroredCrossRows if even else TestRotationFold
         zs, dzs = fold.curves(fold(), self.PARAMS, 2, 256, False)
         Q._take.cache_clear()
