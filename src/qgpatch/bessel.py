@@ -399,9 +399,9 @@ def i1k1_product(x: float) -> float:
 # Vectorized kernels for the quadrature engine -------------------------------
 
 
-def k0_array(z: FloatArray) -> FloatArray:
-    """Elementwise K_0 over an array with z > 0."""
-    return _special().k0(np.asarray(z, dtype=np.float64))
+def k0_array(z: FloatArray, out: FloatArray | None = None) -> FloatArray:
+    """Elementwise K_0 over an array with z > 0, into ``out`` if given (it may be z)."""
+    return _special().k0(np.asarray(z, dtype=np.float64), out=out)
 
 
 def k1_array(z: FloatArray) -> FloatArray:

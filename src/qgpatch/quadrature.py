@@ -395,14 +395,14 @@ def _apply_kernel_matrix(kern: FloatArray, t_src: np.ndarray) -> np.ndarray:
     return kern @ t_src
 
 
-def _squared_chords(x_tgt, y_tgt, x_src, y_src) -> tuple[FloatArray, FloatArray]:
-    """(|z_t - z_s|^2, a scratch array of its shape), broadcast over the block."""
-    rho2 = np.subtract(x_tgt, x_src)
-    np.square(rho2, out=rho2)
-    scratch = np.subtract(y_tgt, y_src)
-    np.square(scratch, out=scratch)
-    rho2 += scratch
-    return rho2, scratch
+def _squared_chords(x_tgt, y_tgt, x_src, y_src, work) -> FloatArray:
+    """|z_t - z_s|^2 over the block, a new array, through the two rows of work."""
+    dx, dy = work
+    np.subtract(x_tgt, x_src, out=dx)
+    np.square(dx, out=dx)
+    np.subtract(y_tgt, y_src, out=dy)
+    np.square(dy, out=dy)
+    return np.add(dx, dy)
 
 
 def _circulant_view(row: FloatArray, n_rows: int) -> FloatArray:
@@ -533,7 +533,11 @@ def _kernel_block(
     else:
         x_tgt, y_tgt = z_tgt.real[:rows, None], z_tgt.imag[:rows, None]
         x_src, y_src = z_src.real, z_src.imag
-    kern, q = _squared_chords(x_tgt, y_tgt, x_src, y_src)
+    # q and the Horner row are one allocation: its first free raises glibc's
+    # trim threshold past both, which freed apart at the heap top could be
+    # given back and faulted in again every build; the broadcasts run through it
+    q, row = work = np.empty((2, rows, cols if symmetric else n))
+    kern = _squared_chords(x_tgt, y_tgt, x_src, y_src, work)
     rho2_max = float(np.max(kern))
     qmax = 0.25 * mu * mu * rho2_max
     if separated:
@@ -554,10 +558,10 @@ def _kernel_block(
             q *= 0.5 * h * alpha
             np.sqrt(kern, out=kern)
             kern *= mu
-            k0 = k0_array(kern)
-            k0 *= h * kappa
-            q += k0
-            return q
+            k0_array(kern, out=kern)
+            kern *= h * kappa
+            kern += q
+            return kern
     elif mu * mu * rho2_max > SPLIT_MAX_MU_CHORD**2:
         raise QuadratureFailure(
             f"mu * chord too large for the split evaluation (> {SPLIT_MAX_MU_CHORD})"
@@ -583,23 +587,24 @@ def _kernel_block(
     if not separated:
         # log(rho^2) + 2 kress_row / h - log(4 sin^2): the weighted log ratio
         ratio = _log_ratio_row(n)
-        kern += ratio[:cols] if symmetric else _circulant_view(ratio, rows)
-    kern = _fold(kern, q, qmax, alpha, kappa, mu, h)
+        np.copyto(row, ratio[:cols] if symmetric else _circulant_view(ratio, rows))
+        kern += row
+    kern = _fold(kern, q, row, qmax, alpha, kappa, mu, h)
     if symmetric:
         return _take(_gather_index, n, fold, even)(kern, out=expanded)
     return kern
 
 
-def _fold(log_part, q, qmax, alpha, kappa, mu, h) -> FloatArray:
+def _fold(log_part, q, g, qmax, alpha, kappa, mu, h) -> FloatArray:
     """log_part * (h/2) (alpha - kappa I_0) + h kappa (S - log(mu) I_0), in log_part.
 
     Both factors are polynomials in q = mu^2 rho^2 / 4 over the series
     tables with alpha, kappa, h and log(mu) folded in (``_folded_table``),
-    each summed by one Horner pass; S is the regular part K_0(w) + log(w) I_0(w).
+    each summed by one Horner pass into g; S is the regular part K_0(w) + log(w) I_0(w).
     """
     table = series_coefficients(qmax)
     g_row, smooth_row = _folded_table(table.tobytes(), alpha, kappa, mu, h).tolist()
-    g = horner(q, g_row)
+    horner(q, g_row, out=g)
     log_part *= g
     # the smooth part reuses g's array once log_part has read it
     log_part += horner(q, smooth_row, out=g)

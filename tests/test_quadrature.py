@@ -264,7 +264,9 @@ class TestSeparatedPath:
     @staticmethod
     def spy_k0(monkeypatch):
         calls = []
-        monkeypatch.setattr(Q, "k0_array", lambda z: calls.append(z) or k0_array(z))
+        monkeypatch.setattr(
+            Q, "k0_array", lambda z, out=None: calls.append(z.copy()) or k0_array(z, out=out)
+        )
         return calls
 
     def cross_blocks(self, params, z1, z2):
@@ -1142,6 +1144,19 @@ class TestAllocations:
         Q.layer_integrals(self.PARAMS, zs, dzs)  # fills the caches
         peak = traced_peak(lambda: Q.layer_integrals(self.PARAMS, zs, dzs))
         assert peak <= 6.5 * self.UNIT
+
+    @pytest.mark.parametrize("case", ["far", "separated", "near", "self"])
+    def test_blocks_own_their_memory(self, case):
+        # q and the Horner row are one allocation, freed with the build: a
+        # block returned as a view of it would hold both.  The far path
+        # (mu * rho_max > 3) takes K_0 in place, 3.0 UNIT like the others
+        params = LayerParams(1.0, 3.0 if case == "far" else 1.0, 1.0, 0.7)
+        z1 = (1.0 + 0.03 * np.cos(2 * THETA)) * np.exp(1j * THETA)
+        z2 = {"near": self.near_pair()[1], "self": z1}.get(case, 0.7 * z1)
+        args = (*gkj_coefficients(params, 2, 1), params.mu, z2, z1, Q.spectral_derivative(z1))
+        block = Q._kernel_matrix(*args)
+        assert block.flags.owndata and block.shape == (N, N)
+        assert traced_peak(lambda: Q._kernel_matrix(*args)) <= 3.1 * self.UNIT
 
     def test_cross_build_peak(self):
         z1 = (1.0 + 0.03 * np.cos(2 * THETA)) * np.exp(1j * THETA)
