@@ -36,15 +36,15 @@ positive half line.  The evaluation strategy per function:
   is even and entire.  S and I_0 are polynomials in q = z^2/4, kept as one
   stacked (2, M) coefficient table (``series_coefficients``) and summed
   row by row, each row one in-place Horner pass over its own contiguous
-  array (``horner``, both rows ``horner_pair``); ``i0_and_regular_part``
-  uses that one evaluator.  The tables are Chebyshev-economized: on
-  [0, Q] the top Taylor terms are traded for shifted Chebyshev
-  polynomials while the summed change stays below 2^-53 relative, which
-  takes 16 terms down to 11 at Q = 2 and 34 to 22 at Q = 45.25.  Q runs
-  over a sqrt(2) ladder, Q = 2^(k/2) up to 45.25 (z = 13.45), each level
-  built on first use; a larger q takes the plain Taylor table.  The
-  singular quadrature folds its kernel constants into these tables and so
-  calls ``horner`` directly, the second row into the first row's array.
+  array (``horner``), as ``i0_and_regular_part`` does.  The tables are
+  Chebyshev-economized: on [0, Q] the top Taylor terms are traded for
+  shifted Chebyshev polynomials while the summed change stays below 2^-53
+  relative, which takes 16 terms down to 11 at Q = 2 and 34 to 22 at
+  Q = 45.25.  Q runs over a sqrt(2) ladder, Q = 2^(k/2) up to 45.25
+  (z = 13.45), each level built on first use; a larger q takes the plain
+  Taylor table.  The singular quadrature folds its kernel constants into
+  these tables and so calls ``horner`` directly, the second row into the
+  first row's array.
 
 Products ``I_n(x) K_n(y)`` are assembled in log space, from the sweeps,
 so that orders up to several hundred neither overflow nor underflow; the
@@ -194,16 +194,6 @@ def series_coefficients(qmax: float) -> FloatArray:
     return _economize(2.0 ** (level / 2))
 
 
-def horner_pair(q: FloatArray, coeffs: FloatArray) -> tuple[FloatArray, FloatArray]:
-    """Both rows of a (2, M) table, M >= 2, as polynomials in q: two arrays of q's shape.
-
-    Each row is its own in-place Horner pass with Python-float coefficients,
-    so every step is one contiguous array-scalar operation.
-    """
-    row0, row1 = coeffs.tolist()
-    return horner(q, row0), horner(q, row1)
-
-
 def horner(q: FloatArray, c: list[float], out: FloatArray | None = None) -> FloatArray:
     """sum_m c[m] q^m, len(c) >= 2, by one in-place Horner pass: into ``out``
     if given (it may not be q), else into a new array of q's shape."""
@@ -222,11 +212,13 @@ def i0_and_regular_part(z: FloatArray) -> tuple[FloatArray, FloatArray]:
     log(2) I_0(z) + sum_m Phi(m+1) (z/2)^{2m}/(m!)^2; it is the piece of
     the screened kernel left over once the log singularity is split off,
     and the singular quadrature integrates it with the plain trapezoidal
-    rule.
+    rule.  Each is one in-place Horner pass over q = z^2/4 with its row of
+    the table as Python floats.
     """
     q = np.square(np.asarray(z, dtype=np.float64))
     q *= 0.25
-    return horner_pair(q, series_coefficients(float(np.max(q)) if q.size else 0.0))
+    row0, row1 = series_coefficients(float(np.max(q)) if q.size else 0.0).tolist()
+    return horner(q, row0), horner(q, row1)
 
 
 # ---------------------------------------------------------------------------

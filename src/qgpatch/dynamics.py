@@ -167,9 +167,7 @@ def _non_adjacent(k: int) -> NDArray[np.bool_]:
 def _coarsely_simple(z: ComplexArray, samples: int = 64) -> bool:
     """No two non-adjacent samples closer than a quarter of the shortest edge."""
     w = z[:: max(1, z.size // samples)]
-    dx = np.subtract.outer(w.real, w.real)
-    dy = np.subtract.outer(w.imag, w.imag)
-    d2 = dx * dx + dy * dy
+    d2 = _squared_distances(w, w)
     edge = np.min(np.abs(w - np.roll(w, -1)))
     return bool(np.all(d2[_non_adjacent(w.size)] > 0.0625 * edge**2))
 
@@ -452,23 +450,17 @@ def _distance_to_curve(points: ComplexArray, z: ComplexArray) -> FloatArray:
     return out
 
 
-def curve_hausdorff(za: ComplexArray, zb: ComplexArray) -> float:
+def curve_hausdorff(za: ComplexArray, zb: ComplexArray, rows: int | None = None) -> float:
     """Symmetric Hausdorff distance between two closed trigonometric curves.
 
-    Each direction takes the sup over one curve's nodes of the distance to
-    the other curve's trigonometric interpolant.  The closest point comes
-    from NEWTON_STEPS Newton steps on the curve parameter; a running
-    ``fmin`` over the iterates keeps each distance an upper bound and
-    ignores a NaN from a degenerate step.
+    Each direction takes the sup over one curve's nodes (the first ``rows``
+    only, if given) of the distance to the other curve's trigonometric
+    interpolant.  The closest point comes from NEWTON_STEPS Newton steps on
+    the curve parameter; a running ``fmin`` over the iterates keeps each
+    distance an upper bound and ignores a NaN from a degenerate step.
     """
     za = np.asarray(za, dtype=np.complex128)
     zb = np.asarray(zb, dtype=np.complex128)
-    return _hausdorff(za, zb, None)
-
-
-def _hausdorff(za: ComplexArray, zb: ComplexArray, rows: int | None) -> float:
-    """``curve_hausdorff`` with each sup over the first ``rows`` nodes only
-    (None: all)."""
     return float(max(_distance_to_curve(za[:rows], zb).max(),
                      _distance_to_curve(zb[:rows], za).max()))
 
@@ -500,5 +492,5 @@ def rigid_rotation_residual(
         rows = _head_rows(snap, fold)
         rot = np.exp(1j * omega * (snap.time - t0))
         for b, b0 in zip(snap.boundaries, ref.boundaries):
-            worst = max(worst, _hausdorff(b.nodes, rot * b0.nodes, rows))
+            worst = max(worst, curve_hausdorff(b.nodes, rot * b0.nodes, rows))
     return worst / scale

@@ -25,7 +25,7 @@ b2 varies, and certifies the mode from which no collision can occur
 (``first_collision_free_m``).
 
 The array evaluator ``spectrum_over_b2`` returns A_n, B_n, gamma_n,
-Omega_n^+- and V over arrays of n and of b2: every n <= n_max at every
+Omega_n^+-, V and W over arrays of n and of b2: every n <= n_max at every
 radius of a b2 vector, from one I_n sweep and one K_n sweep over
 [b1 mu, *b2 mu] (batched in ``bessel`` from BATCH_RADII radii on), with
 the b1 row shared by all radii and the mean flow computed once per
@@ -36,10 +36,11 @@ multiplier are built on these arrays.  Where only two modes of one radius
 are read, ``omega_minus_plus`` gives Omega_m^- and Omega_n^+ from that
 radius's sweeps on Python floats, bitwise the arrays' values: each
 refinement step of the collision scan and each root of ``collide
---equal-radii`` uses it.  The per-n functions
-``mean_flow_coeffs``, ``omega_pm`` and ``matrix_m`` take one mode from
-scalar I_n K_n products (``bessel_ik_product``); they are the reference
-the arrays are checked against.  Both routes go through the same formulas.
+--equal-radii`` uses it.  ``a_inf_minus_b_inf`` reads V and W from the
+arrays too.  The per-n functions ``omega_pm`` and ``matrix_m`` take one
+mode from six scalar I_n K_n products (``bessel_ik_product``); no library
+code calls them: they are the reference the arrays are checked against,
+and the benchmark traces them.  Both routes go through the same formulas.
 The table rows and collision records are dataclasses; the CLI writes them.
 """
 
@@ -131,18 +132,6 @@ def _multiplier(d, a_n, b_n, g, omega) -> np.ndarray:
     return out
 
 
-def mean_flow_coeffs(params: LayerParams) -> MeanFlowCoeffs:
-    """Angular mean-flow coefficients (V, W); both equal -1/2 at b1 = b2."""
-    d, mu, b1, b2, b = params.delta, params.mu, params.b1, params.b2, params.b
-    return _mean_flow(
-        d,
-        b,
-        bessel_ik_product(1, b1 * mu, b1 * mu),
-        bessel_ik_product(1, b2 * mu, b2 * mu),
-        bessel_ik_product(1, b2 * mu, b1 * mu),
-    )
-
-
 def a_inf_minus_b_inf(params: LayerParams) -> float:
     """Branch-limit gap A_inf - B_inf = (delta + 1)(V - W).
 
@@ -150,19 +139,21 @@ def a_inf_minus_b_inf(params: LayerParams) -> float:
     delta >= (b2/b1)^2; this gap is what separates the two eigenvalue
     branches at large mode index.
     """
-    mf = mean_flow_coeffs(params)
-    return (params.delta + 1.0) * (mf.v - mf.w)
+    spec = spectrum_arrays(params, 1)
+    return float((params.delta + 1.0) * (spec.v - spec.w))
 
 
 def _scalar_row(params: LayerParams, n: int) -> tuple[float, float, float]:
     # (A_n, B_n, gamma_n) of one mode from six scalar I K products
     if n < 1:
         raise ValueError("mode index must be >= 1")
-    d, mu, b1, b2 = params.delta, params.mu, params.b1, params.b2
-    mf = mean_flow_coeffs(params)
+    d, mu, b1, b2, b = params.delta, params.mu, params.b1, params.b2, params.b
+    mf = _mean_flow(d, b, bessel_ik_product(1, b1 * mu, b1 * mu),
+                    bessel_ik_product(1, b2 * mu, b2 * mu),
+                    bessel_ik_product(1, b2 * mu, b1 * mu))
     ik_b1 = bessel_ik_product(n, b1 * mu, b1 * mu)
     a_n, b_n = _ab(d, mf, n, ik_b1, bessel_ik_product(n, b2 * mu, b2 * mu))
-    return a_n, b_n, _gamma(params.b, n, bessel_ik_product(n, b2 * mu, b1 * mu))
+    return a_n, b_n, _gamma(b, n, bessel_ik_product(n, b2 * mu, b1 * mu))
 
 
 def matrix_m(params: LayerParams, n: int, omega: float) -> np.ndarray:
@@ -188,7 +179,7 @@ def kernel_vector(params: LayerParams, m: int, sign: int) -> np.ndarray:
 @dataclass(frozen=True)
 class SpectrumArrays:
     """A_n, B_n, gamma_n and Omega_n^-+ for n = 1..n_max, mode n at index n-1,
-    and the mean-flow coefficient V."""
+    and the mean-flow coefficients V and W (both -1/2 at b1 = b2)."""
 
     params: LayerParams
     a_n: FloatArray
@@ -197,6 +188,7 @@ class SpectrumArrays:
     omega_minus: FloatArray
     omega_plus: FloatArray
     v: float
+    w: float
 
     def matrix_m(self, omega: float) -> np.ndarray:
         """Every block M_n(omega), shape (n_max, 2, 2)."""
@@ -244,7 +236,7 @@ def _log_sweeps(n_max: int, x: FloatArray) -> tuple[FloatArray, FloatArray]:
 
 
 def _spectrum_rows(params_base: LayerParams, b2: FloatArray, log_b1, log_b2):
-    """``spectrum_over_b2``'s six arrays from the sweeps: log_b1 is the pair
+    """``spectrum_over_b2``'s seven arrays from the sweeps: log_b1 is the pair
     (log I_n, log K_n) at b1 mu, each (n_max+1,), and log_b2 the same pair
     at every b2 mu, each (len(b2), n_max+1)."""
     d, b1 = params_base.delta, params_base.b1
@@ -259,7 +251,7 @@ def _spectrum_rows(params_base: LayerParams, b2: FloatArray, log_b1, log_b2):
     a_n, b_n = _ab(d, mf, n, ik_b1[1:], ik_b2[:, 1:])
     g = _gamma(b, n, ik_cross[:, 1:])
     lo, hi = _omega_pair(d, a_n, b_n, g)
-    return a_n, b_n, g, lo, hi, mf.v[:, 0]
+    return a_n, b_n, g, lo, hi, mf.v[:, 0], mf.w[:, 0]
 
 
 def _minus_plus(d: float, b1: float, b2: float, m: int, n: int, ik_b1: list[float],
@@ -304,7 +296,7 @@ def omega_minus_plus(params: LayerParams, m: int, n: int) -> tuple[float, float]
 
 
 def _over_b2(params_base: LayerParams, b2: ArrayLike, n_max: int):
-    # (spectrum_over_b2's six arrays, the (log I_n, log K_n) sweeps at b1 mu)
+    # (spectrum_over_b2's seven arrays, the (log I_n, log K_n) sweeps at b1 mu)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     mu, b1 = params_base.mu, params_base.b1
@@ -318,15 +310,16 @@ def _over_b2(params_base: LayerParams, b2: ArrayLike, n_max: int):
 
 def spectrum_over_b2(
     params_base: LayerParams, b2: ArrayLike, n_max: int
-) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray, FloatArray, FloatArray]:
-    """(A_n, B_n, gamma_n, Omega_n^-, Omega_n^+, V) at every radius in b2.
+) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray, FloatArray, FloatArray, FloatArray]:
+    """(A_n, B_n, gamma_n, Omega_n^-, Omega_n^+, V, W) at every radius in b2.
 
     The first five arrays have shape (len(b2), n_max): row p is the disc
-    pair (b1, b2[p]), mode n at column n-1; the mean-flow coefficient V
-    has shape (len(b2),).  The b2 value carried by params_base is ignored.
-    One I_n sweep and one K_n sweep run over [b1 mu, *b2 mu] (radius by
-    radius below BATCH_RADII radii), the b1 row serves every pair, and the
-    formulas then run once over the whole (len(b2), n_max) block.
+    pair (b1, b2[p]), mode n at column n-1; the mean-flow coefficients V
+    and W have shape (len(b2),).  The b2 value carried by params_base is
+    ignored.  One I_n sweep and one K_n sweep run over [b1 mu, *b2 mu]
+    (radius by radius below BATCH_RADII radii), the b1 row serves every
+    pair, and the formulas then run once over the whole (len(b2), n_max)
+    block.
     """
     return _over_b2(params_base, b2, n_max)[0]
 

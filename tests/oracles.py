@@ -270,7 +270,7 @@ def spectrum_over_b2_per_radius(params_base, b2, n_max: int):
     a_n, b_n = S._ab(d, mf, n, ik_b1[1:], ik_b2[:, 1:])
     g = S._gamma(b, n, ik_cross[:, 1:])
     lo, hi = S._omega_pair(d, a_n, b_n, g)
-    return a_n, b_n, g, lo, hi, mf.v[:, 0]
+    return a_n, b_n, g, lo, hi, mf.v[:, 0], mf.w[:, 0]
 
 
 def collision_scan_per_cell(params_base, m: int, n_max: int, grid: int):

@@ -32,13 +32,13 @@ GRID = [
 
 class TestMeanFlow:
     def test_equal_radii_value(self):
-        mf = S.mean_flow_coeffs(LayerParams(3.0, 0.8, 1.2, 1.2))
+        mf = S.spectrum_arrays(LayerParams(3.0, 0.8, 1.2, 1.2), 1)
         assert mf.v == -0.5
         assert mf.w == -0.5
 
     def test_signs_on_grid(self):
         for p in GRID:
-            mf = S.mean_flow_coeffs(p)
+            mf = S.spectrum_arrays(p, 1)
             assert mf.v < 0.0
             assert mf.w < 0.0
 
@@ -50,7 +50,7 @@ class TestMeanFlow:
             1, 0.6 * mu, mu
         ) / p.b
         limit = -0.5 - bracket
-        assert S.mean_flow_coeffs(p).w == pytest.approx(limit, abs=1e-5)
+        assert S.spectrum_arrays(p, 1).w == pytest.approx(limit, abs=1e-5)
 
 
 class TestCoefficients:
@@ -71,8 +71,7 @@ class TestCoefficients:
         p = BASE
         spec = S.spectrum_arrays(p, 64)
         a64, b64 = spec.a_n[63], spec.b_n[63]
-        mf = S.mean_flow_coeffs(p)
-        a_inf, b_inf = (p.delta + 1.0) * mf.v, (p.delta + 1.0) * mf.w
+        a_inf, b_inf = (p.delta + 1.0) * spec.v, (p.delta + 1.0) * spec.w
         tail_a = p.delta / 128.0 + bessel_ik_product(64, p.b1 * p.mu, p.b1 * p.mu)
         tail_b = 1.0 / 128.0 + p.delta * bessel_ik_product(64, p.b2 * p.mu, p.b2 * p.mu)
         assert a64 - a_inf == pytest.approx(tail_a, rel=1e-12)
@@ -81,7 +80,7 @@ class TestCoefficients:
 
     def test_branch_gap_closed_form(self):
         for p in GRID:
-            mf = S.mean_flow_coeffs(p)
+            mf = S.spectrum_arrays(p, 1)
             direct = (p.delta + 1.0) * mf.v - (p.delta + 1.0) * mf.w
             assert S.a_inf_minus_b_inf(p) == pytest.approx(direct, abs=1e-13)
             if p.b2 < p.b1:
@@ -190,7 +189,7 @@ class TestCollisions:
         base = LayerParams(1.0, 1.0, 1.0, 0.5)
         for b2 in np.linspace(0.05, 0.95, 7):
             p = LayerParams(1.0, 1.0, 1.0, b2)
-            a_inf = (p.delta + 1.0) * S.mean_flow_coeffs(p).v
+            a_inf = (p.delta + 1.0) * S.spectrum_arrays(p, 1).v
             lim_minus = -a_inf / (p.delta + 1.0)
             p0 = next(
                 n for n in range(1, 65) if S.omega_pm(p, n)[1] > lim_minus
