@@ -73,8 +73,14 @@ def _at_least(minimum: int):
     return convert
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError("must be finite")
+    return value
+
+
 def _positive(text: str) -> float:
-    if (value := float(text)) <= 0:
+    if (value := _finite(text)) <= 0:
         raise ValueError("must be > 0")
     return value
 
@@ -88,7 +94,7 @@ def _sign(text: str) -> int:
 
 
 def _amplitudes(text: str) -> list[float]:
-    s_grid = [float(v) for v in text.split(",") if v.strip()]
+    s_grid = [_finite(v) for v in text.split(",") if v.strip()]
     if not s_grid:
         raise ValueError("is empty")
     if any(abs(s) > S_MAX for s in s_grid):
@@ -106,7 +112,7 @@ def _initial(text: str) -> tuple[str, str]:
 _PARAM_FLAGS = ("b1", "b2", "delta", "lambda")
 # key -> (converter of its text, default value)
 _SETTINGS = {
-    **dict.fromkeys(_PARAM_FLAGS, (float, 1.0)),
+    **dict.fromkeys(_PARAM_FLAGS, (_finite, 1.0)),
     "nmax": (_at_least(1), 16),
     "m": (_at_least(1), 2),
     "sign": (_sign, 1),
@@ -137,8 +143,7 @@ def _load_config_file(path: str) -> dict[str, str]:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
-    unknown = set(out) - set(_SETTINGS)
-    if unknown:
+    if unknown := set(out) - set(_SETTINGS):
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return out
 
@@ -207,9 +212,8 @@ def _write_snapshot(path: Path, boundaries) -> None:
 
 def cmd_spectrum(settings: dict, find_free_m: bool) -> int:
     params = _params_from(settings)
-    n_max = settings["nmax"]
+    n_max, out = settings["nmax"], settings["out"]
     rows = spectrum.spectrum_table(params, n_max)
-    out = settings["out"]
     _write_records(out / "spectrum.csv", spectrum.SpectrumRow, rows)
     _write_json(out / "spectrum.json", [dataclasses.asdict(r) for r in rows])
     print(f"spectrum: {n_max} modes, delta={_fmt(params.delta)} "
@@ -240,10 +244,8 @@ def cmd_collide(settings: dict, explicit: set[str], equal_radii: bool) -> int:
             b = x0 / params.mu
             minus_n, plus_1 = spectrum.omega_minus_plus(
                 LayerParams(params.delta, params.lam, b, b), n, 1)
-            gap = abs(plus_1 - minus_n)
-            report["roots"].append(
-                {"n": n, "x0": float(x0), "b_equal": float(b), "omega_gap": float(gap)}
-            )
+            report["roots"].append({"n": n, "x0": float(x0), "b_equal": float(b),
+                                    "omega_gap": abs(plus_1 - minus_n)})
         _write_json(out / "collide.json", report)
         print(f"equal-radii collision roots for n = 2..{n_max} written")
         return EXIT_OK
@@ -330,12 +332,14 @@ def _initial_state(settings: dict, explicit: set[str]):
             payload = payload["solutions"][-1]
         try:
             sol = VStateSolution.from_json_dict(payload)
-        except (KeyError, TypeError) as exc:
+            for key in ("amplitude", "omega", "coeffs_layer1", "coeffs_layer2"):
+                if not np.all(np.isfinite(payload[key])):
+                    raise ValueError(f"{key} is not finite")
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed V-state file {path}: {exc!r}") from exc
         _check_file_values(path, settings, explicit,
                            {**sol.params.as_dict(), "nodes": sol.deformation.n_nodes})
-        nodes = sol.boundary_radii() * np.exp(1j * sol.deformation.grid())
-        return sol.params, _state(nodes), sol
+        return sol.params, _state(sol.boundary_radii() * np.exp(1j * sol.deformation.grid())), sol
     try:
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except OSError as exc:
@@ -344,16 +348,16 @@ def _initial_state(settings: dict, explicit: set[str]):
         raise ValueError(f"cannot parse boundary CSV {path}: {exc}") from exc
     if rows.shape[1] != 4:
         raise ValueError(f"{path}: expected 4 columns layer,node_index,x,y")
-    stray = np.flatnonzero((rows[:, 0] != 1) & (rows[:, 0] != 2))
-    if stray.size:
+    if (bad := np.flatnonzero(~np.isfinite(rows).all(axis=1))).size:
+        raise ValueError(f"{path}: data row {bad[0] + 1} holds a non-finite value")
+    if (stray := np.flatnonzero((rows[:, 0] != 1) & (rows[:, 0] != 2))).size:
         raise ValueError(f"{path}: data row {stray[0] + 1} has layer {rows[stray[0], 0]:g}, "
                          "not 1 or 2")
     nodes = []
     for layer in (1, 2):
         sel = rows[rows[:, 0] == layer]
         sel = sel[np.argsort(sel[:, 1])]
-        bad = np.flatnonzero(sel[:, 1] != np.arange(len(sel)))
-        if bad.size:
+        if (bad := np.flatnonzero(sel[:, 1] != np.arange(len(sel)))).size:
             raise ValueError(f"{path}: layer {layer} has node_index {sel[bad[0], 1]:g} where "
                              f"{bad[0]} belongs; indices must run 0..{len(sel) - 1} once each")
         nodes.append(sel[:, 2] + 1j * sel[:, 3])

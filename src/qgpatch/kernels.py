@@ -42,6 +42,8 @@ class LayerParams:
     b2: float
 
     def __post_init__(self) -> None:
+        if not np.all(np.isfinite([self.delta, self.lam, self.b1, self.b2])):
+            raise ValueError(f"parameters must be finite, got {self.as_dict()}")
         if not self.delta > 0.0:
             raise ValueError("delta must be > 0")
         if not self.lam > 0.0:

@@ -388,6 +388,16 @@ class TestEvolveCommand:
         assert str(path) in err and f"data row 6 has layer {layer}, not 1 or 2" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_value_names_the_row(self, tmp_path, capsys, value):
+        rows = self.disc_rows()
+        rows[3][2] = value
+        code, path, out = self.evolve_rows(tmp_path, rows)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {path}: data row 4 holds a non-finite value\n"
+        assert not out.exists()
+
     def test_non_numeric_csv_value_names_the_file(self, tmp_path, capsys):
         rows = self.disc_rows()
         rows[0][2] = "np.float64(1.0)"
@@ -472,6 +482,23 @@ class TestEvolveCommand:
         out = tmp_path / "out"
         assert run(["evolve", "--initial", f"vstate:{path}", "--out", out]) == 2
         assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["omega", "amplitude", "coeffs_layer2"])
+    def test_non_finite_vstate_value_names_the_key(self, tmp_path, capsys, branch_66, key):
+        payload = json.loads(branch_66.read_text())
+        solution = payload["solutions"][-1]
+        if key == "coeffs_layer2":
+            solution[key][1] = float("inf")
+        else:
+            solution[key] = float("nan")
+        path = tmp_path / "branch.json"
+        path.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert self._evolve_from(path, out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: malformed V-state file {path}: ")
+        assert f"{key} is not finite" in err
         assert not out.exists()
 
 
@@ -576,6 +603,25 @@ class TestSettings:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key}: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, key", [
+        (["vstate", "--s-grid", "nan", "--nodes", 64, "--modes", 8], "s_grid"),
+        (["evolve", "--dt", "inf", "--t-end", 0.01], "dt"),
+        (["evolve", "--b1", "inf"], "b1"),
+        (["evolve", "--t-end", "inf", "--dt", 0.1], "t_end"),
+        (["evolve", "--t-end", "nan"], "t_end"),
+        (["spectrum", "--lambda", "inf"], "lambda"),
+        (["spectrum", "--delta", "inf"], "delta"),
+        (["spectrum", "--b1", "inf"], "b1"),
+        (["spectrum", "--b2=-inf"], "b2"),
+        (["collide", "--lambda", "inf"], "lambda"),
+        (["vstate", "--lambda", "inf"], "lambda"),
+    ])
+    def test_non_finite_value_names_key(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "out"
+        assert run([*argv, "--out", out]) == 2
+        assert capsys.readouterr().err == f"config error: {key}: must be finite\n"
         assert not out.exists()
 
     def test_bad_value_of_unread_key_ignored(self, tmp_path):

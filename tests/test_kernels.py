@@ -37,6 +37,14 @@ class TestLayerParams:
         with pytest.raises(ValueError):
             LayerParams(*args)
 
+    @pytest.mark.parametrize("args", [
+        (np.inf, 1, 1, 1), (1, np.inf, 1, 1), (1, 1, np.inf, 1), (1, 1, np.inf, np.inf),
+        (np.nan, 1, 1, 1), (1, 1, 1, np.nan),
+    ])
+    def test_non_finite_refused(self, args):
+        with pytest.raises(ValueError, match="must be finite"):
+            LayerParams(*args)
+
 
 class TestLayerKernel:
     def test_offdiagonal_symmetric_at_delta_one(self):
