@@ -52,6 +52,19 @@ class TestMeanFlow:
         limit = -0.5 - bracket
         assert S.spectrum_arrays(p, 1).w == pytest.approx(limit, abs=1e-5)
 
+    @pytest.mark.parametrize("n_max", [1, 16])
+    def test_bitwise_the_scalar_products(self, n_max):
+        # V, W and the branch gap from the sweeps equal those from three
+        # scalar order-1 products through the same formula, bit for bit
+        points = GRID + [LayerParams(d, 1.0, 1.0, 1.0) for d in (0.5, 2.0)]
+        for p in points:
+            x1, x2 = p.b1 * p.mu, p.b2 * p.mu
+            mf = S._mean_flow(p.delta, p.b, bessel_ik_product(1, x1, x1),
+                              bessel_ik_product(1, x2, x2), bessel_ik_product(1, x2, x1))
+            spec = S.spectrum_arrays(p, n_max)
+            assert (spec.v, spec.w) == (mf.v, mf.w)
+            assert S.a_inf_minus_b_inf(p) == (p.delta + 1.0) * (mf.v - mf.w)
+
 
 class TestCoefficients:
     def test_nonpositive_and_nonincreasing(self):
